@@ -16,19 +16,33 @@ from math import gcd, lcm, prod
 
 from .cohomology import CohomologyDims
 from .deformation import UdrClass
-from .ffield import FpMatrix, LimitExceeded, is_odd_prime, is_prime, primitive_root_of_unity
+from .ffield import (
+    PRIME_SEARCH_CEILING,
+    FpMatrix,
+    LimitExceeded,
+    is_odd_prime,
+    is_prime,
+    primitive_root_of_unity,
+)
 from .fusion import FusionOrbit, FusionOrbitSet, fusion_numbers
 
 ABELIAN_BRUTE_FORCE_LIMIT = 10**6
 
 
 def smallest_valid_abelian_prime(exponent: int, group_order: int) -> int:
-    """Smallest odd prime p with exponent | p - 1 and p coprime to the order."""
+    """Smallest odd prime p with exponent | p - 1 and p coprime to the order.
+
+    The search stops at PRIME_SEARCH_CEILING and raises LimitExceeded
+    there instead of running on.
+    """
     p = 3
-    while True:
-        if is_prime(p) and (p - 1) % exponent == 0 and group_order % p != 0:
+    while p <= PRIME_SEARCH_CEILING:
+        if (p - 1) % exponent == 0 and group_order % p != 0 and is_prime(p):
             return p
         p += 2
+    raise LimitExceeded(
+        f"no odd prime p = 1 (mod {exponent}) prime to {group_order} up to {PRIME_SEARCH_CEILING}"
+    )
 
 
 @dataclass(frozen=True)

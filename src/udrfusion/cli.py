@@ -30,6 +30,7 @@ from .deformation import (
     fusion_determinability,
     udr_class,
     udr_signature,
+    UdrClass,
     VerificationReport,
 )
 from .dihedral import DihedralParams, RepLabel, omega_set, t_map
@@ -52,6 +53,9 @@ _VERIFY_DEFAULT_NMAX = {
     "oracle-h1": 12,
 }
 _VERIFY_ORDER = ["thm42", "thm43", "thm11", "lemma410", "cor34", "prop48", "cor49", "oracle-h1"]
+
+# JSON reports carry the ring class label; CSV cells carry its comma-free tag
+_CSV_TAGS = {cls.label: cls.value for cls in UdrClass}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -203,12 +207,6 @@ def _dihedral_report(params: DihedralParams, i0: int) -> dict:
 def _dihedral_csv(report: dict) -> str:
     par = report["params"]
     lines = ["n,p,omega,i0,j,gcd,T,in_omega,d1,d2,udr"]
-    tags = {
-        "Zp": "Zp",
-        "Zp[[t]]/(t^2,pt)": "ZpTtorsion",
-        "Zp[Z/p]": "ZpCp",
-        "Zp[Z/pxZ/p]": "ZpCpSquared",
-    }
     for row in report["reps"]:
         lines.append(
             ",".join(
@@ -224,7 +222,7 @@ def _dihedral_csv(report: dict) -> str:
                     str(row["in_omega"]).lower(),
                     row["d1"],
                     row["d2"],
-                    tags[row["udr"]],
+                    _CSV_TAGS[row["udr"]],
                 )
             )
         )
@@ -293,11 +291,6 @@ def _abelian_report(pair: CharacterPair) -> dict:
 def _abelian_csv(report: dict) -> str:
     par = report["params"]
     row = report["reps"][0]
-    tags = {
-        "Zp": "Zp",
-        "Zp[Z/p]": "ZpCp",
-        "Zp[Z/pxZ/p]": "ZpCpSquared",
-    }
     lines = [
         "orders,p,theta1,theta2,d1,d2,udr",
         ",".join(
@@ -309,7 +302,7 @@ def _abelian_csv(report: dict) -> str:
                 "x".join(str(v) for v in par["theta2"]),
                 row["d1"],
                 row["d2"],
-                tags[row["udr"]],
+                _CSV_TAGS[row["udr"]],
             )
         ),
     ]
@@ -430,7 +423,13 @@ def _cmd_verify(args) -> int:
     total = 0
     for token in tokens:
         n_max = args.n_max if args.n_max is not None else _VERIFY_DEFAULT_NMAX[token]
-        for report in _run_verify_family(token, n_max):
+        reports = _run_verify_family(token, n_max)
+        if not reports:
+            # a family that checked nothing must not pass
+            total += 1
+            failed += 1
+            print(f"FAIL {token} no instances (n-max {n_max})")
+        for report in reports:
             total += 1
             par = " ".join(str(v) for v in report.parameters)
             if report.passed:

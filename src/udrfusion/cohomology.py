@@ -9,9 +9,16 @@ the adjoint of a 2-dim irreducible V = V_j,
     d2 = d1 + dim (V_det.phi~ (x) V* (x) V)^G
 
 where phi~ is the contragredient of theta_i0 and det.phi~ is its
-determinant character (the sign character).  Fixed-point dimensions are
-computed as the rank of the averaging idempotent, which is exact for
-any multiplicity.
+determinant character (the sign character).  Every module here is
+monomial: r acts diagonally by powers of w and s by a signed
+permutation, and duals, tensor products and determinants keep it so.
+`dims` therefore counts invariants from the weights and the signed
+permutation alone (`_MonomialModule`), which is exact for any
+multiplicity because p is odd and prime to n.
+
+The dense `GModule` route, whose fixed-point dimension is the rank of
+the averaging idempotent, is kept as an independent oracle for the
+tests and computes nothing on the `dims` path.
 
 A second, independent route recomputes d1 from scratch: 1-cocycles of
 the finitely presented semidirect product with values in the 2x2 matrix
@@ -153,16 +160,106 @@ class CohomologyDims:
     d2: int
 
 
+class _MonomialModule:
+    """A monomial module over the dihedral group of order 2n.
+
+    r acts on basis vector e_c by w^weight[c]; s sends e_c to
+    sign[c] * e_perm[c].  Construction checks the dihedral relations in
+    O(dim): perm is an involution with sign[perm[c]] = sign[c] = +-1
+    (s^2 = 1), and weight[perm[c]] = -weight[c] mod n (s r s = r^-1);
+    r^n = 1 holds because weights live mod n.
+    """
+
+    __slots__ = ("n", "weight", "perm", "sign")
+
+    def __init__(self, n: int, weight, perm, sign) -> None:
+        weight = tuple(w % n for w in weight)
+        perm, sign = tuple(perm), tuple(sign)
+        dim = len(weight)
+        if dim == 0 or len(perm) != dim or len(sign) != dim:
+            raise ValueError("weights, permutation and signs need one entry per coordinate")
+        for c, target in enumerate(perm):
+            if not 0 <= target < dim or perm[target] != c:
+                raise ValueError("reflection permutation is not an involution")
+            if sign[c] not in (1, -1) or sign[target] != sign[c]:
+                raise ValueError("reflection does not square to 1")
+            if (weight[target] + weight[c]) % n:
+                raise ValueError("weights do not satisfy the dihedral relation")
+        self.n, self.weight, self.perm, self.sign = n, weight, perm, sign
+
+    @classmethod
+    def from_rep(cls, rep: Rep2) -> "_MonomialModule":
+        """Weights and signed permutation read off the generator matrices;
+        ValueError unless r is diagonal in powers of omega and s is a
+        signed permutation."""
+        params = rep.params
+        n, p = params.n, params.p
+        log = {pow(params.omega, k, p): k for k in range(n)}
+        dim = rep.mat_r.rows
+        if any(m.rows != dim or m.cols != dim for m in (rep.mat_r, rep.mat_s)):
+            raise ValueError("generator matrices are not square of one size")
+        rows_r, rows_s = rep.mat_r.data, rep.mat_s.data
+        weight, perm, sign = [], [], []
+        for c in range(dim):
+            column_r = [(rr, row[c]) for rr, row in enumerate(rows_r) if row[c]]
+            column_s = [(rr, row[c]) for rr, row in enumerate(rows_s) if row[c]]
+            if len(column_r) != 1 or column_r[0][0] != c or column_r[0][1] not in log:
+                raise ValueError("rotation matrix is not diagonal in powers of omega")
+            if len(column_s) != 1 or column_s[0][1] not in (1, p - 1):
+                raise ValueError("reflection matrix is not a signed permutation")
+            weight.append(log[column_r[0][1]])
+            perm.append(column_s[0][0])
+            sign.append(1 if column_s[0][1] == 1 else -1)
+        return cls(n, weight, perm, sign)
+
+    def dual(self) -> "_MonomialModule":
+        # s is an involution with sign[perm[c]] = sign[c], so its
+        # transpose inverse is itself
+        return _MonomialModule(self.n, [-w for w in self.weight], self.perm, self.sign)
+
+    def tensor(self, other: "_MonomialModule") -> "_MonomialModule":
+        """Coordinates ordered as in FpMatrix.kron: c = a * other.dim + b."""
+        dim_b = len(other.weight)
+        return _MonomialModule(
+            self.n,
+            [wa + wb for wa in self.weight for wb in other.weight],
+            [pa * dim_b + pb for pa in self.perm for pb in other.perm],
+            [sa * sb for sa in self.sign for sb in other.sign],
+        )
+
+    def det(self) -> "_MonomialModule":
+        """r acts by w^(sum of weights); s by the permutation's sign
+        times the product of the signs."""
+        sgn = 1
+        for sg in self.sign:
+            sgn *= sg
+        for c, target in enumerate(self.perm):
+            if c < target:  # one transposition per 2-cycle
+                sgn = -sgn
+        return _MonomialModule(self.n, [sum(self.weight)], [0], [sgn])
+
+    def fixed_point_dim(self) -> int:
+        """Weight-zero coordinates span the r-invariants (w has order n);
+        s permutes them, each 2-cycle contributes one invariant and each
+        fixed coordinate one exactly when its sign is +1 (p is odd)."""
+        count = 0
+        for c, w in enumerate(self.weight):
+            target = self.perm[c]
+            if w == 0 and (c < target or (c == target and self.sign[c] == 1)):
+                count += 1
+        return count
+
+
 @lru_cache(maxsize=None)
 def dims(params: DihedralParams, i0: int, j: int) -> CohomologyDims:
     """d1 and d2 for the action of theta_i0 on the plane with adjoint
-    coefficients coming from theta_j."""
-    v = rep_module(irr2_rep(params, j))
-    adj = adjoint_module(v)
-    phi_tilde = contragredient(rep_module(irr2_rep(params, i0)))
-    d1 = fixed_point_dim(tensor(phi_tilde, adj))
-    wedge = det_module(phi_tilde)
-    d2 = d1 + fixed_point_dim(tensor(wedge, adj))
+    coefficients coming from theta_j, as invariant counts of monomial
+    modules."""
+    v = _MonomialModule.from_rep(irr2_rep(params, j))
+    adj = v.dual().tensor(v)
+    phi_tilde = _MonomialModule.from_rep(irr2_rep(params, i0)).dual()
+    d1 = phi_tilde.tensor(adj).fixed_point_dim()
+    d2 = d1 + phi_tilde.det().tensor(adj).fixed_point_dim()
     return CohomologyDims(d1, d2)
 
 

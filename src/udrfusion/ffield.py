@@ -107,6 +107,13 @@ def primitive_root_of_unity(p: int, n: int) -> int:
     raise AssertionError("unreachable: F_p* is cyclic of order p - 1")
 
 
+def _check_shape(p: int, rows: int, cols: int) -> None:
+    if not is_odd_prime(p):
+        raise ValueError(f"modulus {p} is not an odd prime")
+    if rows < 1 or cols < 1:
+        raise ValueError("matrix needs at least one row and one column")
+
+
 class FpMatrix:
     """Immutable matrix over F_p with exact row-reduction based rank."""
 
@@ -129,12 +136,30 @@ class FpMatrix:
         raise AttributeError("FpMatrix is immutable")
 
     @classmethod
+    def _reduced(cls, p: int, data: tuple) -> "FpMatrix":
+        """Wrap a non-empty rectangular tuple of tuples of residues in
+        [0, p) for a modulus already known to be an odd prime, as the
+        results of operations on valid matrices are; skips validation."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "p", p)
+        object.__setattr__(m, "rows", len(data))
+        object.__setattr__(m, "cols", len(data[0]))
+        object.__setattr__(m, "data", data)
+        return m
+
+    @classmethod
+    def _identity(cls, p: int, size: int) -> "FpMatrix":
+        return cls._reduced(p, tuple(tuple(int(i == j) for j in range(size)) for i in range(size)))
+
+    @classmethod
     def identity(cls, p: int, size: int) -> "FpMatrix":
-        return cls(p, [[1 if i == j else 0 for j in range(size)] for i in range(size)])
+        _check_shape(p, size, size)
+        return cls._identity(p, size)
 
     @classmethod
     def zeros(cls, p: int, rows: int, cols: int) -> "FpMatrix":
-        return cls(p, [[0] * cols for _ in range(rows)])
+        _check_shape(p, rows, cols)
+        return cls._reduced(p, ((0,) * cols,) * rows)
 
     @classmethod
     def diagonal(cls, p: int, entries) -> "FpMatrix":
@@ -163,7 +188,7 @@ class FpMatrix:
     def __add__(self, other: "FpMatrix") -> "FpMatrix":
         self._same_shape(other)
         p = self.p
-        return FpMatrix(
+        return FpMatrix._reduced(
             p,
             tuple(
                 tuple((a + b) % p for a, b in zip(ra, rb))
@@ -174,7 +199,7 @@ class FpMatrix:
     def __sub__(self, other: "FpMatrix") -> "FpMatrix":
         self._same_shape(other)
         p = self.p
-        return FpMatrix(
+        return FpMatrix._reduced(
             p,
             tuple(
                 tuple((a - b) % p for a, b in zip(ra, rb))
@@ -184,12 +209,12 @@ class FpMatrix:
 
     def __neg__(self) -> "FpMatrix":
         p = self.p
-        return FpMatrix(p, tuple(tuple(-a % p for a in row) for row in self.data))
+        return FpMatrix._reduced(p, tuple(tuple(-a % p for a in row) for row in self.data))
 
     def __mul__(self, other):
         p = self.p
         if isinstance(other, int):
-            return FpMatrix(p, tuple(tuple(a * other % p for a in row) for row in self.data))
+            return FpMatrix._reduced(p, tuple(tuple(a * other % p for a in row) for row in self.data))
         if not isinstance(other, FpMatrix):
             return NotImplemented
         if self.p != other.p:
@@ -197,7 +222,7 @@ class FpMatrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
         bcols = tuple(zip(*other.data))
-        return FpMatrix(
+        return FpMatrix._reduced(
             p,
             tuple(
                 tuple(sum(a * b for a, b in zip(row, col)) % p for col in bcols)
@@ -215,7 +240,7 @@ class FpMatrix:
             raise ValueError("power of a non-square matrix")
         if e < 0:
             return self.inverse() ** (-e)
-        result = FpMatrix.identity(self.p, self.rows)
+        result = FpMatrix._identity(self.p, self.rows)
         base = self
         while e:
             if e & 1:
@@ -225,7 +250,7 @@ class FpMatrix:
         return result
 
     def transpose(self) -> "FpMatrix":
-        return FpMatrix(self.p, tuple(zip(*self.data)))
+        return FpMatrix._reduced(self.p, tuple(zip(*self.data)))
 
     def trace(self) -> int:
         if self.rows != self.cols:
@@ -287,7 +312,7 @@ class FpMatrix:
                 if i != c and m[i][c]:
                     f = m[i][c]
                     m[i] = [(v - f * w) % p for v, w in zip(m[i], m[c])]
-        return FpMatrix(p, [row[size:] for row in m])
+        return FpMatrix._reduced(p, tuple(tuple(row[size:]) for row in m))
 
     def det(self) -> int:
         if self.rows != self.cols:
@@ -323,4 +348,4 @@ class FpMatrix:
         for arow in self.data:
             for brow in other.data:
                 out.append(tuple(a * b % p for a in arow for b in brow))
-        return FpMatrix(p, out)
+        return FpMatrix._reduced(p, tuple(out))

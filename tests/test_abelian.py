@@ -29,6 +29,12 @@ def test_smallest_valid_prime():
     assert smallest_valid_abelian_prime(10, 10) == 11
 
 
+def test_smallest_valid_prime_ceiling():
+    # every p = 1 (mod 1000003) exceeds the 10^6 ceiling
+    with pytest.raises(LimitExceeded):
+        smallest_valid_abelian_prime(1000003, 1000003)
+
+
 def test_params_standard():
     assert AbelianParams.standard((6,)).p == 7
     assert AbelianParams.standard((3,)).p == 7

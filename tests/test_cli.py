@@ -184,6 +184,28 @@ def test_verify_census_family(capsys):
     assert out.strip().split("\n")[-1].endswith(", 0 failed")
 
 
+def test_verify_without_instances_fails(capsys):
+    rc, out, _ = _run(capsys, ["verify", "--check", "lemma410", "--n-max", "5"])
+    assert rc == 1
+    assert out == "FAIL lemma410 no instances (n-max 5)\n1 checks, 1 failed\n"
+    rc, out, _ = _run(capsys, ["verify", "--n-max", "2"])
+    assert rc == 1
+    lines = out.strip().split("\n")
+    assert lines[:-1] == [
+        f"FAIL {token} no instances (n-max 2)"
+        for token in ("thm42", "thm43", "thm11", "lemma410", "cor34", "prop48", "cor49", "oracle-h1")
+    ]
+    assert lines[-1] == "8 checks, 8 failed"
+
+
+def test_cli_abelian_prime_search_ceiling(capsys):
+    rc, out, err = _run(
+        capsys, ["analyze", "abelian", "--orders", "1000003", "--theta1", "0", "--theta2", "0"]
+    )
+    assert rc == 2 and out == ""
+    assert err.startswith("error: no odd prime")
+
+
 def test_cli_error_exits():
     assert main(["analyze", "dihedral", "--n", "5", "--p", "6", "--i0", "1"]) == 2
     assert main(["analyze", "dihedral", "--n", "5", "--i0", "3"]) == 2

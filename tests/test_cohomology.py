@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import pytest
 
+from udrfusion import cohomology
 from udrfusion.cohomology import (
     CohomologyDims,
     GModule,
+    _MonomialModule,
     adjoint_decomposition_check,
     adjoint_module,
     cohomologically_maximal_set,
@@ -20,6 +22,7 @@ from udrfusion.cohomology import (
 )
 from udrfusion.dihedral import (
     DihedralParams,
+    Rep2,
     RepLabel,
     group_elements,
     irr2_rep,
@@ -27,7 +30,7 @@ from udrfusion.dihedral import (
     t_map,
     t_preimage,
 )
-from udrfusion.ffield import FpMatrix, LimitExceeded
+from udrfusion.ffield import FpMatrix, LimitExceeded, find_primes
 
 
 def test_gmodule_validates_relations():
@@ -129,6 +132,82 @@ def test_dims_frozen():
     assert dims(params, 1, 2) == CohomologyDims(1, 2)
     assert dims(DihedralParams.standard(3), 1, 1) == CohomologyDims(1, 2)
     assert dims(DihedralParams.standard(12), 3, 3) == CohomologyDims(0, 1)
+
+
+def test_dims_match_dense_projector_route():
+    """The invariant counts equal the ranks of the averaging idempotents of
+    the dense modules, on every pair for n = 3..12 and two primes each."""
+    pairs = 0
+    for n in range(3, 13):
+        for p in find_primes(n, 2):
+            params = DihedralParams.standard(n, p)
+            indices = params.irr2_indices()
+            adj = {j: adjoint_module(rep_module(irr2_rep(params, j))) for j in indices}
+            for i0 in indices:
+                phi_tilde = contragredient(rep_module(irr2_rep(params, i0)))
+                wedge = det_module(phi_tilde)
+                for j in indices:
+                    d1 = fixed_point_dim(tensor(phi_tilde, adj[j]))
+                    d2 = d1 + fixed_point_dim(tensor(wedge, adj[j]))
+                    assert dims(params, i0, j) == CohomologyDims(d1, d2), (n, p, i0, j)
+                    pairs += 1
+    assert pairs == 220
+
+
+def _as_gmodule(mod, params):
+    """The dense module of a monomial one: r diagonal, s a signed permutation."""
+    p, dim = params.p, len(mod.weight)
+    mat_r = FpMatrix.diagonal(p, [pow(params.omega, w, p) for w in mod.weight])
+    mat_s = FpMatrix(
+        p,
+        [[mod.sign[c] if mod.perm[c] == row else 0 for c in range(dim)] for row in range(dim)],
+    )
+    return GModule(params.n, p, dim, mat_r, mat_s)
+
+
+def test_monomial_operations_match_dense_modules():
+    for n in (5, 6, 8):
+        params = DihedralParams.standard(n)
+        for i in params.irr2_indices():
+            mono = _MonomialModule.from_rep(irr2_rep(params, i))
+            dense = rep_module(irr2_rep(params, i))
+            assert _as_gmodule(mono, params) == dense
+            dual, dense_dual = mono.dual(), contragredient(dense)
+            assert _as_gmodule(dual, params) == dense_dual
+            adj = dual.tensor(mono)
+            assert _as_gmodule(adj, params) == adjoint_module(dense)
+            big = dual.tensor(adj)
+            assert _as_gmodule(big, params) == tensor(dense_dual, adjoint_module(dense))
+            assert _as_gmodule(big.det(), params) == det_module(_as_gmodule(big, params))
+            assert _as_gmodule(dual.det(), params) == det_module(dense_dual)
+            assert big.fixed_point_dim() == fixed_point_dim(_as_gmodule(big, params))
+
+
+def test_monomial_module_checks_relations():
+    _MonomialModule(6, (1, 5, 0, 0), (1, 0, 3, 2), (1, 1, -1, -1))
+    with pytest.raises(ValueError, match="involution"):
+        _MonomialModule(6, (0, 0, 0), (1, 2, 0), (1, 1, 1))  # s has order 3
+    with pytest.raises(ValueError, match="square to 1"):
+        _MonomialModule(6, (1, 5), (1, 0), (1, -1))  # s^2 = -1
+    with pytest.raises(ValueError, match="dihedral relation"):
+        _MonomialModule(6, (1, 1), (1, 0), (1, 1))  # s r s = r, not r^-1
+    with pytest.raises(ValueError, match="dihedral relation"):
+        _MonomialModule(6, (1,), (0,), (1,))  # a fixed coordinate needs 2 w = 0
+
+
+def test_dims_rejects_non_monomial_generator(monkeypatch):
+    params = DihedralParams.standard(5)  # p = 11, omega = 3
+    good = irr2_rep(params, 1)
+    p = params.p
+    broken = (
+        (Rep2(params, good.label, FpMatrix(p, ((3, 1), (0, 4))), good.mat_s), "not diagonal"),
+        (Rep2(params, good.label, FpMatrix.diagonal(p, (2, 6)), good.mat_s), "powers of omega"),
+        (Rep2(params, good.label, good.mat_r, FpMatrix(p, ((0, 2), (6, 0)))), "signed permutation"),
+    )
+    for rep, message in broken:
+        monkeypatch.setattr(cohomology, "irr2_rep", lambda _params, _i, rep=rep: rep)
+        with pytest.raises(ValueError, match=message):
+            dims.__wrapped__(params, 1, 1)
 
 
 def test_dims_structure():

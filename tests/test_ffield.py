@@ -217,6 +217,32 @@ def test_rank_plus_nullity_is_column_count(m):
     assert m.transpose().rank() == m.rank()
 
 
+@settings(max_examples=40)
+@given(_matrix_pair())
+def test_derived_matrices_are_canonical(pair):
+    """Results built without validation equal their validated rebuild."""
+    a, b = pair
+    results = [a + b, a - b, -a, a * b, 3 * a, a.kron(b), a.transpose(), a ** 3]
+    results += [FpMatrix.identity(a.p, a.rows), FpMatrix.zeros(a.p, a.rows, 2)]
+    if a.det():
+        results.append(a.inverse())
+    for m in results:
+        rebuilt = FpMatrix(m.p, m.data)
+        assert m == rebuilt and hash(m) == hash(rebuilt)
+        assert (m.rows, m.cols) == (rebuilt.rows, rebuilt.cols)
+        assert type(m.data) is tuple and all(type(row) is tuple for row in m.data)
+
+
+def test_identity_and_zeros_validate():
+    for bad in ((6, 2), (7, 0)):
+        with pytest.raises(ValueError):
+            FpMatrix.identity(*bad)
+    with pytest.raises(ValueError):
+        FpMatrix.zeros(9, 1, 1)
+    with pytest.raises(ValueError):
+        FpMatrix.zeros(7, 1, 0)
+
+
 @given(_matrix_pair())
 def test_product_rank_bound_and_transpose(pair):
     a, b = pair
