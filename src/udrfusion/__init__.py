@@ -71,6 +71,7 @@ from .abelian import (
     abelian_dims_projector,
     abelian_fixed_count,
     abelian_fixed_count_bruteforce,
+    abelian_orbits,
     abelian_orbits_bruteforce,
     abelian_udr,
     find_underdetermined_pair,

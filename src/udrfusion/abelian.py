@@ -4,13 +4,21 @@ The group is a product of cyclic factors acting diagonally on the plane:
 the first coordinate through theta1, the second through theta2.  Fixed
 counts, cohomology dimensions and ring classes all reduce to how many of
 the two characters are trivial and whether they are mutually inverse;
-the brute-force orbit partition is kept as the oracle showing those
-summaries genuinely under-determine the orbit structure.
+the orbit partition shows those summaries genuinely under-determine the
+orbit structure.
+
+abelian_orbits enumerates the least orbit representatives directly from
+coset minima of three subgroups of F_p^* (the projections A and B of the
+image H of the group in F_p^* x F_p^*, and the kernel K of the first
+projection), in time and memory linear in p plus the number of orbits.
+The brute-force sweep abelian_orbits_bruteforce and the per-value fixed
+count abelian_fixed_count_bruteforce are its independent oracles.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd, lcm, prod
 
@@ -24,7 +32,14 @@ from .ffield import (
     is_prime,
     primitive_root_of_unity,
 )
-from .fusion import FusionOrbit, FusionOrbitSet, fusion_numbers
+from .fusion import (
+    ORBIT_LIMIT,
+    FusionOrbit,
+    FusionOrbitSet,
+    _sweep_orbits,
+    coset_minima,
+    fusion_numbers,
+)
 
 ABELIAN_BRUTE_FORCE_LIMIT = 10**6
 
@@ -125,19 +140,18 @@ class CharacterPair:
         img2 = tuple(pow(w, int(e) % m, params.p) for w, e, m in zip(roots, e2, params.cyclic_orders))
         return cls(params, img1, img2)
 
-    def value1(self, elem) -> int:
+    def _value(self, images: tuple, elem) -> int:
         p = self.params.p
         v = 1
-        for img, e in zip(self.theta1, elem):
+        for img, e in zip(images, elem):
             v = v * pow(img, e, p) % p
         return v
 
+    def value1(self, elem) -> int:
+        return self._value(self.theta1, elem)
+
     def value2(self, elem) -> int:
-        p = self.params.p
-        v = 1
-        for img, e in zip(self.theta2, elem):
-            v = v * pow(img, e, p) % p
-        return v
+        return self._value(self.theta2, elem)
 
     def trivial_count(self) -> int:
         ones1 = all(v == 1 for v in self.theta1)
@@ -156,19 +170,30 @@ def abelian_fixed_count(pair: CharacterPair) -> int:
 
 
 def abelian_fixed_count_bruteforce(pair: CharacterPair) -> int:
-    """Fixed points counted by scanning the plane; the guard matches the
-    orbit brute force."""
+    """Fixed points counted by testing every group element on every
+    coordinate value; the guard matches the orbit brute force.
+
+    For each value x, bit i of mask1[x] says whether the i-th group
+    element fixes x in the first coordinate, and likewise mask2 for the
+    second; (x, y) is fixed by the group when the two masks AND to the
+    full set.  That is 2 p |G| evaluations, not p^2 |G|.
+    """
     params = pair.params
     p = params.p
     if params.order * p * p > ABELIAN_BRUTE_FORCE_LIMIT:
         raise LimitExceeded("plane sweep too large")
     values = [(pair.value1(g), pair.value2(g)) for g in params.elements()]
-    count = 0
-    for x in range(p):
-        for y in range(p):
-            if all(a * x % p == x and b * y % p == y for a, b in values):
-                count += 1
-    return count
+    full = (1 << len(values)) - 1
+
+    def mask_counts(coord: int) -> Counter:
+        return Counter(
+            sum(1 << i for i, v in enumerate(values) if v[coord] * x % p == x) for x in range(p)
+        )
+
+    masks1, masks2 = mask_counts(0), mask_counts(1)
+    return sum(
+        c1 * c2 for m1, c1 in masks1.items() for m2, c2 in masks2.items() if m1 & m2 == full
+    )
 
 
 def abelian_dims(pair: CharacterPair) -> CohomologyDims:
@@ -204,28 +229,67 @@ def abelian_udr(pair: CharacterPair) -> UdrClass:
     return (UdrClass.ZP, UdrClass.ZP_CP, UdrClass.ZP_CP_SQUARED)[d1]
 
 
+def abelian_orbits(pair: CharacterPair) -> FusionOrbitSet:
+    """Orbit partition of the plane under the diagonal character action,
+    enumerated from coset minima without a sweep.
+
+    With H = {(theta1(g), theta2(g))}, A and B its two projections and
+    K = {b : (1, b) in H}, the least representatives, in lexicographic
+    order, are (0, 0); (0, y) for each coset minimum y of B, orbit size
+    |B|; then for each coset minimum x of A, first (x, 0), size |A|, and
+    then (x, y) for each coset minimum y of K, size |H|.  The stabilizer
+    depends only on which coordinates are nonzero, so it is computed once
+    per class.  Raises LimitExceeded before enumerating when there are
+    more than ORBIT_LIMIT orbits.
+    """
+    params = pair.params
+    p = params.p
+    elements = list(params.elements())
+    values = [(pair.value1(g), pair.value2(g)) for g in elements]
+    image = set(values)
+    first = {a for a, _ in image}
+    second = {b for _, b in image}
+    kernel = {b for a, b in image if a == 1}
+    orbit_count = 1 + (p - 1) // len(second) + (p - 1) // len(first) * (1 + (p - 1) // len(kernel))
+    if orbit_count > ORBIT_LIMIT:
+        raise LimitExceeded(f"action has {orbit_count} orbits, limit is {ORBIT_LIMIT}")
+
+    def images(v):
+        x, y = v
+        return {(a * x % p, b * y % p) for a, b in image}
+
+    def stabilizer(v) -> tuple:
+        x, y = v
+        return tuple(g for g, (a, b) in zip(elements, values) if a * x % p == x and b * y % p == y)
+
+    def minima(subgroup) -> list[int]:
+        cmin = coset_minima(p, subgroup)
+        return [y for y in range(1, p) if cmin[y] == y]
+
+    def orbit(rep, size, stab):
+        return FusionOrbit(rep, size, len(stab), stab, images)
+
+    stab_y, stab_x, stab_xy = stabilizer((0, 1)), stabilizer((1, 0)), stabilizer((1, 1))
+    orbits = [orbit((0, 0), 1, stabilizer((0, 0)))]
+    orbits += [orbit((0, y), len(second), stab_y) for y in minima(second)]
+    kernel_minima = minima(kernel)
+    for x in minima(first):
+        orbits.append(orbit((x, 0), len(first), stab_x))
+        orbits += [orbit((x, y), len(image), stab_xy) for y in kernel_minima]
+    return FusionOrbitSet(tuple(orbits), p, params, pair, images)
+
+
 def abelian_orbits_bruteforce(pair: CharacterPair) -> FusionOrbitSet:
-    """Orbit partition of the plane under the diagonal character action."""
+    """Orbit partition of the plane by sweeping every point; the oracle
+    for abelian_orbits."""
     params = pair.params
     p = params.p
     if params.order * p * p > ABELIAN_BRUTE_FORCE_LIMIT:
         raise LimitExceeded(
             f"sweep size {params.order * p * p} exceeds {ABELIAN_BRUTE_FORCE_LIMIT}"
         )
-    table = [(g, pair.value1(g), pair.value2(g)) for g in params.elements()]
-    seen = set()
-    orbits = []
-    for x in range(p):
-        for y in range(p):
-            if (x, y) in seen:
-                continue
-            orbit = {(a * x % p, b * y % p) for _, a, b in table}
-            seen |= orbit
-            rx, ry = rep = min(orbit)
-            stab = tuple(g for g, a, b in table if a * rx % p == rx and b * ry % p == ry)
-            orbits.append(FusionOrbit(rep, frozenset(orbit), len(orbit), len(stab), stab))
-    orbits.sort(key=lambda o: o.representative)
-    return FusionOrbitSet(tuple(orbits), p, params, pair)
+    table = [(g, (pair.value1(g), 0, 0, pair.value2(g))) for g in params.elements()]
+    return _sweep_orbits(p, table, params, pair)
 
 
 def all_character_pairs(params: AbelianParams):

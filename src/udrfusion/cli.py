@@ -11,13 +11,14 @@ from math import gcd
 
 from . import __version__
 from .abelian import (
+    ABELIAN_BRUTE_FORCE_LIMIT,
     AbelianParams,
     CharacterPair,
     abelian_dims,
     abelian_dims_projector,
     abelian_fixed_count,
     abelian_fixed_count_bruteforce,
-    abelian_orbits_bruteforce,
+    abelian_orbits,
     abelian_udr,
 )
 from .cohomology import d1_oracle_cocycles, dims
@@ -245,8 +246,10 @@ def _abelian_report(pair: CharacterPair) -> dict:
         ),
     ]
     fusion_block = {"k": None, "numbers": None, "orbit_count": None, "representatives": None}
-    try:
-        orbit_set = abelian_orbits_bruteforce(pair)
+    # the fusion block and its oracle check appear only where the brute
+    # force could still check them
+    if params.order * params.p**2 <= ABELIAN_BRUTE_FORCE_LIMIT:
+        orbit_set = abelian_orbits(pair)
         census = fusion_numbers(orbit_set)
         fusion_block = {
             "k": None,
@@ -261,8 +264,6 @@ def _abelian_report(pair: CharacterPair) -> dict:
                 abelian_fixed_count_bruteforce(pair) == abelian_fixed_count(pair),
             )
         )
-    except LimitExceeded:
-        pass
     return {
         "version": __version__,
         "params": {

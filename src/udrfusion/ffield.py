@@ -7,6 +7,8 @@ construction, so all linear algebra here is exact by construction.
 
 from __future__ import annotations
 
+from math import gcd
+
 PRIME_SEARCH_CEILING = 10**6
 
 
@@ -101,9 +103,12 @@ def primitive_root_of_unity(p: int, n: int) -> int:
         raise ValueError(f"{n} does not divide p - 1 = {p - 1}")
     if n == 1:
         return 1
-    for w in range(2, p):
-        if multiplicative_order(w, p) == n:
-            return w
+    # the elements of order n are the powers h^j, gcd(j, n) = 1, of any
+    # one of them, and some a^((p-1)/n) is one of them
+    for a in range(2, p):
+        h = pow(a, (p - 1) // n, p)
+        if multiplicative_order(h, p) == n:
+            return min(pow(h, j, p) for j in range(1, n) if gcd(j, n) == 1)
     raise AssertionError("unreachable: F_p* is cyclic of order p - 1")
 
 

@@ -2,15 +2,24 @@
 
 The action comes from a 2-dim irreducible theta_i0: rotations scale the
 two coordinates by inverse powers of w^i0 and reflections swap them.
-Two routes compute the orbit partition: a brute-force sweep over all p^2
-points, and the closed form in which every orbit other than {(0,0)} has
-size k or 2k with k = n/gcd(i0, n).  The census of orbit sizes (the
-fusion numbers) only depends on p and k.
+Every orbit other than {(0,0)} has size k or 2k with k = n/gcd(i0, n),
+and the census of orbit sizes (the fusion numbers) only depends on p and
+k.
+
+The production route, fusion_orbits_closed_form, enumerates the
+lexicographically least representative of every orbit directly from the
+coset minima of U = <w^i0> in F_p^*, in time and memory linear in p plus
+the number of orbits.  The brute-force sweep over all p^2 points,
+_sweep_orbits, shares no code with it and is kept as its oracle; the
+abelian brute force in abelian.py runs on the same sweep.  An orbit's
+point set is computed from its representative on first access.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd
 
 from .dihedral import DihedralParams, GroupElement, group_elements, irr2_rep
@@ -18,44 +27,66 @@ from .ffield import LimitExceeded
 
 NPoint = tuple[int, int]
 
+# maps a point to the collection of its images under every group element
+OrbitMap = Callable[[NPoint], Iterable[NPoint]]
+
 BRUTE_FORCE_POINT_LIMIT = 10**6
+
+# the direct routes refuse to emit more orbits than this
+ORBIT_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
 class FusionOrbit:
-    """One orbit: lexicographically least representative, full point set,
-    and the stabilizer of the representative (generators plus order)."""
+    """One orbit: lexicographically least representative, size, and the
+    stabilizer of the representative (generators plus order).  The full
+    point set, elements, is the image set of the representative under
+    images, computed on first access."""
 
     representative: NPoint
-    elements: frozenset
     size: int
     stabilizer_order: int
     stabilizer_gens: tuple
+    images: OrbitMap = field(repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.size != len(self.elements):
+        if self.size < 1 or self.stabilizer_order < 1:
+            raise ValueError("orbit and stabilizer sizes must be positive")
+
+    @cached_property
+    def elements(self) -> frozenset:
+        points = frozenset(self.images(self.representative))
+        if self.size != len(points):
             raise ValueError("orbit size does not match element count")
+        return points
 
 
 @dataclass(frozen=True)
 class FusionOrbitSet:
-    """A full orbit partition of F_p x F_p.
+    """A full orbit partition of F_p x F_p, orbits sorted by representative.
 
     For dihedral actions params is a DihedralParams and i0 the acting
     representation index; the abelian route stores its AbelianParams and
-    CharacterPair in the same two slots.
+    CharacterPair in the same two slots.  images is the action shared by
+    every orbit of the set.
     """
 
     orbits: tuple
     p: int
     params: object
     i0: object
+    images: OrbitMap = field(repr=False, compare=False)
+
+    @cached_property
+    def _by_representative(self) -> dict:
+        return {orb.representative: orb for orb in self.orbits}
 
     def orbit_of(self, v: NPoint) -> FusionOrbit:
-        for orb in self.orbits:
-            if v in orb.elements:
-                return orb
-        raise KeyError(f"{v} is not a point of the plane being partitioned")
+        """The orbit of v, found by its least image."""
+        x, y = v
+        if not (0 <= x < self.p and 0 <= y < self.p):
+            raise KeyError(f"{v} is not a point of the plane being partitioned")
+        return self._by_representative[min(self.images(v))]
 
     def partition(self) -> frozenset:
         return frozenset(orb.elements for orb in self.orbits)
@@ -100,13 +131,50 @@ def act(params: DihedralParams, i0: int, g: GroupElement, v: NPoint) -> NPoint:
     return irr2_rep(params, i0).matrix(g).apply(v)
 
 
-def _action_table(params: DihedralParams, i0: int) -> list[tuple[GroupElement, tuple[int, int, int, int]]]:
-    rep = irr2_rep(params, i0)
-    table = []
-    for g in group_elements(params.n):
-        m = rep.matrix(g).data
-        table.append((g, (m[0][0], m[0][1], m[1][0], m[1][1])))
-    return table
+def coset_minima(p: int, subgroup) -> list[int]:
+    """cmin with cmin[y] the least element of the coset y * subgroup of
+    F_p^* for 0 < y < p, and cmin[0] = 0.  Linear in p: every coset is
+    written once, from its least element."""
+    cmin = [0] * p
+    for y in range(1, p):
+        if not cmin[y]:
+            for u in subgroup:
+                cmin[y * u % p] = y
+    return cmin
+
+
+def _sweep_orbits(p: int, table, params, i0) -> FusionOrbitSet:
+    """Orbit partition by sweeping every point of the plane.
+
+    table lists (g, (a, b, c, d)) with g acting as the matrix
+    [[a, b], [c, d]].  Every orbit is built as a point set and every
+    point is marked as seen; callers guard the p^2 cost.
+    """
+
+    def images(v: NPoint) -> set:
+        x, y = v
+        return {((a * x + b * y) % p, (c * x + d * y) % p) for _, (a, b, c, d) in table}
+
+    seen = set()
+    orbits = []
+    for x in range(p):
+        for y in range(p):
+            if (x, y) in seen:
+                continue
+            orbit = images((x, y))
+            seen |= orbit
+            rx, ry = rep = min(orbit)
+            stab = tuple(
+                g
+                for g, (a, b, c, d) in table
+                if (a * rx + b * ry) % p == rx and (c * rx + d * ry) % p == ry
+            )
+            found = FusionOrbit(rep, len(orbit), len(stab), stab, images)
+            # the sweep already holds the point set: fill the lazy elements
+            found.__dict__["elements"] = frozenset(orbit)
+            orbits.append(found)
+    orbits.sort(key=lambda o: o.representative)
+    return FusionOrbitSet(tuple(orbits), p, params, i0, images)
 
 
 def fusion_orbits_bruteforce(params: DihedralParams, i0: int) -> FusionOrbitSet:
@@ -118,83 +186,70 @@ def fusion_orbits_bruteforce(params: DihedralParams, i0: int) -> FusionOrbitSet:
     p = params.p
     if p * p > BRUTE_FORCE_POINT_LIMIT:
         raise LimitExceeded(f"plane has {p * p} points, limit is {BRUTE_FORCE_POINT_LIMIT}")
-    table = _action_table(params, i0)
-    seen = set()
-    orbits = []
-    for x in range(p):
-        for y in range(p):
-            if (x, y) in seen:
-                continue
-            orbit = {((a * x + b * y) % p, (c * x + d * y) % p) for _, (a, b, c, d) in table}
-            seen |= orbit
-            rx, ry = rep = min(orbit)
-            stab = tuple(
-                g
-                for g, (a, b, c, d) in table
-                if (a * rx + b * ry) % p == rx and (c * rx + d * ry) % p == ry
-            )
-            orbits.append(FusionOrbit(rep, frozenset(orbit), len(orbit), len(stab), stab))
-    orbits.sort(key=lambda o: o.representative)
-    return FusionOrbitSet(tuple(orbits), p, params, i0)
+    rep = irr2_rep(params, i0)
+    table = []
+    for g in group_elements(params.n):
+        m = rep.matrix(g).data
+        table.append((g, (m[0][0], m[0][1], m[1][0], m[1][1])))
+    return _sweep_orbits(p, table, params, i0)
 
 
 def fusion_orbits_closed_form(params: DihedralParams, i0: int) -> FusionOrbitSet:
-    """Orbit partition assembled case by case.
+    """Orbit partition enumerated from coset minima, without a sweep.
 
-    With k = n/gcd(i0, n) and U = <w^i0> of order k:
-      * {(0, 0)} alone, full stabilizer;
-      * points with both coordinates nonzero and y/x in U lie in orbits
-        of size k with stabilizer <r^k, s r^j0> where y/x = w^(i0 j0);
-      * all other points lie in orbits of size 2k joining the rotation
-        sweep of (x, y) with the sweep of the swapped point (y, x),
-        stabilizer <r^k>.
+    With k = n/gcd(i0, n), U = <w^i0> of order k and cmin[y] the least
+    element of yU, the orbit of (x, y) is {(ux, y/u), (uy, x/u) : u in U}.
+    Its least representatives, in lexicographic order, are:
+      * (0, 0), alone, with the full group as stabilizer;
+      * (0, m) for each coset minimum m: the axis points of mU, size 2k,
+        stabilizer <r^k>;
+      * (m, y) for each coset minimum m and each y != 0 with
+        cmin[y] >= m.  When cmin[y] = m the ratio y/m = w^(i0 j0) lies in
+        U and the orbit has size k with stabilizer <r^k, s r^j0>;
+        otherwise it has size 2k with stabilizer <r^k>.
+    Raises LimitExceeded before enumerating when the census counts more
+    than ORBIT_LIMIT orbits.
     """
     n, p, w = params.n, params.p, params.omega
     if i0 not in params.irr2_indices():
         raise ValueError(f"index {i0} is not in [1, {n}/2)")
     g0 = gcd(i0, n)
     k = n // g0
+    orbit_count = sum(FusionNumbers.dihedral_closed_form(p, k).counts.values())
+    if orbit_count > ORBIT_LIMIT:
+        raise LimitExceeded(f"action has {orbit_count} orbits, limit is {ORBIT_LIMIT}")
     wi = pow(w, i0, p)
-    wi_inv = pow(wi, -1, p)
     unit_powers = [pow(wi, t, p) for t in range(k)]
-    unit_group = set(unit_powers)
+    exponent_of = {u: t for t, u in enumerate(unit_powers)}
+    inverse_powers = [pow(u, -1, p) for u in unit_powers]
+    cmin = coset_minima(p, unit_powers)
+    minima = [m for m in range(1, p) if cmin[m] == m]
 
+    def images(v: NPoint) -> list:
+        x, y = v
+        return [(u * x % p, ui * y % p) for u, ui in zip(unit_powers, inverse_powers)] + [
+            (u * y % p, ui * x % p) for u, ui in zip(unit_powers, inverse_powers)
+        ]
+
+    r_k = GroupElement.rotation(n, k)
+    big_gens = (r_k,)
+    small_gens = [(r_k, GroupElement.reflection(n, j0)) for j0 in range(k)]
     orbits = [
         FusionOrbit(
-            (0, 0),
-            frozenset({(0, 0)}),
-            1,
-            2 * n,
-            (GroupElement.rotation(n), GroupElement.reflection(n)),
+            (0, 0), 1, 2 * n, (GroupElement.rotation(n), GroupElement.reflection(n)), images
         )
     ]
-    seen = {(0, 0)}
-    for x in range(p):
-        for y in range(p):
-            if (x, y) in seen:
-                continue
-            sweep = []
-            cx, cy = x, y
-            for _ in range(k):
-                sweep.append((cx, cy))
-                cx = cx * wi % p
-                cy = cy * wi_inv % p
-            if x != 0 and y != 0 and (y * pow(x, -1, p)) % p in unit_group:
-                elements = frozenset(sweep)
-                rep = min(elements)
-                ratio = rep[1] * pow(rep[0], -1, p) % p
-                j0 = unit_powers.index(ratio)
-                gens = (GroupElement.rotation(n, k), GroupElement.reflection(n, j0))
-                orbit = FusionOrbit(rep, elements, k, 2 * g0, gens)
-            else:
-                elements = frozenset(sweep) | frozenset((b, a) for a, b in sweep)
-                rep = min(elements)
-                gens = (GroupElement.rotation(n, k),)
-                orbit = FusionOrbit(rep, elements, 2 * k, g0, gens)
-            seen |= orbit.elements
-            orbits.append(orbit)
-    orbits.sort(key=lambda o: o.representative)
-    return FusionOrbitSet(tuple(orbits), p, params, i0)
+    orbits += [FusionOrbit((0, m), 2 * k, g0, big_gens, images) for m in minima]
+    for m in minima:
+        m_inv = pow(m, -1, p)
+        for y in range(1, p):
+            c = cmin[y]
+            if c == m:
+                gens = small_gens[exponent_of[y * m_inv % p]]
+                orbits.append(FusionOrbit((m, y), k, 2 * g0, gens, images))
+            elif c > m:
+                orbits.append(FusionOrbit((m, y), 2 * k, g0, big_gens, images))
+    return FusionOrbitSet(tuple(orbits), p, params, i0, images)
 
 
 def fusion_numbers(orbit_set: FusionOrbitSet) -> FusionNumbers:

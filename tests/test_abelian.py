@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from math import lcm, prod
+
 import pytest
 
 from udrfusion.abelian import (
@@ -9,6 +11,7 @@ from udrfusion.abelian import (
     abelian_dims_projector,
     abelian_fixed_count,
     abelian_fixed_count_bruteforce,
+    abelian_orbits,
     abelian_orbits_bruteforce,
     abelian_udr,
     all_character_pairs,
@@ -17,8 +20,22 @@ from udrfusion.abelian import (
 )
 from udrfusion.cohomology import CohomologyDims
 from udrfusion.deformation import UdrClass
-from udrfusion.ffield import LimitExceeded
+from udrfusion.ffield import FpMatrix, LimitExceeded, is_prime
 from udrfusion.fusion import fusion_numbers
+
+from orbit_checks import assert_same_orbits, burnside_count
+
+ORBIT_GRID_ORDERS = ((2,), (4,), (6,), (2, 2), (2, 3), (3, 3))
+
+
+def _orbit_grid():
+    """Every character pair of each group in ORBIT_GRID_ORDERS at its two
+    smallest valid primes."""
+    for orders in ORBIT_GRID_ORDERS:
+        exponent, order = lcm(*orders), prod(orders)
+        primes = [p for p in range(3, 40) if is_prime(p) and (p - 1) % exponent == 0 and order % p]
+        for p in primes[:2]:
+            yield from all_character_pairs(AbelianParams(orders, p))
 
 
 def test_smallest_valid_prime():
@@ -107,10 +124,12 @@ def test_fixed_count_frozen():
 
 
 def test_fixed_count_matches_bruteforce():
-    for orders in ((2,), (4,), (6,), (2, 3)):
-        params = AbelianParams.standard(orders)
-        for pair in all_character_pairs(params):
-            assert abelian_fixed_count(pair) == abelian_fixed_count_bruteforce(pair)
+    checked = 0
+    for pair in _orbit_grid():
+        count = abelian_fixed_count_bruteforce(pair)
+        assert count == abelian_fixed_count(pair) == pair.params.p ** pair.trivial_count()
+        checked += 1
+    assert checked == 2 * (4 + 16 + 36 + 16 + 36 + 81)
 
 
 def test_dims_frozen():
@@ -143,6 +162,40 @@ def test_orbits_frozen():
     assert len(orbit_set.orbits) == 21
     assert orbit_set.orbit_of((1, 5)).elements == frozenset({(1, 5), (2, 5), (4, 5)})
     assert orbit_set.orbit_of((0, 3)).size == 1
+
+
+def test_direct_orbits_match_bruteforce():
+    checked = 0
+    for pair in _orbit_grid():
+        direct, sweep = abelian_orbits(pair), abelian_orbits_bruteforce(pair)
+        assert_same_orbits(direct, sweep)
+        # both list the whole stabilizer, in group element order
+        assert [o.stabilizer_gens for o in direct.orbits] == [
+            o.stabilizer_gens for o in sweep.orbits
+        ]
+        checked += 1
+    assert checked == 2 * (4 + 16 + 36 + 16 + 36 + 81)
+
+
+def test_direct_orbit_count_is_burnside_count():
+    for pair in _orbit_grid():
+        p = pair.params.p
+        matrices = [
+            FpMatrix.diagonal(p, (pair.value1(g), pair.value2(g))) for g in pair.params.elements()
+        ]
+        assert len(abelian_orbits(pair).orbits) == burnside_count(p, matrices)
+
+
+def test_direct_orbits_frozen():
+    params = AbelianParams.standard((3,))  # p = 7, root 2
+    orbit_set = abelian_orbits(CharacterPair.from_exponents(params, (1,), (0,)))
+    assert orbit_set.size_census() == {1: 7, 3: 14}
+    assert [o.representative for o in orbit_set.orbits[:4]] == [(0, 0), (0, 1), (0, 2), (0, 3)]
+    assert orbit_set.orbit_of((1, 5)).elements == frozenset({(1, 5), (2, 5), (4, 5)})
+    assert orbit_set.orbit_of((4, 5)).representative == (1, 5)
+    assert orbit_set.orbit_of((0, 3)).size == 1
+    with pytest.raises(KeyError):
+        orbit_set.orbit_of((0, 7))
 
 
 def test_orbit_stabilizer_identity():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from time import perf_counter
 
 import pytest
 
@@ -204,6 +205,17 @@ def test_cli_abelian_prime_search_ceiling(capsys):
     )
     assert rc == 2 and out == ""
     assert err.startswith("error: no odd prime")
+
+
+def test_cli_closed_form_orbit_ceiling(capsys):
+    # about 1.7e11 orbits: refused from the census before any enumeration
+    start = perf_counter()
+    rc, out, err = _run(
+        capsys, ["analyze", "dihedral", "--n", "3", "--p", "1000003", "--i0", "1"]
+    )
+    assert perf_counter() - start < 1.0
+    assert rc == 2 and out == ""
+    assert err.startswith("error: action has 166668166670 orbits, limit is 1000000")
 
 
 def test_cli_error_exits():

@@ -85,6 +85,25 @@ def test_primitive_root_has_exact_order():
         assert multiplicative_order(w, p) == n
 
 
+def test_primitive_root_is_smallest_of_exact_order():
+    for p in range(3, 110):
+        if not is_prime(p):
+            continue
+        for n in range(2, p):
+            if (p - 1) % n == 0:
+                first = next(w for w in range(2, p) if multiplicative_order(w, p) == n)
+                assert primitive_root_of_unity(p, n) == first
+
+
+def test_primitive_root_at_a_large_prime():
+    # the two primitive cube roots w and w^2 mod 1000003 lie far from 2,
+    # where a scan from 2 would take minutes
+    p = 1000003
+    w = primitive_root_of_unity(p, 3)
+    assert w != 1 and pow(w, 3, p) == 1
+    assert w < pow(w, 2, p)
+
+
 def test_primitive_root_rejects_bad_arguments():
     with pytest.raises(ValueError):
         primitive_root_of_unity(7, 4)

@@ -2,16 +2,33 @@ from __future__ import annotations
 
 import pytest
 
-from udrfusion.dihedral import DihedralParams, GroupElement, group_elements
-from udrfusion.ffield import LimitExceeded, primitive_root_of_unity
+from udrfusion.dihedral import DihedralParams, GroupElement, group_elements, irr2_rep
+from udrfusion.ffield import FpMatrix, LimitExceeded, find_primes, primitive_root_of_unity
 from udrfusion.fusion import (
     FusionNumbers,
+    FusionOrbit,
     act,
+    coset_minima,
     fusion_numbers,
     fusion_orbits_bruteforce,
     fusion_orbits_closed_form,
     same_fusion,
 )
+
+from orbit_checks import assert_same_orbits, burnside_count
+
+# the sweep is quadratic in p; the oracle grids below stop at planes of
+# SWEEP_PRIME_CEILING^2 points so the comparisons stay well under a second
+SWEEP_PRIME_CEILING = 40
+
+
+def _dihedral_grid():
+    """(params, i0) for n = 3..24 at the two smallest primes each."""
+    for n in range(3, 25):
+        for p in find_primes(n, 2):
+            params = DihedralParams.standard(n, p)
+            for i0 in params.irr2_indices():
+                yield params, i0
 
 
 def test_act_frozen():
@@ -73,15 +90,63 @@ def test_closed_form_index_validation():
 
 
 def test_closed_form_matches_bruteforce():
-    for n in range(3, 9):
-        params = DihedralParams.standard(n)
-        for i0 in params.irr2_indices():
-            brute = fusion_orbits_bruteforce(params, i0)
+    checked = 0
+    for params, i0 in _dihedral_grid():
+        if params.p <= SWEEP_PRIME_CEILING:
             closed = fusion_orbits_closed_form(params, i0)
-            assert brute.partition() == closed.partition()
-            for a, b in zip(brute.orbits, closed.orbits):
-                assert a.representative == b.representative
-                assert a.stabilizer_order == b.stabilizer_order
+            assert_same_orbits(closed, fusion_orbits_bruteforce(params, i0))
+            checked += 1
+    assert checked == 95
+
+
+def test_closed_form_orbit_count_is_burnside_count():
+    checked = 0
+    for params, i0 in _dihedral_grid():
+        rep = irr2_rep(params, i0)
+        rotations = [FpMatrix.identity(params.p, 2)]
+        for _ in range(params.n - 1):
+            rotations.append(rotations[-1] * rep.mat_r)
+        matrices = rotations + [rep.mat_s * m for m in rotations]
+        orbits = fusion_orbits_closed_form(params, i0).orbits
+        assert len(orbits) == burnside_count(params.p, matrices), (params, i0)
+        checked += 1
+    assert checked == 264
+
+
+def test_closed_form_orbit_ceiling():
+    # (p - 1)(p + 1 - k)/(2k) orbits of size 2k: about 1.7e11 at k = 3
+    with pytest.raises(LimitExceeded):
+        fusion_orbits_closed_form(DihedralParams.standard(3, 1000003), 1)
+
+
+def test_orbit_of_canonicalises():
+    params = DihedralParams.standard(6)  # p = 7
+    for orbit_set in (
+        fusion_orbits_closed_form(params, 1),
+        fusion_orbits_bruteforce(params, 2),
+    ):
+        for x in range(7):
+            for y in range(7):
+                orb = orbit_set.orbit_of((x, y))
+                assert (x, y) in orb.elements
+                assert orb.representative == min(orb.elements)
+        with pytest.raises(KeyError):
+            orbit_set.orbit_of((7, 0))
+
+
+def test_orbit_elements_are_lazy_and_checked():
+    orb = FusionOrbit((1, 2), 2, 1, (), lambda v: {v})
+    assert orb.representative == (1, 2) and orb.size == 2
+    with pytest.raises(ValueError):
+        orb.elements
+    with pytest.raises(ValueError):
+        FusionOrbit((0, 0), 0, 1, (), lambda v: {v})
+
+
+def test_coset_minima():
+    # <2> = {1, 2, 4} in F_7^*: cosets {1, 2, 4} and {3, 5, 6}
+    assert coset_minima(7, (1, 2, 4)) == [0, 1, 1, 3, 1, 3, 3]
+    assert coset_minima(7, (1,)) == list(range(7))
 
 
 def test_stabilizer_generators_fix_representative():
