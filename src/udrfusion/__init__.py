@@ -59,6 +59,8 @@ from .deformation import (
     check_gcd_pair_identity,
     check_kernel_sets_detect_fusion,
     check_maximality_matches_doubling_fibers,
+    check_orbit_census,
+    check_orbit_closed_form,
     determinability_rule,
     fusion_determinability,
     udr_class,

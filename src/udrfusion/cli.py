@@ -28,6 +28,8 @@ from .deformation import (
     check_gcd_pair_identity,
     check_kernel_sets_detect_fusion,
     check_maximality_matches_doubling_fibers,
+    check_orbit_census,
+    check_orbit_closed_form,
     fusion_determinability,
     udr_class,
     udr_signature,
@@ -36,12 +38,7 @@ from .deformation import (
 )
 from .dihedral import DihedralParams, RepLabel, omega_set, t_map
 from .ffield import LimitExceeded, find_primes
-from .fusion import (
-    FusionNumbers,
-    fusion_numbers,
-    fusion_orbits_bruteforce,
-    fusion_orbits_closed_form,
-)
+from .fusion import fusion_numbers, fusion_orbits_bruteforce, fusion_orbits_closed_form
 
 _VERIFY_DEFAULT_NMAX = {
     "thm42": 12,
@@ -53,7 +50,7 @@ _VERIFY_DEFAULT_NMAX = {
     "cor49": 12,
     "oracle-h1": 12,
 }
-_VERIFY_ORDER = ["thm42", "thm43", "thm11", "lemma410", "cor34", "prop48", "cor49", "oracle-h1"]
+_VERIFY_ORDER = list(_VERIFY_DEFAULT_NMAX)
 
 # JSON reports carry the ring class label; CSV cells carry its comma-free tag
 _CSV_TAGS = {cls.label: cls.value for cls in UdrClass}
@@ -143,29 +140,31 @@ def _jsonable(value):
     return repr(value)
 
 
+def _fusion_block(k: int | None, orbit_set) -> dict:
+    census = fusion_numbers(orbit_set)
+    return {
+        "k": k,
+        "numbers": {str(size): cnt for size, cnt in sorted(census.counts.items())},
+        "orbit_count": len(orbit_set.orbits),
+        "representatives": [list(o.representative) for o in orbit_set.orbits],
+    }
+
+
 def _dihedral_report(params: DihedralParams, i0: int) -> dict:
     n, p = params.n, params.p
     closed = fusion_orbits_closed_form(params, i0)
-    census = fusion_numbers(closed)
-    k = n // gcd(i0, n)
     checks = []
 
     try:
         brute = fusion_orbits_bruteforce(params, i0)
-        partition_ok = brute.partition() == closed.partition() and all(
-            a.stabilizer_order == b.stabilizer_order
-            for a, b in zip(brute.orbits, closed.orbits)
-        )
-        checks.append(
-            VerificationReport("orbit_closed_form_matches_bruteforce", (n, p, i0), partition_ok)
-        )
-        census_ok = fusion_numbers(brute).counts == FusionNumbers.dihedral_closed_form(p, k).counts
-        checks.append(VerificationReport("orbit_census_closed_form", (n, p, i0), census_ok))
+        checks.append(check_orbit_closed_form(params, i0, brute))
+        checks.append(check_orbit_census(params, i0, brute))
     except LimitExceeded:
         pass
 
     om = omega_set(params)
     reps = []
+    structure_ok = True
     for j in params.irr2_indices():
         dd = dims(params, i0, j)
         structural = dd.d2 == dd.d1 + 1 and dd.d1 == (
@@ -183,10 +182,11 @@ def _dihedral_report(params: DihedralParams, i0: int) -> dict:
             }
         )
         if not structural:
+            structure_ok = False
             checks.append(
                 VerificationReport("cohomology_dims_structure", (n, p, i0, j), False)
             )
-    checks.append(VerificationReport("cohomology_dims_structure", (n, p, i0), True))
+    checks.append(VerificationReport("cohomology_dims_structure", (n, p, i0), structure_ok))
     checks.append(check_center_constraint(params, i0))
     if i0 in om:
         checks.append(check_kernel_sets_detect_fusion(params, i0))
@@ -194,40 +194,31 @@ def _dihedral_report(params: DihedralParams, i0: int) -> dict:
     return {
         "version": __version__,
         "params": {"group": "dihedral", "n": n, "p": p, "omega": params.omega, "i0": i0},
-        "fusion": {
-            "k": k,
-            "numbers": {str(size): cnt for size, cnt in sorted(census.counts.items())},
-            "orbit_count": len(closed.orbits),
-            "representatives": [list(o.representative) for o in closed.orbits],
-        },
+        "fusion": _fusion_block(n // gcd(i0, n), closed),
         "reps": reps,
         "checks": [_check_entry(c) for c in checks],
     }
 
 
+def _csv(header: str, rows) -> str:
+    """The header line, then one comma-joined line per row, with booleans
+    written as true/false."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(str(v).lower() if isinstance(v, bool) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
 def _dihedral_csv(report: dict) -> str:
     par = report["params"]
-    lines = ["n,p,omega,i0,j,gcd,T,in_omega,d1,d2,udr"]
-    for row in report["reps"]:
-        lines.append(
-            ",".join(
-                str(v)
-                for v in (
-                    par["n"],
-                    par["p"],
-                    par["omega"],
-                    par["i0"],
-                    row["j"],
-                    row["gcd"],
-                    row["T"],
-                    str(row["in_omega"]).lower(),
-                    row["d1"],
-                    row["d2"],
-                    _CSV_TAGS[row["udr"]],
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _csv(
+        "n,p,omega,i0,j,gcd,T,in_omega,d1,d2,udr",
+        (
+            (par["n"], par["p"], par["omega"], par["i0"], row["j"], row["gcd"], row["T"],
+             row["in_omega"], row["d1"], row["d2"], _CSV_TAGS[row["udr"]])
+            for row in report["reps"]
+        ),
+    )
 
 
 def _abelian_report(pair: CharacterPair) -> dict:
@@ -249,14 +240,7 @@ def _abelian_report(pair: CharacterPair) -> dict:
     # the fusion block and its oracle check appear only where the brute
     # force could still check them
     if params.order * params.p**2 <= ABELIAN_BRUTE_FORCE_LIMIT:
-        orbit_set = abelian_orbits(pair)
-        census = fusion_numbers(orbit_set)
-        fusion_block = {
-            "k": None,
-            "numbers": {str(size): cnt for size, cnt in sorted(census.counts.items())},
-            "orbit_count": len(orbit_set.orbits),
-            "representatives": [list(o.representative) for o in orbit_set.orbits],
-        }
+        fusion_block = _fusion_block(None, abelian_orbits(pair))
         checks.append(
             VerificationReport(
                 "fixed_count_matches_bruteforce",
@@ -292,22 +276,11 @@ def _abelian_report(pair: CharacterPair) -> dict:
 def _abelian_csv(report: dict) -> str:
     par = report["params"]
     row = report["reps"][0]
-    lines = [
+    orders, theta1, theta2 = ("x".join(map(str, par[k])) for k in ("orders", "theta1", "theta2"))
+    return _csv(
         "orders,p,theta1,theta2,d1,d2,udr",
-        ",".join(
-            str(v)
-            for v in (
-                "x".join(str(m) for m in par["orders"]),
-                par["p"],
-                "x".join(str(v) for v in par["theta1"]),
-                "x".join(str(v) for v in par["theta2"]),
-                row["d1"],
-                row["d2"],
-                _CSV_TAGS[row["udr"]],
-            )
-        ),
-    ]
-    return "\n".join(lines) + "\n"
+        [(orders, par["p"], theta1, theta2, row["d1"], row["d2"], _CSV_TAGS[row["udr"]])],
+    )
 
 
 def _scan_rows(n_min: int, n_max: int, primes_per_n: int) -> list[dict]:
@@ -332,26 +305,6 @@ def _scan_rows(n_min: int, n_max: int, primes_per_n: int) -> list[dict]:
     return rows
 
 
-def _scan_csv(rows: list[dict]) -> str:
-    lines = ["n,p,i0,k,in_omega,determinable,signature"]
-    for row in rows:
-        lines.append(
-            ",".join(
-                str(v)
-                for v in (
-                    row["n"],
-                    row["p"],
-                    row["i0"],
-                    row["k"],
-                    str(row["in_omega"]).lower(),
-                    str(row["determinable"]).lower(),
-                    row["signature"],
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
 def _run_verify_family(token: str, n_max: int) -> list[VerificationReport]:
     reports: list[VerificationReport] = []
     if token == "thm42":
@@ -374,31 +327,13 @@ def _run_verify_family(token: str, n_max: int) -> list[VerificationReport]:
             params = DihedralParams.standard(n)
             for i0 in params.irr2_indices():
                 reports.append(check_center_constraint(params, i0))
-    elif token == "prop48":
+    elif token in ("prop48", "cor49"):
+        check = check_orbit_closed_form if token == "prop48" else check_orbit_census
         for n in range(3, n_max + 1):
             for p in find_primes(n, 2):
                 params = DihedralParams.standard(n, p)
                 for i0 in params.irr2_indices():
-                    brute = fusion_orbits_bruteforce(params, i0)
-                    closed = fusion_orbits_closed_form(params, i0)
-                    ok = brute.partition() == closed.partition() and all(
-                        a.stabilizer_order == b.stabilizer_order
-                        and a.size * a.stabilizer_order == 2 * n
-                        for a, b in zip(brute.orbits, closed.orbits)
-                    )
-                    reports.append(
-                        VerificationReport("orbit_closed_form", (n, p, i0), ok)
-                    )
-    elif token == "cor49":
-        for n in range(3, n_max + 1):
-            for p in find_primes(n, 2):
-                params = DihedralParams.standard(n, p)
-                for i0 in params.irr2_indices():
-                    census = fusion_numbers(fusion_orbits_bruteforce(params, i0))
-                    k = n // gcd(i0, n)
-                    expected = FusionNumbers.dihedral_closed_form(p, k)
-                    ok = census.counts == expected.counts and census.total_points() == p * p
-                    reports.append(VerificationReport("orbit_census", (n, p, i0), ok))
+                    reports.append(check(params, i0, fusion_orbits_bruteforce(params, i0)))
     elif token == "oracle-h1":
         for n in range(3, n_max + 1):
             for p in find_primes(n, 2):
@@ -447,24 +382,15 @@ def _cmd_analyze(args) -> int:
         params = DihedralParams.standard(args.n, args.p)
         if args.i0 not in params.irr2_indices():
             raise ValueError(f"--i0 must lie in [1, {args.n}/2), got {args.i0}")
-        report = _dihedral_report(params, args.i0)
-        text = (
-            json.dumps(report, indent=2) + "\n"
-            if args.format == "json"
-            else _dihedral_csv(report)
-        )
+        report, to_csv = _dihedral_report(params, args.i0), _dihedral_csv
     else:
         orders = _parse_int_list(args.orders, "--orders")
         params = AbelianParams.standard(orders, args.p)
         e1 = _parse_int_list(args.theta1, "--theta1")
         e2 = _parse_int_list(args.theta2, "--theta2")
         pair = CharacterPair.from_exponents(params, e1, e2)
-        report = _abelian_report(pair)
-        text = (
-            json.dumps(report, indent=2) + "\n"
-            if args.format == "json"
-            else _abelian_csv(report)
-        )
+        report, to_csv = _abelian_report(pair), _abelian_csv
+    text = json.dumps(report, indent=2) + "\n" if args.format == "json" else to_csv(report)
     _emit(text, args.out)
     return 0
 
@@ -478,7 +404,7 @@ def _cmd_scan(args) -> int:
     if args.format == "json":
         text = json.dumps({"version": __version__, "rows": rows}, indent=2) + "\n"
     else:
-        text = _scan_csv(rows)
+        text = _csv("n,p,i0,k,in_omega,determinable,signature", (row.values() for row in rows))
     _emit(text, args.out)
     return 0
 

@@ -34,7 +34,6 @@ from functools import lru_cache
 
 from .dihedral import (
     DihedralParams,
-    GroupElement,
     Rep2,
     RepLabel,
     induced_rep,
@@ -68,14 +67,9 @@ class GModule:
         if self.mat_s * self.mat_r * self.mat_s != self.mat_r.inverse():
             raise ValueError("generator matrices do not satisfy the dihedral relation")
 
-    def matrix(self, g: GroupElement) -> FpMatrix:
-        m = self.mat_r ** g.rot
-        if g.flip:
-            m = self.mat_s * m
-        return m
-
-    def trace(self, g: GroupElement) -> int:
-        return self.matrix(g).trace()
+    # a group element s^flip r^rot acts as mat_s^flip mat_r^rot, as in a Rep2
+    matrix = Rep2.matrix
+    trace = Rep2.trace
 
 
 def rep_module(rep: Rep2) -> GModule:

@@ -18,15 +18,19 @@ from math import gcd
 from .cohomology import cohomologically_maximal_set, dims
 from .dihedral import (
     DihedralParams,
-    RepLabel,
     center_acts_trivially,
     kernel_invariant,
     omega_set,
-    t_map,
     t_preimage,
 )
 from .ffield import find_primes, is_prime
-from .fusion import same_fusion
+from .fusion import (
+    FusionNumbers,
+    FusionOrbitSet,
+    fusion_numbers,
+    fusion_orbits_closed_form,
+    same_fusion,
+)
 
 
 class UdrClass(Enum):
@@ -152,8 +156,7 @@ def check_maximality_matches_doubling_fibers(params: DihedralParams) -> Verifica
     n = params.n
     om = sorted(omega_set(params))
     for phi in om:
-        target = RepLabel.irr2(phi)
-        fiber = frozenset(i for i in params.irr2_indices() if t_map(params, i) == target)
+        fiber = t_preimage(params, phi)
         maximal = cohomologically_maximal_set(params, phi)
         if maximal != fiber:
             return VerificationReport(
@@ -218,6 +221,35 @@ def check_center_constraint(params: DihedralParams, i0: int) -> VerificationRepo
     ok = not nontrivial or center_acts_trivially(params, i0)
     witness = None if ok else ("nontrivial_at", nontrivial)
     return VerificationReport(name, (params.n, params.p, i0), ok, witness)
+
+
+def check_orbit_closed_form(
+    params: DihedralParams, i0: int, brute: FusionOrbitSet
+) -> VerificationReport:
+    """The closed-form orbit partition equals the brute-force partition
+    brute of the same action, orbit by orbit with equal stabilizer
+    orders, and every orbit satisfies size * stabilizer order = 2n."""
+    closed = fusion_orbits_closed_form(params, i0)
+    ok = brute.partition() == closed.partition() and all(
+        a.stabilizer_order == b.stabilizer_order and a.size * a.stabilizer_order == 2 * params.n
+        for a, b in zip(brute.orbits, closed.orbits)
+    )
+    return VerificationReport(
+        "orbit_closed_form_matches_bruteforce", (params.n, params.p, i0), ok
+    )
+
+
+def check_orbit_census(
+    params: DihedralParams, i0: int, brute: FusionOrbitSet
+) -> VerificationReport:
+    """The orbit-size census of the brute-force partition brute equals
+    the closed-form fusion numbers for k = n/gcd(i0, n), and its orbits
+    cover all p^2 points."""
+    n, p = params.n, params.p
+    census = fusion_numbers(brute)
+    expected = FusionNumbers.dihedral_closed_form(p, n // gcd(i0, n))
+    ok = census.counts == expected.counts and census.total_points() == p * p
+    return VerificationReport("orbit_census_closed_form", (n, p, i0), ok)
 
 
 def fusion_determinability(params: DihedralParams) -> VerificationReport:

@@ -3,6 +3,8 @@
 Scalars are canonical integer residues in [0, p) for an odd prime p.
 Matrices are immutable, carry their modulus, and reduce every entry on
 construction, so all linear algebra here is exact by construction.
+Rank, nullity, inverse and determinant are thin wrappers around one
+private Gauss-Jordan routine, _gauss_jordan.
 """
 
 from __future__ import annotations
@@ -117,6 +119,38 @@ def _check_shape(p: int, rows: int, cols: int) -> None:
         raise ValueError(f"modulus {p} is not an odd prime")
     if rows < 1 or cols < 1:
         raise ValueError("matrix needs at least one row and one column")
+
+
+def _gauss_jordan(p: int, rows, ncols: int) -> tuple[list, int, int]:
+    """Bring a copy of rows (sequences of residues mod p) to reduced row
+    echelon form in its first ncols columns.
+
+    Returns the reduced rows, the number of pivots and the product of the
+    pivots times the sign of the row swaps; for a square matrix with a
+    pivot in every column that product is the determinant.
+    """
+    m = [list(row) for row in rows]
+    nrows = len(m)
+    r = 0
+    d = 1
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            d = -d
+        d = d * m[r][c] % p
+        inv = pow(m[r][c], -1, p)
+        m[r] = [inv * v % p for v in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [(v - f * w) % p for v, w in zip(m[i], m[r])]
+        r += 1
+        if r == nrows:
+            break
+    return m, r, d
 
 
 class FpMatrix:
@@ -270,29 +304,7 @@ class FpMatrix:
         return tuple(sum(a * b for a, b in zip(row, v)) % p for row in self.data)
 
     def rank(self) -> int:
-        p = self.p
-        m = [list(row) for row in self.data]
-        nrows, ncols = self.rows, self.cols
-        r = 0
-        for c in range(ncols):
-            piv = None
-            for i in range(r, nrows):
-                if m[i][c]:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            m[r], m[piv] = m[piv], m[r]
-            inv = pow(m[r][c], -1, p)
-            m[r] = [inv * v % p for v in m[r]]
-            for i in range(nrows):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [(v - f * w) % p for v, w in zip(m[i], m[r])]
-            r += 1
-            if r == nrows:
-                break
-        return r
+        return _gauss_jordan(self.p, self.data, self.cols)[1]
 
     def nullity(self) -> int:
         return self.cols - self.rank()
@@ -300,49 +312,18 @@ class FpMatrix:
     def inverse(self) -> "FpMatrix":
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
-        p, size = self.p, self.rows
-        m = [list(row) + [1 if i == j else 0 for j in range(size)] for i, row in enumerate(self.data)]
-        for c in range(size):
-            piv = None
-            for i in range(c, size):
-                if m[i][c]:
-                    piv = i
-                    break
-            if piv is None:
-                raise ValueError("matrix is singular")
-            m[c], m[piv] = m[piv], m[c]
-            inv = pow(m[c][c], -1, p)
-            m[c] = [inv * v % p for v in m[c]]
-            for i in range(size):
-                if i != c and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [(v - f * w) % p for v, w in zip(m[i], m[c])]
-        return FpMatrix._reduced(p, tuple(tuple(row[size:]) for row in m))
+        size = self.rows
+        rows = [row + tuple(int(i == j) for j in range(size)) for i, row in enumerate(self.data)]
+        m, rank, _ = _gauss_jordan(self.p, rows, size)
+        if rank < size:
+            raise ValueError("matrix is singular")
+        return FpMatrix._reduced(self.p, tuple(tuple(row[size:]) for row in m))
 
     def det(self) -> int:
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        p, size = self.p, self.rows
-        m = [list(row) for row in self.data]
-        d = 1
-        for c in range(size):
-            piv = None
-            for i in range(c, size):
-                if m[i][c]:
-                    piv = i
-                    break
-            if piv is None:
-                return 0
-            if piv != c:
-                m[c], m[piv] = m[piv], m[c]
-                d = -d % p
-            d = d * m[c][c] % p
-            inv = pow(m[c][c], -1, p)
-            for i in range(c + 1, size):
-                if m[i][c]:
-                    f = m[i][c] * inv % p
-                    m[i] = [(v - f * w) % p for v, w in zip(m[i], m[c])]
-        return d
+        _, rank, d = _gauss_jordan(self.p, self.data, self.cols)
+        return d if rank == self.rows else 0
 
     def kron(self, other: "FpMatrix") -> "FpMatrix":
         """Kronecker product, blocks ordered row-major."""

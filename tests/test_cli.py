@@ -7,8 +7,9 @@ from time import perf_counter
 
 import pytest
 
-from udrfusion import __version__
+from udrfusion import __version__, cli
 from udrfusion.cli import main
+from udrfusion.cohomology import CohomologyDims
 
 
 def _run(capsys, argv):
@@ -49,6 +50,24 @@ def test_analyze_output_is_deterministic(capsys):
     _, first, _ = _run(capsys, argv)
     _, second, _ = _run(capsys, argv)
     assert first == second
+
+
+def test_dims_structure_aggregate_fails_with_any_index(capsys, monkeypatch):
+    real_dims = cli.dims
+
+    def wrong_d2(params, i0, j):
+        dd = real_dims(params, i0, j)
+        return CohomologyDims(dd.d1, dd.d2 + 1)
+
+    monkeypatch.setattr(cli, "dims", wrong_d2)
+    rc, out, _ = _run(capsys, ["analyze", "dihedral", "--n", "5", "--i0", "2"])
+    assert rc == 0
+    entries = [
+        (c["params"], c["passed"])
+        for c in json.loads(out)["checks"]
+        if c["name"] == "cohomology_dims_structure"
+    ]
+    assert entries == [([5, 11, 2, 1], False), ([5, 11, 2, 2], False), ([5, 11, 2], False)]
 
 
 def test_analyze_dihedral_csv(capsys):

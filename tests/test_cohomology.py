@@ -25,7 +25,9 @@ from udrfusion.dihedral import (
     Rep2,
     RepLabel,
     group_elements,
+    induced_rep,
     irr2_rep,
+    irr2_reps,
     omega_set,
     t_map,
     t_preimage,
@@ -46,6 +48,16 @@ def test_gmodule_validates_relations():
     ident = FpMatrix.identity(params.p, 2)
     with pytest.raises(ValueError):
         GModule(4, params.p, 2, rep.mat_r, ident)  # breaks s r s = r^-1
+
+
+def test_module_and_rep_evaluate_group_elements_alike():
+    for n in (3, 4, 6, 9):
+        params = DihedralParams.standard(n)
+        for rep in irr2_reps(params) + [induced_rep(params, 0)]:
+            module = rep_module(rep)
+            for g in group_elements(n):
+                assert module.matrix(g) == rep.matrix(g)
+                assert module.trace(g) == rep.trace(g)
 
 
 def test_one_dimensional_modules():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from udrfusion.deformation import (
@@ -9,6 +11,8 @@ from udrfusion.deformation import (
     check_gcd_pair_identity,
     check_kernel_sets_detect_fusion,
     check_maximality_matches_doubling_fibers,
+    check_orbit_census,
+    check_orbit_closed_form,
     determinability_rule,
     fusion_determinability,
     maximal_kernel_set,
@@ -17,6 +21,7 @@ from udrfusion.deformation import (
     udr_signature,
 )
 from udrfusion.dihedral import DihedralParams, GroupElement, omega_set
+from udrfusion.fusion import fusion_orbits_bruteforce
 
 
 def test_udr_class_frozen():
@@ -83,6 +88,30 @@ def test_maximality_matches_fibers():
     for n in range(3, 11):
         report = check_maximality_matches_doubling_fibers(DihedralParams.standard(n))
         assert report.passed, report.witness
+
+
+@pytest.mark.parametrize("n, i0", [(5, 2), (6, 1), (8, 2)])
+def test_orbit_checks_pass_on_the_sweep_and_fail_on_a_corrupted_one(n, i0):
+    params = DihedralParams.standard(n)
+    brute = fusion_orbits_bruteforce(params, i0)
+    *kept, last = brute.orbits
+    dropped = replace(brute, orbits=tuple(kept))
+    restabilized = replace(
+        brute, orbits=(*kept, replace(last, stabilizer_order=2 * last.stabilizer_order))
+    )
+    closed_form = check_orbit_closed_form(params, i0, brute)
+    census = check_orbit_census(params, i0, brute)
+    assert (closed_form.check_name, closed_form.parameters, closed_form.passed) == (
+        "orbit_closed_form_matches_bruteforce", (n, params.p, i0), True
+    )
+    assert (census.check_name, census.parameters, census.passed) == (
+        "orbit_census_closed_form", (n, params.p, i0), True
+    )
+    assert not check_orbit_closed_form(params, i0, dropped).passed
+    assert not check_orbit_closed_form(params, i0, restabilized).passed
+    assert not check_orbit_census(params, i0, dropped).passed
+    # the census reads orbit sizes only
+    assert check_orbit_census(params, i0, restabilized).passed
 
 
 def test_gcd_pair_identity_frozen():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -192,6 +194,16 @@ def test_matrix_inverse_and_det_frozen():
         FpMatrix(5, [[1, 2], [2, 4]]).inverse()
 
 
+def test_elimination_errors_keep_their_messages():
+    with pytest.raises(ValueError, match="^matrix is singular$"):
+        FpMatrix(5, [[1, 2], [2, 4]]).inverse()
+    wide = FpMatrix(5, [[1, 2, 3]])
+    with pytest.raises(ValueError, match="^inverse of a non-square matrix$"):
+        wide.inverse()
+    with pytest.raises(ValueError, match="^determinant of a non-square matrix$"):
+        wide.det()
+
+
 def test_matrix_kron_frozen():
     a = FpMatrix.diagonal(7, (2, 3))
     b = FpMatrix(7, [[0, 1], [1, 0]])
@@ -228,6 +240,39 @@ def _matrix_pair(draw):
     row = st.lists(entry, min_size=size, max_size=size)
     grid = st.lists(row, min_size=size, max_size=size)
     return FpMatrix(p, draw(grid)), FpMatrix(p, draw(grid))
+
+
+@st.composite
+def _square_pair(draw):
+    """Two square matrices of one size, up to 4 x 4, over one field."""
+    a = draw(_square_matrix())
+    row = st.lists(st.integers(min_value=0, max_value=a.p - 1), min_size=a.rows, max_size=a.rows)
+    return a, FpMatrix(a.p, draw(st.lists(row, min_size=a.rows, max_size=a.rows)))
+
+
+def _leibniz_det(m):
+    """Sum over permutations of the sign times the product of the entries."""
+    total = 0
+    for perm in permutations(range(m.rows)):
+        term = 1
+        for a in range(m.rows):
+            term *= m.data[a][perm[a]]
+            term *= (-1) ** sum(perm[a] > perm[b] for b in range(a + 1, m.rows))
+        total += term
+    return total % m.p
+
+
+@settings(max_examples=60)
+@given(_square_matrix())
+def test_det_is_leibniz_expansion(m):
+    assert m.det() == _leibniz_det(m)
+
+
+@settings(max_examples=40)
+@given(_square_pair())
+def test_det_is_multiplicative(pair):
+    a, b = pair
+    assert (a * b).det() == a.det() * b.det() % a.p
 
 
 @given(_square_matrix())
