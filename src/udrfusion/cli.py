@@ -305,6 +305,24 @@ def _scan_rows(n_min: int, n_max: int, primes_per_n: int) -> list[dict]:
     return rows
 
 
+# verify families that check the brute-force orbit sweep of every (n, p, i0)
+_ORBIT_CHECKS = {"prop48": check_orbit_closed_form, "cor49": check_orbit_census}
+
+
+def _run_orbit_families(tokens: list[str], n_max: int) -> dict[str, list[VerificationReport]]:
+    """Reports of the orbit families tokens up to n_max, from one sweep
+    per (n, p, i0) that all of them check and none of them keeps."""
+    reports: dict[str, list[VerificationReport]] = {token: [] for token in tokens}
+    for n in range(3, n_max + 1):
+        for p in find_primes(n, 2):
+            params = DihedralParams.standard(n, p)
+            for i0 in params.irr2_indices():
+                brute = fusion_orbits_bruteforce(params, i0)
+                for token in tokens:
+                    reports[token].append(_ORBIT_CHECKS[token](params, i0, brute))
+    return reports
+
+
 def _run_verify_family(token: str, n_max: int) -> list[VerificationReport]:
     reports: list[VerificationReport] = []
     if token == "thm42":
@@ -327,13 +345,6 @@ def _run_verify_family(token: str, n_max: int) -> list[VerificationReport]:
             params = DihedralParams.standard(n)
             for i0 in params.irr2_indices():
                 reports.append(check_center_constraint(params, i0))
-    elif token in ("prop48", "cor49"):
-        check = check_orbit_closed_form if token == "prop48" else check_orbit_census
-        for n in range(3, n_max + 1):
-            for p in find_primes(n, 2):
-                params = DihedralParams.standard(n, p)
-                for i0 in params.irr2_indices():
-                    reports.append(check(params, i0, fusion_orbits_bruteforce(params, i0)))
     elif token == "oracle-h1":
         for n in range(3, n_max + 1):
             for p in find_primes(n, 2):
@@ -355,11 +366,24 @@ def _run_verify_family(token: str, n_max: int) -> list[VerificationReport]:
 
 def _cmd_verify(args) -> int:
     tokens = _VERIFY_ORDER if args.check == "all" else [args.check]
+    n_maxes = {
+        token: args.n_max if args.n_max is not None else _VERIFY_DEFAULT_NMAX[token]
+        for token in tokens
+    }
+    # orbit families with one ceiling share their sweeps; their reports
+    # wait here until each family's turn to print
+    pending: dict[str, list[VerificationReport]] = {}
     failed = 0
     total = 0
     for token in tokens:
-        n_max = args.n_max if args.n_max is not None else _VERIFY_DEFAULT_NMAX[token]
-        reports = _run_verify_family(token, n_max)
+        n_max = n_maxes[token]
+        if token not in _ORBIT_CHECKS:
+            reports = _run_verify_family(token, n_max)
+        else:
+            if token not in pending:
+                shared = [t for t in tokens if t in _ORBIT_CHECKS and n_maxes[t] == n_max]
+                pending.update(_run_orbit_families(shared, n_max))
+            reports = pending.pop(token)
         if not reports:
             # a family that checked nothing must not pass
             total += 1

@@ -244,14 +244,28 @@ class _MonomialModule:
         return count
 
 
-@lru_cache(maxsize=None)
+# Cache bounds, each above the working set of a default `verify` (2,090
+# distinct dims arguments, 228 distinct (params, index) monomial modules),
+# so that run never evicts, while a long-lived caller's memory stays
+# bounded.
+DIMS_CACHE_SIZE = 4096
+MONOMIAL_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=MONOMIAL_CACHE_SIZE)
+def _irr2_monomial(params: DihedralParams, i: int) -> tuple[_MonomialModule, _MonomialModule]:
+    """theta_i as a monomial module V, together with its adjoint V* (x) V."""
+    v = _MonomialModule.from_rep(irr2_rep(params, i))
+    return v, v.dual().tensor(v)
+
+
+@lru_cache(maxsize=DIMS_CACHE_SIZE)
 def dims(params: DihedralParams, i0: int, j: int) -> CohomologyDims:
     """d1 and d2 for the action of theta_i0 on the plane with adjoint
     coefficients coming from theta_j, as invariant counts of monomial
     modules."""
-    v = _MonomialModule.from_rep(irr2_rep(params, j))
-    adj = v.dual().tensor(v)
-    phi_tilde = _MonomialModule.from_rep(irr2_rep(params, i0)).dual()
+    adj = _irr2_monomial(params, j)[1]
+    phi_tilde = _irr2_monomial(params, i0)[0].dual()
     d1 = phi_tilde.tensor(adj).fixed_point_dim()
     d2 = d1 + phi_tilde.det().tensor(adj).fixed_point_dim()
     return CohomologyDims(d1, d2)
@@ -313,36 +327,26 @@ def _conjugation_operator(mat: FpMatrix) -> FpMatrix:
     inv = mat.inverse()
     cols = []
     for pos in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        basis = FpMatrix(
-            p, [[1 if (rr, cc) == pos else 0 for cc in range(2)] for rr in range(2)]
+        basis = FpMatrix._reduced(
+            p, tuple(tuple(int((rr, cc) == pos) for cc in range(2)) for rr in range(2))
         )
         y = mat * basis * inv
         cols.append((y.data[0][0], y.data[0][1], y.data[1][0], y.data[1][1]))
-    return FpMatrix(p, tuple(tuple(cols[c][r] for c in range(4)) for r in range(4)))
+    return FpMatrix._reduced(p, tuple(tuple(cols[c][r] for c in range(4)) for r in range(4)))
 
 
-def d1_oracle_cocycles(params: DihedralParams, i0: int, j: int) -> int:
-    """d1 recomputed from 1-cocycles of the presented semidirect product.
-
-    Generators: a, b for the two plane coordinates, r, s for the group.
-    Relators: a^p, b^p, [a, b], r^n, s^2, (s r)^2, and one conjugation
-    relator per (group generator, plane generator) pair whose exponents
-    are read off the columns of the theta_i0 matrix.  A cocycle is
-    determined by its four generator values in the 2x2 matrix module M
-    (16 unknowns); each relator contributes the linear condition that
-    its cocycle expansion vanishes.  Then
-
-        d1 = dim Z1 - (dim M - dim M^G).
-    """
+def _cocycle_presentation(
+    params: DihedralParams, i0: int, j: int
+) -> tuple[dict[str, FpMatrix], dict[str, FpMatrix], list[list[tuple[str, int]]]]:
+    """The presentation behind d1_oracle_cocycles: the operator of each
+    generator on the 2x2 matrix module M of theta_j (a and b act as the
+    identity), the inverse operators, and the relators as lists of
+    (generator, exponent) letters."""
     n, p = params.n, params.p
-    if 2 * n * p * p > H1_ORACLE_GROUP_ORDER_LIMIT:
-        raise LimitExceeded(
-            f"group order {2 * n * p * p} exceeds oracle limit {H1_ORACLE_GROUP_ORDER_LIMIT}"
-        )
     action_rep = irr2_rep(params, i0)
     module_rep = irr2_rep(params, j)
 
-    ident4 = FpMatrix.identity(p, 4)
+    ident4 = FpMatrix._identity(p, 4)
     operator = {
         "a": ident4,
         "b": ident4,
@@ -369,26 +373,54 @@ def d1_oracle_cocycles(params: DihedralParams, i0: int, j: int) -> int:
         conjugation_relator("s", "a"),
         conjugation_relator("s", "b"),
     ]
+    return operator, operator_inv, relators
 
+
+def _relator_coefficients(
+    rel: list[tuple[str, int]], operator: dict[str, FpMatrix], operator_inv: dict[str, FpMatrix]
+) -> dict[str, FpMatrix]:
+    """Coefficient of each generator's cocycle value in the expansion of
+    the relator rel: the cocycle condition is the sum over generators g
+    of coeff[g] . f(g) = 0.
+
+    The letter g^e contributes prefix, prefix.g, ..., prefix.g^(e-1) for
+    e >= 0, and -prefix.g^-1, ..., -prefix.g^e for e < 0, where prefix is
+    the product of the operators of the letters before it.  When g acts
+    as the identity all |e| terms equal prefix, so the letter adds
+    e . prefix and leaves prefix as it is.
+    """
+    p = operator["r"].p
+    ident4 = FpMatrix._identity(p, 4)
     zero4 = FpMatrix.zeros(p, 4, 4)
-    rows = []
-    for rel in relators:
-        coeff = {sym: zero4 for sym in _GEN_ORDER}
-        prefix = ident4
-        for sym, e in rel:
-            if e >= 0:
-                for _ in range(e):
-                    coeff[sym] = coeff[sym] + prefix
-                    prefix = prefix * operator[sym]
-            else:
-                for _ in range(-e):
-                    prefix = prefix * operator_inv[sym]
-                    coeff[sym] = coeff[sym] - prefix
-        for rix in range(4):
-            rows.append(tuple(v for sym in _GEN_ORDER for v in coeff[sym].data[rix]))
+    coeff = {sym: zero4 for sym in _GEN_ORDER}
+    prefix = ident4
+    for sym, e in rel:
+        if operator[sym] == ident4:
+            coeff[sym] = coeff[sym] + e * prefix
+        elif e >= 0:
+            for _ in range(e):
+                coeff[sym] = coeff[sym] + prefix
+                prefix = prefix * operator[sym]
+        else:
+            for _ in range(-e):
+                prefix = prefix * operator_inv[sym]
+                coeff[sym] = coeff[sym] - prefix
+    return coeff
 
-    system = FpMatrix(p, rows)
-    z1 = 16 - system.rank()
+
+def _d1_from_coefficients(
+    operator: dict[str, FpMatrix], coefficients: list[dict[str, FpMatrix]]
+) -> int:
+    """d1 = dim Z1 - (dim M - dim M^G), with Z1 the solutions of the
+    relator conditions in the 16 unknowns (four generator values in M)."""
+    p = operator["r"].p
+    rows = [
+        tuple(v for sym in _GEN_ORDER for v in coeff[sym].data[rix])
+        for coeff in coefficients
+        for rix in range(4)
+    ]
+    z1 = 16 - FpMatrix(p, rows).rank()
+    ident4 = FpMatrix._identity(p, 4)
     gen_rows = [
         row
         for op in (operator["r"], operator["s"])
@@ -396,3 +428,27 @@ def d1_oracle_cocycles(params: DihedralParams, i0: int, j: int) -> int:
     ]
     m_fixed = 4 - FpMatrix(p, gen_rows).rank()
     return z1 - (4 - m_fixed)
+
+
+def d1_oracle_cocycles(params: DihedralParams, i0: int, j: int) -> int:
+    """d1 recomputed from 1-cocycles of the presented semidirect product.
+
+    Generators: a, b for the two plane coordinates, r, s for the group.
+    Relators: a^p, b^p, [a, b], r^n, s^2, (s r)^2, and one conjugation
+    relator per (group generator, plane generator) pair whose exponents
+    are read off the columns of the theta_i0 matrix.  A cocycle is
+    determined by its four generator values in the 2x2 matrix module M
+    (16 unknowns); each relator contributes the linear condition that
+    its cocycle expansion vanishes.  Then
+
+        d1 = dim Z1 - (dim M - dim M^G).
+    """
+    n, p = params.n, params.p
+    if 2 * n * p * p > H1_ORACLE_GROUP_ORDER_LIMIT:
+        raise LimitExceeded(
+            f"group order {2 * n * p * p} exceeds oracle limit {H1_ORACLE_GROUP_ORDER_LIMIT}"
+        )
+    operator, operator_inv, relators = _cocycle_presentation(params, i0, j)
+    return _d1_from_coefficients(
+        operator, [_relator_coefficients(rel, operator, operator_inv) for rel in relators]
+    )

@@ -210,7 +210,11 @@ def _induced_matrices(params: DihedralParams, m: int) -> tuple[FpMatrix, FpMatri
     return mat_r, mat_s
 
 
-@lru_cache(maxsize=None)
+# above the 240 distinct representations a default `verify` builds
+IRR2_REP_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=IRR2_REP_CACHE_SIZE)
 def irr2_rep(params: DihedralParams, i: int) -> Rep2:
     if i not in irr2_indices(params.n):
         raise ValueError(f"index {i} is not in [1, {params.n}/2)")

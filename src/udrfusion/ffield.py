@@ -10,6 +10,7 @@ private Gauss-Jordan routine, _gauss_jordan.
 from __future__ import annotations
 
 from math import gcd
+from operator import mul
 
 PRIME_SEARCH_CEILING = 10**6
 
@@ -263,10 +264,7 @@ class FpMatrix:
         bcols = tuple(zip(*other.data))
         return FpMatrix._reduced(
             p,
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) % p for col in bcols)
-                for row in self.data
-            ),
+            tuple(tuple(sum(map(mul, row, col)) % p for col in bcols) for row in self.data),
         )
 
     def __rmul__(self, other):
@@ -301,7 +299,7 @@ class FpMatrix:
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
         p = self.p
-        return tuple(sum(a * b for a, b in zip(row, v)) % p for row in self.data)
+        return tuple(sum(map(mul, row, v)) % p for row in self.data)
 
     def rank(self) -> int:
         return _gauss_jordan(self.p, self.data, self.cols)[1]

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from collections import Counter
 from time import perf_counter
 
 import pytest
@@ -275,3 +276,34 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["params"]["n"] == 3
+
+
+def test_verify_sweeps_each_orbit_instance_once(capsys, monkeypatch):
+    sweeps = Counter()
+    real = cli.fusion_orbits_bruteforce
+
+    def counting(params, i0):
+        sweeps[(params.n, params.p, i0)] += 1
+        return real(params, i0)
+
+    monkeypatch.setattr(cli, "fusion_orbits_bruteforce", counting)
+    rc, out, _ = _run(capsys, ["verify", "--n-max", "6"])
+    assert rc == 0
+    prop48 = [line.split()[2:] for line in out.splitlines() if line.startswith("PASS prop48 ")]
+    cor49 = [line.split()[2:] for line in out.splitlines() if line.startswith("PASS cor49 ")]
+    assert prop48 == cor49 and len(prop48) == 12
+    assert sorted(sweeps) == sorted(tuple(map(int, par)) for par in prop48)
+    assert set(sweeps.values()) == {1}
+
+
+@pytest.mark.parametrize("ceiling", [[], ["--n-max", "6"]])
+def test_verify_orbit_families_alone_equal_their_slice_of_the_full_run(capsys, ceiling):
+    rc, full, _ = _run(capsys, ["verify", *ceiling])
+    assert rc == 0
+    assert full.splitlines()[-1] == ("61" if ceiling else "371") + " checks, 0 failed"
+    for token in ("prop48", "cor49"):
+        rc, alone, _ = _run(capsys, ["verify", "--check", token, *ceiling])
+        assert rc == 0
+        lines = alone.splitlines()
+        assert lines[:-1] == [line for line in full.splitlines() if line.split()[1] == token]
+        assert lines[-1] == f"{len(lines) - 1} checks, 0 failed"

@@ -1,12 +1,18 @@
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
 from udrfusion import cohomology
 from udrfusion.cohomology import (
+    H1_ORACLE_GROUP_ORDER_LIMIT,
     CohomologyDims,
     GModule,
     _MonomialModule,
+    _cocycle_presentation,
+    _d1_from_coefficients,
+    _relator_coefficients,
     adjoint_decomposition_check,
     adjoint_module,
     cohomologically_maximal_set,
@@ -216,6 +222,8 @@ def test_dims_rejects_non_monomial_generator(monkeypatch):
         (Rep2(params, good.label, FpMatrix.diagonal(p, (2, 6)), good.mat_s), "powers of omega"),
         (Rep2(params, good.label, good.mat_r, FpMatrix(p, ((0, 2), (6, 0)))), "signed permutation"),
     )
+    # past both memos, so that dims reads the broken matrices
+    monkeypatch.setattr(cohomology, "_irr2_monomial", cohomology._irr2_monomial.__wrapped__)
     for rep, message in broken:
         monkeypatch.setattr(cohomology, "irr2_rep", lambda _params, _i, rep=rep: rep)
         with pytest.raises(ValueError, match=message):
@@ -282,3 +290,57 @@ def test_oracle_agrees_with_projector_route():
         for i0 in params.irr2_indices():
             for j in params.irr2_indices():
                 assert d1_oracle_cocycles(params, i0, j) == dims(params, i0, j).d1
+
+
+def _expand_letter_by_letter(rel, operator, operator_inv):
+    """Reference relator expansion: one operator product per letter and
+    per unit of its exponent, identity operators included."""
+    p = operator["r"].p
+    zero4 = FpMatrix.zeros(p, 4, 4)
+    coeff = {sym: zero4 for sym in "abrs"}
+    prefix = FpMatrix.identity(p, 4)
+    for sym, e in rel:
+        if e >= 0:
+            for _ in range(e):
+                coeff[sym] = coeff[sym] + prefix
+                prefix = prefix * operator[sym]
+        else:
+            for _ in range(-e):
+                prefix = prefix * operator_inv[sym]
+                coeff[sym] = coeff[sym] - prefix
+    return coeff
+
+
+def test_oracle_expansion_matches_letter_by_letter_reference():
+    checked = 0
+    for n in range(3, 9):
+        for p in find_primes(n, 2):
+            params = DihedralParams.standard(n, p)
+            if 2 * n * p * p > H1_ORACLE_GROUP_ORDER_LIMIT:
+                continue
+            for i0 in params.irr2_indices():
+                for j in params.irr2_indices():
+                    operator, operator_inv, relators = _cocycle_presentation(params, i0, j)
+                    reference = [
+                        _expand_letter_by_letter(rel, operator, operator_inv) for rel in relators
+                    ]
+                    assert [
+                        _relator_coefficients(rel, operator, operator_inv) for rel in relators
+                    ] == reference, (n, p, i0, j)
+                    expected = _d1_from_coefficients(operator, reference)
+                    assert d1_oracle_cocycles(params, i0, j) == expected, (n, p, i0, j)
+                    checked += 1
+    # every instance within the guard: n = 7 at p = 29, 43 and n = 8 at
+    # p = 41 lie beyond it
+    assert checked == 29
+
+
+def test_every_cache_is_bounded():
+    bounded = set()
+    for name in ("ffield", "dihedral", "fusion", "cohomology", "deformation", "abelian", "cli"):
+        module = importlib.import_module(f"udrfusion.{name}")
+        for attr, value in vars(module).items():
+            if hasattr(value, "cache_parameters") and value.__module__ == module.__name__:
+                assert value.cache_parameters()["maxsize"] is not None, (name, attr)
+                bounded.add(attr)
+    assert {"dims", "irr2_rep", "_irr2_monomial"} <= bounded

@@ -325,3 +325,55 @@ def test_nonsingular_matrices_invert(m):
     assert m * m.inverse() == ident
     assert m.inverse() * m == ident
     assert m ** -1 == m.inverse()
+
+
+_PRODUCT_PRIMES = (3, 5, 7, 11, 997, 1000003)
+
+
+@st.composite
+def _product_operands(draw):
+    """A k x m and an m x l matrix over one field, with k, m, l in 1..5
+    (so 1 x k rows and k x 1 columns occur), and a vector of length l."""
+    p = draw(st.sampled_from(_PRODUCT_PRIMES))
+    k, m, l = (draw(st.integers(min_value=1, max_value=5)) for _ in range(3))
+    entry = st.integers(min_value=0, max_value=p - 1)
+
+    def grid(rows, cols):
+        row = st.lists(entry, min_size=cols, max_size=cols)
+        return draw(st.lists(row, min_size=rows, max_size=rows))
+
+    vec = draw(st.lists(entry, min_size=l, max_size=l))
+    return FpMatrix(p, grid(k, m)), FpMatrix(p, grid(m, l)), vec
+
+
+@settings(max_examples=80)
+@given(_product_operands())
+def test_product_and_apply_are_the_textbook_sums(operands):
+    a, b, vec = operands
+    p = a.p
+    assert (a * b).data == tuple(
+        tuple(sum(a.data[i][t] * b.data[t][c] for t in range(a.cols)) % p for c in range(b.cols))
+        for i in range(a.rows)
+    )
+    assert b.apply(vec) == tuple(
+        sum(b.data[i][t] * vec[t] for t in range(b.cols)) % p for i in range(b.rows)
+    )
+
+
+@settings(max_examples=40)
+@given(_product_operands(), st.integers(min_value=-10**7, max_value=10**7))
+def test_scalar_product_is_entrywise(operands, c):
+    a = operands[0]
+    expected = tuple(tuple(c * v % a.p for v in row) for row in a.data)
+    assert (c * a).data == expected
+    assert (a * c).data == expected
+
+
+def test_product_errors_keep_their_messages():
+    a = FpMatrix(5, [[1, 2], [3, 4]])
+    with pytest.raises(ValueError, match="^modulus mismatch$"):
+        a * FpMatrix(7, [[1, 2], [3, 4]])
+    with pytest.raises(ValueError, match="^shape mismatch in product$"):
+        a * FpMatrix(5, [[1, 2]])
+    with pytest.raises(ValueError, match="^vector length mismatch$"):
+        a.apply((1, 2, 3))
