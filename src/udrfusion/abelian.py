@@ -34,7 +34,6 @@ from .ffield import (
 )
 from .fusion import (
     ORBIT_LIMIT,
-    FusionOrbit,
     FusionOrbitSet,
     _sweep_orbits,
     coset_minima,
@@ -266,17 +265,18 @@ def abelian_orbits(pair: CharacterPair) -> FusionOrbitSet:
         cmin = coset_minima(p, subgroup)
         return [y for y in range(1, p) if cmin[y] == y]
 
-    def orbit(rep, size, stab):
-        return FusionOrbit(rep, size, len(stab), stab, images)
-
+    stab_0 = stabilizer((0, 0))
     stab_y, stab_x, stab_xy = stabilizer((0, 1)), stabilizer((1, 0)), stabilizer((1, 1))
-    orbits = [orbit((0, 0), 1, stabilizer((0, 0)))]
-    orbits += [orbit((0, y), len(second), stab_y) for y in minima(second)]
+    axis_y = (len(second), len(stab_y), stab_y)
+    axis_x = (len(first), len(stab_x), stab_x)
+    generic = (len(image), len(stab_xy), stab_xy)
+    rows = [((0, 0), 1, len(stab_0), stab_0)]
+    rows += [((0, y), *axis_y) for y in minima(second)]
     kernel_minima = minima(kernel)
     for x in minima(first):
-        orbits.append(orbit((x, 0), len(first), stab_x))
-        orbits += [orbit((x, y), len(image), stab_xy) for y in kernel_minima]
-    return FusionOrbitSet(tuple(orbits), p, params, pair, images)
+        rows.append(((x, 0), *axis_x))
+        rows += [((x, y), *generic) for y in kernel_minima]
+    return FusionOrbitSet(tuple(rows), p, params, pair, images)
 
 
 def abelian_orbits_bruteforce(pair: CharacterPair) -> FusionOrbitSet:

@@ -30,7 +30,7 @@ from .deformation import (
     check_maximality_matches_doubling_fibers,
     check_orbit_census,
     check_orbit_closed_form,
-    fusion_determinability,
+    signature_table_determinability,
     udr_class,
     udr_signature,
     UdrClass,
@@ -140,13 +140,77 @@ def _jsonable(value):
     return repr(value)
 
 
+def _json_text(value) -> str:
+    """json.dumps(value, indent=2), byte for byte, for the values reports
+    hold: dicts with str keys, lists, tuples, str, int, bool and None;
+    TypeError on anything else.  With indent set, json takes its
+    pure-Python encoder, one call per value; here a list of int pairs
+    (the orbit representatives) is written from one row template."""
+    chunks: list[str] = []
+    _write_json(value, "\n", chunks.append)
+    return "".join(chunks)
+
+
+def _write_json(value, newline: str, out) -> None:
+    """Pass the text of value to out in pieces; newline is a line break
+    followed by the indentation of value's own line."""
+    if isinstance(value, str):
+        out(json.dumps(value))
+    elif value is None:
+        out("null")
+    elif value is True:
+        out("true")
+    elif value is False:
+        out("false")
+    elif isinstance(value, int):
+        out(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out("{}")
+            return
+        inner = newline + "  "
+        head = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out(head + json.dumps(key) + ": ")
+            _write_json(item, inner, out)
+            head = "," + inner
+        out(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out("[]")
+            return
+        inner = newline + "  "
+        # exact int only: bool is an int that json writes as true/false
+        if all(
+            type(row) in (list, tuple) and len(row) == 2
+            and type(row[0]) is int and type(row[1]) is int
+            for row in value
+        ):
+            leaf = inner + "  "
+            template = f"[{leaf}%d,{leaf}%d{inner}]"
+            out("[" + inner)
+            out(("," + inner).join([template % tuple(row) for row in value]))
+            out(newline + "]")
+            return
+        head = "[" + inner
+        for item in value:
+            out(head)
+            _write_json(item, inner, out)
+            head = "," + inner
+        out(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _fusion_block(k: int | None, orbit_set) -> dict:
     census = fusion_numbers(orbit_set)
     return {
         "k": k,
         "numbers": {str(size): cnt for size, cnt in sorted(census.counts.items())},
-        "orbit_count": len(orbit_set.orbits),
-        "representatives": [list(o.representative) for o in orbit_set.orbits],
+        "orbit_count": orbit_set.orbit_count,
+        "representatives": orbit_set.representatives,
     }
 
 
@@ -283,14 +347,37 @@ def _abelian_csv(report: dict) -> str:
     )
 
 
+# scan refuses a range whose signature tables hold more entries than this:
+# about (n/2)^2 dims evaluations per (n, p), summed over the range.  It
+# admits 3..200 at one prime per n (671,673 entries).
+SCAN_WORK_LIMIT = 10**6
+
+
+def _scan_work(n_min: int, n_max: int, primes_per_n: int) -> int:
+    """Sum over n = n_min..n_max of (n/2)^2 * primes_per_n, rounded down,
+    in closed form so that it costs nothing however wide the range."""
+
+    def squares(m: int) -> int:
+        return m * (m + 1) * (2 * m + 1) // 6
+
+    return (squares(n_max) - squares(n_min - 1)) * primes_per_n // 4
+
+
 def _scan_rows(n_min: int, n_max: int, primes_per_n: int) -> list[dict]:
+    work = _scan_work(n_min, n_max, primes_per_n)
+    if work > SCAN_WORK_LIMIT:
+        raise LimitExceeded(
+            f"scan of n = {n_min}..{n_max} at {primes_per_n} primes per n needs about "
+            f"{work} signature entries, limit is {SCAN_WORK_LIMIT}"
+        )
     rows = []
     for n in range(n_min, n_max + 1):
         for p in find_primes(n, primes_per_n):
             params = DihedralParams.standard(n, p)
             om = omega_set(params)
-            determinable = fusion_determinability(params).passed
-            for i0 in params.irr2_indices():
+            signatures = {i0: udr_signature(params, i0) for i0 in params.irr2_indices()}
+            determinable = signature_table_determinability(params, signatures).passed
+            for i0, signature in signatures.items():
                 rows.append(
                     {
                         "n": n,
@@ -299,7 +386,7 @@ def _scan_rows(n_min: int, n_max: int, primes_per_n: int) -> list[dict]:
                         "k": n // gcd(i0, n),
                         "in_omega": i0 in om,
                         "determinable": determinable,
-                        "signature": udr_signature(params, i0).digest(),
+                        "signature": signature.digest(),
                     }
                 )
     return rows
@@ -414,7 +501,7 @@ def _cmd_analyze(args) -> int:
         e2 = _parse_int_list(args.theta2, "--theta2")
         pair = CharacterPair.from_exponents(params, e1, e2)
         report, to_csv = _abelian_report(pair), _abelian_csv
-    text = json.dumps(report, indent=2) + "\n" if args.format == "json" else to_csv(report)
+    text = _json_text(report) + "\n" if args.format == "json" else to_csv(report)
     _emit(text, args.out)
     return 0
 
@@ -426,7 +513,7 @@ def _cmd_scan(args) -> int:
         raise ValueError("need at least one prime per n")
     rows = _scan_rows(args.n_min, args.n_max, args.primes_per_n)
     if args.format == "json":
-        text = json.dumps({"version": __version__, "rows": rows}, indent=2) + "\n"
+        text = _json_text({"version": __version__, "rows": rows}) + "\n"
     else:
         text = _csv("n,p,i0,k,in_omega,determinable,signature", (row.values() for row in rows))
     _emit(text, args.out)

@@ -231,8 +231,8 @@ def check_orbit_closed_form(
     orders, and every orbit satisfies size * stabilizer order = 2n."""
     closed = fusion_orbits_closed_form(params, i0)
     ok = brute.partition() == closed.partition() and all(
-        a.stabilizer_order == b.stabilizer_order and a.size * a.stabilizer_order == 2 * params.n
-        for a, b in zip(brute.orbits, closed.orbits)
+        stab == closed_stab and size * stab == 2 * params.n
+        for (_, size, stab, _), (_, _, closed_stab, _) in zip(brute.rows, closed.rows)
     )
     return VerificationReport(
         "orbit_closed_form_matches_bruteforce", (params.n, params.p, i0), ok
@@ -260,7 +260,16 @@ def fusion_determinability(params: DihedralParams) -> VerificationReport:
     witness is the first pair (in index order) with equal signatures but
     different orbit structure.
     """
-    sigs = {i: udr_signature(params, i) for i in params.irr2_indices()}
+    return signature_table_determinability(
+        params, {i: udr_signature(params, i) for i in params.irr2_indices()}
+    )
+
+
+def signature_table_determinability(
+    params: DihedralParams, sigs: dict[int, UdrSignature]
+) -> VerificationReport:
+    """fusion_determinability read off a table sigs of the signature of
+    every action index, for callers that need the table as well."""
     idxs = sorted(sigs)
     for pos, i1 in enumerate(idxs):
         for i2 in idxs[pos + 1 :]:

@@ -11,8 +11,10 @@ lexicographically least representative of every orbit directly from the
 coset minima of U = <w^i0> in F_p^*, in time and memory linear in p plus
 the number of orbits.  The brute-force sweep over all p^2 points,
 _sweep_orbits, shares no code with it and is kept as its oracle; the
-abelian brute force in abelian.py runs on the same sweep.  An orbit's
-point set is computed from its representative on first access.
+abelian brute force in abelian.py runs on the same sweep.  Both routes
+return plain rows (representative, size, stabilizer); FusionOrbit
+objects are built from them only when a caller asks for the orbits, and
+an orbit's point set is computed from its representative on first access.
 """
 
 from __future__ import annotations
@@ -63,7 +65,14 @@ class FusionOrbit:
 
 @dataclass(frozen=True)
 class FusionOrbitSet:
-    """A full orbit partition of F_p x F_p, orbits sorted by representative.
+    """A full orbit partition of F_p x F_p, sorted by representative.
+
+    rows holds one (representative, size, stabilizer_order,
+    stabilizer_gens) tuple per orbit; the FusionOrbit objects are built
+    from them on first access to orbits, so a caller that reads only
+    the census, the count or the representatives builds none.
+    point_sets, when given, holds the point set of each row (a sweep has
+    them already) and becomes the elements of the orbits built.
 
     For dihedral actions params is a DihedralParams and i0 the acting
     representation index; the abelian route stores its AbelianParams and
@@ -71,11 +80,29 @@ class FusionOrbitSet:
     every orbit of the set.
     """
 
-    orbits: tuple
+    rows: tuple
     p: int
     params: object
     i0: object
     images: OrbitMap = field(repr=False, compare=False)
+    point_sets: tuple | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def orbits(self) -> tuple:
+        images = self.images
+        orbits = tuple(FusionOrbit(*row, images) for row in self.rows)
+        if self.point_sets is not None:
+            for orb, points in zip(orbits, self.point_sets):
+                orb.__dict__["elements"] = points
+        return orbits
+
+    @property
+    def orbit_count(self) -> int:
+        return len(self.rows)
+
+    @property
+    def representatives(self) -> list:
+        return [row[0] for row in self.rows]
 
     @cached_property
     def _by_representative(self) -> dict:
@@ -93,8 +120,8 @@ class FusionOrbitSet:
 
     def size_census(self) -> dict[int, int]:
         counts: dict[int, int] = {}
-        for orb in self.orbits:
-            counts[orb.size] = counts.get(orb.size, 0) + 1
+        for _, size, _, _ in self.rows:
+            counts[size] = counts.get(size, 0) + 1
         return dict(sorted(counts.items()))
 
 
@@ -156,7 +183,7 @@ def _sweep_orbits(p: int, table, params, i0) -> FusionOrbitSet:
         return {((a * x + b * y) % p, (c * x + d * y) % p) for _, (a, b, c, d) in table}
 
     seen = set()
-    orbits = []
+    found = []
     for x in range(p):
         for y in range(p):
             if (x, y) in seen:
@@ -169,12 +196,11 @@ def _sweep_orbits(p: int, table, params, i0) -> FusionOrbitSet:
                 for g, (a, b, c, d) in table
                 if (a * rx + b * ry) % p == rx and (c * rx + d * ry) % p == ry
             )
-            found = FusionOrbit(rep, len(orbit), len(stab), stab, images)
-            # the sweep already holds the point set: fill the lazy elements
-            found.__dict__["elements"] = frozenset(orbit)
-            orbits.append(found)
-    orbits.sort(key=lambda o: o.representative)
-    return FusionOrbitSet(tuple(orbits), p, params, i0, images)
+            found.append(((rep, len(orbit), len(stab), stab), frozenset(orbit)))
+    found.sort(key=lambda f: f[0][0])
+    rows = tuple(row for row, _ in found)
+    # the sweep already holds every point set: hand them to the orbits
+    return FusionOrbitSet(rows, p, params, i0, images, tuple(points for _, points in found))
 
 
 def fusion_orbits_bruteforce(params: DihedralParams, i0: int) -> FusionOrbitSet:
@@ -187,10 +213,23 @@ def fusion_orbits_bruteforce(params: DihedralParams, i0: int) -> FusionOrbitSet:
     if p * p > BRUTE_FORCE_POINT_LIMIT:
         raise LimitExceeded(f"plane has {p * p} points, limit is {BRUTE_FORCE_POINT_LIMIT}")
     rep = irr2_rep(params, i0)
-    table = []
-    for g in group_elements(params.n):
-        m = rep.matrix(g).data
-        table.append((g, (m[0][0], m[0][1], m[1][0], m[1][1])))
+    (r00, r01), (r10, r11) = rep.mat_r.data
+    (s00, s01), (s10, s11) = rep.mat_s.data
+    # g = s^flip r^rot acts as mat_s^flip mat_r^rot: a running product of
+    # the generator matrices, rotations first as group_elements lists them
+    powers = [(1, 0, 0, 1)]
+    for _ in range(params.n - 1):
+        a, b, c, d = powers[-1]
+        powers.append(
+            ((a * r00 + b * r10) % p, (a * r01 + b * r11) % p,
+             (c * r00 + d * r10) % p, (c * r01 + d * r11) % p)
+        )
+    reflected = [
+        ((s00 * a + s01 * c) % p, (s00 * b + s01 * d) % p,
+         (s10 * a + s11 * c) % p, (s10 * b + s11 * d) % p)
+        for a, b, c, d in powers
+    ]
+    table = list(zip(group_elements(params.n), powers + reflected))
     return _sweep_orbits(p, table, params, i0)
 
 
@@ -234,22 +273,17 @@ def fusion_orbits_closed_form(params: DihedralParams, i0: int) -> FusionOrbitSet
     r_k = GroupElement.rotation(n, k)
     big_gens = (r_k,)
     small_gens = [(r_k, GroupElement.reflection(n, j0)) for j0 in range(k)]
-    orbits = [
-        FusionOrbit(
-            (0, 0), 1, 2 * n, (GroupElement.rotation(n), GroupElement.reflection(n)), images
-        )
-    ]
-    orbits += [FusionOrbit((0, m), 2 * k, g0, big_gens, images) for m in minima]
+    rows = [((0, 0), 1, 2 * n, (GroupElement.rotation(n), GroupElement.reflection(n)))]
+    rows += [((0, m), 2 * k, g0, big_gens) for m in minima]
     for m in minima:
         m_inv = pow(m, -1, p)
         for y in range(1, p):
             c = cmin[y]
             if c == m:
-                gens = small_gens[exponent_of[y * m_inv % p]]
-                orbits.append(FusionOrbit((m, y), k, 2 * g0, gens, images))
+                rows.append(((m, y), k, 2 * g0, small_gens[exponent_of[y * m_inv % p]]))
             elif c > m:
-                orbits.append(FusionOrbit((m, y), 2 * k, g0, big_gens, images))
-    return FusionOrbitSet(tuple(orbits), p, params, i0, images)
+                rows.append(((m, y), 2 * k, g0, big_gens))
+    return FusionOrbitSet(tuple(rows), p, params, i0, images)
 
 
 def fusion_numbers(orbit_set: FusionOrbitSet) -> FusionNumbers:

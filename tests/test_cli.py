@@ -1,16 +1,23 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 from time import perf_counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from udrfusion import __version__, cli
-from udrfusion.cli import main
+from udrfusion.cli import _json_text, main
 from udrfusion.cohomology import CohomologyDims
+from udrfusion.fusion import FusionOrbit
+
+REFERENCES_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
 
 
 def _run(capsys, argv):
@@ -307,3 +314,113 @@ def test_verify_orbit_families_alone_equal_their_slice_of_the_full_run(capsys, c
         lines = alone.splitlines()
         assert lines[:-1] == [line for line in full.splitlines() if line.split()[1] == token]
         assert lines[-1] == f"{len(lines) - 1} checks, 0 failed"
+
+
+def test_scan_work_ceiling_admits_3_to_200(capsys, monkeypatch):
+    # no primes, so the admitted range builds no table: only the
+    # ceiling's verdict is under test here
+    monkeypatch.setattr(cli, "find_primes", lambda n, count: [])
+    rc, out, err = _run(capsys, ["scan", "dihedral", "--n-min", "3", "--n-max", "200"])
+    assert rc == 0 and err == ""
+    assert out == "n,p,i0,k,in_omega,determinable,signature\n"
+
+
+def test_scan_work_ceiling_refuses_3_to_2000_before_any_work(capsys, monkeypatch):
+    def no_work(n, count):
+        raise AssertionError("scan started work past its ceiling")
+
+    monkeypatch.setattr(cli, "find_primes", no_work)
+    start = perf_counter()
+    rc, out, err = _run(capsys, ["scan", "dihedral", "--n-min", "3", "--n-max", "2000"])
+    assert perf_counter() - start < 1.0
+    assert rc == 2 and out == ""
+    assert err.startswith("error: scan of n = 3..2000 at 1 primes per n needs about 667166748 ")
+    assert err.rstrip().endswith(f"limit is {cli.SCAN_WORK_LIMIT}")
+    # the second prime per n doubles the work: 3..200 no longer fits
+    assert main(["scan", "dihedral", "--n-min", "3", "--n-max", "200", "--primes-per-n", "2"]) == 2
+
+
+_TRICKY_TEXT = st.sampled_from(['"', "\\", "\x00", "\n\t\x1f", "é", "\u2028", "😀", "a\"b\\c", ""])
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.text(max_size=8)
+    | _TRICKY_TEXT
+)
+# lists of pairs take the writer's row-template path unless a bool or a
+# pair of the wrong length is among them
+_PAIR_LISTS = st.lists(
+    st.tuples(st.integers(), st.integers())
+    | st.lists(st.integers() | st.booleans(), min_size=1, max_size=3),
+    max_size=5,
+)
+
+
+def _json_values():
+    return st.recursive(
+        _JSON_LEAVES | _PAIR_LISTS,
+        lambda children: st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(st.text(max_size=8) | _TRICKY_TEXT, children, max_size=4),
+        max_leaves=20,
+    )
+
+
+@settings(max_examples=80)
+@given(_json_values())
+def test_json_writer_equals_json_dumps_indent_2(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, {1, 2}, {"a": [0.0]}, [(1, 2), (3, 4.0)], {1: "x"}])
+def test_json_writer_refuses_what_reports_never_hold(value):
+    with pytest.raises(TypeError):
+        _json_text(value)
+
+
+def test_json_outputs_equal_json_dumps_and_the_recorded_references(capsys, monkeypatch):
+    references = json.loads(REFERENCES_PATH.read_text())
+    abelian = [key for key in references if key.startswith("analyze abelian ")][:2]
+    written = []
+
+    def recording(value):
+        text = _json_text(value)
+        written.append((value, text))
+        return text
+
+    monkeypatch.setattr(cli, "_json_text", recording)
+    argvs = [key.split() for key in abelian] + [
+        ["analyze", "dihedral", "--n", "5", "--i0", "1"],
+        ["scan", "dihedral", "--n-min", "3", "--n-max", "30", "--format", "json"],
+    ]
+    for argv in argvs:
+        rc, out, err = _run(capsys, argv)
+        assert rc == 0 and err == ""
+        (value, text), = written
+        written.clear()
+        assert out == text + "\n"
+        assert text == json.dumps(value, indent=2)
+        key = " ".join(argv)
+        if key in abelian:
+            assert hashlib.sha256(out.encode()).hexdigest() == references[key]["sha256"]
+
+
+def test_analyze_abelian_builds_no_orbit_objects(capsys, monkeypatch):
+    built = Counter()
+    real = FusionOrbit.__post_init__
+
+    def counting(self):
+        built["orbits"] += 1
+        real(self)
+
+    monkeypatch.setattr(FusionOrbit, "__post_init__", counting)
+    rc, out, _ = _run(capsys, ["analyze", "abelian", "--orders", "2,3", "--p", "7",
+                               "--theta1", "1,1", "--theta2", "1,2"])
+    assert rc == 0 and json.loads(out)["fusion"]["orbit_count"] == 9
+    assert built["orbits"] == 0
+    # the patch does count: asking for the orbits builds them
+    assert len(cli.abelian_orbits(cli.CharacterPair.from_exponents(
+        cli.AbelianParams.standard([2, 3], 7), [1, 1], [1, 2])).orbits) == 9
+    assert built["orbits"] == 9

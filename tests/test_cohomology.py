@@ -213,6 +213,23 @@ def test_monomial_module_checks_relations():
         _MonomialModule(6, (1,), (0,), (1,))  # a fixed coordinate needs 2 w = 0
 
 
+@pytest.mark.parametrize("n, i0, j", [(5, 2, 1), (6, 1, 2), (8, 3, 1), (12, 5, 4), (13, 6, 6)])
+def test_derived_monomial_modules_pass_the_checked_constructor(n, i0, j):
+    # dual, tensor and det skip the relation checks; every module dims
+    # derives must still satisfy them
+    params = DihedralParams.standard(n)
+    v = _MonomialModule.from_rep(irr2_rep(params, j))
+    adj = v.dual().tensor(v)
+    phi_tilde = _MonomialModule.from_rep(irr2_rep(params, i0)).dual()
+    derived = [v.dual(), adj, phi_tilde, phi_tilde.tensor(adj), phi_tilde.det(),
+               phi_tilde.det().tensor(adj), adj.det()]
+    for m in derived:
+        checked = _MonomialModule(m.n, m.weight, m.perm, m.sign)
+        assert (checked.n, checked.weight, checked.perm, checked.sign) == (
+            m.n, m.weight, m.perm, m.sign
+        )
+
+
 def test_dims_rejects_non_monomial_generator(monkeypatch):
     params = DihedralParams.standard(5)  # p = 11, omega = 3
     good = irr2_rep(params, 1)

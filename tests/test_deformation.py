@@ -94,11 +94,9 @@ def test_maximality_matches_fibers():
 def test_orbit_checks_pass_on_the_sweep_and_fail_on_a_corrupted_one(n, i0):
     params = DihedralParams.standard(n)
     brute = fusion_orbits_bruteforce(params, i0)
-    *kept, last = brute.orbits
-    dropped = replace(brute, orbits=tuple(kept))
-    restabilized = replace(
-        brute, orbits=(*kept, replace(last, stabilizer_order=2 * last.stabilizer_order))
-    )
+    *kept, (rep, size, stabilizer_order, gens) = brute.rows
+    dropped = replace(brute, rows=tuple(kept))
+    restabilized = replace(brute, rows=(*kept, (rep, size, 2 * stabilizer_order, gens)))
     closed_form = check_orbit_closed_form(params, i0, brute)
     census = check_orbit_census(params, i0, brute)
     assert (closed_form.check_name, closed_form.parameters, closed_form.passed) == (

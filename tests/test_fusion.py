@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from udrfusion import fusion
 from udrfusion.dihedral import DihedralParams, GroupElement, group_elements, irr2_rep
 from udrfusion.ffield import FpMatrix, LimitExceeded, find_primes, primitive_root_of_unity
 from udrfusion.fusion import (
@@ -172,6 +173,41 @@ def test_stabilizer_generators_generate_stabilizer():
                         break
                     closure = grown
                 assert len(closure) == orb.stabilizer_order
+
+
+def test_bruteforce_table_is_the_representation_matrices(monkeypatch):
+    # the sweep's table is a running product of irr2_rep's generators;
+    # it must equal Rep2.matrix element by element
+    tables = []
+    monkeypatch.setattr(fusion, "_sweep_orbits", lambda p, table, params, i0: tables.append(table))
+    for n in (3, 4, 6, 7, 12):
+        for p in find_primes(n, 2):
+            params = DihedralParams.standard(n, p)
+            for i0 in params.irr2_indices():
+                fusion_orbits_bruteforce(params, i0)
+                rep = irr2_rep(params, i0)
+                expected = [
+                    (g, tuple(x for row in rep.matrix(g).data for x in row))
+                    for g in group_elements(n)
+                ]
+                assert tables.pop() == expected
+
+
+def test_orbit_rows_and_lazy_orbits_agree():
+    params = DihedralParams.standard(12, 13)
+    for orbit_set in (fusion_orbits_closed_form(params, 5), fusion_orbits_bruteforce(params, 2)):
+        assert orbit_set.orbit_count == len(orbit_set.orbits) == len(orbit_set.rows)
+        assert orbit_set.representatives == [o.representative for o in orbit_set.orbits]
+        assert [
+            (o.representative, o.size, o.stabilizer_order, o.stabilizer_gens)
+            for o in orbit_set.orbits
+        ] == list(orbit_set.rows)
+        # built once and kept
+        assert orbit_set.orbits is orbit_set.orbits
+    # the sweep hands its point sets to its orbits: nothing is recomputed
+    brute = fusion_orbits_bruteforce(params, 2)
+    assert all("elements" in vars(o) for o in brute.orbits)
+    assert not any("elements" in vars(o) for o in fusion_orbits_closed_form(params, 2).orbits)
 
 
 def test_orbit_stabilizer_identity():
