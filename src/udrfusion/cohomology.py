@@ -252,20 +252,46 @@ class _MonomialModule:
                 count += 1
         return count
 
+    def tensor_fixed_point_dim(self, other: "_MonomialModule") -> int:
+        """self.tensor(other).fixed_point_dim() without building the
+        product: the weight-zero coordinates (a, b) are the pairs whose
+        weights sum to 0 mod n, joined on weight, and the s-orbit and sign
+        rule of fixed_point_dim is read off the two factors, with (a, b)
+        ordered as in tensor."""
+        n = self.n
+        by_weight: dict[int, list[int]] = {}
+        for b, w in enumerate(other.weight):
+            by_weight.setdefault(w, []).append(b)
+        count = 0
+        for a, w in enumerate(self.weight):
+            target = self.perm[a]
+            if a > target:
+                continue
+            for b in by_weight.get(-w % n, ()):
+                other_target = other.perm[b]
+                if a < target or b < other_target or (
+                    b == other_target and self.sign[a] == other.sign[b]
+                ):
+                    count += 1
+        return count
+
 
 # Cache bounds, each above the working set of a default `verify` (2,090
-# distinct dims arguments, 228 distinct (params, index) monomial modules),
-# so that run never evicts, while a long-lived caller's memory stays
-# bounded.
+# distinct dims arguments, 228 distinct (params, index) monomial modules,
+# 28 distinct (params, j) oracle modules), so that run never evicts, while
+# a long-lived caller's memory stays bounded.
 DIMS_CACHE_SIZE = 4096
 MONOMIAL_CACHE_SIZE = 1024
+ORACLE_MODULE_CACHE_SIZE = 256
 
 
 @lru_cache(maxsize=MONOMIAL_CACHE_SIZE)
-def _irr2_monomial(params: DihedralParams, i: int) -> tuple[_MonomialModule, _MonomialModule]:
-    """theta_i as a monomial module V, together with its adjoint V* (x) V."""
+def _irr2_monomial(params: DihedralParams, i: int) -> tuple[_MonomialModule, ...]:
+    """theta_i as a monomial module V, together with its adjoint V* (x) V,
+    its dual V* and the determinant of V*."""
     v = _MonomialModule.from_rep(irr2_rep(params, i))
-    return v, v.dual().tensor(v)
+    dual = v.dual()
+    return v, dual.tensor(v), dual, dual.det()
 
 
 @lru_cache(maxsize=DIMS_CACHE_SIZE)
@@ -274,9 +300,9 @@ def dims(params: DihedralParams, i0: int, j: int) -> CohomologyDims:
     coefficients coming from theta_j, as invariant counts of monomial
     modules."""
     adj = _irr2_monomial(params, j)[1]
-    phi_tilde = _irr2_monomial(params, i0)[0].dual()
-    d1 = phi_tilde.tensor(adj).fixed_point_dim()
-    d2 = d1 + phi_tilde.det().tensor(adj).fixed_point_dim()
+    _, _, phi_tilde, wedge = _irr2_monomial(params, i0)
+    d1 = phi_tilde.tensor_fixed_point_dim(adj)
+    d2 = d1 + wedge.tensor_fixed_point_dim(adj)
     return CohomologyDims(d1, d2)
 
 
@@ -344,18 +370,62 @@ def _conjugation_operator(mat: FpMatrix) -> FpMatrix:
     return FpMatrix._reduced(p, tuple(tuple(cols[c][r] for c in range(4)) for r in range(4)))
 
 
-def _cocycle_presentation(
-    params: DihedralParams, i0: int, j: int
-) -> tuple[dict[str, FpMatrix], dict[str, FpMatrix], list[list[tuple[str, int]]]]:
-    """The presentation behind d1_oracle_cocycles: the operator of each
-    generator on the 2x2 matrix module M of theta_j (a and b act as the
-    identity), the inverse operators, and the relators as lists of
-    (generator, exponent) letters."""
-    n, p = params.n, params.p
-    action_rep = irr2_rep(params, i0)
-    module_rep = irr2_rep(params, j)
+def _module_relators(n: int, p: int) -> list[list[tuple[str, int]]]:
+    """The six relators that do not involve the action theta_i0: a^p,
+    b^p, [a, b], r^n, s^2 and (s r)^2."""
+    return [
+        [("a", p)],
+        [("b", p)],
+        [("a", 1), ("b", 1), ("a", -1), ("b", -1)],
+        [("r", n)],
+        [("s", 2)],
+        [("s", 1), ("r", 1), ("s", -1), ("r", 1)],
+    ]
 
+
+def _conjugation_relators(action_rep: Rep2) -> list[list[tuple[str, int]]]:
+    """g x g^-1 = theta_i0(g) x for g in {r, s} and x in {a, b}, the
+    exponents read off the columns of the theta_i0 matrix."""
+    relators = []
+    for gsym, mat in (("r", action_rep.mat_r), ("s", action_rep.mat_s)):
+        for col, xsym in enumerate(("a", "b")):
+            ca, cb = mat.data[0][col], mat.data[1][col]
+            relators.append([(gsym, 1), (xsym, 1), (gsym, -1), ("b", -cb), ("a", -ca)])
+    return relators
+
+
+def _coefficient_rows(coefficients) -> list[tuple[int, ...]]:
+    """The 4 rows per relator of the linear system in the 16 unknowns."""
+    return [
+        tuple(v for sym in _GEN_ORDER for v in coeff[sym].data[rix])
+        for coeff in coefficients
+        for rix in range(4)
+    ]
+
+
+def _invariant_dim(operator: dict[str, FpMatrix]) -> int:
+    """dim M^G: the common kernel of R - 1 and S - 1."""
+    p = operator["r"].p
     ident4 = FpMatrix._identity(p, 4)
+    gen_rows = [row for op in (operator["r"], operator["s"]) for row in (op - ident4).data]
+    return 4 - FpMatrix._reduced(p, tuple(gen_rows)).rank()
+
+
+def _d1_from_rows(p: int, rows: list[tuple[int, ...]], m_fixed: int) -> int:
+    """d1 = dim Z1 - (dim M - dim M^G), with Z1 the solutions of the
+    relator conditions rows in the 16 unknowns (four generator values in M)."""
+    z1 = 16 - FpMatrix._reduced(p, tuple(rows)).rank()
+    return z1 - (4 - m_fixed)
+
+
+@lru_cache(maxsize=ORACLE_MODULE_CACHE_SIZE)
+def _cocycle_module(params: DihedralParams, j: int) -> tuple:
+    """The half of the cocycle system that depends on (params, j) alone:
+    the operator of each generator on the 2x2 matrix module M of theta_j
+    (a and b act as the identity), the inverse operators, the coefficient
+    rows of the six relators that do not involve the action, and dim M^G."""
+    module_rep = irr2_rep(params, j)
+    ident4 = FpMatrix._identity(params.p, 4)
     operator = {
         "a": ident4,
         "b": ident4,
@@ -363,26 +433,27 @@ def _cocycle_presentation(
         "s": _conjugation_operator(module_rep.mat_s),
     }
     operator_inv = {sym: op.inverse() for sym, op in operator.items()}
+    rows = _coefficient_rows(
+        _relator_coefficients(rel, operator, operator_inv)
+        for rel in _module_relators(params.n, params.p)
+    )
+    return operator, operator_inv, tuple(rows), _invariant_dim(operator)
 
-    def conjugation_relator(gsym: str, xsym: str) -> list[tuple[str, int]]:
-        mat = action_rep.mat_r if gsym == "r" else action_rep.mat_s
-        col = 0 if xsym == "a" else 1
-        ca, cb = mat.data[0][col], mat.data[1][col]
-        return [(gsym, 1), (xsym, 1), (gsym, -1), ("b", -cb), ("a", -ca)]
 
-    relators = [
-        [("a", p)],
-        [("b", p)],
-        [("a", 1), ("b", 1), ("a", -1), ("b", -1)],
-        [("r", n)],
-        [("s", 2)],
-        [("s", 1), ("r", 1), ("s", -1), ("r", 1)],
-        conjugation_relator("r", "a"),
-        conjugation_relator("r", "b"),
-        conjugation_relator("s", "a"),
-        conjugation_relator("s", "b"),
-    ]
-    return operator, operator_inv, relators
+def _cocycle_presentation(
+    params: DihedralParams, i0: int, j: int
+) -> tuple[dict[str, FpMatrix], dict[str, FpMatrix], list[list[tuple[str, int]]]]:
+    """The presentation behind d1_oracle_cocycles: the operator of each
+    generator on the 2x2 matrix module M of theta_j (a and b act as the
+    identity), the inverse operators, and all ten relators as lists of
+    (generator, exponent) letters.  d1_oracle_cocycles expands only the
+    last four per call; expanded whole, with _d1_from_coefficients, this
+    is the reference its split is tested against."""
+    operator, operator_inv, _, _ = _cocycle_module(params, j)
+    relators = _module_relators(params.n, params.p) + _conjugation_relators(
+        irr2_rep(params, i0)
+    )
+    return dict(operator), dict(operator_inv), relators
 
 
 def _relator_coefficients(
@@ -420,23 +491,10 @@ def _relator_coefficients(
 def _d1_from_coefficients(
     operator: dict[str, FpMatrix], coefficients: list[dict[str, FpMatrix]]
 ) -> int:
-    """d1 = dim Z1 - (dim M - dim M^G), with Z1 the solutions of the
-    relator conditions in the 16 unknowns (four generator values in M)."""
-    p = operator["r"].p
-    rows = [
-        tuple(v for sym in _GEN_ORDER for v in coeff[sym].data[rix])
-        for coeff in coefficients
-        for rix in range(4)
-    ]
-    z1 = 16 - FpMatrix(p, rows).rank()
-    ident4 = FpMatrix._identity(p, 4)
-    gen_rows = [
-        row
-        for op in (operator["r"], operator["s"])
-        for row in (op - ident4).data
-    ]
-    m_fixed = 4 - FpMatrix(p, gen_rows).rank()
-    return z1 - (4 - m_fixed)
+    """d1 from the expansion coefficients of every relator."""
+    return _d1_from_rows(
+        operator["r"].p, _coefficient_rows(coefficients), _invariant_dim(operator)
+    )
 
 
 def d1_oracle_cocycles(params: DihedralParams, i0: int, j: int) -> int:
@@ -451,13 +509,19 @@ def d1_oracle_cocycles(params: DihedralParams, i0: int, j: int) -> int:
     its cocycle expansion vanishes.  Then
 
         d1 = dim Z1 - (dim M - dim M^G).
+
+    The first six relators and dim M^G depend on (params, j) alone and
+    come from the memo _cocycle_module; only the four conjugation
+    relators are expanded per call.
     """
     n, p = params.n, params.p
     if 2 * n * p * p > H1_ORACLE_GROUP_ORDER_LIMIT:
         raise LimitExceeded(
             f"group order {2 * n * p * p} exceeds oracle limit {H1_ORACLE_GROUP_ORDER_LIMIT}"
         )
-    operator, operator_inv, relators = _cocycle_presentation(params, i0, j)
-    return _d1_from_coefficients(
-        operator, [_relator_coefficients(rel, operator, operator_inv) for rel in relators]
+    operator, operator_inv, module_rows, m_fixed = _cocycle_module(params, j)
+    rows = _coefficient_rows(
+        _relator_coefficients(rel, operator, operator_inv)
+        for rel in _conjugation_relators(irr2_rep(params, i0))
     )
+    return _d1_from_rows(p, [*module_rows, *rows], m_fixed)

@@ -226,13 +226,28 @@ def check_center_constraint(params: DihedralParams, i0: int) -> VerificationRepo
 def check_orbit_closed_form(
     params: DihedralParams, i0: int, brute: FusionOrbitSet
 ) -> VerificationReport:
-    """The closed-form orbit partition equals the brute-force partition
-    brute of the same action, orbit by orbit with equal stabilizer
-    orders, and every orbit satisfies size * stabilizer order = 2n."""
+    """The closed-form orbit rows equal the rows of the brute-force sweep
+    brute of the same action, row by row: the same number of rows, and in
+    each the same representative, size and stabilizer order, with
+    size * stabilizer order = 2n and the closed form's image set of the
+    representative equal to the sweep's point set of that row.  Since the
+    sweep's representatives are least in their orbits, so are the closed
+    form's."""
     closed = fusion_orbits_closed_form(params, i0)
-    ok = brute.partition() == closed.partition() and all(
-        stab == closed_stab and size * stab == 2 * params.n
-        for (_, size, stab, _), (_, _, closed_stab, _) in zip(brute.rows, closed.rows)
+    two_n = 2 * params.n
+    if brute.point_sets is not None:
+        sweep_sets = brute.point_sets
+    else:
+        sweep_sets = [frozenset(brute.images(row[0])) for row in brute.rows]
+    ok = len(brute.rows) == len(closed.rows) == len(sweep_sets) and all(
+        rep == closed_rep
+        and size == closed_size == len(points)
+        and stab == closed_stab
+        and size * stab == two_n
+        and frozenset(closed.images(rep)) == points
+        for (rep, size, stab, _), (closed_rep, closed_size, closed_stab, _), points in zip(
+            brute.rows, closed.rows, sweep_sets
+        )
     )
     return VerificationReport(
         "orbit_closed_form_matches_bruteforce", (params.n, params.p, i0), ok

@@ -175,32 +175,36 @@ def _sweep_orbits(p: int, table, params, i0) -> FusionOrbitSet:
 
     table lists (g, (a, b, c, d)) with g acting as the matrix
     [[a, b], [c, d]].  Every orbit is built as a point set and every
-    point is marked as seen; callers guard the p^2 cost.
+    point is marked as seen; callers guard the p^2 cost.  Points are swept
+    in lexicographic order, so the first point met of each orbit is its
+    least one and the rows come out sorted; the stabilizer is read off
+    the same image list as the orbit.
     """
 
     def images(v: NPoint) -> set:
         x, y = v
         return {((a * x + b * y) % p, (c * x + d * y) % p) for _, (a, b, c, d) in table}
 
+    elements = [g for g, _ in table]
+    matrices = [mat for _, mat in table]
     seen = set()
-    found = []
+    rows = []
+    point_sets = []
     for x in range(p):
         for y in range(p):
-            if (x, y) in seen:
+            rep = (x, y)
+            if rep in seen:
                 continue
-            orbit = images((x, y))
+            image_list = [((a * x + b * y) % p, (c * x + d * y) % p) for a, b, c, d in matrices]
+            orbit = frozenset(image_list)
+            if min(orbit) != rep:
+                raise ValueError(f"the table does not map {rep} to the least point of its orbit")
             seen |= orbit
-            rx, ry = rep = min(orbit)
-            stab = tuple(
-                g
-                for g, (a, b, c, d) in table
-                if (a * rx + b * ry) % p == rx and (c * rx + d * ry) % p == ry
-            )
-            found.append(((rep, len(orbit), len(stab), stab), frozenset(orbit)))
-    found.sort(key=lambda f: f[0][0])
-    rows = tuple(row for row, _ in found)
+            stab = tuple(g for g, image in zip(elements, image_list) if image == rep)
+            rows.append((rep, len(orbit), len(stab), stab))
+            point_sets.append(orbit)
     # the sweep already holds every point set: hand them to the orbits
-    return FusionOrbitSet(rows, p, params, i0, images, tuple(points for _, points in found))
+    return FusionOrbitSet(tuple(rows), p, params, i0, images, tuple(point_sets))
 
 
 def fusion_orbits_bruteforce(params: DihedralParams, i0: int) -> FusionOrbitSet:

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import importlib
+from time import perf_counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from udrfusion import cohomology
 from udrfusion.cohomology import (
@@ -352,6 +355,97 @@ def test_oracle_expansion_matches_letter_by_letter_reference():
     assert checked == 29
 
 
+def _full_expansion_d1(params, i0, j):
+    """d1 from all ten relators of _cocycle_presentation, expanded afresh."""
+    operator, operator_inv, relators = _cocycle_presentation(params, i0, j)
+    return _d1_from_coefficients(
+        operator, [_relator_coefficients(rel, operator, operator_inv) for rel in relators]
+    )
+
+
+def test_memoized_oracle_half_matches_the_full_expansion():
+    """The memoized module half plus the per-i0 conjugation rows give the
+    d1 of the full expansion on every cell verify checks (n = 3..12, two
+    primes each, inside the guard), and those 86 cells share 28 halves."""
+    cohomology._cocycle_module.cache_clear()
+    checked = 0
+    for n in range(3, 13):
+        for p in find_primes(n, 2):
+            params = DihedralParams.standard(n, p)
+            if 2 * n * p * p > H1_ORACLE_GROUP_ORDER_LIMIT:
+                continue
+            for i0 in params.irr2_indices():
+                for j in params.irr2_indices():
+                    assert d1_oracle_cocycles(params, i0, j) == _full_expansion_d1(
+                        params, i0, j
+                    ), (n, p, i0, j)
+                    checked += 1
+    assert checked == 86
+    assert cohomology._cocycle_module.cache_info().misses == 28
+
+
+def test_memoized_oracle_half_matches_beyond_the_guard(monkeypatch):
+    """With the guard lifted, the split oracle agrees with the full
+    expansion and with dims on every cell for n = 3..9, two primes each,
+    and its calls take under 0.3 s from a cold memo."""
+    monkeypatch.setattr(cohomology, "H1_ORACLE_GROUP_ORDER_LIMIT", 10**12)
+    cohomology._cocycle_module.cache_clear()
+    mismatches = []
+    oracle_s = 0.0
+    cells = 0
+    for n in range(3, 10):
+        for p in find_primes(n, 2):
+            params = DihedralParams.standard(n, p)
+            for i0 in params.irr2_indices():
+                for j in params.irr2_indices():
+                    start = perf_counter()
+                    d1 = d1_oracle_cocycles(params, i0, j)
+                    oracle_s += perf_counter() - start
+                    if d1 != _full_expansion_d1(params, i0, j) or d1 != dims(params, i0, j).d1:
+                        mismatches.append((n, p, i0, j))
+                    cells += 1
+    assert cells == 88 and mismatches == []
+    assert oracle_s < 0.3
+
+
+@st.composite
+def _monomial_module(draw, n):
+    """A random valid monomial module over the dihedral group of order 2n:
+    an involution pairing some coordinates, a weight w and its negative on
+    each 2-cycle, a weight with 2w = 0 mod n on each fixed coordinate, and
+    one sign per s-orbit."""
+    dim = draw(st.integers(min_value=1, max_value=8))
+    order = draw(st.permutations(range(dim)))
+    pair_count = draw(st.integers(min_value=0, max_value=dim // 2))
+    perm, weight, sign = [0] * dim, [0] * dim, [1] * dim
+    for k in range(pair_count):
+        c, d = order[2 * k], order[2 * k + 1]
+        w = draw(st.integers(min_value=0, max_value=n - 1))
+        sg = draw(st.sampled_from((1, -1)))
+        perm[c], perm[d] = d, c
+        weight[c], weight[d] = w, -w % n
+        sign[c] = sign[d] = sg
+    half_turns = (0, n // 2) if n % 2 == 0 else (0,)
+    for c in order[2 * pair_count :]:
+        perm[c] = c
+        weight[c] = draw(st.sampled_from(half_turns))
+        sign[c] = draw(st.sampled_from((1, -1)))
+    return _MonomialModule(n, weight, perm, sign)
+
+
+@st.composite
+def _monomial_pair(draw):
+    n = draw(st.integers(min_value=2, max_value=12))
+    return draw(_monomial_module(n)), draw(_monomial_module(n))
+
+
+@settings(max_examples=100)
+@given(_monomial_pair())
+def test_tensor_fixed_point_dim_counts_the_built_product(pair):
+    a, b = pair
+    assert a.tensor_fixed_point_dim(b) == a.tensor(b).fixed_point_dim()
+
+
 def test_every_cache_is_bounded():
     bounded = set()
     for name in ("ffield", "dihedral", "fusion", "cohomology", "deformation", "abelian", "cli"):
@@ -360,4 +454,4 @@ def test_every_cache_is_bounded():
             if hasattr(value, "cache_parameters") and value.__module__ == module.__name__:
                 assert value.cache_parameters()["maxsize"] is not None, (name, attr)
                 bounded.add(attr)
-    assert {"dims", "irr2_rep", "_irr2_monomial"} <= bounded
+    assert {"dims", "irr2_rep", "_irr2_monomial", "_cocycle_module"} <= bounded

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
+from udrfusion import cli, fusion
 from udrfusion.deformation import (
     UdrClass,
     check_center_constraint,
@@ -110,6 +112,61 @@ def test_orbit_checks_pass_on_the_sweep_and_fail_on_a_corrupted_one(n, i0):
     assert not check_orbit_census(params, i0, dropped).passed
     # the census reads orbit sizes only
     assert check_orbit_census(params, i0, restabilized).passed
+
+
+@pytest.mark.parametrize("n, i0", [(5, 2), (6, 1), (8, 2)])
+def test_orbit_closed_form_check_compares_row_by_row(n, i0):
+    """Two corruptions that leave the orbit partition as it is and still
+    fail: a representative that is not least in its orbit, and the point
+    sets of two neighbouring rows swapped."""
+    params = DihedralParams.standard(n)
+    brute = fusion_orbits_bruteforce(params, i0)
+    rows, point_sets = list(brute.rows), list(brute.point_sets)
+    pos = next(pos for pos, (_, size, _, _) in enumerate(rows) if size > 1)
+    rep, size, stabilizer_order, gens = rows[pos]
+    other_point = max(point_sets[pos])
+    assert other_point > rep
+    rows[pos] = (other_point, size, stabilizer_order, gens)
+    non_least = replace(brute, rows=tuple(rows))
+    point_sets[pos], point_sets[pos + 1] = point_sets[pos + 1], point_sets[pos]
+    swapped = replace(brute, point_sets=tuple(point_sets))
+    assert non_least.partition() == swapped.partition() == brute.partition()
+    assert not check_orbit_closed_form(params, i0, non_least).passed
+    assert not check_orbit_closed_form(params, i0, swapped).passed
+    # without point sets the sweep's rows are expanded through its images
+    assert check_orbit_closed_form(params, i0, replace(brute, point_sets=None)).passed
+    # the census reads orbit sizes only
+    assert check_orbit_census(params, i0, non_least).passed
+    assert check_orbit_census(params, i0, swapped).passed
+
+
+def test_verify_orbit_families_build_no_orbit_objects(capsys, monkeypatch):
+    calls = Counter()
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        fusion.FusionOrbit, "__post_init__",
+        counting("orbit", fusion.FusionOrbit.__post_init__),
+    )
+    monkeypatch.setattr(
+        fusion.FusionOrbitSet, "partition",
+        counting("partition", fusion.FusionOrbitSet.partition),
+    )
+    monkeypatch.setattr(
+        cli, "fusion_orbits_bruteforce", counting("sweep", cli.fusion_orbits_bruteforce)
+    )
+    assert cli.main(["verify", "--n-max", "6"]) == 0
+    out = capsys.readouterr().out
+    prop48 = sum(line.startswith("PASS prop48 ") for line in out.splitlines())
+    # one sweep per (n, p, i0) for n = 3..6 at two primes each
+    assert prop48 == calls["sweep"] == 12
+    assert calls["orbit"] == calls["partition"] == 0
 
 
 def test_gcd_pair_identity_frozen():
