@@ -276,7 +276,7 @@ def abelian_orbits(pair: CharacterPair) -> FusionOrbitSet:
     for x in minima(first):
         rows.append(((x, 0), *axis_x))
         rows += [((x, y), *generic) for y in kernel_minima]
-    return FusionOrbitSet(tuple(rows), p, params, pair, images)
+    return FusionOrbitSet(tuple(rows), p, images)
 
 
 def abelian_orbits_bruteforce(pair: CharacterPair) -> FusionOrbitSet:
@@ -289,7 +289,7 @@ def abelian_orbits_bruteforce(pair: CharacterPair) -> FusionOrbitSet:
             f"sweep size {params.order * p * p} exceeds {ABELIAN_BRUTE_FORCE_LIMIT}"
         )
     table = [(g, (pair.value1(g), 0, 0, pair.value2(g))) for g in params.elements()]
-    return _sweep_orbits(p, table, params, pair)
+    return _sweep_orbits(p, table)
 
 
 def all_character_pairs(params: AbelianParams):

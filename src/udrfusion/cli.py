@@ -140,68 +140,24 @@ def _jsonable(value):
     return repr(value)
 
 
-def _json_text(value) -> str:
-    """json.dumps(value, indent=2), byte for byte, for the values reports
-    hold: dicts with str keys, lists, tuples, str, int, bool and None;
-    TypeError on anything else.  With indent set, json takes its
-    pure-Python encoder, one call per value; here a list of int pairs
-    (the orbit representatives) is written from one row template."""
-    chunks: list[str] = []
-    _write_json(value, "\n", chunks.append)
-    return "".join(chunks)
+# a report's one large value, the representatives list of its fusion
+# block, is written from a row template at its nesting depth; json.dumps
+# writes the rest around a placeholder.  With indent set, json takes its
+# pure-Python encoder, one call per value.
+_PLACEHOLDER = "@representatives@"
+_REPRESENTATIVE_ROW = "[\n        %d,\n        %d\n      ]"
 
 
-def _write_json(value, newline: str, out) -> None:
-    """Pass the text of value to out in pieces; newline is a line break
-    followed by the indentation of value's own line."""
-    if isinstance(value, str):
-        out(json.dumps(value))
-    elif value is None:
-        out("null")
-    elif value is True:
-        out("true")
-    elif value is False:
-        out("false")
-    elif isinstance(value, int):
-        out(int.__repr__(value))
-    elif isinstance(value, dict):
-        if not value:
-            out("{}")
-            return
-        inner = newline + "  "
-        head = "{" + inner
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out(head + json.dumps(key) + ": ")
-            _write_json(item, inner, out)
-            head = "," + inner
-        out(newline + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out("[]")
-            return
-        inner = newline + "  "
-        # exact int only: bool is an int that json writes as true/false
-        if all(
-            type(row) in (list, tuple) and len(row) == 2
-            and type(row[0]) is int and type(row[1]) is int
-            for row in value
-        ):
-            leaf = inner + "  "
-            template = f"[{leaf}%d,{leaf}%d{inner}]"
-            out("[" + inner)
-            out(("," + inner).join([template % tuple(row) for row in value]))
-            out(newline + "]")
-            return
-        head = "[" + inner
-        for item in value:
-            out(head)
-            _write_json(item, inner, out)
-            head = "," + inner
-        out(newline + "]")
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+def _report_text(report: dict) -> str:
+    """json.dumps(report, indent=2) and a line break, byte for byte."""
+    fusion = report["fusion"]
+    representatives = fusion["representatives"]
+    if not representatives:
+        return json.dumps(report, indent=2) + "\n"
+    skeleton = {**report, "fusion": {**fusion, "representatives": _PLACEHOLDER}}
+    head, tail = json.dumps(skeleton, indent=2).split(json.dumps(_PLACEHOLDER), 1)
+    rows = ",\n      ".join([_REPRESENTATIVE_ROW % rep for rep in representatives])
+    return "".join((head, "[\n      ", rows, "\n    ]", tail, "\n"))
 
 
 def _fusion_block(k: int | None, orbit_set) -> dict:
@@ -288,16 +244,18 @@ def _dihedral_csv(report: dict) -> str:
 def _abelian_report(pair: CharacterPair) -> dict:
     params = pair.params
     dd = abelian_dims(pair)
+    # the projector's d1 is a rank, found without counting trivial characters
+    projected = abelian_dims_projector(pair)
     checks = [
         VerificationReport(
             "fixed_count_power_rule",
             (params.cyclic_orders, params.p),
-            abelian_fixed_count(pair) == params.p ** pair.trivial_count(),
+            abelian_fixed_count(pair) == params.p ** projected.d1,
         ),
         VerificationReport(
             "dims_match_projector",
             (params.cyclic_orders, params.p),
-            abelian_dims_projector(pair) == dd,
+            projected == dd,
         ),
     ]
     fusion_block = {"k": None, "numbers": None, "orbit_count": None, "representatives": None}
@@ -395,18 +353,42 @@ def _scan_rows(n_min: int, n_max: int, primes_per_n: int) -> list[dict]:
 # verify families that check the brute-force orbit sweep of every (n, p, i0)
 _ORBIT_CHECKS = {"prop48": check_orbit_closed_form, "cor49": check_orbit_census}
 
+# verify refuses orbit families whose sweeps apply more group elements to
+# points than this: #i0 * p^2 * 2n, summed over n and its two primes.  The
+# default ceiling needs about 1.2 * 10^6, --n-max 20 about 4.7 * 10^7.
+VERIFY_SWEEP_LIMIT = 10**8
 
-def _run_orbit_families(tokens: list[str], n_max: int) -> dict[str, list[VerificationReport]]:
-    """Reports of the orbit families tokens up to n_max, from one sweep
-    per (n, p, i0) that all of them check and none of them keeps."""
-    reports: dict[str, list[VerificationReport]] = {token: [] for token in tokens}
+
+def _orbit_instances(n_max: int) -> list[tuple[int, int]]:
+    """The (n, p) whose sweeps the orbit families check up to n_max.
+    Raises LimitExceeded at the first n whose running sweep work passes
+    VERIFY_SWEEP_LIMIT, so that a huge n_max costs nothing."""
+    instances = []
+    work = 0
     for n in range(3, n_max + 1):
         for p in find_primes(n, 2):
-            params = DihedralParams.standard(n, p)
-            for i0 in params.irr2_indices():
-                brute = fusion_orbits_bruteforce(params, i0)
-                for token in tokens:
-                    reports[token].append(_ORBIT_CHECKS[token](params, i0, brute))
+            instances.append((n, p))
+            work += (n - 1) // 2 * p * p * 2 * n
+        if work > VERIFY_SWEEP_LIMIT:
+            raise LimitExceeded(
+                f"orbit sweeps up to n = {n} (of n-max {n_max}) apply about {work} "
+                f"group elements to points, limit is {VERIFY_SWEEP_LIMIT}"
+            )
+    return instances
+
+
+def _run_orbit_families(
+    tokens: list[str], instances: list[tuple[int, int]]
+) -> dict[str, list[VerificationReport]]:
+    """Reports of the orbit families tokens on instances, from one sweep
+    per (n, p, i0) that all of them check and none of them keeps."""
+    reports: dict[str, list[VerificationReport]] = {token: [] for token in tokens}
+    for n, p in instances:
+        params = DihedralParams.standard(n, p)
+        for i0 in params.irr2_indices():
+            brute = fusion_orbits_bruteforce(params, i0)
+            for token in tokens:
+                reports[token].append(_ORBIT_CHECKS[token](params, i0, brute))
     return reports
 
 
@@ -457,8 +439,11 @@ def _cmd_verify(args) -> int:
         token: args.n_max if args.n_max is not None else _VERIFY_DEFAULT_NMAX[token]
         for token in tokens
     }
-    # orbit families with one ceiling share their sweeps; their reports
-    # wait here until each family's turn to print
+    # the orbit families have one ceiling, whose sweep work is bounded
+    # before any family runs, and share their sweeps; their reports wait
+    # here until each family's turn to print
+    orbit_tokens = [token for token in tokens if token in _ORBIT_CHECKS]
+    instances = _orbit_instances(n_maxes[orbit_tokens[0]]) if orbit_tokens else []
     pending: dict[str, list[VerificationReport]] = {}
     failed = 0
     total = 0
@@ -468,8 +453,7 @@ def _cmd_verify(args) -> int:
             reports = _run_verify_family(token, n_max)
         else:
             if token not in pending:
-                shared = [t for t in tokens if t in _ORBIT_CHECKS and n_maxes[t] == n_max]
-                pending.update(_run_orbit_families(shared, n_max))
+                pending.update(_run_orbit_families(orbit_tokens, instances))
             reports = pending.pop(token)
         if not reports:
             # a family that checked nothing must not pass
@@ -501,7 +485,7 @@ def _cmd_analyze(args) -> int:
         e2 = _parse_int_list(args.theta2, "--theta2")
         pair = CharacterPair.from_exponents(params, e1, e2)
         report, to_csv = _abelian_report(pair), _abelian_csv
-    text = _json_text(report) + "\n" if args.format == "json" else to_csv(report)
+    text = _report_text(report) if args.format == "json" else to_csv(report)
     _emit(text, args.out)
     return 0
 
@@ -513,7 +497,7 @@ def _cmd_scan(args) -> int:
         raise ValueError("need at least one prime per n")
     rows = _scan_rows(args.n_min, args.n_max, args.primes_per_n)
     if args.format == "json":
-        text = _json_text({"version": __version__, "rows": rows}) + "\n"
+        text = json.dumps({"version": __version__, "rows": rows}, indent=2) + "\n"
     else:
         text = _csv("n,p,i0,k,in_omega,determinable,signature", (row.values() for row in rows))
     _emit(text, args.out)

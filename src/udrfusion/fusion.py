@@ -72,18 +72,12 @@ class FusionOrbitSet:
     from them on first access to orbits, so a caller that reads only
     the census, the count or the representatives builds none.
     point_sets, when given, holds the point set of each row (a sweep has
-    them already) and becomes the elements of the orbits built.
-
-    For dihedral actions params is a DihedralParams and i0 the acting
-    representation index; the abelian route stores its AbelianParams and
-    CharacterPair in the same two slots.  images is the action shared by
-    every orbit of the set.
+    them already) and becomes the elements of the orbits built.  images
+    is the action shared by every orbit of the set.
     """
 
     rows: tuple
     p: int
-    params: object
-    i0: object
     images: OrbitMap = field(repr=False, compare=False)
     point_sets: tuple | None = field(default=None, repr=False, compare=False)
 
@@ -170,7 +164,7 @@ def coset_minima(p: int, subgroup) -> list[int]:
     return cmin
 
 
-def _sweep_orbits(p: int, table, params, i0) -> FusionOrbitSet:
+def _sweep_orbits(p: int, table) -> FusionOrbitSet:
     """Orbit partition by sweeping every point of the plane.
 
     table lists (g, (a, b, c, d)) with g acting as the matrix
@@ -204,7 +198,7 @@ def _sweep_orbits(p: int, table, params, i0) -> FusionOrbitSet:
             rows.append((rep, len(orbit), len(stab), stab))
             point_sets.append(orbit)
     # the sweep already holds every point set: hand them to the orbits
-    return FusionOrbitSet(tuple(rows), p, params, i0, images, tuple(point_sets))
+    return FusionOrbitSet(tuple(rows), p, images, tuple(point_sets))
 
 
 def fusion_orbits_bruteforce(params: DihedralParams, i0: int) -> FusionOrbitSet:
@@ -234,7 +228,7 @@ def fusion_orbits_bruteforce(params: DihedralParams, i0: int) -> FusionOrbitSet:
         for a, b, c, d in powers
     ]
     table = list(zip(group_elements(params.n), powers + reflected))
-    return _sweep_orbits(p, table, params, i0)
+    return _sweep_orbits(p, table)
 
 
 def fusion_orbits_closed_form(params: DihedralParams, i0: int) -> FusionOrbitSet:
@@ -287,7 +281,7 @@ def fusion_orbits_closed_form(params: DihedralParams, i0: int) -> FusionOrbitSet
                 rows.append(((m, y), k, 2 * g0, small_gens[exponent_of[y * m_inv % p]]))
             elif c > m:
                 rows.append(((m, y), 2 * k, g0, big_gens))
-    return FusionOrbitSet(tuple(rows), p, params, i0, images)
+    return FusionOrbitSet(tuple(rows), p, images)
 
 
 def fusion_numbers(orbit_set: FusionOrbitSet) -> FusionNumbers:

@@ -9,11 +9,9 @@ from pathlib import Path
 from time import perf_counter
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from udrfusion import __version__, cli
-from udrfusion.cli import _json_text, main
+from udrfusion.cli import main
 from udrfusion.cohomology import CohomologyDims
 from udrfusion.fusion import FusionOrbit
 
@@ -340,68 +338,63 @@ def test_scan_work_ceiling_refuses_3_to_2000_before_any_work(capsys, monkeypatch
     assert main(["scan", "dihedral", "--n-min", "3", "--n-max", "200", "--primes-per-n", "2"]) == 2
 
 
-_TRICKY_TEXT = st.sampled_from(['"', "\\", "\x00", "\n\t\x1f", "é", "\u2028", "😀", "a\"b\\c", ""])
-_JSON_LEAVES = (
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.integers(min_value=-(10**40), max_value=10**40)
-    | st.text(max_size=8)
-    | _TRICKY_TEXT
-)
-# lists of pairs take the writer's row-template path unless a bool or a
-# pair of the wrong length is among them
-_PAIR_LISTS = st.lists(
-    st.tuples(st.integers(), st.integers())
-    | st.lists(st.integers() | st.booleans(), min_size=1, max_size=3),
-    max_size=5,
-)
+def test_verify_sweep_ceiling_admits_n_max_20():
+    assert len(cli._orbit_instances(20)) == 2 * 18
 
 
-def _json_values():
-    return st.recursive(
-        _JSON_LEAVES | _PAIR_LISTS,
-        lambda children: st.lists(children, max_size=4)
-        | st.lists(children, max_size=4).map(tuple)
-        | st.dictionaries(st.text(max_size=8) | _TRICKY_TEXT, children, max_size=4),
-        max_leaves=20,
-    )
+def test_verify_sweep_ceiling_refuses_n_max_40_before_any_family_runs(capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("verify started a family past its sweep ceiling")
+
+    monkeypatch.setattr(cli, "_run_verify_family", no_work)
+    monkeypatch.setattr(cli, "fusion_orbits_bruteforce", no_work)
+    start = perf_counter()
+    for n_max in ("40", str(10**9)):
+        rc, out, err = _run(capsys, ["verify", "--n-max", n_max])
+        assert rc == 2 and out == ""
+        # the running sum passes the ceiling at n = 26 (n = 25 sums to 95,285,048)
+        assert err.startswith(f"error: orbit sweeps up to n = 26 (of n-max {n_max}) apply about ")
+        assert err.rstrip().endswith(f"limit is {cli.VERIFY_SWEEP_LIMIT}")
+    assert perf_counter() - start < 1.0
 
 
-@settings(max_examples=80)
-@given(_json_values())
-def test_json_writer_equals_json_dumps_indent_2(value):
-    assert _json_text(value) == json.dumps(value, indent=2)
-
-
-@pytest.mark.parametrize("value", [1.5, {1, 2}, {"a": [0.0]}, [(1, 2), (3, 4.0)], {1: "x"}])
-def test_json_writer_refuses_what_reports_never_hold(value):
-    with pytest.raises(TypeError):
-        _json_text(value)
+def test_fixed_count_power_rule_fails_when_trivial_count_is_wrong(capsys, monkeypatch):
+    # the rule compares the fixed count with p to the projector's rank,
+    # which never asks trivial_count
+    real = cli.CharacterPair.trivial_count
+    monkeypatch.setattr(cli.CharacterPair, "trivial_count", lambda self: real(self) + 1)
+    rc, out, _ = _run(capsys, ["analyze", "abelian", "--orders", "2,3", "--p", "7",
+                               "--theta1", "1,1", "--theta2", "1,2"])
+    assert rc == 0
+    passed = {c["name"]: c["passed"] for c in json.loads(out)["checks"]}
+    assert passed["fixed_count_power_rule"] is False
 
 
 def test_json_outputs_equal_json_dumps_and_the_recorded_references(capsys, monkeypatch):
     references = json.loads(REFERENCES_PATH.read_text())
     abelian = [key for key in references if key.startswith("analyze abelian ")][:2]
-    written = []
+    reports = []
+    real = cli._report_text
 
-    def recording(value):
-        text = _json_text(value)
-        written.append((value, text))
-        return text
+    def recording(report):
+        reports.append(report)
+        return real(report)
 
-    monkeypatch.setattr(cli, "_json_text", recording)
+    monkeypatch.setattr(cli, "_report_text", recording)
     argvs = [key.split() for key in abelian] + [
         ["analyze", "dihedral", "--n", "5", "--i0", "1"],
+        # beyond the sweep guard: no fusion block, no representatives
+        ["analyze", "abelian", "--orders", "2,3", "--p", "409", "--theta1", "1,1",
+         "--theta2", "1,2"],
         ["scan", "dihedral", "--n-min", "3", "--n-max", "30", "--format", "json"],
     ]
     for argv in argvs:
         rc, out, err = _run(capsys, argv)
         assert rc == 0 and err == ""
-        (value, text), = written
-        written.clear()
-        assert out == text + "\n"
-        assert text == json.dumps(value, indent=2)
+        # scan writes with json.dumps alone; its text must survive a round trip
+        value = reports.pop() if argv[0] == "analyze" else json.loads(out)
+        assert reports == []
+        assert out == json.dumps(value, indent=2) + "\n"
         key = " ".join(argv)
         if key in abelian:
             assert hashlib.sha256(out.encode()).hexdigest() == references[key]["sha256"]

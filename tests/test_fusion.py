@@ -179,7 +179,7 @@ def test_bruteforce_table_is_the_representation_matrices(monkeypatch):
     # the sweep's table is a running product of irr2_rep's generators;
     # it must equal Rep2.matrix element by element
     tables = []
-    monkeypatch.setattr(fusion, "_sweep_orbits", lambda p, table, params, i0: tables.append(table))
+    monkeypatch.setattr(fusion, "_sweep_orbits", lambda p, table: tables.append(table))
     for n in (3, 4, 6, 7, 12):
         for p in find_primes(n, 2):
             params = DihedralParams.standard(n, p)
