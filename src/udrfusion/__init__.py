@@ -44,6 +44,7 @@ from .cohomology import (
     d1_oracle_cocycles,
     det_module,
     dims,
+    dims_row,
     fixed_point_dim,
     rep_module,
     sign_module,

@@ -21,7 +21,7 @@ from .abelian import (
     abelian_orbits,
     abelian_udr,
 )
-from .cohomology import d1_oracle_cocycles, dims
+from .cohomology import H1_ORACLE_GROUP_ORDER_LIMIT, d1_oracle_cocycles, dims
 from .deformation import (
     check_center_constraint,
     check_determinability_rule,
@@ -353,28 +353,61 @@ def _scan_rows(n_min: int, n_max: int, primes_per_n: int) -> list[dict]:
 # verify families that check the brute-force orbit sweep of every (n, p, i0)
 _ORBIT_CHECKS = {"prop48": check_orbit_closed_form, "cor49": check_orbit_census}
 
-# verify refuses orbit families whose sweeps apply more group elements to
-# points than this: #i0 * p^2 * 2n, summed over n and its two primes.  The
-# default ceiling needs about 1.2 * 10^6, --n-max 20 about 4.7 * 10^7.
-VERIFY_SWEEP_LIMIT = 10**8
+# verify refuses a run whose families need more work than this, counted
+# in units of about one group element applied to one point by an orbit
+# sweep (_family_work; about 22 ns on a 2-core Intel Xeon under CPython
+# 3.11, so the limit is a few seconds).  The default ceilings need about
+# 1.9 * 10^6, --n-max 20 about 4.8 * 10^7 and --n-max 25 about 9.7 * 10^7.
+VERIFY_WORK_LIMIT = 10**8
+
+
+def _family_work(token: str, n: int) -> int:
+    """About how many work units family token spends on rank n.  Each
+    family counts the steps that dominate it, weighted by their cost in
+    units (measured with each family alone at n-max 60 to 2000)."""
+    h = (n - 1) // 2  # two-dimensional irreducibles, and action indices
+    if token in _ORBIT_CHECKS:  # group elements applied to points
+        return sum(h * p * p * 2 * n for p in find_primes(n, 2))
+    if token == "oracle-h1":  # cells: a cocycle system each inside the guard
+        return sum(
+            h * h * (6000 if 2 * n * p * p <= H1_ORACLE_GROUP_ORDER_LIMIT else 32)
+            for p in find_primes(n, 2)
+        )
+    if token == "thm42":  # kernel sets of each action against each other
+        return 16 * h**3
+    if token == "thm43":  # pairs of indices, with their kernels
+        return 32 * h**3
+    if token == "cor34":  # the center scanned over 2n elements per action
+        return 128 * 2 * n * h
+    if n % 2:  # thm11 and lemma410 take even n only
+        return 0
+    if token == "thm11":  # signature-table entries at two primes
+        return 128 * h * h
+    if token == "lemma410":  # one arithmetic report per even index
+        return 128 * (h // 2)
+    raise ValueError(f"unknown check {token!r}")
+
+
+def _check_verify_work(n_maxes: dict[str, int]) -> None:
+    """Raise LimitExceeded at the first rank n whose running work, summed
+    over the families n_maxes (token -> ceiling), passes
+    VERIFY_WORK_LIMIT, so that a huge ceiling costs nothing.  prop48 and
+    cor49 share their sweeps, which count once."""
+    tokens = [token for token in n_maxes if token != "cor49" or "prop48" not in n_maxes]
+    top = max(n_maxes.values())
+    work = 0
+    for n in range(3, top + 1):
+        work += sum(_family_work(token, n) for token in tokens if n <= n_maxes[token])
+        if work > VERIFY_WORK_LIMIT:
+            raise LimitExceeded(
+                f"verify up to n = {n} (of n-max {top}) needs about {work} units of work, "
+                f"limit is {VERIFY_WORK_LIMIT}"
+            )
 
 
 def _orbit_instances(n_max: int) -> list[tuple[int, int]]:
-    """The (n, p) whose sweeps the orbit families check up to n_max.
-    Raises LimitExceeded at the first n whose running sweep work passes
-    VERIFY_SWEEP_LIMIT, so that a huge n_max costs nothing."""
-    instances = []
-    work = 0
-    for n in range(3, n_max + 1):
-        for p in find_primes(n, 2):
-            instances.append((n, p))
-            work += (n - 1) // 2 * p * p * 2 * n
-        if work > VERIFY_SWEEP_LIMIT:
-            raise LimitExceeded(
-                f"orbit sweeps up to n = {n} (of n-max {n_max}) apply about {work} "
-                f"group elements to points, limit is {VERIFY_SWEEP_LIMIT}"
-            )
-    return instances
+    """The (n, p) whose sweeps the orbit families check up to n_max."""
+    return [(n, p) for n in range(3, n_max + 1) for p in find_primes(n, 2)]
 
 
 def _run_orbit_families(
@@ -392,28 +425,28 @@ def _run_orbit_families(
     return reports
 
 
-def _run_verify_family(token: str, n_max: int) -> list[VerificationReport]:
-    reports: list[VerificationReport] = []
+def _run_verify_family(token: str, n_max: int):
+    """The reports of family token up to n_max, one at a time."""
     if token == "thm42":
         for n in range(3, n_max + 1):
             params = DihedralParams.standard(n)
             for i0 in sorted(omega_set(params)):
-                reports.append(check_kernel_sets_detect_fusion(params, i0))
+                yield check_kernel_sets_detect_fusion(params, i0)
     elif token == "thm43":
         for n in range(3, n_max + 1):
-            reports.append(check_maximality_matches_doubling_fibers(DihedralParams.standard(n)))
+            yield check_maximality_matches_doubling_fibers(DihedralParams.standard(n))
     elif token == "thm11":
         for n in range(4, n_max + 1, 2):
-            reports.append(check_determinability_rule(n))
+            yield check_determinability_rule(n)
     elif token == "lemma410":
         for n in range(4, n_max + 1, 2):
             for i0 in range(2, (n + 1) // 2, 2):
-                reports.append(check_gcd_pair_identity(n, i0))
+                yield check_gcd_pair_identity(n, i0)
     elif token == "cor34":
         for n in range(3, n_max + 1):
             params = DihedralParams.standard(n)
             for i0 in params.irr2_indices():
-                reports.append(check_center_constraint(params, i0))
+                yield check_center_constraint(params, i0)
     elif token == "oracle-h1":
         for n in range(3, n_max + 1):
             for p in find_primes(n, 2):
@@ -425,12 +458,9 @@ def _run_verify_family(token: str, n_max: int) -> list[VerificationReport]:
                         except LimitExceeded:
                             continue
                         ok = oracle == dims(params, i0, j).d1
-                        reports.append(
-                            VerificationReport("cocycle_oracle_d1", (n, p, i0, j), ok)
-                        )
+                        yield VerificationReport("cocycle_oracle_d1", (n, p, i0, j), ok)
     else:
         raise ValueError(f"unknown check {token!r}")
-    return reports
 
 
 def _cmd_verify(args) -> int:
@@ -439,9 +469,11 @@ def _cmd_verify(args) -> int:
         token: args.n_max if args.n_max is not None else _VERIFY_DEFAULT_NMAX[token]
         for token in tokens
     }
-    # the orbit families have one ceiling, whose sweep work is bounded
-    # before any family runs, and share their sweeps; their reports wait
-    # here until each family's turn to print
+    # the work of every family is bounded before any family runs.  The
+    # orbit families have one ceiling and share their sweeps; their
+    # reports wait here until each family's turn to print, while the other
+    # families print their reports as they come
+    _check_verify_work(n_maxes)
     orbit_tokens = [token for token in tokens if token in _ORBIT_CHECKS]
     instances = _orbit_instances(n_maxes[orbit_tokens[0]]) if orbit_tokens else []
     pending: dict[str, list[VerificationReport]] = {}
@@ -455,11 +487,7 @@ def _cmd_verify(args) -> int:
             if token not in pending:
                 pending.update(_run_orbit_families(orbit_tokens, instances))
             reports = pending.pop(token)
-        if not reports:
-            # a family that checked nothing must not pass
-            total += 1
-            failed += 1
-            print(f"FAIL {token} no instances (n-max {n_max})")
+        family_total = total
         for report in reports:
             total += 1
             par = " ".join(str(v) for v in report.parameters)
@@ -468,6 +496,11 @@ def _cmd_verify(args) -> int:
             else:
                 failed += 1
                 print(f"FAIL {token} {par} witness={_jsonable(report.witness)}")
+        if total == family_total:
+            # a family that checked nothing must not pass
+            total += 1
+            failed += 1
+            print(f"FAIL {token} no instances (n-max {n_max})")
     print(f"{total} checks, {failed} failed")
     return 1 if failed else 0
 

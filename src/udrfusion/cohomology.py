@@ -12,9 +12,11 @@ where phi~ is the contragredient of theta_i0 and det.phi~ is its
 determinant character (the sign character).  Every module here is
 monomial: r acts diagonally by powers of w and s by a signed
 permutation, and duals, tensor products and determinants keep it so.
-`dims` therefore counts invariants from the weights and the signed
+Invariants are therefore counted from the weights and the signed
 permutation alone (`_MonomialModule`), which is exact for any
-multiplicity because p is odd and prime to n.
+multiplicity because p is odd and prime to n.  `dims_row` counts them
+for one action against every theta_j at once, as a join on weight, and
+`dims` reads one entry of that row.
 
 The dense `GModule` route, whose fixed-point dimension is the rank of
 the averaging idempotent, is kept as an independent oracle for the
@@ -40,7 +42,7 @@ from .dihedral import (
     irr2_rep,
     t_map,
 )
-from .ffield import FpMatrix, LimitExceeded
+from .ffield import FpMatrix, LimitExceeded, _gauss_jordan
 
 H1_ORACLE_GROUP_ORDER_LIMIT = 10**4
 
@@ -197,7 +199,10 @@ class _MonomialModule:
         signed permutation."""
         params = rep.params
         n, p = params.n, params.p
-        log = {pow(params.omega, k, p): k for k in range(n)}
+        log, power = {}, 1
+        for k in range(n):
+            log[power] = k
+            power = power * params.omega % p
         dim = rep.mat_r.rows
         if any(m.rows != dim or m.cols != dim for m in (rep.mat_r, rep.mat_s)):
             raise ValueError("generator matrices are not square of one size")
@@ -252,58 +257,84 @@ class _MonomialModule:
                 count += 1
         return count
 
-    def tensor_fixed_point_dim(self, other: "_MonomialModule") -> int:
-        """self.tensor(other).fixed_point_dim() without building the
-        product: the weight-zero coordinates (a, b) are the pairs whose
-        weights sum to 0 mod n, joined on weight, and the s-orbit and sign
-        rule of fixed_point_dim is read off the two factors, with (a, b)
-        ordered as in tensor."""
+    def by_weight(self) -> dict[int, tuple[int, ...]]:
+        """The coordinates of each weight, in increasing order."""
+        index: dict[int, list[int]] = {}
+        for c, w in enumerate(self.weight):
+            index.setdefault(w, []).append(c)
+        return {w: tuple(cs) for w, cs in index.items()}
+
+    def tensor_fixed_point_dims(self, others) -> list[int]:
+        """self.tensor(b).fixed_point_dim() for each (b, b.by_weight()) in
+        others, without building a product: the weight-zero coordinates
+        (a, b) are the pairs whose weights sum to 0 mod n, joined on
+        weight, and the s-orbit and sign rule of fixed_point_dim is read
+        off the two factors, with (a, b) ordered as in tensor.  Each
+        s-orbit of self is taken once, at its least coordinate a."""
         n = self.n
-        by_weight: dict[int, list[int]] = {}
-        for b, w in enumerate(other.weight):
-            by_weight.setdefault(w, []).append(b)
-        count = 0
-        for a, w in enumerate(self.weight):
-            target = self.perm[a]
-            if a > target:
-                continue
-            for b in by_weight.get(-w % n, ()):
-                other_target = other.perm[b]
-                if a < target or b < other_target or (
-                    b == other_target and self.sign[a] == other.sign[b]
-                ):
-                    count += 1
-        return count
+        orbits = [
+            (-w % n, a != self.perm[a], self.sign[a])
+            for a, w in enumerate(self.weight)
+            if a <= self.perm[a]
+        ]
+        counts = []
+        for other, index in others:
+            perm, sign = other.perm, other.sign
+            count = 0
+            for need, paired, sg in orbits:
+                for b in index.get(need, ()):
+                    target = perm[b]
+                    if paired or b < target or (b == target and sign[b] == sg):
+                        count += 1
+            counts.append(count)
+        return counts
 
 
-# Cache bounds, each above the working set of a default `verify` (2,090
-# distinct dims arguments, 228 distinct (params, index) monomial modules,
-# 28 distinct (params, j) oracle modules), so that run never evicts, while
-# a long-lived caller's memory stays bounded.
+# Cache bounds, each above the working set of a default `verify` (120
+# distinct dims arguments, 228 distinct (params, i0) signature rows, 228
+# distinct (params, index) monomial modules, 28 distinct (params, j)
+# oracle modules), so that run never evicts, while a long-lived caller's
+# memory stays bounded.
 DIMS_CACHE_SIZE = 4096
+ROW_CACHE_SIZE = 1024
 MONOMIAL_CACHE_SIZE = 1024
 ORACLE_MODULE_CACHE_SIZE = 256
 
 
 @lru_cache(maxsize=MONOMIAL_CACHE_SIZE)
-def _irr2_monomial(params: DihedralParams, i: int) -> tuple[_MonomialModule, ...]:
-    """theta_i as a monomial module V, together with its adjoint V* (x) V,
-    its dual V* and the determinant of V*."""
+def _irr2_monomial(params: DihedralParams, i: int) -> tuple:
+    """theta_i as a monomial module V, together with its adjoint
+    V* (x) V, the adjoint's coordinates by weight, the dual V* and the
+    determinant of V*."""
     v = _MonomialModule.from_rep(irr2_rep(params, i))
     dual = v.dual()
-    return v, dual.tensor(v), dual, dual.det()
+    adj = dual.tensor(v)
+    return v, adj, adj.by_weight(), dual, dual.det()
+
+
+@lru_cache(maxsize=ROW_CACHE_SIZE)
+def dims_row(params: DihedralParams, i0: int) -> tuple[tuple[int, int], ...]:
+    """(d1, d2) for the action of theta_i0 against each theta_j, j in
+    params.irr2_indices() in order: the invariant counts of phi~ (x) adj_j
+    and det phi~ (x) adj_j, one weight join of each factor against every
+    adjoint."""
+    _, _, _, phi_tilde, wedge = _irr2_monomial(params, i0)
+    adjoints = [_irr2_monomial(params, j)[1:3] for j in params.irr2_indices()]
+    d1s = phi_tilde.tensor_fixed_point_dims(adjoints)
+    d2s = [d1 + d_wedge for d1, d_wedge in zip(d1s, wedge.tensor_fixed_point_dims(adjoints))]
+    # a row holds a few distinct pairs; each is stored once
+    pairs: dict[tuple[int, int], tuple[int, int]] = {}
+    return tuple(pairs.setdefault(pair, pair) for pair in zip(d1s, d2s))
 
 
 @lru_cache(maxsize=DIMS_CACHE_SIZE)
 def dims(params: DihedralParams, i0: int, j: int) -> CohomologyDims:
     """d1 and d2 for the action of theta_i0 on the plane with adjoint
-    coefficients coming from theta_j, as invariant counts of monomial
-    modules."""
-    adj = _irr2_monomial(params, j)[1]
-    _, _, phi_tilde, wedge = _irr2_monomial(params, i0)
-    d1 = phi_tilde.tensor_fixed_point_dim(adj)
-    d2 = d1 + wedge.tensor_fixed_point_dim(adj)
-    return CohomologyDims(d1, d2)
+    coefficients coming from theta_j: entry j of dims_row."""
+    indices = params.irr2_indices()
+    if j not in indices:
+        raise ValueError(f"index {j} is not in [1, {params.n}/2)")
+    return CohomologyDims(*dims_row(params, i0)[j - indices.start])
 
 
 def adjoint_decomposition_check(params: DihedralParams, i: int) -> bool:
@@ -348,26 +379,34 @@ def adjoint_decomposition_check(params: DihedralParams, i: int) -> bool:
 
 def cohomologically_maximal_set(params: DihedralParams, i0: int) -> frozenset[int]:
     """Indices j whose d2 attains the maximum over all 2-dim irreducibles."""
-    table = {j: dims(params, i0, j).d2 for j in params.irr2_indices()}
+    table = {j: d2 for j, (_, d2) in zip(params.irr2_indices(), dims_row(params, i0))}
     top = max(table.values())
     return frozenset(j for j, v in table.items() if v == top)
 
 
 _GEN_ORDER = ("a", "b", "r", "s")
 
+# operators on the 2x2 matrix module M are 4x4 matrices over F_p, stored
+# row-major as flat 16-tuples of residues
+_IDENTITY16 = tuple(int(k % 5 == 0) for k in range(16))  # ones at 0, 5, 10, 15
 
-def _conjugation_operator(mat: FpMatrix) -> FpMatrix:
-    """X -> mat . X . mat^-1 on 2x2 matrices, in the basis E11, E12, E21, E22."""
-    p = mat.p
-    inv = mat.inverse()
-    cols = []
-    for pos in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        basis = FpMatrix._reduced(
-            p, tuple(tuple(int((rr, cc) == pos) for cc in range(2)) for rr in range(2))
-        )
-        y = mat * basis * inv
-        cols.append((y.data[0][0], y.data[0][1], y.data[1][0], y.data[1][1]))
-    return FpMatrix._reduced(p, tuple(tuple(cols[c][r] for c in range(4)) for r in range(4)))
+
+def _mul4(p: int, x: tuple, y: tuple) -> tuple[int, ...]:
+    """The product x . y of two flat 4x4 operators."""
+    return tuple(
+        (x[i] * y[k] + x[i + 1] * y[k + 4] + x[i + 2] * y[k + 8] + x[i + 3] * y[k + 12]) % p
+        for i in (0, 4, 8, 12)
+        for k in (0, 1, 2, 3)
+    )
+
+
+def _conjugation_operator(mat: FpMatrix, inv: FpMatrix) -> tuple[int, ...]:
+    """X -> mat . X . inv on 2x2 matrices, in the basis E11, E12, E21, E22:
+    the image of E_ab has entry mat[r][a] * inv[b][c] at (r, c)."""
+    m, v, p = mat.data, inv.data, mat.p
+    return tuple(
+        m[r][a] * v[b][c] % p for r in (0, 1) for c in (0, 1) for a in (0, 1) for b in (0, 1)
+    )
 
 
 def _module_relators(n: int, p: int) -> list[list[tuple[str, int]]]:
@@ -394,107 +433,106 @@ def _conjugation_relators(action_rep: Rep2) -> list[list[tuple[str, int]]]:
     return relators
 
 
-def _coefficient_rows(coefficients) -> list[tuple[int, ...]]:
-    """The 4 rows per relator of the linear system in the 16 unknowns."""
-    return [
-        tuple(v for sym in _GEN_ORDER for v in coeff[sym].data[rix])
-        for coeff in coefficients
-        for rix in range(4)
-    ]
+def _relator_rows(
+    p: int, rel: list[tuple[str, int]], operator: dict[str, tuple], operator_inv: dict[str, tuple]
+) -> list[tuple[int, ...]]:
+    """The 4 rows, in the 16 unknowns (the values of a, b, r and s in
+    turn), of the condition that the cocycle expansion of the relator rel
+    vanishes: the sum over generators g of coeff[g] . f(g) = 0.
+
+    The letter g^e contributes prefix, prefix.g, ..., prefix.g^(e-1) to
+    coeff[g] for e >= 0, and -prefix.g^-1, ..., -prefix.g^e for e < 0,
+    where prefix is the product of the operators of the letters before
+    it.  When g acts as the identity all |e| terms equal prefix, so the
+    letter adds e . prefix and leaves prefix as it is.
+    """
+    coeff = dict.fromkeys(_GEN_ORDER, (0,) * 16)
+    prefix = _IDENTITY16
+    for sym, e in rel:
+        op, acc = operator[sym], coeff[sym]
+        if op == _IDENTITY16:
+            acc = [c + e * v for c, v in zip(acc, prefix)]
+        elif e >= 0:
+            for _ in range(e):
+                acc = [c + v for c, v in zip(acc, prefix)]
+                prefix = _mul4(p, prefix, op)
+        else:
+            for _ in range(-e):
+                prefix = _mul4(p, prefix, operator_inv[sym])
+                acc = [c - v for c, v in zip(acc, prefix)]
+        coeff[sym] = acc
+    a, b, r, s = ([v % p for v in coeff[sym]] for sym in _GEN_ORDER)
+    return [tuple(a[k : k + 4] + b[k : k + 4] + r[k : k + 4] + s[k : k + 4]) for k in (0, 4, 8, 12)]
 
 
-def _invariant_dim(operator: dict[str, FpMatrix]) -> int:
+def _invariant_dim(p: int, operator: dict[str, tuple]) -> int:
     """dim M^G: the common kernel of R - 1 and S - 1."""
-    p = operator["r"].p
-    ident4 = FpMatrix._identity(p, 4)
-    gen_rows = [row for op in (operator["r"], operator["s"]) for row in (op - ident4).data]
-    return 4 - FpMatrix._reduced(p, tuple(gen_rows)).rank()
+    rows = [
+        [(op[4 * i + k] - (i == k)) % p for k in range(4)]
+        for op in (operator["r"], operator["s"])
+        for i in range(4)
+    ]
+    return 4 - _gauss_jordan(p, rows, 4)[1]
 
 
-def _d1_from_rows(p: int, rows: list[tuple[int, ...]], m_fixed: int) -> int:
-    """d1 = dim Z1 - (dim M - dim M^G), with Z1 the solutions of the
-    relator conditions rows in the 16 unknowns (four generator values in M)."""
-    z1 = 16 - FpMatrix._reduced(p, tuple(rows)).rank()
-    return z1 - (4 - m_fixed)
+def _echelon(p: int, rows) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The reduced row echelon form of rows in the 16 unknowns, as
+    (pivot column, row) pairs."""
+    reduced, rank, _ = _gauss_jordan(p, rows, 16)
+    return tuple((next(c for c, v in enumerate(row) if v), tuple(row)) for row in reduced[:rank])
+
+
+def _rank_over(p: int, echelon, rows) -> int:
+    """The rank of the echelon rows stacked on rows: each row is reduced
+    against the (pivot column, row) pairs of echelon, which clears its
+    pivot columns, and the rank of what remains is added."""
+    residual = []
+    for row in rows:
+        for col, pivot_row in echelon:
+            f = row[col]
+            if f:
+                row = [(v - f * w) % p for v, w in zip(row, pivot_row)]
+        residual.append(row)
+    return len(echelon) + _gauss_jordan(p, residual, 16)[1]
 
 
 @lru_cache(maxsize=ORACLE_MODULE_CACHE_SIZE)
 def _cocycle_module(params: DihedralParams, j: int) -> tuple:
     """The half of the cocycle system that depends on (params, j) alone:
     the operator of each generator on the 2x2 matrix module M of theta_j
-    (a and b act as the identity), the inverse operators, the coefficient
-    rows of the six relators that do not involve the action, and dim M^G."""
+    (a and b act as the identity) and their inverses, the reduced row
+    echelon form of the six relators that do not involve the action, as
+    (pivot column, row) pairs, and dim M^G."""
+    p = params.p
     module_rep = irr2_rep(params, j)
-    ident4 = FpMatrix._identity(params.p, 4)
-    operator = {
-        "a": ident4,
-        "b": ident4,
-        "r": _conjugation_operator(module_rep.mat_r),
-        "s": _conjugation_operator(module_rep.mat_s),
-    }
-    operator_inv = {sym: op.inverse() for sym, op in operator.items()}
-    rows = _coefficient_rows(
-        _relator_coefficients(rel, operator, operator_inv)
-        for rel in _module_relators(params.n, params.p)
-    )
-    return operator, operator_inv, tuple(rows), _invariant_dim(operator)
+    operator = {"a": _IDENTITY16, "b": _IDENTITY16}
+    operator_inv = dict(operator)
+    for sym, mat in (("r", module_rep.mat_r), ("s", module_rep.mat_s)):
+        inv = mat.inverse()
+        operator[sym] = _conjugation_operator(mat, inv)
+        operator_inv[sym] = _conjugation_operator(inv, mat)
+    rows = [
+        row
+        for rel in _module_relators(params.n, p)
+        for row in _relator_rows(p, rel, operator, operator_inv)
+    ]
+    return operator, operator_inv, _echelon(p, rows), _invariant_dim(p, operator)
 
 
 def _cocycle_presentation(
     params: DihedralParams, i0: int, j: int
-) -> tuple[dict[str, FpMatrix], dict[str, FpMatrix], list[list[tuple[str, int]]]]:
-    """The presentation behind d1_oracle_cocycles: the operator of each
-    generator on the 2x2 matrix module M of theta_j (a and b act as the
-    identity), the inverse operators, and all ten relators as lists of
-    (generator, exponent) letters.  d1_oracle_cocycles expands only the
-    last four per call; expanded whole, with _d1_from_coefficients, this
-    is the reference its split is tested against."""
+) -> tuple[dict[str, tuple], dict[str, tuple], list[list[tuple[str, int]]]]:
+    """The presentation behind d1_oracle_cocycles: the flat operator of
+    each generator on the 2x2 matrix module M of theta_j (a and b act as
+    the identity), the inverse operators, and all ten relators as lists
+    of (generator, exponent) letters.  d1_oracle_cocycles expands only
+    the last four per call; expanded whole, this is the reference its
+    split is tested against."""
     operator, operator_inv, _, _ = _cocycle_module(params, j)
     relators = _module_relators(params.n, params.p) + _conjugation_relators(
         irr2_rep(params, i0)
     )
     return dict(operator), dict(operator_inv), relators
-
-
-def _relator_coefficients(
-    rel: list[tuple[str, int]], operator: dict[str, FpMatrix], operator_inv: dict[str, FpMatrix]
-) -> dict[str, FpMatrix]:
-    """Coefficient of each generator's cocycle value in the expansion of
-    the relator rel: the cocycle condition is the sum over generators g
-    of coeff[g] . f(g) = 0.
-
-    The letter g^e contributes prefix, prefix.g, ..., prefix.g^(e-1) for
-    e >= 0, and -prefix.g^-1, ..., -prefix.g^e for e < 0, where prefix is
-    the product of the operators of the letters before it.  When g acts
-    as the identity all |e| terms equal prefix, so the letter adds
-    e . prefix and leaves prefix as it is.
-    """
-    p = operator["r"].p
-    ident4 = FpMatrix._identity(p, 4)
-    zero4 = FpMatrix.zeros(p, 4, 4)
-    coeff = {sym: zero4 for sym in _GEN_ORDER}
-    prefix = ident4
-    for sym, e in rel:
-        if operator[sym] == ident4:
-            coeff[sym] = coeff[sym] + e * prefix
-        elif e >= 0:
-            for _ in range(e):
-                coeff[sym] = coeff[sym] + prefix
-                prefix = prefix * operator[sym]
-        else:
-            for _ in range(-e):
-                prefix = prefix * operator_inv[sym]
-                coeff[sym] = coeff[sym] - prefix
-    return coeff
-
-
-def _d1_from_coefficients(
-    operator: dict[str, FpMatrix], coefficients: list[dict[str, FpMatrix]]
-) -> int:
-    """d1 from the expansion coefficients of every relator."""
-    return _d1_from_rows(
-        operator["r"].p, _coefficient_rows(coefficients), _invariant_dim(operator)
-    )
 
 
 def d1_oracle_cocycles(params: DihedralParams, i0: int, j: int) -> int:
@@ -510,18 +548,21 @@ def d1_oracle_cocycles(params: DihedralParams, i0: int, j: int) -> int:
 
         d1 = dim Z1 - (dim M - dim M^G).
 
-    The first six relators and dim M^G depend on (params, j) alone and
-    come from the memo _cocycle_module; only the four conjugation
-    relators are expanded per call.
+    The first six relators, in reduced row echelon form, and dim M^G
+    depend on (params, j) alone and come from the memo _cocycle_module;
+    only the four conjugation relators are expanded per call, and their
+    rows are reduced against that form before the remaining rank is
+    taken.
     """
     n, p = params.n, params.p
     if 2 * n * p * p > H1_ORACLE_GROUP_ORDER_LIMIT:
         raise LimitExceeded(
             f"group order {2 * n * p * p} exceeds oracle limit {H1_ORACLE_GROUP_ORDER_LIMIT}"
         )
-    operator, operator_inv, module_rows, m_fixed = _cocycle_module(params, j)
-    rows = _coefficient_rows(
-        _relator_coefficients(rel, operator, operator_inv)
+    operator, operator_inv, echelon, m_fixed = _cocycle_module(params, j)
+    rows = [
+        row
         for rel in _conjugation_relators(irr2_rep(params, i0))
-    )
-    return _d1_from_rows(p, [*module_rows, *rows], m_fixed)
+        for row in _relator_rows(p, rel, operator, operator_inv)
+    ]
+    return 16 - _rank_over(p, echelon, rows) - (4 - m_fixed)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 
-from .cohomology import cohomologically_maximal_set, dims
+from .cohomology import cohomologically_maximal_set, dims, dims_row
 from .dihedral import (
     DihedralParams,
     center_acts_trivially,
@@ -78,12 +78,19 @@ class VerificationReport:
     witness: object = None
 
 
+def _class_of(d2: int) -> UdrClass:
+    return UdrClass.ZP_T_TORSION if d2 == 2 else UdrClass.ZP
+
+
 def udr_class(params: DihedralParams, i0: int, j: int) -> UdrClass:
-    return UdrClass.ZP_T_TORSION if dims(params, i0, j).d2 == 2 else UdrClass.ZP
+    return _class_of(dims(params, i0, j).d2)
 
 
 def udr_signature(params: DihedralParams, i0: int) -> UdrSignature:
-    return UdrSignature({j: udr_class(params, i0, j) for j in params.irr2_indices()})
+    """The ring class of every index j, read off the row of dims."""
+    return UdrSignature(
+        {j: _class_of(d2) for j, (_, d2) in zip(params.irr2_indices(), dims_row(params, i0))}
+    )
 
 
 def _kernel_subgroup(params: DihedralParams, i: int) -> frozenset:

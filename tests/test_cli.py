@@ -13,6 +13,7 @@ import pytest
 from udrfusion import __version__, cli
 from udrfusion.cli import main
 from udrfusion.cohomology import CohomologyDims
+from udrfusion.ffield import LimitExceeded
 from udrfusion.fusion import FusionOrbit
 
 REFERENCES_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
@@ -340,11 +341,13 @@ def test_scan_work_ceiling_refuses_3_to_2000_before_any_work(capsys, monkeypatch
 
 def test_verify_sweep_ceiling_admits_n_max_20():
     assert len(cli._orbit_instances(20)) == 2 * 18
+    for n_max in (20, 25):
+        cli._check_verify_work({token: n_max for token in cli._VERIFY_ORDER})
 
 
 def test_verify_sweep_ceiling_refuses_n_max_40_before_any_family_runs(capsys, monkeypatch):
     def no_work(*args):
-        raise AssertionError("verify started a family past its sweep ceiling")
+        raise AssertionError("verify started a family past its work ceiling")
 
     monkeypatch.setattr(cli, "_run_verify_family", no_work)
     monkeypatch.setattr(cli, "fusion_orbits_bruteforce", no_work)
@@ -352,10 +355,41 @@ def test_verify_sweep_ceiling_refuses_n_max_40_before_any_family_runs(capsys, mo
     for n_max in ("40", str(10**9)):
         rc, out, err = _run(capsys, ["verify", "--n-max", n_max])
         assert rc == 2 and out == ""
-        # the running sum passes the ceiling at n = 26 (n = 25 sums to 95,285,048)
-        assert err.startswith(f"error: orbit sweeps up to n = 26 (of n-max {n_max}) apply about ")
-        assert err.rstrip().endswith(f"limit is {cli.VERIFY_SWEEP_LIMIT}")
+        # the running sum passes the ceiling at n = 26 (n = 25 sums to
+        # 97,380,072, of which the orbit sweeps are 95,285,048)
+        assert err.startswith(f"error: verify up to n = 26 (of n-max {n_max}) needs about ")
+        assert err.rstrip().endswith(f"limit is {cli.VERIFY_WORK_LIMIT}")
     assert perf_counter() - start < 1.0
+
+
+# the first n-max each family alone is refused at
+_FAMILY_WORK_CROSSING = {
+    "thm42": 120, "thm43": 101, "thm11": 268, "lemma410": 3538, "cor34": 134,
+    "prop48": 26, "cor49": 26, "oracle-h1": 266,
+}
+
+
+@pytest.mark.parametrize("token", list(_FAMILY_WORK_CROSSING))
+def test_verify_work_ceiling_refuses_each_family_alone(capsys, monkeypatch, token):
+    def no_work(*args):
+        raise AssertionError("verify started a family past its work ceiling")
+
+    monkeypatch.setattr(cli, "_run_verify_family", no_work)
+    monkeypatch.setattr(cli, "fusion_orbits_bruteforce", no_work)
+    start = perf_counter()
+    rc, out, err = _run(capsys, ["verify", "--check", token, "--n-max", str(10**9)])
+    assert perf_counter() - start < 1.0
+    assert rc == 2 and out == ""
+    crossing = _FAMILY_WORK_CROSSING[token]
+    assert err.startswith(f"error: verify up to n = {crossing} (of n-max {10**9}) needs about ")
+    # both sides of the ceiling
+    cli._check_verify_work({token: crossing - 1})
+    with pytest.raises(LimitExceeded):
+        cli._check_verify_work({token: crossing})
+
+
+def test_verify_work_ceiling_admits_the_default_ceilings():
+    cli._check_verify_work(dict(cli._VERIFY_DEFAULT_NMAX))
 
 
 def test_fixed_count_power_rule_fails_when_trivial_count_is_wrong(capsys, monkeypatch):

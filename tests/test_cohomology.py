@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import importlib
+import random
 from time import perf_counter
+from types import CodeType, FunctionType
 
 import pytest
 from hypothesis import given, settings
@@ -14,8 +16,7 @@ from udrfusion.cohomology import (
     GModule,
     _MonomialModule,
     _cocycle_presentation,
-    _d1_from_coefficients,
-    _relator_coefficients,
+    _relator_rows,
     adjoint_decomposition_check,
     adjoint_module,
     cohomologically_maximal_set,
@@ -23,6 +24,7 @@ from udrfusion.cohomology import (
     d1_oracle_cocycles,
     det_module,
     dims,
+    dims_row,
     fixed_point_dim,
     rep_module,
     sign_module,
@@ -242,8 +244,9 @@ def test_dims_rejects_non_monomial_generator(monkeypatch):
         (Rep2(params, good.label, FpMatrix.diagonal(p, (2, 6)), good.mat_s), "powers of omega"),
         (Rep2(params, good.label, good.mat_r, FpMatrix(p, ((0, 2), (6, 0)))), "signed permutation"),
     )
-    # past both memos, so that dims reads the broken matrices
+    # past every memo, so that dims reads the broken matrices
     monkeypatch.setattr(cohomology, "_irr2_monomial", cohomology._irr2_monomial.__wrapped__)
+    monkeypatch.setattr(cohomology, "dims_row", cohomology.dims_row.__wrapped__)
     for rep, message in broken:
         monkeypatch.setattr(cohomology, "irr2_rep", lambda _params, _i, rep=rep: rep)
         with pytest.raises(ValueError, match=message):
@@ -331,9 +334,32 @@ def _expand_letter_by_letter(rel, operator, operator_inv):
     return coeff
 
 
+def _as_fp_matrix(p, flat):
+    return FpMatrix(p, [flat[start : start + 4] for start in (0, 4, 8, 12)])
+
+
+def _reference_system(params, i0, j):
+    """The coefficient rows of all ten relators, expanded letter by letter
+    with FpMatrix operators, and dim M^G as a dense nullity."""
+    p = params.p
+    operator, operator_inv, relators = _cocycle_presentation(params, i0, j)
+    dense = {sym: _as_fp_matrix(p, op) for sym, op in operator.items()}
+    dense_inv = {sym: _as_fp_matrix(p, op) for sym, op in operator_inv.items()}
+    rows = []
+    for rel in relators:
+        coeff = _expand_letter_by_letter(rel, dense, dense_inv)
+        rows += [tuple(v for sym in "abrs" for v in coeff[sym].data[rix]) for rix in range(4)]
+    ident = FpMatrix.identity(p, 4)
+    m_fixed = 4 - FpMatrix(p, (dense["r"] - ident).data + (dense["s"] - ident).data).rank()
+    return rows, m_fixed
+
+
 def test_oracle_expansion_matches_letter_by_letter_reference():
+    """On every cell verify checks, the flat operators are the conjugation
+    operators and their inverses, the kernel's coefficient rows equal the
+    FpMatrix letter-by-letter expansion, and d1 equals the reference's."""
     checked = 0
-    for n in range(3, 9):
+    for n in range(3, 13):
         for p in find_primes(n, 2):
             params = DihedralParams.standard(n, p)
             if 2 * n * p * p > H1_ORACLE_GROUP_ORDER_LIMIT:
@@ -341,26 +367,61 @@ def test_oracle_expansion_matches_letter_by_letter_reference():
             for i0 in params.irr2_indices():
                 for j in params.irr2_indices():
                     operator, operator_inv, relators = _cocycle_presentation(params, i0, j)
-                    reference = [
-                        _expand_letter_by_letter(rel, operator, operator_inv) for rel in relators
-                    ]
+                    rep = irr2_rep(params, j)
+                    for sym, mat in (("r", rep.mat_r), ("s", rep.mat_s)):
+                        dense = _as_fp_matrix(p, operator[sym])
+                        assert _as_fp_matrix(p, operator_inv[sym]) == dense.inverse()
+                        # column c is the image of the c-th of E11, E12, E21, E22
+                        for col in range(4):
+                            basis = FpMatrix(p, [[int(2 * r + c == col) for c in (0, 1)]
+                                                 for r in (0, 1)])
+                            image = mat * basis * mat.inverse()
+                            assert tuple(row[col] for row in dense.data) == (
+                                image.data[0] + image.data[1]
+                            )
+                    reference, m_fixed = _reference_system(params, i0, j)
                     assert [
-                        _relator_coefficients(rel, operator, operator_inv) for rel in relators
+                        row
+                        for rel in relators
+                        for row in _relator_rows(p, rel, operator, operator_inv)
                     ] == reference, (n, p, i0, j)
-                    expected = _d1_from_coefficients(operator, reference)
+                    expected = 16 - FpMatrix(p, reference).rank() - (4 - m_fixed)
                     assert d1_oracle_cocycles(params, i0, j) == expected, (n, p, i0, j)
                     checked += 1
-    # every instance within the guard: n = 7 at p = 29, 43 and n = 8 at
-    # p = 41 lie beyond it
-    assert checked == 29
+    # every instance within the guard, as in verify: n = 7 at p = 29, 43,
+    # n = 8 at p = 41 and larger n at either prime lie beyond it
+    assert checked == 86
+
+
+def test_rank_over_an_echelon_form_is_the_stacked_rank():
+    """The oracle ranks the conjugation rows over the memoized echelon
+    form of the module rows.  On the oracle's own systems the two never
+    share a pivot column (a and b act trivially on M), so random rows,
+    some of them combinations of the echelon rows, exercise the
+    reduction."""
+    rng = random.Random(0)
+    for case in range(300):
+        p = rng.choice((3, 7, 13, 29))
+
+        def random_row():
+            return [rng.randrange(p) for _ in range(16)]
+
+        base = [random_row() for _ in range(rng.randrange(1, 10))]
+        rows = [random_row() for _ in range(rng.randrange(0, 6))]
+        f = rng.randrange(1, p)
+        rows.append([(f * v + w) % p for v, w in zip(rng.choice(base), random_row())])
+        rows.append([f * v % p for v in rng.choice(base)])
+        echelon = cohomology._echelon(p, base)
+        assert cohomology._rank_over(p, echelon, rows) == FpMatrix(p, base + rows).rank(), case
 
 
 def _full_expansion_d1(params, i0, j):
-    """d1 from all ten relators of _cocycle_presentation, expanded afresh."""
+    """d1 from all ten relators of _cocycle_presentation, expanded afresh
+    and ranked as one system."""
+    p = params.p
     operator, operator_inv, relators = _cocycle_presentation(params, i0, j)
-    return _d1_from_coefficients(
-        operator, [_relator_coefficients(rel, operator, operator_inv) for rel in relators]
-    )
+    rows = [row for rel in relators for row in _relator_rows(p, rel, operator, operator_inv)]
+    return 16 - FpMatrix(p, rows).rank() - (4 - cohomology._invariant_dim(p, operator))
 
 
 def test_memoized_oracle_half_matches_the_full_expansion():
@@ -386,14 +447,14 @@ def test_memoized_oracle_half_matches_the_full_expansion():
 
 def test_memoized_oracle_half_matches_beyond_the_guard(monkeypatch):
     """With the guard lifted, the split oracle agrees with the full
-    expansion and with dims on every cell for n = 3..9, two primes each,
+    expansion and with dims on every cell for n = 3..12, two primes each,
     and its calls take under 0.3 s from a cold memo."""
     monkeypatch.setattr(cohomology, "H1_ORACLE_GROUP_ORDER_LIMIT", 10**12)
     cohomology._cocycle_module.cache_clear()
     mismatches = []
     oracle_s = 0.0
     cells = 0
-    for n in range(3, 10):
+    for n in range(3, 13):
         for p in find_primes(n, 2):
             params = DihedralParams.standard(n, p)
             for i0 in params.irr2_indices():
@@ -404,7 +465,7 @@ def test_memoized_oracle_half_matches_beyond_the_guard(monkeypatch):
                     if d1 != _full_expansion_d1(params, i0, j) or d1 != dims(params, i0, j).d1:
                         mismatches.append((n, p, i0, j))
                     cells += 1
-    assert cells == 88 and mismatches == []
+    assert cells == 220 and mismatches == []
     assert oracle_s < 0.3
 
 
@@ -443,7 +504,127 @@ def _monomial_pair(draw):
 @given(_monomial_pair())
 def test_tensor_fixed_point_dim_counts_the_built_product(pair):
     a, b = pair
-    assert a.tensor_fixed_point_dim(b) == a.tensor(b).fixed_point_dim()
+    assert a.tensor_fixed_point_dims([(b, b.by_weight())]) == [a.tensor(b).fixed_point_dim()]
+
+
+def test_dims_row_counts_the_built_products():
+    """Every entry of the signature row equals the invariant counts of the
+    built products phi~ (x) adj_j and det phi~ (x) adj_j, on n = 3..40 at
+    one prime each."""
+    entries = 0
+    for n in range(3, 41):
+        params = DihedralParams.standard(n)
+        adjoints = {}
+        for j in params.irr2_indices():
+            v = _MonomialModule.from_rep(irr2_rep(params, j))
+            adjoints[j] = v.dual().tensor(v)
+        for i0 in params.irr2_indices():
+            phi_tilde = _MonomialModule.from_rep(irr2_rep(params, i0)).dual()
+            row = dims_row(params, i0)
+            assert len(row) == len(adjoints)
+            for (d1, d2), (j, adj) in zip(row, adjoints.items()):
+                assert d1 == phi_tilde.tensor(adj).fixed_point_dim(), (n, i0, j)
+                assert d2 - d1 == phi_tilde.det().tensor(adj).fixed_point_dim(), (n, i0, j)
+                assert dims(params, i0, j) == CohomologyDims(d1, d2)
+                entries += 1
+    assert entries == sum(((n - 1) // 2) ** 2 for n in range(3, 41))
+
+
+def test_dims_rejects_indices_outside_the_row():
+    params = DihedralParams.standard(5)
+    for j in (0, 3, -1):
+        with pytest.raises(ValueError, match="not in"):
+            dims(params, 1, j)
+
+
+# The cocycle oracle and the dims route it checks share no code beyond
+# the representation matrices: the oracle's code never names the route,
+# and the route's code never names an oracle helper.
+_ROUTE_NAMES = {"dims", "dims_row", "_irr2_monomial", "_MonomialModule"}
+
+
+def _oracle_roots():
+    return [cohomology.d1_oracle_cocycles, cohomology._cocycle_presentation]
+
+
+def _route_roots():
+    return [cohomology.dims, cohomology.dims_row]
+
+
+def _reached(roots):
+    """The package functions and classes reachable from roots, and every
+    name their code objects (nested ones included) refer to.  A name is
+    followed when it resolves, in the globals of the code that names it,
+    to a function or class of the package; memoized functions through
+    __wrapped__, classes through the functions in their namespace."""
+    names, reached, seen = set(), [], set()
+    todo = list(roots)
+    while todo:
+        obj = todo.pop()
+        obj = getattr(obj, "__wrapped__", obj)
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        reached.append(obj)
+        if isinstance(obj, type):
+            for member in vars(obj).values():
+                member = getattr(member, "__func__", member)  # class/static methods
+                if isinstance(member, FunctionType):
+                    todo.append(member)
+            continue
+        codes = [obj.__code__]
+        while codes:
+            code = codes.pop()
+            names.update(code.co_names)
+            codes += [const for const in code.co_consts if isinstance(const, CodeType)]
+            for name in code.co_names:
+                target = obj.__globals__.get(name)
+                module = getattr(target, "__module__", None) or ""
+                if module.startswith("udrfusion") and (
+                    isinstance(target, (type, FunctionType)) or hasattr(target, "__wrapped__")
+                ):
+                    todo.append(target)
+    return reached, names
+
+
+def _cross_references():
+    """(route names the oracle's code refers to, oracle helpers the
+    route's code refers to), with the oracle helpers being the functions
+    of the cohomology module reached from the oracle."""
+    reached, oracle_names = _reached(_oracle_roots())
+    helpers = {
+        obj.__name__ for obj in reached if getattr(obj, "__module__", None) == cohomology.__name__
+    }
+    assert {"_cocycle_module", "_relator_rows", "_mul4", "_invariant_dim"} <= helpers
+    _, route_names = _reached(_route_roots())
+    assert {"_irr2_monomial", "tensor_fixed_point_dims"} <= route_names
+    return oracle_names & _ROUTE_NAMES, route_names & helpers
+
+
+def test_oracle_and_dims_route_share_no_code():
+    assert _cross_references() == (set(), set())
+
+
+def _planted(name, source):
+    """A function compiled from source in a copy of the cohomology
+    namespace, to stand in for the helper name."""
+    namespace = dict(vars(cohomology))
+    exec(source, namespace)
+    return namespace[name]
+
+
+def test_independence_check_sees_a_planted_cross_reference(monkeypatch):
+    # an oracle helper that names dims inside a comprehension
+    monkeypatch.setattr(cohomology, "_invariant_dim", _planted(
+        "_invariant_dim", "def _invariant_dim(p, operator):\n    return [dims for _ in operator][0]\n"
+    ))
+    assert "dims" in _cross_references()[0]
+    monkeypatch.undo()
+    # a route helper that names an oracle helper
+    monkeypatch.setattr(cohomology, "_irr2_monomial", _planted(
+        "_irr2_monomial", "def _irr2_monomial(params, i):\n    return _mul4\n"
+    ))
+    assert "_mul4" in _cross_references()[1]
 
 
 def test_every_cache_is_bounded():
@@ -454,4 +635,4 @@ def test_every_cache_is_bounded():
             if hasattr(value, "cache_parameters") and value.__module__ == module.__name__:
                 assert value.cache_parameters()["maxsize"] is not None, (name, attr)
                 bounded.add(attr)
-    assert {"dims", "irr2_rep", "_irr2_monomial", "_cocycle_module"} <= bounded
+    assert {"dims", "dims_row", "irr2_rep", "_irr2_monomial", "_cocycle_module"} <= bounded
