@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from math import gcd, lcm, prod
 
 from .cohomology import CohomologyDims
@@ -39,6 +38,7 @@ from .fusion import (
     coset_minima,
     fusion_numbers,
 )
+from .records import FrozenRecord
 
 ABELIAN_BRUTE_FORCE_LIMIT = 10**6
 
@@ -59,13 +59,16 @@ def smallest_valid_abelian_prime(exponent: int, group_order: int) -> int:
     )
 
 
-@dataclass(frozen=True)
-class AbelianParams:
+class AbelianParams(FrozenRecord):
     """Product of cyclic groups Z/m_1 x ... x Z/m_t over F_p, with the
     group exponent dividing p - 1 and p coprime to the group order."""
 
-    cyclic_orders: tuple
-    p: int
+    __slots__ = _fields = ("cyclic_orders", "p")
+
+    def __init__(self, cyclic_orders: tuple, p: int) -> None:
+        object.__setattr__(self, "cyclic_orders", cyclic_orders)
+        object.__setattr__(self, "p", p)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         orders = tuple(int(m) for m in self.cyclic_orders)
@@ -107,13 +110,16 @@ class AbelianParams:
         return tuple(primitive_root_of_unity(self.p, m) for m in self.cyclic_orders)
 
 
-@dataclass(frozen=True)
-class CharacterPair:
+class CharacterPair(FrozenRecord):
     """Two characters of the group, each given by its generator images."""
 
-    params: AbelianParams
-    theta1: tuple
-    theta2: tuple
+    __slots__ = _fields = ("params", "theta1", "theta2")
+
+    def __init__(self, params: AbelianParams, theta1: tuple, theta2: tuple) -> None:
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "theta1", theta1)
+        object.__setattr__(self, "theta2", theta2)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         p = self.params.p

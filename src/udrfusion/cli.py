@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 from math import gcd
 
 from . import __version__
@@ -156,7 +157,8 @@ def _report_text(report: dict) -> str:
         return json.dumps(report, indent=2) + "\n"
     skeleton = {**report, "fusion": {**fusion, "representatives": _PLACEHOLDER}}
     head, tail = json.dumps(skeleton, indent=2).split(json.dumps(_PLACEHOLDER), 1)
-    rows = ",\n      ".join([_REPRESENTATIVE_ROW % rep for rep in representatives])
+    template = ",\n      ".join([_REPRESENTATIVE_ROW] * len(representatives))
+    rows = template % tuple(chain.from_iterable(representatives))
     return "".join((head, "[\n      ", rows, "\n    ]", tail, "\n"))
 
 

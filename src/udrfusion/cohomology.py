@@ -31,7 +31,6 @@ representation matrices themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .dihedral import (
@@ -43,20 +42,24 @@ from .dihedral import (
     t_map,
 )
 from .ffield import FpMatrix, LimitExceeded, _gauss_jordan
+from .records import FrozenRecord
 
 H1_ORACLE_GROUP_ORDER_LIMIT = 10**4
 
 
-@dataclass(frozen=True)
-class GModule:
+class GModule(FrozenRecord):
     """A module over the dihedral group of order 2n, given by the action
     of the two generators.  Construction checks the defining relations."""
 
-    n: int
-    p: int
-    dim: int
-    mat_r: FpMatrix
-    mat_s: FpMatrix
+    __slots__ = _fields = ("n", "p", "dim", "mat_r", "mat_s")
+
+    def __init__(self, n: int, p: int, dim: int, mat_r: FpMatrix, mat_s: FpMatrix) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "mat_r", mat_r)
+        object.__setattr__(self, "mat_s", mat_s)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         ident = FpMatrix.identity(self.p, self.dim)
@@ -150,10 +153,12 @@ def fixed_point_dim(m: GModule) -> int:
     return proj.rank()
 
 
-@dataclass(frozen=True)
-class CohomologyDims:
-    d1: int
-    d2: int
+class CohomologyDims(FrozenRecord):
+    __slots__ = _fields = ("d1", "d2")
+
+    def __init__(self, d1: int, d2: int) -> None:
+        object.__setattr__(self, "d1", d1)
+        object.__setattr__(self, "d2", d2)
 
 
 class _MonomialModule:

@@ -11,7 +11,6 @@ of ring classes determines that orbit structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 
@@ -31,6 +30,7 @@ from .fusion import (
     fusion_orbits_closed_form,
     same_fusion,
 )
+from .records import FrozenRecord, Record
 
 
 class UdrClass(Enum):
@@ -55,11 +55,13 @@ _UDR_LABELS = {
 }
 
 
-@dataclass(eq=True)
-class UdrSignature:
+class UdrSignature(Record):
     """Ring class per 2-dim irreducible index, for one fixed action."""
 
-    per_rep: dict
+    __slots__ = _fields = ("per_rep",)
+
+    def __init__(self, per_rep: dict) -> None:
+        self.per_rep = per_rep
 
     def digest(self) -> str:
         """One letter per index in increasing order: T for the t-torsion
@@ -70,12 +72,14 @@ class UdrSignature:
         )
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    check_name: str
-    parameters: tuple
-    passed: bool
-    witness: object = None
+class VerificationReport(FrozenRecord):
+    __slots__ = _fields = ("check_name", "parameters", "passed", "witness")
+
+    def __init__(self, check_name: str, parameters: tuple, passed: bool, witness=None) -> None:
+        object.__setattr__(self, "check_name", check_name)
+        object.__setattr__(self, "parameters", parameters)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "witness", witness)
 
 
 def _class_of(d2: int) -> UdrClass:

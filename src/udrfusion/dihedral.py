@@ -12,7 +12,6 @@ rotation character r -> w^i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
@@ -23,6 +22,7 @@ from .ffield import (
     multiplicative_order,
     primitive_root_of_unity,
 )
+from .records import FrozenRecord
 
 
 def irr2_indices(n: int) -> range:
@@ -32,17 +32,20 @@ def irr2_indices(n: int) -> range:
     return range(1, (n + 1) // 2)
 
 
-@dataclass(frozen=True)
-class DihedralParams:
+class DihedralParams(FrozenRecord):
     """A dihedral group of order 2n together with a splitting prime field.
 
     Requires p odd, p = 1 (mod n), and omega of multiplicative order
     exactly n, so that all irreducibles are realized over F_p.
     """
 
-    n: int
-    p: int
-    omega: int
+    __slots__ = _fields = ("n", "p", "omega")
+
+    def __init__(self, n: int, p: int, omega: int) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "omega", omega)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.n < 3:
@@ -148,13 +151,15 @@ def center(n: int) -> list[GroupElement]:
     return [g for g in group_elements(n) if g * r == r * g and g * s == s * g]
 
 
-@dataclass(frozen=True)
-class RepLabel:
+class RepLabel(FrozenRecord):
     """Isomorphism label: a 2-dim irreducible, a reducible induced
     representation, or a one-dimensional character."""
 
-    kind: str  # "irr2" | "ind" | "triv" | "sign"
-    index: int = 0
+    __slots__ = _fields = ("kind", "index")
+
+    def __init__(self, kind: str, index: int = 0) -> None:
+        object.__setattr__(self, "kind", kind)  # "irr2" | "ind" | "triv" | "sign"
+        object.__setattr__(self, "index", index)
 
     @classmethod
     def irr2(cls, i: int) -> "RepLabel":
@@ -183,14 +188,18 @@ class RepLabel:
         return "chi1"
 
 
-@dataclass(frozen=True)
-class Rep2:
+class Rep2(FrozenRecord):
     """A two-dimensional representation given by its generator matrices."""
 
-    params: DihedralParams
-    label: RepLabel
-    mat_r: FpMatrix
-    mat_s: FpMatrix
+    __slots__ = _fields = ("params", "label", "mat_r", "mat_s")
+
+    def __init__(
+        self, params: DihedralParams, label: RepLabel, mat_r: FpMatrix, mat_s: FpMatrix
+    ) -> None:
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "mat_r", mat_r)
+        object.__setattr__(self, "mat_s", mat_s)
 
     def matrix(self, g: GroupElement) -> FpMatrix:
         m = self.mat_r ** g.rot

@@ -19,13 +19,16 @@ an orbit's point set is computed from its representative on first access.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 from math import gcd
+from operator import itemgetter
 
 from .dihedral import DihedralParams, GroupElement, group_elements, irr2_rep
 from .ffield import LimitExceeded
+from .records import FrozenRecord, Record
 
 NPoint = tuple[int, int]
 
@@ -38,18 +41,28 @@ BRUTE_FORCE_POINT_LIMIT = 10**6
 ORBIT_LIMIT = 10**6
 
 
-@dataclass(frozen=True)
-class FusionOrbit:
+class FusionOrbit(FrozenRecord):
     """One orbit: lexicographically least representative, size, and the
     stabilizer of the representative (generators plus order).  The full
     point set, elements, is the image set of the representative under
-    images, computed on first access."""
+    images, computed on first access; images is left out of repr and ==."""
 
-    representative: NPoint
-    size: int
-    stabilizer_order: int
-    stabilizer_gens: tuple
-    images: OrbitMap = field(repr=False, compare=False)
+    _fields = ("representative", "size", "stabilizer_order", "stabilizer_gens")
+
+    def __init__(
+        self,
+        representative: NPoint,
+        size: int,
+        stabilizer_order: int,
+        stabilizer_gens: tuple,
+        images: OrbitMap,
+    ) -> None:
+        object.__setattr__(self, "representative", representative)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "stabilizer_order", stabilizer_order)
+        object.__setattr__(self, "stabilizer_gens", stabilizer_gens)
+        object.__setattr__(self, "images", images)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.size < 1 or self.stabilizer_order < 1:
@@ -63,8 +76,7 @@ class FusionOrbit:
         return points
 
 
-@dataclass(frozen=True)
-class FusionOrbitSet:
+class FusionOrbitSet(FrozenRecord):
     """A full orbit partition of F_p x F_p, sorted by representative.
 
     rows holds one (representative, size, stabilizer_order,
@@ -73,13 +85,19 @@ class FusionOrbitSet:
     the census, the count or the representatives builds none.
     point_sets, when given, holds the point set of each row (a sweep has
     them already) and becomes the elements of the orbits built.  images
-    is the action shared by every orbit of the set.
+    is the action shared by every orbit of the set.  images and
+    point_sets are left out of repr and ==.
     """
 
-    rows: tuple
-    p: int
-    images: OrbitMap = field(repr=False, compare=False)
-    point_sets: tuple | None = field(default=None, repr=False, compare=False)
+    _fields = ("rows", "p")
+
+    def __init__(
+        self, rows: tuple, p: int, images: OrbitMap, point_sets: tuple | None = None
+    ) -> None:
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "point_sets", point_sets)
 
     @cached_property
     def orbits(self) -> tuple:
@@ -113,17 +131,16 @@ class FusionOrbitSet:
         return frozenset(orb.elements for orb in self.orbits)
 
     def size_census(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for _, size, _, _ in self.rows:
-            counts[size] = counts.get(size, 0) + 1
-        return dict(sorted(counts.items()))
+        return dict(sorted(Counter(map(itemgetter(1), self.rows)).items()))
 
 
-@dataclass(eq=True)
-class FusionNumbers:
+class FusionNumbers(Record):
     """Census size -> number of orbits of that size."""
 
-    counts: dict
+    __slots__ = _fields = ("counts",)
+
+    def __init__(self, counts: dict) -> None:
+        self.counts = counts
 
     @classmethod
     def from_orbits(cls, orbit_set: FusionOrbitSet) -> "FusionNumbers":
@@ -194,7 +211,7 @@ def _sweep_orbits(p: int, table) -> FusionOrbitSet:
             if min(orbit) != rep:
                 raise ValueError(f"the table does not map {rep} to the least point of its orbit")
             seen |= orbit
-            stab = tuple(g for g, image in zip(elements, image_list) if image == rep)
+            stab = tuple(compress(elements, [image == rep for image in image_list]))
             rows.append((rep, len(orbit), len(stab), stab))
             point_sets.append(orbit)
     # the sweep already holds every point set: hand them to the orbits

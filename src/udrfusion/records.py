@@ -1,0 +1,49 @@
+"""Plain value classes: the package's records, without dataclasses.
+
+A subclass names in _fields the attributes that its repr shows and that
+== compares, in constructor order, and writes its own __init__.  ==
+holds only between instances of the same class, as for a dataclass.  A
+Record is mutable and unhashable; a FrozenRecord refuses assignment and
+hashes the tuple of its _fields, so it can key a cache.  Importing
+dataclasses would pull inspect, ast, dis and tokenize into every CLI
+process, and each decorator compiles its generated methods at import.
+"""
+
+from __future__ import annotations
+
+from operator import attrgetter
+
+
+class Record:
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "_fields" in cls.__dict__:
+            names = cls._fields
+            get = attrgetter(*names)
+            # attrgetter of one name returns the bare value, not a 1-tuple
+            cls._values = staticmethod(get if len(names) > 1 else lambda obj: (get(obj),))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __repr__(self) -> str:
+        values = zip(self._fields, self._values(self))
+        return f"{self.__class__.__qualname__}({', '.join(f'{k}={v!r}' for k, v in values)})"
+
+
+class FrozenRecord(Record):
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -23,7 +22,7 @@ from udrfusion.deformation import (
     udr_signature,
 )
 from udrfusion.dihedral import DihedralParams, GroupElement, omega_set
-from udrfusion.fusion import fusion_orbits_bruteforce
+from udrfusion.fusion import FusionOrbitSet, fusion_orbits_bruteforce
 
 
 def test_udr_class_frozen():
@@ -97,8 +96,10 @@ def test_orbit_checks_pass_on_the_sweep_and_fail_on_a_corrupted_one(n, i0):
     params = DihedralParams.standard(n)
     brute = fusion_orbits_bruteforce(params, i0)
     *kept, (rep, size, stabilizer_order, gens) = brute.rows
-    dropped = replace(brute, rows=tuple(kept))
-    restabilized = replace(brute, rows=(*kept, (rep, size, 2 * stabilizer_order, gens)))
+    dropped = FusionOrbitSet(tuple(kept), brute.p, brute.images, brute.point_sets)
+    restabilized = FusionOrbitSet(
+        (*kept, (rep, size, 2 * stabilizer_order, gens)), brute.p, brute.images, brute.point_sets
+    )
     closed_form = check_orbit_closed_form(params, i0, brute)
     census = check_orbit_census(params, i0, brute)
     assert (closed_form.check_name, closed_form.parameters, closed_form.passed) == (
@@ -127,14 +128,15 @@ def test_orbit_closed_form_check_compares_row_by_row(n, i0):
     other_point = max(point_sets[pos])
     assert other_point > rep
     rows[pos] = (other_point, size, stabilizer_order, gens)
-    non_least = replace(brute, rows=tuple(rows))
+    non_least = FusionOrbitSet(tuple(rows), brute.p, brute.images, brute.point_sets)
     point_sets[pos], point_sets[pos + 1] = point_sets[pos + 1], point_sets[pos]
-    swapped = replace(brute, point_sets=tuple(point_sets))
+    swapped = FusionOrbitSet(brute.rows, brute.p, brute.images, tuple(point_sets))
     assert non_least.partition() == swapped.partition() == brute.partition()
     assert not check_orbit_closed_form(params, i0, non_least).passed
     assert not check_orbit_closed_form(params, i0, swapped).passed
     # without point sets the sweep's rows are expanded through its images
-    assert check_orbit_closed_form(params, i0, replace(brute, point_sets=None)).passed
+    unswept = FusionOrbitSet(brute.rows, brute.p, brute.images)
+    assert check_orbit_closed_form(params, i0, unswept).passed
     # the census reads orbit sizes only
     assert check_orbit_census(params, i0, non_least).passed
     assert check_orbit_census(params, i0, swapped).passed
