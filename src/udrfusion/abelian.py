@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from itertools import repeat
 from math import gcd, lcm, prod
 
-from .cohomology import CohomologyDims
-from .deformation import UdrClass
 from .ffield import (
     PRIME_SEARCH_CEILING,
     FpMatrix,
@@ -38,9 +37,14 @@ from .fusion import (
     coset_minima,
     fusion_numbers,
 )
-from .records import FrozenRecord
+from .records import CohomologyDims, FrozenRecord, UdrClass
 
 ABELIAN_BRUTE_FORCE_LIMIT = 10**6
+
+# elements() refuses a group of more elements than this, so that every
+# route that walks the group (the projector, the orbit tables, the brute
+# forces) is bounded; the largest admitted analyze takes under a second
+ABELIAN_GROUP_ORDER_LIMIT = 10**4
 
 
 def smallest_valid_abelian_prime(exponent: int, group_order: int) -> int:
@@ -102,7 +106,13 @@ class AbelianParams(FrozenRecord):
         return lcm(*self.cyclic_orders)
 
     def elements(self):
-        """All group elements as exponent tuples, in lexicographic order."""
+        """All group elements as exponent tuples, in lexicographic order.
+        Raises LimitExceeded, before enumerating, for a group of more than
+        ABELIAN_GROUP_ORDER_LIMIT elements."""
+        if self.order > ABELIAN_GROUP_ORDER_LIMIT:
+            raise LimitExceeded(
+                f"group has {self.order} elements, limit is {ABELIAN_GROUP_ORDER_LIMIT}"
+            )
         return itertools.product(*(range(m) for m in self.cyclic_orders))
 
     def generator_roots(self) -> tuple[int, ...]:
@@ -277,11 +287,13 @@ def abelian_orbits(pair: CharacterPair) -> FusionOrbitSet:
     axis_x = (len(first), len(stab_x), stab_x)
     generic = (len(image), len(stab_xy), stab_xy)
     rows = [((0, 0), 1, len(stab_0), stab_0)]
-    rows += [((0, y), *axis_y) for y in minima(second)]
+    # each run of rows shares its size and stabilizer: zip pairs the
+    # points with constant columns, so no row is built in Python code
+    rows += zip(zip(repeat(0), minima(second)), *map(repeat, axis_y))
     kernel_minima = minima(kernel)
     for x in minima(first):
         rows.append(((x, 0), *axis_x))
-        rows += [((x, y), *generic) for y in kernel_minima]
+        rows += zip(zip(repeat(x), kernel_minima), *map(repeat, generic))
     return FusionOrbitSet(tuple(rows), p, images)
 
 

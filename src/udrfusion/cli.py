@@ -1,6 +1,12 @@
 """Command line front end: analyze one action, scan a range, or run the
 verification families.  Output is deterministic; rerunning a command
-reproduces it byte for byte."""
+reproduces it byte for byte.
+
+At load this module imports only what the parser, the dispatch and the
+writers need.  Each command imports the modules of its route when it
+starts, once: analyze abelian never loads cohomology, deformation or
+dihedral, and verify and scan never load abelian.
+"""
 
 from __future__ import annotations
 
@@ -11,35 +17,8 @@ from itertools import chain
 from math import gcd
 
 from . import __version__
-from .abelian import (
-    ABELIAN_BRUTE_FORCE_LIMIT,
-    AbelianParams,
-    CharacterPair,
-    abelian_dims,
-    abelian_dims_projector,
-    abelian_fixed_count,
-    abelian_fixed_count_bruteforce,
-    abelian_orbits,
-    abelian_udr,
-)
-from .cohomology import H1_ORACLE_GROUP_ORDER_LIMIT, d1_oracle_cocycles, dims
-from .deformation import (
-    check_center_constraint,
-    check_determinability_rule,
-    check_gcd_pair_identity,
-    check_kernel_sets_detect_fusion,
-    check_maximality_matches_doubling_fibers,
-    check_orbit_census,
-    check_orbit_closed_form,
-    signature_table_determinability,
-    udr_class,
-    udr_signature,
-    UdrClass,
-    VerificationReport,
-)
-from .dihedral import DihedralParams, RepLabel, omega_set, t_map
-from .ffield import LimitExceeded, find_primes
-from .fusion import fusion_numbers, fusion_orbits_bruteforce, fusion_orbits_closed_form
+from .ffield import LimitExceeded
+from .records import UdrClass, VerificationReport
 
 _VERIFY_DEFAULT_NMAX = {
     "thm42": 12,
@@ -163,16 +142,31 @@ def _report_text(report: dict) -> str:
 
 
 def _fusion_block(k: int | None, orbit_set) -> dict:
-    census = fusion_numbers(orbit_set)
     return {
         "k": k,
-        "numbers": {str(size): cnt for size, cnt in sorted(census.counts.items())},
+        "numbers": {str(size): cnt for size, cnt in orbit_set.size_census().items()},
         "orbit_count": orbit_set.orbit_count,
         "representatives": orbit_set.representatives,
     }
 
 
-def _dihedral_report(params: DihedralParams, i0: int) -> dict:
+def _analyze_dihedral(args) -> dict:
+    """The report of analyze dihedral on the parsed arguments."""
+    from .cohomology import dims
+    from .deformation import (
+        check_center_constraint,
+        check_kernel_sets_detect_fusion,
+        check_orbit_census,
+        check_orbit_closed_form,
+        udr_class,
+    )
+    from .dihedral import DihedralParams, RepLabel, omega_set, t_map
+    from .fusion import fusion_orbits_bruteforce, fusion_orbits_closed_form
+
+    params = DihedralParams.standard(args.n, args.p)
+    i0 = args.i0
+    if i0 not in params.irr2_indices():
+        raise ValueError(f"--i0 must lie in [1, {args.n}/2), got {i0}")
     n, p = params.n, params.p
     closed = fusion_orbits_closed_form(params, i0)
     checks = []
@@ -243,8 +237,24 @@ def _dihedral_csv(report: dict) -> str:
     )
 
 
-def _abelian_report(pair: CharacterPair) -> dict:
-    params = pair.params
+def _analyze_abelian(args) -> dict:
+    """The report of analyze abelian on the parsed arguments."""
+    from .abelian import (
+        ABELIAN_BRUTE_FORCE_LIMIT,
+        AbelianParams,
+        CharacterPair,
+        abelian_dims,
+        abelian_dims_projector,
+        abelian_fixed_count,
+        abelian_fixed_count_bruteforce,
+        abelian_orbits,
+        abelian_udr,
+    )
+
+    params = AbelianParams.standard(_parse_int_list(args.orders, "--orders"), args.p)
+    e1 = _parse_int_list(args.theta1, "--theta1")
+    e2 = _parse_int_list(args.theta2, "--theta2")
+    pair = CharacterPair.from_exponents(params, e1, e2)
     dd = abelian_dims(pair)
     # the projector's d1 is a rank, found without counting trivial characters
     projected = abelian_dims_projector(pair)
@@ -324,6 +334,10 @@ def _scan_work(n_min: int, n_max: int, primes_per_n: int) -> int:
 
 
 def _scan_rows(n_min: int, n_max: int, primes_per_n: int) -> list[dict]:
+    from .deformation import signature_table_determinability, udr_signature
+    from .dihedral import DihedralParams, omega_set
+    from .ffield import find_primes
+
     work = _scan_work(n_min, n_max, primes_per_n)
     if work > SCAN_WORK_LIMIT:
         raise LimitExceeded(
@@ -353,7 +367,7 @@ def _scan_rows(n_min: int, n_max: int, primes_per_n: int) -> list[dict]:
 
 
 # verify families that check the brute-force orbit sweep of every (n, p, i0)
-_ORBIT_CHECKS = {"prop48": check_orbit_closed_form, "cor49": check_orbit_census}
+_ORBIT_FAMILIES = ("prop48", "cor49")
 
 # verify refuses a run whose families need more work than this, counted
 # in units of about one group element applied to one point by an orbit
@@ -363,18 +377,17 @@ _ORBIT_CHECKS = {"prop48": check_orbit_closed_form, "cor49": check_orbit_census}
 VERIFY_WORK_LIMIT = 10**8
 
 
-def _family_work(token: str, n: int) -> int:
-    """About how many work units family token spends on rank n.  Each
-    family counts the steps that dominate it, weighted by their cost in
-    units (measured with each family alone at n-max 60 to 2000)."""
+def _family_work(token: str, n: int, primes: list[int], oracle_limit: int) -> int:
+    """About how many work units family token spends on rank n, checked
+    at primes where it takes them; the cocycle oracle runs on a group of
+    at most oracle_limit elements.  Each family counts the steps that
+    dominate it, weighted by their cost in units (measured with each
+    family alone at n-max 60 to 2000)."""
     h = (n - 1) // 2  # two-dimensional irreducibles, and action indices
-    if token in _ORBIT_CHECKS:  # group elements applied to points
-        return sum(h * p * p * 2 * n for p in find_primes(n, 2))
+    if token in _ORBIT_FAMILIES:  # group elements applied to points
+        return sum(h * p * p * 2 * n for p in primes)
     if token == "oracle-h1":  # cells: a cocycle system each inside the guard
-        return sum(
-            h * h * (6000 if 2 * n * p * p <= H1_ORACLE_GROUP_ORDER_LIMIT else 32)
-            for p in find_primes(n, 2)
-        )
+        return sum(h * h * (6000 if 2 * n * p * p <= oracle_limit else 32) for p in primes)
     if token == "thm42":  # kernel sets of each action against each other
         return 16 * h**3
     if token == "thm43":  # pairs of indices, with their kernels
@@ -395,11 +408,20 @@ def _check_verify_work(n_maxes: dict[str, int]) -> None:
     over the families n_maxes (token -> ceiling), passes
     VERIFY_WORK_LIMIT, so that a huge ceiling costs nothing.  prop48 and
     cor49 share their sweeps, which count once."""
+    from .cohomology import H1_ORACLE_GROUP_ORDER_LIMIT
+    from .ffield import find_primes
+
     tokens = [token for token in n_maxes if token != "cor49" or "prop48" not in n_maxes]
+    # only the orbit families and the cocycle oracle take primes
+    prime_tokens = {"oracle-h1", *_ORBIT_FAMILIES}
     top = max(n_maxes.values())
     work = 0
     for n in range(3, top + 1):
-        work += sum(_family_work(token, n) for token in tokens if n <= n_maxes[token])
+        active = [token for token in tokens if n <= n_maxes[token]]
+        primes = find_primes(n, 2) if prime_tokens.intersection(active) else []
+        work += sum(
+            _family_work(token, n, primes, H1_ORACLE_GROUP_ORDER_LIMIT) for token in active
+        )
         if work > VERIFY_WORK_LIMIT:
             raise LimitExceeded(
                 f"verify up to n = {n} (of n-max {top}) needs about {work} units of work, "
@@ -409,6 +431,8 @@ def _check_verify_work(n_maxes: dict[str, int]) -> None:
 
 def _orbit_instances(n_max: int) -> list[tuple[int, int]]:
     """The (n, p) whose sweeps the orbit families check up to n_max."""
+    from .ffield import find_primes
+
     return [(n, p) for n in range(3, n_max + 1) for p in find_primes(n, 2)]
 
 
@@ -417,18 +441,34 @@ def _run_orbit_families(
 ) -> dict[str, list[VerificationReport]]:
     """Reports of the orbit families tokens on instances, from one sweep
     per (n, p, i0) that all of them check and none of them keeps."""
+    from .deformation import check_orbit_census, check_orbit_closed_form
+    from .dihedral import DihedralParams
+    from .fusion import fusion_orbits_bruteforce
+
+    checks = {"prop48": check_orbit_closed_form, "cor49": check_orbit_census}
     reports: dict[str, list[VerificationReport]] = {token: [] for token in tokens}
     for n, p in instances:
         params = DihedralParams.standard(n, p)
         for i0 in params.irr2_indices():
             brute = fusion_orbits_bruteforce(params, i0)
             for token in tokens:
-                reports[token].append(_ORBIT_CHECKS[token](params, i0, brute))
+                reports[token].append(checks[token](params, i0, brute))
     return reports
 
 
 def _run_verify_family(token: str, n_max: int):
     """The reports of family token up to n_max, one at a time."""
+    from .cohomology import d1_oracle_cocycles, dims
+    from .deformation import (
+        check_center_constraint,
+        check_determinability_rule,
+        check_gcd_pair_identity,
+        check_kernel_sets_detect_fusion,
+        check_maximality_matches_doubling_fibers,
+    )
+    from .dihedral import DihedralParams, omega_set
+    from .ffield import find_primes
+
     if token == "thm42":
         for n in range(3, n_max + 1):
             params = DihedralParams.standard(n)
@@ -476,14 +516,14 @@ def _cmd_verify(args) -> int:
     # reports wait here until each family's turn to print, while the other
     # families print their reports as they come
     _check_verify_work(n_maxes)
-    orbit_tokens = [token for token in tokens if token in _ORBIT_CHECKS]
+    orbit_tokens = [token for token in tokens if token in _ORBIT_FAMILIES]
     instances = _orbit_instances(n_maxes[orbit_tokens[0]]) if orbit_tokens else []
     pending: dict[str, list[VerificationReport]] = {}
     failed = 0
     total = 0
     for token in tokens:
         n_max = n_maxes[token]
-        if token not in _ORBIT_CHECKS:
+        if token not in _ORBIT_FAMILIES:
             reports = _run_verify_family(token, n_max)
         else:
             if token not in pending:
@@ -509,17 +549,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_analyze(args) -> int:
     if args.family == "dihedral":
-        params = DihedralParams.standard(args.n, args.p)
-        if args.i0 not in params.irr2_indices():
-            raise ValueError(f"--i0 must lie in [1, {args.n}/2), got {args.i0}")
-        report, to_csv = _dihedral_report(params, args.i0), _dihedral_csv
+        report, to_csv = _analyze_dihedral(args), _dihedral_csv
     else:
-        orders = _parse_int_list(args.orders, "--orders")
-        params = AbelianParams.standard(orders, args.p)
-        e1 = _parse_int_list(args.theta1, "--theta1")
-        e2 = _parse_int_list(args.theta2, "--theta2")
-        pair = CharacterPair.from_exponents(params, e1, e2)
-        report, to_csv = _abelian_report(pair), _abelian_csv
+        report, to_csv = _analyze_abelian(args), _abelian_csv
     text = _report_text(report) if args.format == "json" else to_csv(report)
     _emit(text, args.out)
     return 0

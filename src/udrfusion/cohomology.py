@@ -42,7 +42,7 @@ from .dihedral import (
     t_map,
 )
 from .ffield import FpMatrix, LimitExceeded, _gauss_jordan
-from .records import FrozenRecord
+from .records import CohomologyDims, FrozenRecord
 
 H1_ORACLE_GROUP_ORDER_LIMIT = 10**4
 
@@ -151,14 +151,6 @@ def fixed_point_dim(m: GModule) -> int:
     total = acc + m.mat_s * acc
     proj = pow(2 * m.n % p, -1, p) * total
     return proj.rank()
-
-
-class CohomologyDims(FrozenRecord):
-    __slots__ = _fields = ("d1", "d2")
-
-    def __init__(self, d1: int, d2: int) -> None:
-        object.__setattr__(self, "d1", d1)
-        object.__setattr__(self, "d2", d2)
 
 
 class _MonomialModule:

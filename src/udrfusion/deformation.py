@@ -11,7 +11,6 @@ of ring classes determines that orbit structure.
 
 from __future__ import annotations
 
-from enum import Enum
 from math import gcd
 
 from .cohomology import cohomologically_maximal_set, dims, dims_row
@@ -30,29 +29,7 @@ from .fusion import (
     fusion_orbits_closed_form,
     same_fusion,
 )
-from .records import FrozenRecord, Record
-
-
-class UdrClass(Enum):
-    """Symbolic deformation ring classes; values are the comma-free tags
-    used in CSV output, .label the pretty form used in JSON."""
-
-    ZP = "Zp"
-    ZP_T_TORSION = "ZpTtorsion"
-    ZP_CP = "ZpCp"
-    ZP_CP_SQUARED = "ZpCpSquared"
-
-    @property
-    def label(self) -> str:
-        return _UDR_LABELS[self]
-
-
-_UDR_LABELS = {
-    UdrClass.ZP: "Zp",
-    UdrClass.ZP_T_TORSION: "Zp[[t]]/(t^2,pt)",
-    UdrClass.ZP_CP: "Zp[Z/p]",
-    UdrClass.ZP_CP_SQUARED: "Zp[Z/pxZ/p]",
-}
+from .records import Record, UdrClass, VerificationReport
 
 
 class UdrSignature(Record):
@@ -70,16 +47,6 @@ class UdrSignature(Record):
             "T" if self.per_rep[j] is UdrClass.ZP_T_TORSION else "Z"
             for j in sorted(self.per_rep)
         )
-
-
-class VerificationReport(FrozenRecord):
-    __slots__ = _fields = ("check_name", "parameters", "passed", "witness")
-
-    def __init__(self, check_name: str, parameters: tuple, passed: bool, witness=None) -> None:
-        object.__setattr__(self, "check_name", check_name)
-        object.__setattr__(self, "parameters", parameters)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "witness", witness)
 
 
 def _class_of(d2: int) -> UdrClass:

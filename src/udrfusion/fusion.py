@@ -15,6 +15,10 @@ abelian brute force in abelian.py runs on the same sweep.  Both routes
 return plain rows (representative, size, stabilizer); FusionOrbit
 objects are built from them only when a caller asks for the orbits, and
 an orbit's point set is computed from its representative on first access.
+
+The abelian route shares the orbit sets, the census and the sweep, so
+this module does not import dihedral at load; the three functions that
+act through theta_i0 import it when called.
 """
 
 from __future__ import annotations
@@ -25,10 +29,13 @@ from functools import cached_property
 from itertools import compress
 from math import gcd
 from operator import itemgetter
+from typing import TYPE_CHECKING
 
-from .dihedral import DihedralParams, GroupElement, group_elements, irr2_rep
 from .ffield import LimitExceeded
 from .records import FrozenRecord, Record
+
+if TYPE_CHECKING:
+    from .dihedral import DihedralParams, GroupElement
 
 NPoint = tuple[int, int]
 
@@ -166,6 +173,8 @@ class FusionNumbers(Record):
 
 def act(params: DihedralParams, i0: int, g: GroupElement, v: NPoint) -> NPoint:
     """Image of the point v under g through theta_i0."""
+    from .dihedral import irr2_rep
+
     return irr2_rep(params, i0).matrix(g).apply(v)
 
 
@@ -227,6 +236,8 @@ def fusion_orbits_bruteforce(params: DihedralParams, i0: int) -> FusionOrbitSet:
     p = params.p
     if p * p > BRUTE_FORCE_POINT_LIMIT:
         raise LimitExceeded(f"plane has {p * p} points, limit is {BRUTE_FORCE_POINT_LIMIT}")
+    from .dihedral import group_elements, irr2_rep
+
     rep = irr2_rep(params, i0)
     (r00, r01), (r10, r11) = rep.mat_r.data
     (s00, s01), (s10, s11) = rep.mat_s.data
@@ -264,6 +275,8 @@ def fusion_orbits_closed_form(params: DihedralParams, i0: int) -> FusionOrbitSet
     Raises LimitExceeded before enumerating when the census counts more
     than ORBIT_LIMIT orbits.
     """
+    from .dihedral import GroupElement
+
     n, p, w = params.n, params.p, params.omega
     if i0 not in params.irr2_indices():
         raise ValueError(f"index {i0} is not in [1, {n}/2)")

@@ -1,4 +1,5 @@
-"""Plain value classes: the package's records, without dataclasses.
+"""Plain value classes: the package's records, without dataclasses, and
+the records that both halves of the package share.
 
 A subclass names in _fields the attributes that its repr shows and that
 == compares, in constructor order, and writes its own __init__.  ==
@@ -7,10 +8,16 @@ Record is mutable and unhashable; a FrozenRecord refuses assignment and
 hashes the tuple of its _fields, so it can key a cache.  Importing
 dataclasses would pull inspect, ast, dis and tokenize into every CLI
 process, and each decorator compiles its generated methods at import.
+
+CohomologyDims, UdrClass and VerificationReport are results of the
+dihedral and the abelian routes alike.  They live here so that the
+abelian route and the CLI's writers need neither cohomology nor
+deformation.
 """
 
 from __future__ import annotations
 
+from enum import Enum
 from operator import attrgetter
 
 
@@ -47,3 +54,43 @@ class FrozenRecord(Record):
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class CohomologyDims(FrozenRecord):
+    __slots__ = _fields = ("d1", "d2")
+
+    def __init__(self, d1: int, d2: int) -> None:
+        object.__setattr__(self, "d1", d1)
+        object.__setattr__(self, "d2", d2)
+
+
+class UdrClass(Enum):
+    """Symbolic deformation ring classes; values are the comma-free tags
+    used in CSV output, .label the pretty form used in JSON."""
+
+    ZP = "Zp"
+    ZP_T_TORSION = "ZpTtorsion"
+    ZP_CP = "ZpCp"
+    ZP_CP_SQUARED = "ZpCpSquared"
+
+    @property
+    def label(self) -> str:
+        return _UDR_LABELS[self]
+
+
+_UDR_LABELS = {
+    UdrClass.ZP: "Zp",
+    UdrClass.ZP_T_TORSION: "Zp[[t]]/(t^2,pt)",
+    UdrClass.ZP_CP: "Zp[Z/p]",
+    UdrClass.ZP_CP_SQUARED: "Zp[Z/pxZ/p]",
+}
+
+
+class VerificationReport(FrozenRecord):
+    __slots__ = _fields = ("check_name", "parameters", "passed", "witness")
+
+    def __init__(self, check_name: str, parameters: tuple, passed: bool, witness=None) -> None:
+        object.__setattr__(self, "check_name", check_name)
+        object.__setattr__(self, "parameters", parameters)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "witness", witness)

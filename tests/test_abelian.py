@@ -5,6 +5,7 @@ from math import lcm, prod
 import pytest
 
 from udrfusion.abelian import (
+    ABELIAN_GROUP_ORDER_LIMIT,
     AbelianParams,
     CharacterPair,
     abelian_dims,
@@ -220,6 +221,27 @@ def test_bruteforce_guard():
         abelian_orbits_bruteforce(pair)
     with pytest.raises(LimitExceeded):
         abelian_fixed_count_bruteforce(pair)
+
+
+def test_group_order_ceiling():
+    # 2^22 elements: every route that walks the group refuses before the
+    # first element, and the closed forms still answer
+    params = AbelianParams((2,) * 22, 3)
+    pair = CharacterPair.from_exponents(params, (1,) * 22, (1,) * 22)
+    for route in (abelian_dims_projector, abelian_orbits):
+        with pytest.raises(LimitExceeded, match="group has 4194304 elements, limit is 10000"):
+            route(pair)
+    # the brute forces' plane guard refuses first
+    for route in (abelian_orbits_bruteforce, abelian_fixed_count_bruteforce):
+        with pytest.raises(LimitExceeded):
+            route(pair)
+    assert abelian_dims(pair) == CohomologyDims(0, 1)
+    assert abelian_fixed_count(pair) == 1
+    # the ceiling itself is admitted
+    at_limit = AbelianParams.standard((ABELIAN_GROUP_ORDER_LIMIT,))
+    assert sum(1 for _ in at_limit.elements()) == ABELIAN_GROUP_ORDER_LIMIT
+    with pytest.raises(LimitExceeded):
+        AbelianParams.standard((ABELIAN_GROUP_ORDER_LIMIT + 1,)).elements()
 
 
 def test_underdetermined_pair_smallest_case():

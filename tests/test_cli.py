@@ -10,7 +10,7 @@ from time import perf_counter
 
 import pytest
 
-from udrfusion import __version__, cli
+from udrfusion import __version__, abelian, cli, cohomology, ffield, fusion
 from udrfusion.cli import main
 from udrfusion.cohomology import CohomologyDims
 from udrfusion.ffield import LimitExceeded
@@ -60,13 +60,13 @@ def test_analyze_output_is_deterministic(capsys):
 
 
 def test_dims_structure_aggregate_fails_with_any_index(capsys, monkeypatch):
-    real_dims = cli.dims
+    real_dims = cohomology.dims
 
     def wrong_d2(params, i0, j):
         dd = real_dims(params, i0, j)
         return CohomologyDims(dd.d1, dd.d2 + 1)
 
-    monkeypatch.setattr(cli, "dims", wrong_d2)
+    monkeypatch.setattr(cohomology, "dims", wrong_d2)
     rc, out, _ = _run(capsys, ["analyze", "dihedral", "--n", "5", "--i0", "2"])
     assert rc == 0
     entries = [
@@ -233,6 +233,17 @@ def test_cli_abelian_prime_search_ceiling(capsys):
     assert err.startswith("error: no odd prime")
 
 
+def test_cli_abelian_group_order_ceiling(capsys):
+    # 2^22 elements: refused before any element is enumerated
+    twos, ones = ",".join(["2"] * 22), ",".join(["1"] * 22)
+    start = perf_counter()
+    rc, out, err = _run(capsys, ["analyze", "abelian", "--orders", twos, "--p", "3",
+                                 "--theta1", ones, "--theta2", ones])
+    assert perf_counter() - start < 1.0
+    assert rc == 2 and out == ""
+    assert err == "error: group has 4194304 elements, limit is 10000\n"
+
+
 def test_cli_closed_form_orbit_ceiling(capsys):
     # about 1.7e11 orbits: refused from the census before any enumeration
     start = perf_counter()
@@ -286,13 +297,13 @@ def test_module_entry_point():
 
 def test_verify_sweeps_each_orbit_instance_once(capsys, monkeypatch):
     sweeps = Counter()
-    real = cli.fusion_orbits_bruteforce
+    real = fusion.fusion_orbits_bruteforce
 
     def counting(params, i0):
         sweeps[(params.n, params.p, i0)] += 1
         return real(params, i0)
 
-    monkeypatch.setattr(cli, "fusion_orbits_bruteforce", counting)
+    monkeypatch.setattr(fusion, "fusion_orbits_bruteforce", counting)
     rc, out, _ = _run(capsys, ["verify", "--n-max", "6"])
     assert rc == 0
     prop48 = [line.split()[2:] for line in out.splitlines() if line.startswith("PASS prop48 ")]
@@ -318,7 +329,7 @@ def test_verify_orbit_families_alone_equal_their_slice_of_the_full_run(capsys, c
 def test_scan_work_ceiling_admits_3_to_200(capsys, monkeypatch):
     # no primes, so the admitted range builds no table: only the
     # ceiling's verdict is under test here
-    monkeypatch.setattr(cli, "find_primes", lambda n, count: [])
+    monkeypatch.setattr(ffield, "find_primes", lambda n, count: [])
     rc, out, err = _run(capsys, ["scan", "dihedral", "--n-min", "3", "--n-max", "200"])
     assert rc == 0 and err == ""
     assert out == "n,p,i0,k,in_omega,determinable,signature\n"
@@ -328,7 +339,7 @@ def test_scan_work_ceiling_refuses_3_to_2000_before_any_work(capsys, monkeypatch
     def no_work(n, count):
         raise AssertionError("scan started work past its ceiling")
 
-    monkeypatch.setattr(cli, "find_primes", no_work)
+    monkeypatch.setattr(ffield, "find_primes", no_work)
     start = perf_counter()
     rc, out, err = _run(capsys, ["scan", "dihedral", "--n-min", "3", "--n-max", "2000"])
     assert perf_counter() - start < 1.0
@@ -350,7 +361,7 @@ def test_verify_sweep_ceiling_refuses_n_max_40_before_any_family_runs(capsys, mo
         raise AssertionError("verify started a family past its work ceiling")
 
     monkeypatch.setattr(cli, "_run_verify_family", no_work)
-    monkeypatch.setattr(cli, "fusion_orbits_bruteforce", no_work)
+    monkeypatch.setattr(fusion, "fusion_orbits_bruteforce", no_work)
     start = perf_counter()
     for n_max in ("40", str(10**9)):
         rc, out, err = _run(capsys, ["verify", "--n-max", n_max])
@@ -375,7 +386,7 @@ def test_verify_work_ceiling_refuses_each_family_alone(capsys, monkeypatch, toke
         raise AssertionError("verify started a family past its work ceiling")
 
     monkeypatch.setattr(cli, "_run_verify_family", no_work)
-    monkeypatch.setattr(cli, "fusion_orbits_bruteforce", no_work)
+    monkeypatch.setattr(fusion, "fusion_orbits_bruteforce", no_work)
     start = perf_counter()
     rc, out, err = _run(capsys, ["verify", "--check", token, "--n-max", str(10**9)])
     assert perf_counter() - start < 1.0
@@ -395,8 +406,8 @@ def test_verify_work_ceiling_admits_the_default_ceilings():
 def test_fixed_count_power_rule_fails_when_trivial_count_is_wrong(capsys, monkeypatch):
     # the rule compares the fixed count with p to the projector's rank,
     # which never asks trivial_count
-    real = cli.CharacterPair.trivial_count
-    monkeypatch.setattr(cli.CharacterPair, "trivial_count", lambda self: real(self) + 1)
+    real = abelian.CharacterPair.trivial_count
+    monkeypatch.setattr(abelian.CharacterPair, "trivial_count", lambda self: real(self) + 1)
     rc, out, _ = _run(capsys, ["analyze", "abelian", "--orders", "2,3", "--p", "7",
                                "--theta1", "1,1", "--theta2", "1,2"])
     assert rc == 0
@@ -448,6 +459,6 @@ def test_analyze_abelian_builds_no_orbit_objects(capsys, monkeypatch):
     assert rc == 0 and json.loads(out)["fusion"]["orbit_count"] == 9
     assert built["orbits"] == 0
     # the patch does count: asking for the orbits builds them
-    assert len(cli.abelian_orbits(cli.CharacterPair.from_exponents(
-        cli.AbelianParams.standard([2, 3], 7), [1, 1], [1, 2])).orbits) == 9
+    assert len(abelian.abelian_orbits(abelian.CharacterPair.from_exponents(
+        abelian.AbelianParams.standard([2, 3], 7), [1, 1], [1, 2])).orbits) == 9
     assert built["orbits"] == 9

@@ -161,7 +161,7 @@ def test_verify_orbit_families_build_no_orbit_objects(capsys, monkeypatch):
         counting("partition", fusion.FusionOrbitSet.partition),
     )
     monkeypatch.setattr(
-        cli, "fusion_orbits_bruteforce", counting("sweep", cli.fusion_orbits_bruteforce)
+        fusion, "fusion_orbits_bruteforce", counting("sweep", fusion.fusion_orbits_bruteforce)
     )
     assert cli.main(["verify", "--n-max", "6"]) == 0
     out = capsys.readouterr().out
