@@ -17,7 +17,7 @@ from itertools import chain
 from math import gcd
 
 from . import __version__
-from .ffield import LimitExceeded
+from .ffield import LimitExceeded, find_primes
 from .records import UdrClass, VerificationReport
 
 _VERIFY_DEFAULT_NMAX = {
@@ -336,7 +336,6 @@ def _scan_work(n_min: int, n_max: int, primes_per_n: int) -> int:
 def _scan_rows(n_min: int, n_max: int, primes_per_n: int) -> list[dict]:
     from .deformation import signature_table_determinability, udr_signature
     from .dihedral import DihedralParams, omega_set
-    from .ffield import find_primes
 
     work = _scan_work(n_min, n_max, primes_per_n)
     if work > SCAN_WORK_LIMIT:
@@ -409,7 +408,6 @@ def _check_verify_work(n_maxes: dict[str, int]) -> None:
     VERIFY_WORK_LIMIT, so that a huge ceiling costs nothing.  prop48 and
     cor49 share their sweeps, which count once."""
     from .cohomology import H1_ORACLE_GROUP_ORDER_LIMIT
-    from .ffield import find_primes
 
     tokens = [token for token in n_maxes if token != "cor49" or "prop48" not in n_maxes]
     # only the orbit families and the cocycle oracle take primes
@@ -431,8 +429,6 @@ def _check_verify_work(n_maxes: dict[str, int]) -> None:
 
 def _orbit_instances(n_max: int) -> list[tuple[int, int]]:
     """The (n, p) whose sweeps the orbit families check up to n_max."""
-    from .ffield import find_primes
-
     return [(n, p) for n in range(3, n_max + 1) for p in find_primes(n, 2)]
 
 
@@ -467,7 +463,6 @@ def _run_verify_family(token: str, n_max: int):
         check_maximality_matches_doubling_fibers,
     )
     from .dihedral import DihedralParams, omega_set
-    from .ffield import find_primes
 
     if token == "thm42":
         for n in range(3, n_max + 1):

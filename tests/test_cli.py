@@ -10,7 +10,7 @@ from time import perf_counter
 
 import pytest
 
-from udrfusion import __version__, abelian, cli, cohomology, ffield, fusion
+from udrfusion import __version__, abelian, cli, cohomology, fusion
 from udrfusion.cli import main
 from udrfusion.cohomology import CohomologyDims
 from udrfusion.ffield import LimitExceeded
@@ -329,7 +329,7 @@ def test_verify_orbit_families_alone_equal_their_slice_of_the_full_run(capsys, c
 def test_scan_work_ceiling_admits_3_to_200(capsys, monkeypatch):
     # no primes, so the admitted range builds no table: only the
     # ceiling's verdict is under test here
-    monkeypatch.setattr(ffield, "find_primes", lambda n, count: [])
+    monkeypatch.setattr(cli, "find_primes", lambda n, count: [])
     rc, out, err = _run(capsys, ["scan", "dihedral", "--n-min", "3", "--n-max", "200"])
     assert rc == 0 and err == ""
     assert out == "n,p,i0,k,in_omega,determinable,signature\n"
@@ -339,7 +339,7 @@ def test_scan_work_ceiling_refuses_3_to_2000_before_any_work(capsys, monkeypatch
     def no_work(n, count):
         raise AssertionError("scan started work past its ceiling")
 
-    monkeypatch.setattr(ffield, "find_primes", no_work)
+    monkeypatch.setattr(cli, "find_primes", no_work)
     start = perf_counter()
     rc, out, err = _run(capsys, ["scan", "dihedral", "--n-min", "3", "--n-max", "2000"])
     assert perf_counter() - start < 1.0
