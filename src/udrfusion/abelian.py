@@ -324,8 +324,15 @@ def find_underdetermined_pair(params: AbelianParams):
 
     Returns the first such (pair, pair) in search order, or None.  The
     existence of one shows the summary invariants cannot reconstruct
-    the orbit structure.
+    the orbit structure.  It sweeps the plane once for each of the
+    order^2 pairs, so it refuses groups whose sweeps together pass
+    ABELIAN_BRUTE_FORCE_LIMIT before the first one.
     """
+    sweep = params.order * params.p**2
+    if params.order**2 * sweep > ABELIAN_BRUTE_FORCE_LIMIT:
+        raise LimitExceeded(
+            f"{params.order**2} sweeps of size {sweep} exceed {ABELIAN_BRUTE_FORCE_LIMIT} in total"
+        )
     catalog = []
     for pair in all_character_pairs(params):
         orbit_set = abelian_orbits_bruteforce(pair)

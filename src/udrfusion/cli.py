@@ -20,18 +20,6 @@ from . import __version__
 from .ffield import LimitExceeded, find_primes
 from .records import UdrClass, VerificationReport
 
-_VERIFY_DEFAULT_NMAX = {
-    "thm42": 12,
-    "thm43": 12,
-    "thm11": 30,
-    "lemma410": 40,
-    "cor34": 12,
-    "prop48": 12,
-    "cor49": 12,
-    "oracle-h1": 12,
-}
-_VERIFY_ORDER = list(_VERIFY_DEFAULT_NMAX)
-
 # JSON reports carry the ring class label; CSV cells carry its comma-free tag
 _CSV_TAGS = {cls.label: cls.value for cls in UdrClass}
 
@@ -79,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run a verification family")
     verify.add_argument(
         "--check",
-        choices=_VERIFY_ORDER + ["all"],
+        choices=[*_VERIFY_FAMILIES, "all"],
         default="all",
         help="which family to run (see README for what each token covers)",
     )
@@ -365,165 +353,130 @@ def _scan_rows(n_min: int, n_max: int, primes_per_n: int) -> list[dict]:
     return rows
 
 
-# verify families that check the brute-force orbit sweep of every (n, p, i0)
-_ORBIT_FAMILIES = ("prop48", "cor49")
+def _thm42(n: int) -> list[VerificationReport]:
+    from .deformation import check_kernel_sets_detect_fusion
+    from .dihedral import DihedralParams, omega_set
 
-# verify refuses a run whose families need more work than this, counted
-# in units of about one group element applied to one point by an orbit
-# sweep (_family_work; about 22 ns on a 2-core Intel Xeon under CPython
-# 3.11, so the limit is a few seconds).  The default ceilings need about
-# 1.9 * 10^6, --n-max 20 about 4.8 * 10^7 and --n-max 25 about 9.7 * 10^7.
-VERIFY_WORK_LIMIT = 10**8
+    params = DihedralParams.standard(n)
+    return [check_kernel_sets_detect_fusion(params, i0) for i0 in sorted(omega_set(params))]
 
 
-def _family_work(token: str, n: int, primes: list[int], oracle_limit: int) -> int:
-    """About how many work units family token spends on rank n, checked
-    at primes where it takes them; the cocycle oracle runs on a group of
-    at most oracle_limit elements.  Each family counts the steps that
-    dominate it, weighted by their cost in units (measured with each
-    family alone at n-max 60 to 2000)."""
-    h = (n - 1) // 2  # two-dimensional irreducibles, and action indices
-    if token in _ORBIT_FAMILIES:  # group elements applied to points
-        return sum(h * p * p * 2 * n for p in primes)
-    if token == "oracle-h1":  # cells: a cocycle system each inside the guard
-        return sum(h * h * (6000 if 2 * n * p * p <= oracle_limit else 32) for p in primes)
-    if token == "thm42":  # kernel sets of each action against each other
-        return 16 * h**3
-    if token == "thm43":  # pairs of indices, with their kernels
-        return 32 * h**3
-    if token == "cor34":  # the center scanned over 2n elements per action
-        return 128 * 2 * n * h
-    if n % 2:  # thm11 and lemma410 take even n only
-        return 0
-    if token == "thm11":  # signature-table entries at two primes
-        return 128 * h * h
-    if token == "lemma410":  # one arithmetic report per even index
-        return 128 * (h // 2)
-    raise ValueError(f"unknown check {token!r}")
+def _thm43(n: int) -> list[VerificationReport]:
+    from .deformation import check_maximality_matches_doubling_fibers
+    from .dihedral import DihedralParams
+
+    return [check_maximality_matches_doubling_fibers(DihedralParams.standard(n))]
 
 
-def _check_verify_work(n_maxes: dict[str, int]) -> None:
-    """Raise LimitExceeded at the first rank n whose running work, summed
-    over the families n_maxes (token -> ceiling), passes
-    VERIFY_WORK_LIMIT, so that a huge ceiling costs nothing.  prop48 and
-    cor49 share their sweeps, which count once."""
-    from .cohomology import H1_ORACLE_GROUP_ORDER_LIMIT
+def _thm11(n: int) -> list[VerificationReport]:
+    from .deformation import check_determinability_rule
 
-    tokens = [token for token in n_maxes if token != "cor49" or "prop48" not in n_maxes]
-    # only the orbit families and the cocycle oracle take primes
-    prime_tokens = {"oracle-h1", *_ORBIT_FAMILIES}
-    top = max(n_maxes.values())
-    work = 0
-    for n in range(3, top + 1):
-        active = [token for token in tokens if n <= n_maxes[token]]
-        primes = find_primes(n, 2) if prime_tokens.intersection(active) else []
-        work += sum(
-            _family_work(token, n, primes, H1_ORACLE_GROUP_ORDER_LIMIT) for token in active
-        )
-        if work > VERIFY_WORK_LIMIT:
+    return [] if n % 2 else [check_determinability_rule(n)]
+
+
+def _lemma410(n: int) -> list[VerificationReport]:
+    from .deformation import check_gcd_pair_identity
+
+    return [] if n % 2 else [check_gcd_pair_identity(n, i0) for i0 in range(2, (n + 1) // 2, 2)]
+
+
+def _cor34(n: int) -> list[VerificationReport]:
+    from .deformation import check_center_constraint
+    from .dihedral import DihedralParams
+
+    params = DihedralParams.standard(n)
+    return [check_center_constraint(params, i0) for i0 in params.irr2_indices()]
+
+
+def _oracle_h1(n: int):
+    from .cohomology import d1_oracle_cocycles, dims
+    from .dihedral import DihedralParams
+
+    for p in find_primes(n, 2):
+        params = DihedralParams.standard(n, p)
+        for i0 in params.irr2_indices():
+            for j in params.irr2_indices():
+                try:
+                    oracle = d1_oracle_cocycles(params, i0, j)
+                except LimitExceeded:
+                    continue
+                ok = oracle == dims(params, i0, j).d1
+                yield VerificationReport("cocycle_oracle_d1", (n, p, i0, j), ok)
+
+
+# verify's families, in the order it runs them: token -> (default n
+# ceiling, largest n ceiling admitted, reports).  reports gives the
+# family's reports of one rank n; a family that checks the brute-force
+# orbit sweep of each (n, p, i0) names instead the deformation check that
+# reads a sweep, and such families share their sweeps (_sweep_reports).
+# Each largest ceiling is the last at which the family alone was
+# estimated to run in under about 2 s on a 2-core Intel Xeon under
+# CPython 3.11; a larger one is refused before any family runs.
+_VERIFY_FAMILIES = {
+    "thm42": (12, 119, _thm42),
+    "thm43": (12, 100, _thm43),
+    "thm11": (30, 267, _thm11),
+    "lemma410": (40, 3537, _lemma410),
+    "cor34": (12, 133, _cor34),
+    "prop48": (12, 25, "check_orbit_closed_form"),
+    "cor49": (12, 25, "check_orbit_census"),
+    "oracle-h1": (12, 265, _oracle_h1),
+}
+
+
+def _verify_ceilings(check: str, n_max: int | None) -> dict[str, int]:
+    """The n ceiling of each family that check runs (every family for
+    all): n_max if given, else the family's default.  A ceiling above the
+    family's largest admitted one raises LimitExceeded."""
+    ceilings = {}
+    for token in _VERIFY_FAMILIES if check == "all" else [check]:
+        default, largest, _ = _VERIFY_FAMILIES[token]
+        ceilings[token] = default if n_max is None else n_max
+        if ceilings[token] > largest:
             raise LimitExceeded(
-                f"verify up to n = {n} (of n-max {top}) needs about {work} units of work, "
-                f"limit is {VERIFY_WORK_LIMIT}"
+                f"verify {token} admits n-max up to {largest}, got {ceilings[token]}"
             )
+    return ceilings
 
 
-def _orbit_instances(n_max: int) -> list[tuple[int, int]]:
-    """The (n, p) whose sweeps the orbit families check up to n_max."""
-    return [(n, p) for n in range(3, n_max + 1) for p in find_primes(n, 2)]
-
-
-def _run_orbit_families(
-    tokens: list[str], instances: list[tuple[int, int]]
-) -> dict[str, list[VerificationReport]]:
-    """Reports of the orbit families tokens on instances, from one sweep
-    per (n, p, i0) that all of them check and none of them keeps."""
-    from .deformation import check_orbit_census, check_orbit_closed_form
+def _sweep_reports(checks: dict[str, str], n_max: int) -> dict[str, list[VerificationReport]]:
+    """The reports up to n_max of the families checks (token -> the
+    deformation check it runs), from one brute-force orbit sweep per
+    (n, p, i0) that all of them read and none of them keeps."""
+    from . import deformation
     from .dihedral import DihedralParams
     from .fusion import fusion_orbits_bruteforce
 
-    checks = {"prop48": check_orbit_closed_form, "cor49": check_orbit_census}
-    reports: dict[str, list[VerificationReport]] = {token: [] for token in tokens}
-    for n, p in instances:
-        params = DihedralParams.standard(n, p)
-        for i0 in params.irr2_indices():
-            brute = fusion_orbits_bruteforce(params, i0)
-            for token in tokens:
-                reports[token].append(checks[token](params, i0, brute))
+    runs = {token: getattr(deformation, name) for token, name in checks.items()}
+    reports: dict[str, list[VerificationReport]] = {token: [] for token in checks}
+    for n in range(3, n_max + 1):
+        for p in find_primes(n, 2):
+            params = DihedralParams.standard(n, p)
+            for i0 in params.irr2_indices():
+                brute = fusion_orbits_bruteforce(params, i0)
+                for token, check in runs.items():
+                    reports[token].append(check(params, i0, brute))
     return reports
 
 
-def _run_verify_family(token: str, n_max: int):
-    """The reports of family token up to n_max, one at a time."""
-    from .cohomology import d1_oracle_cocycles, dims
-    from .deformation import (
-        check_center_constraint,
-        check_determinability_rule,
-        check_gcd_pair_identity,
-        check_kernel_sets_detect_fusion,
-        check_maximality_matches_doubling_fibers,
-    )
-    from .dihedral import DihedralParams, omega_set
-
-    if token == "thm42":
-        for n in range(3, n_max + 1):
-            params = DihedralParams.standard(n)
-            for i0 in sorted(omega_set(params)):
-                yield check_kernel_sets_detect_fusion(params, i0)
-    elif token == "thm43":
-        for n in range(3, n_max + 1):
-            yield check_maximality_matches_doubling_fibers(DihedralParams.standard(n))
-    elif token == "thm11":
-        for n in range(4, n_max + 1, 2):
-            yield check_determinability_rule(n)
-    elif token == "lemma410":
-        for n in range(4, n_max + 1, 2):
-            for i0 in range(2, (n + 1) // 2, 2):
-                yield check_gcd_pair_identity(n, i0)
-    elif token == "cor34":
-        for n in range(3, n_max + 1):
-            params = DihedralParams.standard(n)
-            for i0 in params.irr2_indices():
-                yield check_center_constraint(params, i0)
-    elif token == "oracle-h1":
-        for n in range(3, n_max + 1):
-            for p in find_primes(n, 2):
-                params = DihedralParams.standard(n, p)
-                for i0 in params.irr2_indices():
-                    for j in params.irr2_indices():
-                        try:
-                            oracle = d1_oracle_cocycles(params, i0, j)
-                        except LimitExceeded:
-                            continue
-                        ok = oracle == dims(params, i0, j).d1
-                        yield VerificationReport("cocycle_oracle_d1", (n, p, i0, j), ok)
-    else:
-        raise ValueError(f"unknown check {token!r}")
-
-
 def _cmd_verify(args) -> int:
-    tokens = _VERIFY_ORDER if args.check == "all" else [args.check]
-    n_maxes = {
-        token: args.n_max if args.n_max is not None else _VERIFY_DEFAULT_NMAX[token]
-        for token in tokens
-    }
-    # the work of every family is bounded before any family runs.  The
-    # orbit families have one ceiling and share their sweeps; their
-    # reports wait here until each family's turn to print, while the other
-    # families print their reports as they come
-    _check_verify_work(n_maxes)
-    orbit_tokens = [token for token in tokens if token in _ORBIT_FAMILIES]
-    instances = _orbit_instances(n_maxes[orbit_tokens[0]]) if orbit_tokens else []
+    # every ceiling is checked before any family runs.  The sweep families
+    # have one ceiling: the first of them to run makes the reports of all,
+    # which wait here for each family's turn, while the other families
+    # print their reports as they come
+    ceilings = _verify_ceilings(args.check, args.n_max)
+    families = {token: _VERIFY_FAMILIES[token][2] for token in ceilings}
+    sweep_checks = {token: name for token, name in families.items() if isinstance(name, str)}
     pending: dict[str, list[VerificationReport]] = {}
     failed = 0
     total = 0
-    for token in tokens:
-        n_max = n_maxes[token]
-        if token not in _ORBIT_FAMILIES:
-            reports = _run_verify_family(token, n_max)
-        else:
+    for token, n_max in ceilings.items():
+        if token in sweep_checks:
             if token not in pending:
-                pending.update(_run_orbit_families(orbit_tokens, instances))
+                pending = _sweep_reports(sweep_checks, n_max)
             reports = pending.pop(token)
+        else:
+            reports = chain.from_iterable(map(families[token], range(3, n_max + 1)))
         family_total = total
         for report in reports:
             total += 1

@@ -285,15 +285,15 @@ def determinability_rule(n: int) -> bool:
     return _is_power_of_two(n) or (n // 2 % 2 == 1 and is_prime(n // 2))
 
 
-def check_determinability_rule(n: int, prime_count: int = 2) -> VerificationReport:
+def check_determinability_rule(n: int) -> VerificationReport:
     """Computed determinability equals the closed-form rule, for each of
-    the prime_count smallest valid primes (so in particular it does not
-    depend on the prime)."""
+    the two smallest valid primes (so in particular it does not depend on
+    the prime)."""
     name = "determinability_rule"
     expected = determinability_rule(n)
     witnesses = []
     ok = True
-    for p in find_primes(n, prime_count):
+    for p in find_primes(n, 2):
         rep = fusion_determinability(DihedralParams.standard(n, p))
         if rep.passed != expected:
             ok = False

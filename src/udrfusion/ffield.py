@@ -57,14 +57,11 @@ def find_prime(n: int, lower_bound: int = 3) -> int:
     )
 
 
-def find_primes(n: int, count: int, lower_bound: int = 3) -> list[int]:
-    """The count smallest odd primes >= lower_bound congruent to 1 mod n."""
+def find_primes(n: int, count: int) -> list[int]:
+    """The count smallest odd primes congruent to 1 mod n."""
     out: list[int] = []
-    lo = lower_bound
     while len(out) < count:
-        p = find_prime(n, lo)
-        out.append(p)
-        lo = p + 1
+        out.append(find_prime(n, out[-1] + 1 if out else 3))
     return out
 
 

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 from math import lcm, prod
+from time import perf_counter
 
 import pytest
 
+from udrfusion import abelian
 from udrfusion.abelian import (
     ABELIAN_GROUP_ORDER_LIMIT,
     AbelianParams,
@@ -249,15 +251,31 @@ def test_underdetermined_pair_smallest_case():
     # picture without moving any of the summary invariants
     found = find_underdetermined_pair(AbelianParams.standard((2,)))
     assert found is not None
+    assert find_underdetermined_pair(AbelianParams((2,), 3)) == found
     first, second = found
     assert first.theta1 == (1,) and first.theta2 == (2,)
     assert second.theta1 == (2,) and second.theta2 == (1,)
 
 
+def test_underdetermined_pair_refuses_past_the_sweep_ceiling(monkeypatch):
+    # 2^7 elements at p = 3: 16,384 sweeps of 1,152 points each, refused
+    # before the first
+    def no_sweep(pair):
+        raise AssertionError("swept past the ceiling")
+
+    monkeypatch.setattr(abelian, "abelian_orbits_bruteforce", no_sweep)
+    start = perf_counter()
+    with pytest.raises(LimitExceeded, match="16384 sweeps of size 1152 exceed 1000000"):
+        find_underdetermined_pair(AbelianParams((2,) * 7, 3))
+    assert perf_counter() - start < 1.0
+
+
 def test_underdetermined_pair_order_six():
     found = find_underdetermined_pair(AbelianParams.standard((6,)))
     assert found is not None
+    assert find_underdetermined_pair(AbelianParams((6,), 7)) == found
     first, second = found
+    assert (first.theta1, first.theta2, second.theta1, second.theta2) == ((1,), (3,), (3,), (1,))
     set1, set2 = abelian_orbits_bruteforce(first), abelian_orbits_bruteforce(second)
     assert fusion_numbers(set1) == fusion_numbers(set2)
     assert abelian_dims(first) == abelian_dims(second)

@@ -165,7 +165,7 @@ def test_c07_determinability_rule():
     checked = []
     for n in range(4, 31, 2):
         expected = determinability_rule(n)
-        report = check_determinability_rule(n, prime_count=2)
+        report = check_determinability_rule(n)
         assert report.passed, (n, report.witness)
         if not expected:
             tag, per_prime = report.witness

@@ -350,26 +350,42 @@ def test_scan_work_ceiling_refuses_3_to_2000_before_any_work(capsys, monkeypatch
     assert main(["scan", "dihedral", "--n-min", "3", "--n-max", "200", "--primes-per-n", "2"]) == 2
 
 
-def test_verify_sweep_ceiling_admits_n_max_20():
-    assert len(cli._orbit_instances(20)) == 2 * 18
+def test_verify_sweep_ceiling_admits_n_max_20(monkeypatch):
+    instances = set()
+
+    def counting(params, i0):
+        instances.add((params.n, params.p))
+
+    monkeypatch.setattr(fusion, "fusion_orbits_bruteforce", counting)
+    cli._sweep_reports({}, 20)
+    assert len(instances) == 2 * 18
     for n_max in (20, 25):
-        cli._check_verify_work({token: n_max for token in cli._VERIFY_ORDER})
+        assert cli._verify_ceilings("all", n_max) == dict.fromkeys(cli._VERIFY_FAMILIES, n_max)
+    with pytest.raises(LimitExceeded):
+        cli._verify_ceilings("all", 26)
+
+
+def _no_family_runs(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("verify started a family past its ceiling")
+
+    families = {
+        token: (default, largest, reports if isinstance(reports, str) else no_work)
+        for token, (default, largest, reports) in cli._VERIFY_FAMILIES.items()
+    }
+    monkeypatch.setattr(cli, "_VERIFY_FAMILIES", families)
+    monkeypatch.setattr(fusion, "fusion_orbits_bruteforce", no_work)
 
 
 def test_verify_sweep_ceiling_refuses_n_max_40_before_any_family_runs(capsys, monkeypatch):
-    def no_work(*args):
-        raise AssertionError("verify started a family past its work ceiling")
-
-    monkeypatch.setattr(cli, "_run_verify_family", no_work)
-    monkeypatch.setattr(fusion, "fusion_orbits_bruteforce", no_work)
+    _no_family_runs(monkeypatch)
     start = perf_counter()
-    for n_max in ("40", str(10**9)):
+    # prop48 and cor49 admit the smallest largest ceiling, 25; thm42, the
+    # first family, is the first past its own (119)
+    for n_max, family, largest in (("40", "prop48", 25), (str(10**9), "thm42", 119)):
         rc, out, err = _run(capsys, ["verify", "--n-max", n_max])
         assert rc == 2 and out == ""
-        # the running sum passes the ceiling at n = 26 (n = 25 sums to
-        # 97,380,072, of which the orbit sweeps are 95,285,048)
-        assert err.startswith(f"error: verify up to n = 26 (of n-max {n_max}) needs about ")
-        assert err.rstrip().endswith(f"limit is {cli.VERIFY_WORK_LIMIT}")
+        assert err == f"error: verify {family} admits n-max up to {largest}, got {n_max}\n"
     assert perf_counter() - start < 1.0
 
 
@@ -382,25 +398,45 @@ _FAMILY_WORK_CROSSING = {
 
 @pytest.mark.parametrize("token", list(_FAMILY_WORK_CROSSING))
 def test_verify_work_ceiling_refuses_each_family_alone(capsys, monkeypatch, token):
-    def no_work(*args):
-        raise AssertionError("verify started a family past its work ceiling")
-
-    monkeypatch.setattr(cli, "_run_verify_family", no_work)
-    monkeypatch.setattr(fusion, "fusion_orbits_bruteforce", no_work)
+    _no_family_runs(monkeypatch)
     start = perf_counter()
     rc, out, err = _run(capsys, ["verify", "--check", token, "--n-max", str(10**9)])
     assert perf_counter() - start < 1.0
     assert rc == 2 and out == ""
     crossing = _FAMILY_WORK_CROSSING[token]
-    assert err.startswith(f"error: verify up to n = {crossing} (of n-max {10**9}) needs about ")
+    assert err.startswith(f"error: verify {token} admits n-max up to {crossing - 1}, got ")
     # both sides of the ceiling
-    cli._check_verify_work({token: crossing - 1})
+    assert cli._verify_ceilings(token, crossing - 1) == {token: crossing - 1}
     with pytest.raises(LimitExceeded):
-        cli._check_verify_work({token: crossing})
+        cli._verify_ceilings(token, crossing)
 
 
 def test_verify_work_ceiling_admits_the_default_ceilings():
-    cli._check_verify_work(dict(cli._VERIFY_DEFAULT_NMAX))
+    defaults = {"thm42": 12, "thm43": 12, "thm11": 30, "lemma410": 40, "cor34": 12,
+                "prop48": 12, "cor49": 12, "oracle-h1": 12}
+    assert cli._verify_ceilings("all", None) == defaults
+    for token, default in defaults.items():
+        assert cli._verify_ceilings(token, None) == {token: default}
+
+
+def test_verify_sweep_families_share_one_default_ceiling():
+    # _cmd_verify runs every sweep family to the ceiling of the first
+    defaults = {default for default, _, reports in cli._VERIFY_FAMILIES.values()
+                if isinstance(reports, str)}
+    assert len(defaults) == 1
+
+
+def test_readme_verify_table_matches_the_family_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| token | covers | default n ceiling | largest n ceiling |\n", 1)[1]
+    rows = []
+    for line in table.splitlines()[1:]:
+        if not line.startswith("| `"):
+            break
+        token, _, default, largest = (cell.strip() for cell in line.strip("|").split(" | "))
+        rows.append((token.strip("`"), int(default), int(largest)))
+    assert rows == [(token, default, largest)
+                    for token, (default, largest, _) in cli._VERIFY_FAMILIES.items()]
 
 
 def test_fixed_count_power_rule_fails_when_trivial_count_is_wrong(capsys, monkeypatch):
