@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from itertools import repeat
 from math import gcd, lcm, prod
 
 from .ffield import (
@@ -254,7 +253,9 @@ def abelian_orbits(pair: CharacterPair) -> FusionOrbitSet:
     |B|; then for each coset minimum x of A, first (x, 0), size |A|, and
     then (x, y) for each coset minimum y of K, size |H|.  The stabilizer
     depends only on which coordinates are nonzero, so it is computed once
-    per class.  Raises LimitExceeded before enumerating when there are
+    per class, and the set is returned as 2 + 2|A'| runs, A' the coset
+    minima of A: the origin, the axis x = 0, and (x, 0) and (x, K-minima)
+    for each x.  Raises LimitExceeded before enumerating when there are
     more than ORBIT_LIMIT orbits.
     """
     params = pair.params
@@ -286,15 +287,12 @@ def abelian_orbits(pair: CharacterPair) -> FusionOrbitSet:
     axis_y = (len(second), len(stab_y), stab_y)
     axis_x = (len(first), len(stab_x), stab_x)
     generic = (len(image), len(stab_xy), stab_xy)
-    rows = [((0, 0), 1, len(stab_0), stab_0)]
-    # each run of rows shares its size and stabilizer: zip pairs the
-    # points with constant columns, so no row is built in Python code
-    rows += zip(zip(repeat(0), minima(second)), *map(repeat, axis_y))
+    runs = [(0, (0,), 1, len(stab_0), stab_0), (0, minima(second), *axis_y)]
+    # every x shares one list of kernel minima: no orbit is built here
     kernel_minima = minima(kernel)
     for x in minima(first):
-        rows.append(((x, 0), *axis_x))
-        rows += zip(zip(repeat(x), kernel_minima), *map(repeat, generic))
-    return FusionOrbitSet(tuple(rows), p, images)
+        runs += ((x, (0,), *axis_x), (x, kernel_minima, *generic))
+    return FusionOrbitSet(tuple(runs), p, images)
 
 
 def abelian_orbits_bruteforce(pair: CharacterPair) -> FusionOrbitSet:

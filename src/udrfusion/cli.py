@@ -11,7 +11,6 @@ dihedral, and verify and scan never load abelian.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from itertools import chain
 from math import gcd
@@ -108,33 +107,47 @@ def _jsonable(value):
     return repr(value)
 
 
-# a report's one large value, the representatives list of its fusion
-# block, is written from a row template at its nesting depth; json.dumps
-# writes the rest around a placeholder.  With indent set, json takes its
-# pure-Python encoder, one call per value.
+# a report's one large value, the representatives of its fusion block,
+# stands in the report as the orbit set itself and is written run by run;
+# json.dumps writes the rest around a placeholder.  With indent set, json
+# takes its pure-Python encoder, one call per value.
 _PLACEHOLDER = "@representatives@"
-_REPRESENTATIVE_ROW = "[\n        %d,\n        %d\n      ]"
+
+
+def _representatives_text(orbit_set) -> str:
+    """json.dumps(orbit_set.representatives, indent=2) at the depth of a
+    report's fusion block, with no pair built per orbit: a run's pairs are
+    one join of its ys, their x written into the separator."""
+    runs = []
+    for x, ys, *_ in orbit_set.runs:
+        head = f"[\n        {x},\n        "
+        runs.append(head + f"\n      ],\n      {head}".join(map(str, ys)) + "\n      ]")
+    return "".join(("[\n      ", ",\n      ".join(runs), "\n    ]")) if runs else "[]"
 
 
 def _report_text(report: dict) -> str:
-    """json.dumps(report, indent=2) and a line break, byte for byte."""
+    """json.dumps(report, indent=2) and a line break, byte for byte, with
+    the orbit set that stands in fusion.representatives written as the
+    list of its representatives."""
+    import json
+
     fusion = report["fusion"]
-    representatives = fusion["representatives"]
-    if not representatives:
+    orbit_set = fusion["representatives"]
+    if orbit_set is None:
         return json.dumps(report, indent=2) + "\n"
     skeleton = {**report, "fusion": {**fusion, "representatives": _PLACEHOLDER}}
     head, tail = json.dumps(skeleton, indent=2).split(json.dumps(_PLACEHOLDER), 1)
-    template = ",\n      ".join([_REPRESENTATIVE_ROW] * len(representatives))
-    rows = template % tuple(chain.from_iterable(representatives))
-    return "".join((head, "[\n      ", rows, "\n    ]", tail, "\n"))
+    return "".join((head, _representatives_text(orbit_set), tail, "\n"))
 
 
 def _fusion_block(k: int | None, orbit_set) -> dict:
+    """The fusion block of a report; its representatives are the orbit
+    set, for _report_text to write."""
     return {
         "k": k,
         "numbers": {str(size): cnt for size, cnt in orbit_set.size_census().items()},
         "orbit_count": orbit_set.orbit_count,
-        "representatives": orbit_set.representatives,
+        "representatives": orbit_set,
     }
 
 
@@ -512,6 +525,8 @@ def _cmd_scan(args) -> int:
         raise ValueError("need at least one prime per n")
     rows = _scan_rows(args.n_min, args.n_max, args.primes_per_n)
     if args.format == "json":
+        import json
+
         text = json.dumps({"version": __version__, "rows": rows}, indent=2) + "\n"
     else:
         text = _csv("n,p,i0,k,in_omega,determinable,signature", (row.values() for row in rows))

@@ -216,15 +216,16 @@ def check_orbit_closed_form(
     if brute.point_sets is not None:
         sweep_sets = brute.point_sets
     else:
-        sweep_sets = [frozenset(brute.images(row[0])) for row in brute.rows]
-    ok = len(brute.rows) == len(closed.rows) == len(sweep_sets) and all(
+        sweep_sets = [frozenset(brute.images(rep)) for rep in brute.representatives]
+    # both row sequences are expanded as they are compared, and not kept
+    ok = brute.orbit_count == closed.orbit_count == len(sweep_sets) and all(
         rep == closed_rep
         and size == closed_size == len(points)
         and stab == closed_stab
         and size * stab == two_n
         and frozenset(closed.images(rep)) == points
         for (rep, size, stab, _), (closed_rep, closed_size, closed_stab, _), points in zip(
-            brute.rows, closed.rows, sweep_sets
+            brute.iter_rows(), closed.iter_rows(), sweep_sets
         )
     )
     return VerificationReport(

@@ -12,9 +12,13 @@ coset minima of U = <w^i0> in F_p^*, in time and memory linear in p plus
 the number of orbits.  The brute-force sweep over all p^2 points,
 _sweep_orbits, shares no code with it and is kept as its oracle; the
 abelian brute force in abelian.py runs on the same sweep.  Both routes
-return plain rows (representative, size, stabilizer); FusionOrbit
-objects are built from them only when a caller asks for the orbits, and
-an orbit's point set is computed from its representative on first access.
+return their orbits as runs: a first coordinate x and an increasing
+sequence of second coordinates ys whose orbits share one size and one
+stabilizer.  The closed form makes one run per stretch of such ys, the
+sweep one run per orbit.  The rows (representative, size, stabilizer)
+are expanded from the runs, and FusionOrbit objects built from them,
+only when a caller asks for them; an orbit's point set is computed from
+its representative on first access.
 
 The abelian route shares the orbit sets, the census and the sweep, so
 this module does not import dihedral at load; the three functions that
@@ -24,11 +28,10 @@ act through theta_i0 import it when called.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from functools import cached_property
 from itertools import compress
 from math import gcd
-from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from .ffield import LimitExceeded
@@ -86,30 +89,54 @@ class FusionOrbit(FrozenRecord):
 class FusionOrbitSet(FrozenRecord):
     """A full orbit partition of F_p x F_p, sorted by representative.
 
-    rows holds one (representative, size, stabilizer_order,
-    stabilizer_gens) tuple per orbit; the FusionOrbit objects are built
-    from them on first access to orbits, so a caller that reads only
-    the census, the count or the representatives builds none.
-    point_sets, when given, holds the point set of each row (a sweep has
-    them already) and becomes the elements of the orbits built.  images
-    is the action shared by every orbit of the set.  images and
-    point_sets are left out of repr and ==.
+    runs is the set's one stored representation: a tuple of runs
+    (x, ys, size, stabilizer_order, stabilizer_gens), each standing for
+    the orbits with representatives (x, y), y in the increasing, nonempty
+    sequence ys, that share one size and one stabilizer.  orbit_count,
+    representatives and size_census() read the runs without expanding
+    them.  rows, one (representative, size, stabilizer_order,
+    stabilizer_gens) tuple per orbit, is their expansion, built on first
+    access, and so are the FusionOrbit objects of orbits; a caller that
+    reads only the census, the count or the representatives builds
+    neither.  point_sets, when given, holds the point set of each orbit in
+    row order (a sweep has them already) and becomes the elements of the
+    orbits built.  images is the action shared by every orbit of the set.
+    repr, == and hash read rows and p; images and point_sets are left out.
     """
 
     _fields = ("rows", "p")
 
     def __init__(
-        self, rows: tuple, p: int, images: OrbitMap, point_sets: tuple | None = None
+        self, runs: tuple, p: int, images: OrbitMap, point_sets: tuple | None = None
     ) -> None:
-        object.__setattr__(self, "rows", rows)
+        if not all(run[1] for run in runs):
+            raise ValueError("every run needs at least one representative")
+        object.__setattr__(self, "runs", runs)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "point_sets", point_sets)
 
+    @classmethod
+    def from_rows(
+        cls, rows, p: int, images: OrbitMap, point_sets: tuple | None = None
+    ) -> "FusionOrbitSet":
+        """The orbit set of rows, one run per row."""
+        return cls(tuple((x, (y,), *rest) for (x, y), *rest in rows), p, images, point_sets)
+
+    def iter_rows(self) -> Iterator[tuple]:
+        """The rows, expanded run by run and not kept."""
+        for x, ys, size, order, gens in self.runs:
+            for y in ys:
+                yield (x, y), size, order, gens
+
+    @cached_property
+    def rows(self) -> tuple:
+        return tuple(self.iter_rows())
+
     @cached_property
     def orbits(self) -> tuple:
         images = self.images
-        orbits = tuple(FusionOrbit(*row, images) for row in self.rows)
+        orbits = tuple(FusionOrbit(*row, images) for row in self.iter_rows())
         if self.point_sets is not None:
             for orb, points in zip(orbits, self.point_sets):
                 orb.__dict__["elements"] = points
@@ -117,11 +144,11 @@ class FusionOrbitSet(FrozenRecord):
 
     @property
     def orbit_count(self) -> int:
-        return len(self.rows)
+        return sum(len(run[1]) for run in self.runs)
 
     @property
     def representatives(self) -> list:
-        return [row[0] for row in self.rows]
+        return [(x, y) for x, ys, *_ in self.runs for y in ys]
 
     @cached_property
     def _by_representative(self) -> dict:
@@ -138,7 +165,10 @@ class FusionOrbitSet(FrozenRecord):
         return frozenset(orb.elements for orb in self.orbits)
 
     def size_census(self) -> dict[int, int]:
-        return dict(sorted(Counter(map(itemgetter(1), self.rows)).items()))
+        census = Counter()
+        for _, ys, size, _, _ in self.runs:
+            census[size] += len(ys)
+        return dict(sorted(census.items()))
 
 
 class FusionNumbers(Record):
@@ -197,8 +227,8 @@ def _sweep_orbits(p: int, table) -> FusionOrbitSet:
     [[a, b], [c, d]].  Every orbit is built as a point set and every
     point is marked as seen; callers guard the p^2 cost.  Points are swept
     in lexicographic order, so the first point met of each orbit is its
-    least one and the rows come out sorted; the stabilizer is read off
-    the same image list as the orbit.
+    least one and the orbits come out sorted, one run each; the
+    stabilizer is read off the same image list as the orbit.
     """
 
     def images(v: NPoint) -> set:
@@ -208,7 +238,7 @@ def _sweep_orbits(p: int, table) -> FusionOrbitSet:
     elements = [g for g, _ in table]
     matrices = [mat for _, mat in table]
     seen = set()
-    rows = []
+    runs = []
     point_sets = []
     for x in range(p):
         for y in range(p):
@@ -220,11 +250,15 @@ def _sweep_orbits(p: int, table) -> FusionOrbitSet:
             if min(orbit) != rep:
                 raise ValueError(f"the table does not map {rep} to the least point of its orbit")
             seen |= orbit
-            stab = tuple(compress(elements, [image == rep for image in image_list]))
-            rows.append((rep, len(orbit), len(stab), stab))
+            if len(orbit) == len(image_list):
+                # the images are distinct, so exactly one element fixes rep
+                stab = (elements[image_list.index(rep)],)
+            else:
+                stab = tuple(compress(elements, [image == rep for image in image_list]))
+            runs.append((x, (y,), len(orbit), len(stab), stab))
             point_sets.append(orbit)
     # the sweep already holds every point set: hand them to the orbits
-    return FusionOrbitSet(tuple(rows), p, images, tuple(point_sets))
+    return FusionOrbitSet(tuple(runs), p, images, tuple(point_sets))
 
 
 def fusion_orbits_bruteforce(params: DihedralParams, i0: int) -> FusionOrbitSet:
@@ -301,17 +335,28 @@ def fusion_orbits_closed_form(params: DihedralParams, i0: int) -> FusionOrbitSet
     r_k = GroupElement.rotation(n, k)
     big_gens = (r_k,)
     small_gens = [(r_k, GroupElement.reflection(n, j0)) for j0 in range(k)]
-    rows = [((0, 0), 1, 2 * n, (GroupElement.rotation(n), GroupElement.reflection(n)))]
-    rows += [((0, m), 2 * k, g0, big_gens) for m in minima]
+    runs = [
+        (0, (0,), 1, 2 * n, (GroupElement.rotation(n), GroupElement.reflection(n))),
+        (0, minima, 2 * k, g0, big_gens),
+    ]
+    # each size-k orbit is a run of its own (its stabilizer names its j0);
+    # the size-2k orbits between two of them make one run
     for m in minima:
         m_inv = pow(m, -1, p)
-        for y in range(1, p):
+        stretch = []
+        # cmin[y] <= y, so no y below m has cmin[y] >= m
+        for y in range(m, p):
             c = cmin[y]
             if c == m:
-                rows.append(((m, y), k, 2 * g0, small_gens[exponent_of[y * m_inv % p]]))
+                if stretch:
+                    runs.append((m, stretch, 2 * k, g0, big_gens))
+                    stretch = []
+                runs.append((m, (y,), k, 2 * g0, small_gens[exponent_of[y * m_inv % p]]))
             elif c > m:
-                rows.append(((m, y), 2 * k, g0, big_gens))
-    return FusionOrbitSet(tuple(rows), p, images)
+                stretch.append(y)
+        if stretch:
+            runs.append((m, stretch, 2 * k, g0, big_gens))
+    return FusionOrbitSet(tuple(runs), p, images)
 
 
 def fusion_numbers(orbit_set: FusionOrbitSet) -> FusionNumbers:

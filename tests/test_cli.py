@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import subprocess
 import sys
@@ -451,9 +452,18 @@ def test_fixed_count_power_rule_fails_when_trivial_count_is_wrong(capsys, monkey
     assert passed["fixed_count_power_rule"] is False
 
 
-def test_json_outputs_equal_json_dumps_and_the_recorded_references(capsys, monkeypatch):
-    references = json.loads(REFERENCES_PATH.read_text())
-    abelian = [key for key in references if key.startswith("analyze abelian ")][:2]
+def _expanded(report):
+    """report with the orbit set that stands in its fusion block replaced
+    by the list of its representatives, as json.dumps can write it."""
+    fusion = report["fusion"]
+    if fusion["representatives"] is None:
+        return report
+    representatives = fusion["representatives"].representatives
+    return {**report, "fusion": {**fusion, "representatives": representatives}}
+
+
+def _recorded_reports(monkeypatch):
+    """A list that collects every report _report_text is given."""
     reports = []
     real = cli._report_text
 
@@ -462,6 +472,13 @@ def test_json_outputs_equal_json_dumps_and_the_recorded_references(capsys, monke
         return real(report)
 
     monkeypatch.setattr(cli, "_report_text", recording)
+    return reports
+
+
+def test_json_outputs_equal_json_dumps_and_the_recorded_references(capsys, monkeypatch):
+    references = json.loads(REFERENCES_PATH.read_text())
+    abelian = [key for key in references if key.startswith("analyze abelian ")][:2]
+    reports = _recorded_reports(monkeypatch)
     argvs = [key.split() for key in abelian] + [
         ["analyze", "dihedral", "--n", "5", "--i0", "1"],
         # beyond the sweep guard: no fusion block, no representatives
@@ -473,7 +490,7 @@ def test_json_outputs_equal_json_dumps_and_the_recorded_references(capsys, monke
         rc, out, err = _run(capsys, argv)
         assert rc == 0 and err == ""
         # scan writes with json.dumps alone; its text must survive a round trip
-        value = reports.pop() if argv[0] == "analyze" else json.loads(out)
+        value = _expanded(reports.pop()) if argv[0] == "analyze" else json.loads(out)
         assert reports == []
         assert out == json.dumps(value, indent=2) + "\n"
         key = " ".join(argv)
@@ -481,20 +498,78 @@ def test_json_outputs_equal_json_dumps_and_the_recorded_references(capsys, monke
             assert hashlib.sha256(out.encode()).hexdigest() == references[key]["sha256"]
 
 
+# (orders, primes): the trivial group, where every point is its own
+# orbit, cyclic groups and two products, each at two small primes
+_WRITER_GROUPS = [((1,), (3, 5)), ((2,), (3, 5)), ((4,), (5, 13)), ((2, 3), (7, 13)),
+                  ((3, 3), (7, 13))]
+
+
+@pytest.mark.parametrize("orders, primes", _WRITER_GROUPS, ids=[str(g) for g, _ in _WRITER_GROUPS])
+def test_run_wise_writer_equals_json_dumps_on_analyze_abelian(capsys, monkeypatch, orders, primes):
+    reports = _recorded_reports(monkeypatch)
+    exponents = [",".join(map(str, e)) for e in itertools.product(*map(range, orders))]
+    for p in primes:
+        for theta1, theta2 in itertools.product(exponents, repeat=2):
+            argv = ["analyze", "abelian", "--orders", ",".join(map(str, orders)), "--p", str(p),
+                    "--theta1", theta1, "--theta2", theta2]
+            rc, out, err = _run(capsys, argv)
+            assert rc == 0 and err == ""
+            value = _expanded(reports.pop())
+            assert out == json.dumps(value, indent=2) + "\n"
+            assert value["fusion"]["orbit_count"] == len(value["fusion"]["representatives"])
+            if orders == (1,):
+                assert value["fusion"]["orbit_count"] == p * p
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_run_wise_writer_equals_json_dumps_on_analyze_dihedral(capsys, monkeypatch, n):
+    reports = _recorded_reports(monkeypatch)
+    for i0 in range(1, (n + 1) // 2):
+        rc, out, err = _run(capsys, ["analyze", "dihedral", "--n", str(n), "--i0", str(i0)])
+        assert rc == 0 and err == ""
+        assert out == json.dumps(_expanded(reports.pop()), indent=2) + "\n"
+
+
+def test_run_wise_writer_on_null_and_empty_representatives():
+    report = {"version": __version__, "params": {}, "reps": [], "checks": [],
+              "fusion": {"k": None, "numbers": None, "orbit_count": None, "representatives": None}}
+    assert cli._report_text(report) == json.dumps(report, indent=2) + "\n"
+    empty = {**report, "fusion": cli._fusion_block(None, fusion.FusionOrbitSet((), 3, list))}
+    assert empty["fusion"]["orbit_count"] == 0
+    assert cli._report_text(empty) == json.dumps(_expanded(empty), indent=2) + "\n"
+    assert '"representatives": []' in cli._report_text(empty)
+
+
 def test_analyze_abelian_builds_no_orbit_objects(capsys, monkeypatch):
     built = Counter()
     real = FusionOrbit.__post_init__
+    expand = fusion.FusionOrbitSet.rows.func
 
     def counting(self):
         built["orbits"] += 1
         real(self)
 
+    def counting_rows(self):
+        built["rows"] += 1
+        return expand(self)
+
     monkeypatch.setattr(FusionOrbit, "__post_init__", counting)
+    monkeypatch.setattr(fusion.FusionOrbitSet, "rows", property(counting_rows))
     rc, out, _ = _run(capsys, ["analyze", "abelian", "--orders", "2,3", "--p", "7",
                                "--theta1", "1,1", "--theta2", "1,2"])
     assert rc == 0 and json.loads(out)["fusion"]["orbit_count"] == 9
     assert built["orbits"] == 0
-    # the patch does count: asking for the orbits builds them
-    assert len(abelian.abelian_orbits(abelian.CharacterPair.from_exponents(
-        abelian.AbelianParams.standard([2, 3], 7), [1, 1], [1, 2])).orbits) == 9
+    # nor are rows expanded, for analyze abelian or for the JSON of analyze
+    # dihedral, whose checks compare the rows of two sets as they go
+    assert built["rows"] == 0
+    rc, out, _ = _run(capsys, ["analyze", "dihedral", "--n", "5", "--i0", "1"])
+    checks = json.loads(out)["checks"]
+    assert rc == 0 and checks[0]["name"] == "orbit_closed_form_matches_bruteforce"
+    assert built == {}
+    # the patches do count: asking for the orbits builds them, and the
+    # rows are expanded
+    orbit_set = abelian.abelian_orbits(abelian.CharacterPair.from_exponents(
+        abelian.AbelianParams.standard([2, 3], 7), [1, 1], [1, 2]))
+    assert len(orbit_set.orbits) == 9
     assert built["orbits"] == 9
+    assert len(orbit_set.rows) == 9 and built["rows"] == 1

@@ -96,8 +96,8 @@ def test_orbit_checks_pass_on_the_sweep_and_fail_on_a_corrupted_one(n, i0):
     params = DihedralParams.standard(n)
     brute = fusion_orbits_bruteforce(params, i0)
     *kept, (rep, size, stabilizer_order, gens) = brute.rows
-    dropped = FusionOrbitSet(tuple(kept), brute.p, brute.images, brute.point_sets)
-    restabilized = FusionOrbitSet(
+    dropped = FusionOrbitSet.from_rows(tuple(kept), brute.p, brute.images, brute.point_sets)
+    restabilized = FusionOrbitSet.from_rows(
         (*kept, (rep, size, 2 * stabilizer_order, gens)), brute.p, brute.images, brute.point_sets
     )
     closed_form = check_orbit_closed_form(params, i0, brute)
@@ -128,14 +128,14 @@ def test_orbit_closed_form_check_compares_row_by_row(n, i0):
     other_point = max(point_sets[pos])
     assert other_point > rep
     rows[pos] = (other_point, size, stabilizer_order, gens)
-    non_least = FusionOrbitSet(tuple(rows), brute.p, brute.images, brute.point_sets)
+    non_least = FusionOrbitSet.from_rows(tuple(rows), brute.p, brute.images, brute.point_sets)
     point_sets[pos], point_sets[pos + 1] = point_sets[pos + 1], point_sets[pos]
-    swapped = FusionOrbitSet(brute.rows, brute.p, brute.images, tuple(point_sets))
+    swapped = FusionOrbitSet.from_rows(brute.rows, brute.p, brute.images, tuple(point_sets))
     assert non_least.partition() == swapped.partition() == brute.partition()
     assert not check_orbit_closed_form(params, i0, non_least).passed
     assert not check_orbit_closed_form(params, i0, swapped).passed
     # without point sets the sweep's rows are expanded through its images
-    unswept = FusionOrbitSet(brute.rows, brute.p, brute.images)
+    unswept = FusionOrbitSet.from_rows(brute.rows, brute.p, brute.images)
     assert check_orbit_closed_form(params, i0, unswept).passed
     # the census reads orbit sizes only
     assert check_orbit_census(params, i0, non_least).passed

@@ -1,13 +1,18 @@
 from __future__ import annotations
 
-import pytest
+from functools import lru_cache
 
-from udrfusion import fusion
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from udrfusion import abelian, fusion
 from udrfusion.dihedral import DihedralParams, GroupElement, group_elements, irr2_rep
 from udrfusion.ffield import FpMatrix, LimitExceeded, find_primes, primitive_root_of_unity
 from udrfusion.fusion import (
     FusionNumbers,
     FusionOrbit,
+    FusionOrbitSet,
     act,
     coset_minima,
     fusion_numbers,
@@ -208,6 +213,72 @@ def test_orbit_rows_and_lazy_orbits_agree():
     brute = fusion_orbits_bruteforce(params, 2)
     assert all("elements" in vars(o) for o in brute.orbits)
     assert not any("elements" in vars(o) for o in fusion_orbits_closed_form(params, 2).orbits)
+
+
+# the sweeps whose rows the run tests regroup: dihedral n = 3..8 at the
+# smallest prime, the trivial group at 5, where every orbit is a point,
+# and a Z/2 x Z/3 pair at 7
+_SWEEPS = [("dihedral", n, i0) for n in range(3, 9) for i0 in range(1, (n + 1) // 2)]
+_SWEEPS += [("abelian", (1,), 5, (0,), (0,)), ("abelian", (2, 3), 7, (1, 0), (1, 2))]
+
+
+@lru_cache(maxsize=None)
+def _sweep(case):
+    if case[0] == "dihedral":
+        return fusion_orbits_bruteforce(DihedralParams.standard(case[1]), case[2])
+    _, orders, p, e1, e2 = case
+    pair = abelian.CharacterPair.from_exponents(abelian.AbelianParams(orders, p), e1, e2)
+    return abelian.abelian_orbits_bruteforce(pair)
+
+
+@st.composite
+def _split_sweep(draw):
+    """A sweep and its rows grouped into runs at random: a row joins the
+    run before it when both share x, size and stabilizer and no drawn cut
+    falls between them."""
+    sweep = _sweep(draw(st.sampled_from(_SWEEPS)))
+    rows = sweep.rows
+    cuts = draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    runs = []
+    for ((x, y), *shared), cut in zip(rows, cuts):
+        if runs and not cut and runs[-1][0] == x and list(runs[-1][2:]) == shared:
+            runs[-1][1].append(y)
+        else:
+            runs.append((x, [y], *shared))
+    return sweep, tuple(runs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_split_sweep())
+def test_any_runs_of_a_sweep_read_as_its_rows(case):
+    sweep, runs = case
+    # the sweep itself holds one run per row
+    assert len(sweep.runs) == sweep.orbit_count == len(sweep.rows)
+    split = FusionOrbitSet(runs, sweep.p, sweep.images, sweep.point_sets)
+    assert split.rows == sweep.rows
+    assert split.representatives == sweep.representatives
+    assert split.orbit_count == sweep.orbit_count
+    assert split.size_census() == sweep.size_census()
+    assert split == sweep and hash(split) == hash(sweep) and repr(split) == repr(sweep)
+    assert split.partition() == sweep.partition()
+    assert FusionOrbitSet.from_rows(split.rows, sweep.p, sweep.images) == split
+
+
+def test_a_run_without_representatives_is_refused():
+    with pytest.raises(ValueError, match="every run needs at least one representative"):
+        FusionOrbitSet(((0, (0,), 1, 2, ()), (0, [], 2, 1, ())), 3, list)
+    with pytest.raises(ValueError):
+        FusionOrbitSet(((1, range(1, 1), 2, 1, ()),), 3, list)
+
+
+def test_closed_form_runs_expand_to_their_rows():
+    """The closed form stores runs; its rows, read back through
+    from_rows, give the same set, and it keeps fewer runs than rows."""
+    params = DihedralParams.standard(12, 61)
+    for i0 in params.irr2_indices():
+        closed = fusion_orbits_closed_form(params, i0)
+        assert FusionOrbitSet.from_rows(closed.rows, closed.p, closed.images) == closed
+        assert len(closed.runs) < closed.orbit_count == len(closed.rows)
 
 
 def test_orbit_stabilizer_identity():

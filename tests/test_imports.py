@@ -26,10 +26,10 @@ ABELIAN_ARGV = ["analyze", "abelian", "--orders", "2,3", "--p", "7",
                 "--theta1", "1,1", "--theta2", "1,2"]
 
 
-def _loaded_by(call: str) -> tuple[str, set[str]]:
+def _modules_loaded_by(call: str) -> tuple[str, set[str]]:
     """The value of the expression call, in which udrfusion is imported,
-    and the package modules a fresh interpreter loads to evaluate it.
-    What call writes to stdout is discarded."""
+    and the modules a fresh interpreter loads to evaluate it.  What call
+    writes to stdout is discarded."""
     code = (
         "import contextlib, io, sys\n"
         "before = set(sys.modules)\n"
@@ -49,7 +49,13 @@ def _loaded_by(call: str) -> tuple[str, set[str]]:
     )
     assert proc.returncode == 0, proc.stderr
     result, loaded = proc.stdout.splitlines()
-    return result, {name for name in loaded.split() if name.startswith("udrfusion")}
+    return result, set(loaded.split())
+
+
+def _loaded_by(call: str) -> tuple[str, set[str]]:
+    """The value of call and the package modules loaded to evaluate it."""
+    result, loaded = _modules_loaded_by(call)
+    return result, {name for name in loaded if name.startswith("udrfusion")}
 
 
 def test_build_parser_loads_no_route_module():
@@ -77,6 +83,26 @@ def test_dihedral_commands_load_no_abelian(argv):
     assert result == "0"
     assert "udrfusion.abelian" not in loaded
     assert ROUTE_MODULES - loaded == {"udrfusion.abelian"}
+
+
+@pytest.mark.parametrize("call, result", [
+    ("type(udrfusion.cli.build_parser()).__name__", "ArgumentParser"),
+    ("udrfusion.cli.main(['verify'])", "0"),
+    ("udrfusion.cli.main(['scan', 'dihedral', '--n-min', '3', '--n-max', '6'])", "0"),
+])
+def test_commands_that_write_no_json_load_no_json(call, result):
+    found, loaded = _modules_loaded_by(call)
+    assert found == result and "json" not in loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ABELIAN_ARGV,
+    ["scan", "dihedral", "--n-min", "3", "--n-max", "6", "--format", "json"],
+])
+def test_json_writers_load_json(argv):
+    # the difference of sys.modules does see json when a command loads it
+    result, loaded = _modules_loaded_by(f"udrfusion.cli.main({argv!r})")
+    assert result == "0" and "json" in loaded
 
 
 def test_importing_the_package_loads_no_submodule():

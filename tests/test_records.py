@@ -2,7 +2,9 @@
 keeps what it had as a dataclass: the constructor, the repr text (the
 literals below were recorded from the dataclass versions), == with a
 class-identity check, hash over the compared fields or none, the
-immutability, and one __post_init__ call per construction.  The CLI's
+immutability, and one __post_init__ call per construction.  The one
+exception is FusionOrbitSet's constructor, which takes runs since orbit
+sets store them; its repr, == and hash still read the rows.  The CLI's
 import path loads neither dataclasses nor the modules it would pull in."""
 
 from __future__ import annotations
@@ -46,6 +48,8 @@ def _other_images(v):
 
 _E3 = GroupElement(3, 0)
 _ORBIT_ROWS = (((0, 0), 1, 2, ()), ((0, 1), 2, 1, (_E3,)))
+# the same two orbits as runs (x, ys, size, stabilizer order, generators)
+_ORBIT_RUNS = ((0, (0,), 1, 2, ()), (0, (1,), 2, 1, (_E3,)))
 _D3 = DihedralParams(3, 7, 2)
 _A23 = AbelianParams((2, 3), 7)
 _ROT, _REF = FpMatrix(7, ((2, 0), (0, 4))), FpMatrix(7, ((0, 1), (1, 0)))
@@ -75,8 +79,8 @@ RECORDS = [
     ),
     (
         FusionOrbitSet,
-        (_ORBIT_ROWS, 3, _images, ({(0, 0)}, {(0, 1), (0, 2)})),
-        (_ORBIT_ROWS[:1], 3, _images),
+        (_ORBIT_RUNS, 3, _images, ({(0, 0)}, {(0, 1), (0, 2)})),
+        (_ORBIT_RUNS[:1], 3, _images),
         (_ORBIT_ROWS, 3),
         "FusionOrbitSet(rows=(((0, 0), 1, 2, ()), ((0, 1), 2, 1, (GroupElement(n=3, 'e'),))), p=3)",
     ),
@@ -132,7 +136,7 @@ SIGNATURES = {
     RepLabel: ["kind", ("index", 0)],
     Rep2: ["params", "label", "mat_r", "mat_s"],
     FusionOrbit: ["representative", "size", "stabilizer_order", "stabilizer_gens", "images"],
-    FusionOrbitSet: ["rows", "p", "images", ("point_sets", None)],
+    FusionOrbitSet: ["runs", "p", "images", ("point_sets", None)],
     FusionNumbers: ["counts"],
     GModule: ["n", "p", "dim", "mat_r", "mat_s"],
     CohomologyDims: ["d1", "d2"],
@@ -193,8 +197,8 @@ def test_excluded_fields_stay_out_of_repr_and_equality():
     orbit = FusionOrbit((0, 1), 2, 1, (), _images)
     assert orbit == FusionOrbit((0, 1), 2, 1, (), _other_images)
     assert hash(orbit) == hash(FusionOrbit((0, 1), 2, 1, (), _other_images))
-    whole = FusionOrbitSet(_ORBIT_ROWS, 3, _images, ({(0, 0)}, {(0, 1), (0, 2)}))
-    bare = FusionOrbitSet(_ORBIT_ROWS, 3, _other_images)
+    whole = FusionOrbitSet(_ORBIT_RUNS, 3, _images, ({(0, 0)}, {(0, 1), (0, 2)}))
+    bare = FusionOrbitSet(_ORBIT_RUNS, 3, _other_images)
     assert whole == bare and hash(whole) == hash(bare) and repr(whole) == repr(bare)
     assert "images" not in repr(orbit) and "point_sets" not in repr(whole)
 
