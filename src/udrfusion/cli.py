@@ -11,6 +11,7 @@ dihedral, and verify and scan never load abelian.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from itertools import chain
 from math import gcd
@@ -81,11 +82,16 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
         raise ValueError(f"{flag} must be a comma-separated integer list, got {text!r}")
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    sys.stdout.write(text)
+def _emit(pieces, out_path: str | None) -> None:
+    """Write the text that pieces() yields to stdout, each piece as it
+    comes, and then, with out_path, to that file from a second call:
+    the pieces are made again, never kept."""
+    write = sys.stdout.write
+    for piece in pieces():
+        write(piece)
     if out_path is not None:
         with open(out_path, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces())
 
 
 def _check_entry(report: VerificationReport) -> dict:
@@ -114,35 +120,34 @@ def _jsonable(value):
 _PLACEHOLDER = "@representatives@"
 
 
-def _representatives_text(orbit_set) -> str:
-    """json.dumps(orbit_set.representatives, indent=2) at the depth of a
-    report's fusion block, with no pair built per orbit: a run's pairs are
-    one join of its ys, their x written into the separator."""
-    runs = []
-    for x, ys, *_ in orbit_set.runs:
-        head = f"[\n        {x},\n        "
-        runs.append(head + f"\n      ],\n      {head}".join(map(str, ys)) + "\n      ]")
-    return "".join(("[\n      ", ",\n      ".join(runs), "\n    ]")) if runs else "[]"
-
-
-def _report_text(report: dict) -> str:
-    """json.dumps(report, indent=2) and a line break, byte for byte, with
-    the orbit set that stands in fusion.representatives written as the
-    list of its representatives."""
+def _report_pieces(report: dict):
+    """json.dumps(report, indent=2) and a line break, byte for byte, in
+    pieces, with the orbit set that stands in fusion.representatives
+    written as the list of its representatives: the report up to that
+    list, one piece per run, and the rest.  No pair is built per orbit: a
+    run's pairs are one join of its ys, their x written into the
+    separator.  A report whose representatives are null is one piece."""
     import json
 
     fusion = report["fusion"]
     orbit_set = fusion["representatives"]
     if orbit_set is None:
-        return json.dumps(report, indent=2) + "\n"
+        yield json.dumps(report, indent=2) + "\n"
+        return
     skeleton = {**report, "fusion": {**fusion, "representatives": _PLACEHOLDER}}
     head, tail = json.dumps(skeleton, indent=2).split(json.dumps(_PLACEHOLDER), 1)
-    return "".join((head, _representatives_text(orbit_set), tail, "\n"))
+    yield head + "["
+    opening = "\n      "
+    for x, ys, *_ in orbit_set.runs:
+        pair = f"[\n        {x},\n        "
+        yield "".join((opening, pair, f"\n      ],\n      {pair}".join(map(str, ys)), "\n      ]"))
+        opening = ",\n      "
+    yield ("\n    ]" if orbit_set.runs else "]") + tail + "\n"
 
 
 def _fusion_block(k: int | None, orbit_set) -> dict:
     """The fusion block of a report; its representatives are the orbit
-    set, for _report_text to write."""
+    set, for _report_pieces to write."""
     return {
         "k": k,
         "numbers": {str(size): cnt for size, cnt in orbit_set.size_census().items()},
@@ -513,8 +518,10 @@ def _cmd_analyze(args) -> int:
         report, to_csv = _analyze_dihedral(args), _dihedral_csv
     else:
         report, to_csv = _analyze_abelian(args), _abelian_csv
-    text = _report_text(report) if args.format == "json" else to_csv(report)
-    _emit(text, args.out)
+    if args.format == "json":
+        _emit(lambda: _report_pieces(report), args.out)
+    else:
+        _emit(lambda: (to_csv(report),), args.out)
     return 0
 
 
@@ -530,7 +537,7 @@ def _cmd_scan(args) -> int:
         text = json.dumps({"version": __version__, "rows": rows}, indent=2) + "\n"
     else:
         text = _csv("n,p,i0,k,in_omega,determinable,signature", (row.values() for row in rows))
-    _emit(text, args.out)
+    _emit(lambda: (text,), args.out)
     return 0
 
 
@@ -540,13 +547,19 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    command = {"analyze": _cmd_analyze, "scan": _cmd_scan}.get(args.command, _cmd_verify)
     try:
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        if args.command == "scan":
-            return _cmd_scan(args)
-        return _cmd_verify(args)
+        code = command(args)
+        # a reader that closed stdout early is seen here, not at exit
+        sys.stdout.flush()
+        return code
     except (ValueError, LimitExceeded, OSError) as exc:
+        if isinstance(exc, BrokenPipeError):
+            # what is still buffered goes to devnull, so that the flush
+            # at exit raises nothing more
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -109,8 +109,14 @@ class FusionOrbitSet(FrozenRecord):
     def __init__(
         self, runs: tuple, p: int, images: OrbitMap, point_sets: tuple | None = None
     ) -> None:
-        if not all(run[1] for run in runs):
-            raise ValueError("every run needs at least one representative")
+        for run in runs:
+            if len(run) != 5:
+                raise ValueError(
+                    "a run is (x, ys, size, stabilizer_order, stabilizer_gens), "
+                    f"got {len(run)} fields"
+                )
+            if not run[1]:
+                raise ValueError("every run needs at least one representative")
         object.__setattr__(self, "runs", runs)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "images", images)

@@ -3,8 +3,10 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import os
 import subprocess
 import sys
+import textwrap
 from collections import Counter
 from pathlib import Path
 from time import perf_counter
@@ -24,6 +26,22 @@ def _run(capsys, argv):
     rc = main(argv)
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+class _Writes(list):
+    """A stdout that keeps each write apart."""
+
+    def write(self, text):
+        self.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+# an abelian report of 134 runs, 1,068,323 bytes of JSON
+_MULTI_RUN_ARGV = ["analyze", "abelian", "--orders", "2,3", "--p", "397",
+                   "--theta1", "1,1", "--theta2", "1,2"]
 
 
 def test_analyze_dihedral_json(capsys):
@@ -274,11 +292,47 @@ def test_cli_error_messages(capsys):
     assert err.startswith("error: ")
 
 
-def test_cli_unwritable_out_path(capsys):
-    rc, _, err = _run(capsys, ["analyze", "dihedral", "--n", "5", "--i0", "2",
-                               "--out", "/nonexistent/dir/x.json"])
+def test_cli_unwritable_out_path(capsys, tmp_path):
+    argv = ["analyze", "dihedral", "--n", "5", "--i0", "2"]
+    _, report, _ = _run(capsys, argv)
+    # stdout is written first and whole; the file fails after it
+    rc, out, err = _run(capsys, [*argv, "--out", str(tmp_path / "missing" / "x.json")])
     assert rc == 2
-    assert err.startswith("error: ")
+    assert out == report
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_ends_with_one_error_line(unbuffered):
+    # the reader takes 10 bytes of a 1 MB report and closes the pipe, as
+    # `| head -c 10` does
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
+    proc = subprocess.Popen([sys.executable, "-m", "udrfusion", *_MULTI_RUN_ARGV],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(10) == b'{\n  "versi'
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 2
+    assert err == "error: [Errno 32] Broken pipe\n"
+
+
+def test_closed_stdout_seen_at_the_last_flush_ends_with_one_error_line(tmp_path, capsys, monkeypatch):
+    # every write reached the pipe, and the reader closed it before the
+    # rest was flushed: main flushes, so this is not left to the exit
+    class ClosedAtFlush(_Writes):
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return target.fileno()
+
+    with open(tmp_path / "stdout", "w") as target:
+        monkeypatch.setattr(sys, "stdout", ClosedAtFlush())
+        rc = main(["analyze", "dihedral", "--n", "5", "--i0", "2"])
+        # what is left to flush at exit goes to devnull
+        assert os.path.samestat(os.fstat(target.fileno()), os.stat(os.devnull))
+    assert rc == 2
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
 
 
 def test_cli_rejects_unknown_check(capsys):
@@ -463,23 +517,31 @@ def _expanded(report):
 
 
 def _recorded_reports(monkeypatch):
-    """A list that collects every report _report_text is given."""
+    """A list that collects every report _report_pieces is given."""
     reports = []
-    real = cli._report_text
+    real = cli._report_pieces
 
     def recording(report):
         reports.append(report)
         return real(report)
 
-    monkeypatch.setattr(cli, "_report_text", recording)
+    monkeypatch.setattr(cli, "_report_pieces", recording)
     return reports
 
 
 def test_json_outputs_equal_json_dumps_and_the_recorded_references(capsys, monkeypatch):
     references = json.loads(REFERENCES_PATH.read_text())
-    abelian = [key for key in references if key.startswith("analyze abelian ")][:2]
+    abelian = [key for key in references if key.startswith("analyze abelian ")]
+    assert len(abelian) == 20
     reports = _recorded_reports(monkeypatch)
-    argvs = [key.split() for key in abelian] + [
+    # every abelian reference is checked against its sha256; json.dumps,
+    # about 50 ms a report at p = 397, writes only the first two again
+    for key in abelian[2:]:
+        rc, out, err = _run(capsys, key.split())
+        assert rc == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == references[key]["sha256"]
+    reports.clear()
+    argvs = [key.split() for key in abelian[:2]] + [
         ["analyze", "dihedral", "--n", "5", "--i0", "1"],
         # beyond the sweep guard: no fusion block, no representatives
         ["analyze", "abelian", "--orders", "2,3", "--p", "409", "--theta1", "1,1",
@@ -530,14 +592,49 @@ def test_run_wise_writer_equals_json_dumps_on_analyze_dihedral(capsys, monkeypat
         assert out == json.dumps(_expanded(reports.pop()), indent=2) + "\n"
 
 
+def _report_text(report):
+    return "".join(cli._report_pieces(report))
+
+
 def test_run_wise_writer_on_null_and_empty_representatives():
     report = {"version": __version__, "params": {}, "reps": [], "checks": [],
               "fusion": {"k": None, "numbers": None, "orbit_count": None, "representatives": None}}
-    assert cli._report_text(report) == json.dumps(report, indent=2) + "\n"
+    assert _report_text(report) == json.dumps(report, indent=2) + "\n"
+    assert len(list(cli._report_pieces(report))) == 1
     empty = {**report, "fusion": cli._fusion_block(None, fusion.FusionOrbitSet((), 3, list))}
     assert empty["fusion"]["orbit_count"] == 0
-    assert cli._report_text(empty) == json.dumps(_expanded(empty), indent=2) + "\n"
-    assert '"representatives": []' in cli._report_text(empty)
+    assert _report_text(empty) == json.dumps(_expanded(empty), indent=2) + "\n"
+    assert '"representatives": []' in _report_text(empty)
+
+
+def test_analyze_json_reaches_stdout_run_by_run(monkeypatch):
+    reports = _recorded_reports(monkeypatch)
+    writes = _Writes()
+    monkeypatch.setattr(sys, "stdout", writes)
+    assert main(_MULTI_RUN_ARGV) == 0
+    report = reports.pop()
+    runs = report["fusion"]["representatives"].runs
+    text = json.dumps(_expanded(report), indent=2) + "\n"
+    assert "".join(writes) == text
+    # the report up to its representatives list, then each run's pairs as
+    # json.dumps writes them at their depth
+    head = text.index('"representatives": [') + len('"representatives": [')
+    longest_run = max(
+        len(textwrap.indent(json.dumps([[x, y] for y in ys], indent=2)[2:-2], " " * 4))
+        for x, ys, *_ in runs
+    )
+    assert len(runs) == 134 and 10 * (head + longest_run) < len(text)
+    # the skeleton head, one write per run and the tail: no write holds
+    # more than one run
+    assert len(writes) == len(runs) + 2
+    assert max(map(len, writes)) <= head + longest_run
+
+
+def test_analyze_out_file_equals_stdout_of_a_multi_run_report(tmp_path, capsys):
+    target = tmp_path / "report.json"
+    rc, out, err = _run(capsys, [*_MULTI_RUN_ARGV, "--out", str(target)])
+    assert rc == 0 and err == ""
+    assert target.read_bytes() == out.encode() and len(out) > 10**6
 
 
 def test_analyze_abelian_builds_no_orbit_objects(capsys, monkeypatch):

@@ -271,6 +271,17 @@ def test_a_run_without_representatives_is_refused():
         FusionOrbitSet(((1, range(1, 1), 2, 1, ()),), 3, list)
 
 
+def test_rows_passed_as_runs_are_refused():
+    # a row (representative, size, stabilizer_order, stabilizer_gens) has
+    # a truthy second field, but four fields, not a run's five
+    sweep = fusion_orbits_bruteforce(DihedralParams.standard(5), 1)
+    with pytest.raises(ValueError, match="a run is .* got 4 fields"):
+        FusionOrbitSet(sweep.rows, sweep.p, sweep.images)
+    with pytest.raises(ValueError, match="got 6 fields"):
+        FusionOrbitSet(((0, (0,), 1, 2, (), None),), 3, list)
+    assert FusionOrbitSet(sweep.runs, sweep.p, sweep.images) == sweep
+
+
 def test_closed_form_runs_expand_to_their_rows():
     """The closed form stores runs; its rows, read back through
     from_rows, give the same set, and it keeps fewer runs than rows."""
