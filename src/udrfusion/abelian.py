@@ -34,6 +34,7 @@ from .fusion import (
     FusionOrbitSet,
     _sweep_orbits,
     coset_minima,
+    diagonal_images,
     fusion_numbers,
 )
 from .records import CohomologyDims, FrozenRecord, UdrClass
@@ -270,10 +271,6 @@ def abelian_orbits(pair: CharacterPair) -> FusionOrbitSet:
     if orbit_count > ORBIT_LIMIT:
         raise LimitExceeded(f"action has {orbit_count} orbits, limit is {ORBIT_LIMIT}")
 
-    def images(v):
-        x, y = v
-        return {(a * x % p, b * y % p) for a, b in image}
-
     def stabilizer(v) -> tuple:
         x, y = v
         return tuple(g for g, (a, b) in zip(elements, values) if a * x % p == x and b * y % p == y)
@@ -292,7 +289,7 @@ def abelian_orbits(pair: CharacterPair) -> FusionOrbitSet:
     kernel_minima = minima(kernel)
     for x in minima(first):
         runs += ((x, (0,), *axis_x), (x, kernel_minima, *generic))
-    return FusionOrbitSet(tuple(runs), p, images)
+    return FusionOrbitSet(tuple(runs), p, diagonal_images(p, image))
 
 
 def abelian_orbits_bruteforce(pair: CharacterPair) -> FusionOrbitSet:

@@ -82,16 +82,34 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
         raise ValueError(f"{flag} must be a comma-separated integer list, got {text!r}")
 
 
+def _stdout_to_devnull() -> None:
+    """Point the stdout descriptor at os.devnull, so that what is still
+    buffered for a reader that has gone raises nothing at exit."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def _emit(pieces, out_path: str | None) -> None:
     """Write the text that pieces() yields to stdout, each piece as it
     comes, and then, with out_path, to that file from a second call:
-    the pieces are made again, never kept."""
+    the pieces are made again, never kept.  A reader that closes stdout
+    early does not cost the file: the BrokenPipeError is raised again
+    only after the file is written, and stdout is on os.devnull by then,
+    so an error writing the file is the one reported."""
     write = sys.stdout.write
-    for piece in pieces():
-        write(piece)
+    broken = None
+    try:
+        for piece in pieces():
+            write(piece)
+    except BrokenPipeError as exc:
+        broken = exc
+        _stdout_to_devnull()
     if out_path is not None:
         with open(out_path, "w") as fh:
             fh.writelines(pieces())
+    if broken is not None:
+        raise broken
 
 
 def _check_entry(report: VerificationReport) -> dict:
@@ -555,11 +573,7 @@ def main(argv=None) -> int:
         return code
     except (ValueError, LimitExceeded, OSError) as exc:
         if isinstance(exc, BrokenPipeError):
-            # what is still buffered goes to devnull, so that the flush
-            # at exit raises nothing more
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
+            _stdout_to_devnull()
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

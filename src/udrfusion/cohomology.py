@@ -389,12 +389,19 @@ _IDENTITY16 = tuple(int(k % 5 == 0) for k in range(16))  # ones at 0, 5, 10, 15
 
 
 def _mul4(p: int, x: tuple, y: tuple) -> tuple[int, ...]:
-    """The product x . y of two flat 4x4 operators."""
-    return tuple(
-        (x[i] * y[k] + x[i + 1] * y[k + 4] + x[i + 2] * y[k + 8] + x[i + 3] * y[k + 12]) % p
-        for i in (0, 4, 8, 12)
-        for k in (0, 1, 2, 3)
-    )
+    """The product x . y of two flat 4x4 operators: y's entries are bound
+    once, and each row of the product is four dot products of a row of x
+    with the columns of y."""
+    y00, y01, y02, y03, y10, y11, y12, y13, y20, y21, y22, y23, y30, y31, y32, y33 = y
+    product = []
+    for x0, x1, x2, x3 in (x[0:4], x[4:8], x[8:12], x[12:16]):
+        product += (
+            (x0 * y00 + x1 * y10 + x2 * y20 + x3 * y30) % p,
+            (x0 * y01 + x1 * y11 + x2 * y21 + x3 * y31) % p,
+            (x0 * y02 + x1 * y12 + x2 * y22 + x3 * y32) % p,
+            (x0 * y03 + x1 * y13 + x2 * y23 + x3 * y33) % p,
+        )
+    return tuple(product)
 
 
 def _conjugation_operator(mat: FpMatrix, inv: FpMatrix) -> tuple[int, ...]:

@@ -20,6 +20,14 @@ are expanded from the runs, and FusionOrbit objects built from them,
 only when a caller asks for them; an orbit's point set is computed from
 its representative on first access.
 
+Inside the orbit layer a point (x, y) is the integer code x*p + y, which
+sorts as (x, y) does, so the least point of an orbit is still its min.
+The images maps of every orbit set, and the point sets the sweep keeps,
+take and hold codes; no tuple is built per point.  What a caller reads
+stays tuple-valued: rows, representatives, orbit_of, partition() and
+FusionOrbit.elements decode with divmod(code, p).  Other modules reach
+the codes only through FusionOrbitSet and diagonal_images.
+
 The abelian route shares the orbit sets, the census and the sweep, so
 this module does not import dihedral at load; the three functions that
 act through theta_i0 import it when called.
@@ -42,8 +50,11 @@ if TYPE_CHECKING:
 
 NPoint = tuple[int, int]
 
-# maps a point to the collection of its images under every group element
-OrbitMap = Callable[[NPoint], Iterable[NPoint]]
+# an orbit set's action: maps the code x*p + y of a point to the codes of
+# its images under every group element
+OrbitMap = Callable[[int], Iterable[int]]
+# the same action on (x, y) points, as an orbit reads it
+PointMap = Callable[[NPoint], Iterable[NPoint]]
 
 BRUTE_FORCE_POINT_LIMIT = 10**6
 
@@ -65,7 +76,7 @@ class FusionOrbit(FrozenRecord):
         size: int,
         stabilizer_order: int,
         stabilizer_gens: tuple,
-        images: OrbitMap,
+        images: PointMap,
     ) -> None:
         object.__setattr__(self, "representative", representative)
         object.__setattr__(self, "size", size)
@@ -98,10 +109,14 @@ class FusionOrbitSet(FrozenRecord):
     stabilizer_gens) tuple per orbit, is their expansion, built on first
     access, and so are the FusionOrbit objects of orbits; a caller that
     reads only the census, the count or the representatives builds
-    neither.  point_sets, when given, holds the point set of each orbit in
-    row order (a sweep has them already) and becomes the elements of the
-    orbits built.  images is the action shared by every orbit of the set.
-    repr, == and hash read rows and p; images and point_sets are left out.
+    neither.  images is the action shared by every orbit of the set, on
+    codes x*p + y: it maps the code of a point to the codes of its images.
+    point_sets, when given, holds the point set of each orbit in row order
+    as a frozenset of codes (a sweep has them already); decoded, they
+    become the elements of the orbits built.  Everything a caller reads
+    is tuple-valued: rows, representatives, orbit_of, partition() and the
+    orbits' elements.  repr, == and hash read rows and p; images and
+    point_sets are left out.
     """
 
     _fields = ("rows", "p")
@@ -139,13 +154,26 @@ class FusionOrbitSet(FrozenRecord):
     def rows(self) -> tuple:
         return tuple(self.iter_rows())
 
+    def iter_codes(self) -> Iterator[int]:
+        """The representatives as codes x*p + y, in row order."""
+        p = self.p
+        for x, ys, *_ in self.runs:
+            base = x * p
+            for y in ys:
+                yield base + y
+
     @cached_property
     def orbits(self) -> tuple:
-        images = self.images
-        orbits = tuple(FusionOrbit(*row, images) for row in self.iter_rows())
+        p, images = self.p, self.images
+
+        def point_images(v: NPoint) -> list:
+            x, y = v
+            return [divmod(code, p) for code in images(x * p + y)]
+
+        orbits = tuple(FusionOrbit(*row, point_images) for row in self.iter_rows())
         if self.point_sets is not None:
-            for orb, points in zip(orbits, self.point_sets):
-                orb.__dict__["elements"] = points
+            for orb, codes in zip(orbits, self.point_sets):
+                orb.__dict__["elements"] = frozenset(divmod(code, p) for code in codes)
         return orbits
 
     @property
@@ -163,9 +191,10 @@ class FusionOrbitSet(FrozenRecord):
     def orbit_of(self, v: NPoint) -> FusionOrbit:
         """The orbit of v, found by its least image."""
         x, y = v
-        if not (0 <= x < self.p and 0 <= y < self.p):
+        p = self.p
+        if not (0 <= x < p and 0 <= y < p):
             raise KeyError(f"{v} is not a point of the plane being partitioned")
-        return self._by_representative[min(self.images(v))]
+        return self._by_representative[divmod(min(self.images(x * p + y)), p)]
 
     def partition(self) -> frozenset:
         return frozenset(orb.elements for orb in self.orbits)
@@ -226,43 +255,62 @@ def coset_minima(p: int, subgroup) -> list[int]:
     return cmin
 
 
+def diagonal_images(p: int, scalars) -> OrbitMap:
+    """The orbit map, on codes, of a group acting on the plane through the
+    diagonal matrices diag(a, b) for (a, b) in scalars."""
+
+    def images(v: int) -> set:
+        x, y = divmod(v, p)
+        return {(a * x % p) * p + b * y % p for a, b in scalars}
+
+    return images
+
+
 def _sweep_orbits(p: int, table) -> FusionOrbitSet:
     """Orbit partition by sweeping every point of the plane.
 
     table lists (g, (a, b, c, d)) with g acting as the matrix
-    [[a, b], [c, d]].  Every orbit is built as a point set and every
-    point is marked as seen; callers guard the p^2 cost.  Points are swept
-    in lexicographic order, so the first point met of each orbit is its
+    [[a, b], [c, d]].  Points are the codes x*p + y; every orbit is built
+    as a frozenset of codes and every point is marked in a bytearray of
+    p^2 flags; callers guard the p^2 cost.  Points are swept in
+    increasing code order, which is lexicographic order, jumping to the
+    next unmarked point, so the first point met of each orbit is its
     least one and the orbits come out sorted, one run each; the
-    stabilizer is read off the same image list as the orbit.
+    stabilizer is read off the same image list as the orbit.  The rows
+    and everything else read from the set stay tuple-valued.
     """
+    matrices = [mat for _, mat in table]
 
-    def images(v: NPoint) -> set:
-        x, y = v
-        return {((a * x + b * y) % p, (c * x + d * y) % p) for _, (a, b, c, d) in table}
+    def images(v: int) -> set:
+        x, y = divmod(v, p)
+        return {((a * x + b * y) % p) * p + (c * x + d * y) % p for a, b, c, d in matrices}
 
     elements = [g for g, _ in table]
-    matrices = [mat for _, mat in table]
-    seen = set()
+    seen = bytearray(p * p)
     runs = []
     point_sets = []
-    for x in range(p):
-        for y in range(p):
-            rep = (x, y)
-            if rep in seen:
-                continue
-            image_list = [((a * x + b * y) % p, (c * x + d * y) % p) for a, b, c, d in matrices]
-            orbit = frozenset(image_list)
-            if min(orbit) != rep:
-                raise ValueError(f"the table does not map {rep} to the least point of its orbit")
-            seen |= orbit
-            if len(orbit) == len(image_list):
-                # the images are distinct, so exactly one element fixes rep
-                stab = (elements[image_list.index(rep)],)
-            else:
-                stab = tuple(compress(elements, [image == rep for image in image_list]))
-            runs.append((x, (y,), len(orbit), len(stab), stab))
-            point_sets.append(orbit)
+    row = -1
+    pos = 0
+    while pos >= 0:
+        x, y = divmod(pos, p)
+        if x != row:
+            # a*x and c*x are fixed along a row
+            row = x
+            shifted = [(a * x, b, c * x, d) for a, b, c, d in matrices]
+        image_list = [((ax + b * y) % p) * p + (cx + d * y) % p for ax, b, cx, d in shifted]
+        orbit = frozenset(image_list)
+        if min(orbit) != pos:
+            raise ValueError(f"the table does not map {(x, y)} to the least point of its orbit")
+        for v in orbit:
+            seen[v] = 1
+        if len(orbit) == len(image_list):
+            # the images are distinct, so exactly one element fixes pos
+            stab = (elements[image_list.index(pos)],)
+        else:
+            stab = tuple(compress(elements, [image == pos for image in image_list]))
+        runs.append((x, (y,), len(orbit), len(stab), stab))
+        point_sets.append(orbit)
+        pos = seen.find(0, pos + 1)
     # the sweep already holds every point set: hand them to the orbits
     return FusionOrbitSet(tuple(runs), p, images, tuple(point_sets))
 
@@ -332,10 +380,12 @@ def fusion_orbits_closed_form(params: DihedralParams, i0: int) -> FusionOrbitSet
     cmin = coset_minima(p, unit_powers)
     minima = [m for m in range(1, p) if cmin[m] == m]
 
-    def images(v: NPoint) -> list:
-        x, y = v
-        return [(u * x % p, ui * y % p) for u, ui in zip(unit_powers, inverse_powers)] + [
-            (u * y % p, ui * x % p) for u, ui in zip(unit_powers, inverse_powers)
+    units = list(zip(unit_powers, inverse_powers))
+
+    def images(v: int) -> list:
+        x, y = divmod(v, p)
+        return [(u * x % p) * p + ui * y % p for u, ui in units] + [
+            (u * y % p) * p + ui * x % p for u, ui in units
         ]
 
     r_k = GroupElement.rotation(n, k)

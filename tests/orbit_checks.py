@@ -2,7 +2,22 @@
 
 from __future__ import annotations
 
-from udrfusion.ffield import FpMatrix
+from math import lcm, prod
+
+from udrfusion.abelian import AbelianParams, all_character_pairs
+from udrfusion.ffield import FpMatrix, is_prime
+
+ORBIT_GRID_ORDERS = ((2,), (4,), (6,), (2, 2), (2, 3), (3, 3))
+
+
+def abelian_orbit_grid():
+    """Every character pair of each group in ORBIT_GRID_ORDERS at its two
+    smallest valid primes."""
+    for orders in ORBIT_GRID_ORDERS:
+        exponent, order = lcm(*orders), prod(orders)
+        primes = [p for p in range(3, 40) if is_prime(p) and (p - 1) % exponent == 0 and order % p]
+        for p in primes[:2]:
+            yield from all_character_pairs(AbelianParams(orders, p))
 
 
 def assert_same_orbits(direct, sweep):

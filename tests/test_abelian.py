@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-from math import lcm, prod
 from time import perf_counter
 
 import pytest
@@ -23,22 +22,10 @@ from udrfusion.abelian import (
 )
 from udrfusion.cohomology import CohomologyDims
 from udrfusion.deformation import UdrClass
-from udrfusion.ffield import FpMatrix, LimitExceeded, is_prime
+from udrfusion.ffield import FpMatrix, LimitExceeded
 from udrfusion.fusion import fusion_numbers
 
-from orbit_checks import assert_same_orbits, burnside_count
-
-ORBIT_GRID_ORDERS = ((2,), (4,), (6,), (2, 2), (2, 3), (3, 3))
-
-
-def _orbit_grid():
-    """Every character pair of each group in ORBIT_GRID_ORDERS at its two
-    smallest valid primes."""
-    for orders in ORBIT_GRID_ORDERS:
-        exponent, order = lcm(*orders), prod(orders)
-        primes = [p for p in range(3, 40) if is_prime(p) and (p - 1) % exponent == 0 and order % p]
-        for p in primes[:2]:
-            yield from all_character_pairs(AbelianParams(orders, p))
+from orbit_checks import abelian_orbit_grid, assert_same_orbits, burnside_count
 
 
 def test_smallest_valid_prime():
@@ -128,7 +115,7 @@ def test_fixed_count_frozen():
 
 def test_fixed_count_matches_bruteforce():
     checked = 0
-    for pair in _orbit_grid():
+    for pair in abelian_orbit_grid():
         count = abelian_fixed_count_bruteforce(pair)
         assert count == abelian_fixed_count(pair) == pair.params.p ** pair.trivial_count()
         checked += 1
@@ -169,7 +156,7 @@ def test_orbits_frozen():
 
 def test_direct_orbits_match_bruteforce():
     checked = 0
-    for pair in _orbit_grid():
+    for pair in abelian_orbit_grid():
         direct, sweep = abelian_orbits(pair), abelian_orbits_bruteforce(pair)
         assert_same_orbits(direct, sweep)
         # both list the whole stabilizer, in group element order
@@ -181,7 +168,7 @@ def test_direct_orbits_match_bruteforce():
 
 
 def test_direct_orbit_count_is_burnside_count():
-    for pair in _orbit_grid():
+    for pair in abelian_orbit_grid():
         p = pair.params.p
         matrices = [
             FpMatrix.diagonal(p, (pair.value1(g), pair.value2(g))) for g in pair.params.elements()

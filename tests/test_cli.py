@@ -316,6 +316,49 @@ def test_closed_stdout_ends_with_one_error_line(unbuffered):
     assert err == "error: [Errno 32] Broken pipe\n"
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_still_writes_the_whole_out_file(capsys, tmp_path, unbuffered):
+    # the reader closes the pipe after 10 bytes; the --out file is still
+    # written whole, and the run ends with the broken pipe's one error line
+    _, report, _ = _run(capsys, _MULTI_RUN_ARGV)
+    out_path = tmp_path / "report.json"
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "udrfusion", *_MULTI_RUN_ARGV, "--out", str(out_path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.read(10) == b'{\n  "versi'
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 2
+    assert err == "error: [Errno 32] Broken pipe\n"
+    assert out_path.read_text() == report
+
+
+def test_closed_stdout_and_an_unwritable_out_path_end_with_the_file_error(
+    tmp_path, capsys, monkeypatch
+):
+    # the pipe breaks at the first write and the file cannot be opened:
+    # stdout is on os.devnull before the file is tried, so what is left
+    # buffered cannot fail the flush at exit, and the one error line is
+    # the file's
+    class ClosedAtWrite(_Writes):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return target.fileno()
+
+    with open(tmp_path / "stdout", "w") as target:
+        monkeypatch.setattr(sys, "stdout", ClosedAtWrite())
+        rc = main(["analyze", "dihedral", "--n", "5", "--i0", "2",
+                   "--out", str(tmp_path / "missing" / "x.json")])
+        assert os.path.samestat(os.fstat(target.fileno()), os.stat(os.devnull))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 2] ") and err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_closed_stdout_seen_at_the_last_flush_ends_with_one_error_line(tmp_path, capsys, monkeypatch):
     # every write reached the pipe, and the reader closed it before the
     # rest was flushed: main flushes, so this is not left to the exit

@@ -415,6 +415,26 @@ def test_rank_over_an_echelon_form_is_the_stacked_rank():
         assert cohomology._rank_over(p, echelon, rows) == FpMatrix(p, base + rows).rank(), case
 
 
+@st.composite
+def _flat_operator_pair(draw):
+    p = draw(st.one_of(st.just(1000003), st.integers(2, 1000003)))
+    entries = st.lists(st.integers(0, p - 1), min_size=16, max_size=16).map(tuple)
+    return p, draw(entries), draw(entries)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_flat_operator_pair())
+def test_unrolled_mul4_is_the_textbook_product(case):
+    """_mul4 against the triple loop over row, column and inner index."""
+    p, x, y = case
+    textbook = tuple(
+        sum(x[4 * i + m] * y[4 * m + k] for m in range(4)) % p
+        for i in range(4)
+        for k in range(4)
+    )
+    assert cohomology._mul4(p, x, y) == textbook
+
+
 def _full_expansion_d1(params, i0, j):
     """d1 from all ten relators of _cocycle_presentation, expanded afresh
     and ranked as one system."""

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import tracemalloc
 from collections import Counter
 
 import pytest
 
-from udrfusion import cli, fusion
+from udrfusion import abelian, cli, deformation, fusion
 from udrfusion.deformation import (
     UdrClass,
     check_center_constraint,
@@ -22,7 +23,7 @@ from udrfusion.deformation import (
     udr_signature,
 )
 from udrfusion.dihedral import DihedralParams, GroupElement, omega_set
-from udrfusion.fusion import FusionOrbitSet, fusion_orbits_bruteforce
+from udrfusion.fusion import FusionOrbitSet, fusion_orbits_bruteforce, fusion_orbits_closed_form
 
 
 def test_udr_class_frozen():
@@ -125,7 +126,8 @@ def test_orbit_closed_form_check_compares_row_by_row(n, i0):
     rows, point_sets = list(brute.rows), list(brute.point_sets)
     pos = next(pos for pos, (_, size, _, _) in enumerate(rows) if size > 1)
     rep, size, stabilizer_order, gens = rows[pos]
-    other_point = max(point_sets[pos])
+    # the sweep keeps its point sets as codes x*p + y
+    other_point = divmod(max(point_sets[pos]), brute.p)
     assert other_point > rep
     rows[pos] = (other_point, size, stabilizer_order, gens)
     non_least = FusionOrbitSet.from_rows(tuple(rows), brute.p, brute.images, brute.point_sets)
@@ -140,6 +142,87 @@ def test_orbit_closed_form_check_compares_row_by_row(n, i0):
     # the census reads orbit sizes only
     assert check_orbit_census(params, i0, non_least).passed
     assert check_orbit_census(params, i0, swapped).passed
+
+
+def _transposed(p, images):
+    return lambda v: [(code % p) * p + code // p for code in images(v)]
+
+
+def _wrong_base(p, images):
+    return lambda v: [(code // p) * (p + 1) + code % p for code in images(v)]
+
+
+def _neighbour(p, images):
+    return lambda v: images(v + 1)
+
+
+@pytest.mark.parametrize("n, i0", [(5, 2), (6, 1), (8, 2)])
+@pytest.mark.parametrize("fault", [_wrong_base, _neighbour], ids=["wrong_base", "neighbour"])
+def test_closed_form_check_fails_on_a_planted_coding_fault(monkeypatch, n, i0, fault):
+    """The closed form's orbit map, on codes x*p + y, built with a wrong
+    base or applied to the code of the next point, fails the check."""
+    params = DihedralParams.standard(n)
+    brute = fusion_orbits_bruteforce(params, i0)
+    real = deformation.fusion_orbits_closed_form
+
+    def planted(params, i0):
+        closed = real(params, i0)
+        return FusionOrbitSet(closed.runs, closed.p, fault(closed.p, closed.images))
+
+    assert check_orbit_closed_form(params, i0, brute).passed
+    monkeypatch.setattr(deformation, "fusion_orbits_closed_form", planted)
+    assert not check_orbit_closed_form(params, i0, brute).passed
+
+
+@pytest.mark.parametrize("n, i0", [(5, 2), (6, 1), (8, 2)])
+def test_transposed_codes_are_invisible_in_a_dihedral_orbit(monkeypatch, n, i0):
+    """A transposed code y*p + x in the closed form's orbit map changes no
+    image set: s swaps the two coordinates, so every dihedral orbit is
+    closed under (x, y) -> (y, x), and the check rightly passes.  The same
+    fault in the abelian direct map, whose orbits are not closed under the
+    swap, splits the partition away from the sweep's."""
+    params = DihedralParams.standard(n)
+    brute = fusion_orbits_bruteforce(params, i0)
+    closed = fusion_orbits_closed_form(params, i0)
+    transposed = _transposed(closed.p, closed.images)
+    assert all(
+        frozenset(transposed(code)) == frozenset(closed.images(code))
+        for code in brute.iter_codes()
+    )
+    monkeypatch.setattr(
+        deformation,
+        "fusion_orbits_closed_form",
+        lambda params, i0: FusionOrbitSet(closed.runs, closed.p, transposed),
+    )
+    assert check_orbit_closed_form(params, i0, brute).passed
+
+    pair = abelian.CharacterPair.from_exponents(abelian.AbelianParams((2, 3), 7), (1, 0), (1, 2))
+    sweep = abelian.abelian_orbits_bruteforce(pair)
+    assert abelian.abelian_orbits(pair).partition() == sweep.partition()
+    real = abelian.diagonal_images
+    monkeypatch.setattr(
+        abelian, "diagonal_images", lambda p, scalars: _transposed(p, real(p, scalars))
+    )
+    assert abelian.abelian_orbits(pair).partition() != sweep.partition()
+
+
+def test_orbit_checks_peak_memory():
+    """tracemalloc peak of the sweep and both orbit checks at (12, 313, 1).
+    With point sets of (x, y) tuples and a set of p^2 seen tuples it was
+    19.8 MB; with frozensets of codes x*p + y and a bytearray of seen
+    flags it is 12.4 MB.  The bound leaves 3.6 MB of headroom."""
+    params = DihedralParams.standard(12, 313)
+    fusion_orbits_closed_form(params, 1)  # loads and caches what the closed form imports
+    tracemalloc.start()
+    try:
+        brute = fusion_orbits_bruteforce(params, 1)
+        assert check_orbit_closed_form(params, 1, brute).passed
+        assert check_orbit_census(params, 1, brute).passed
+        del brute
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
 
 
 def test_verify_orbit_families_build_no_orbit_objects(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress, product
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from udrfusion.fusion import (
     FusionNumbers,
     FusionOrbit,
     FusionOrbitSet,
+    NPoint,
     act,
     coset_minima,
     fusion_numbers,
@@ -21,7 +23,7 @@ from udrfusion.fusion import (
     same_fusion,
 )
 
-from orbit_checks import assert_same_orbits, burnside_count
+from orbit_checks import abelian_orbit_grid, assert_same_orbits, burnside_count
 
 # the sweep is quadratic in p; the oracle grids below stop at planes of
 # SWEEP_PRIME_CEILING^2 points so the comparisons stay well under a second
@@ -359,3 +361,93 @@ def test_partition_independent_of_root_choice():
     assert all(part == partitions[0] for part in partitions)
     assert all(c == censuses[0] for c in censuses)
     assert primitive_root_of_unity(p, n) == 3
+
+
+def _tuple_sweep_reference(p, table):
+    """The orbit sweep as it was written on (x, y) tuples before points
+    became codes x*p + y, kept verbatim but for its return value: the runs,
+    the tuple orbit map and the tuple point sets."""
+
+    def images(v: NPoint) -> set:
+        x, y = v
+        return {((a * x + b * y) % p, (c * x + d * y) % p) for _, (a, b, c, d) in table}
+
+    elements = [g for g, _ in table]
+    matrices = [mat for _, mat in table]
+    seen = set()
+    runs = []
+    point_sets = []
+    for x in range(p):
+        for y in range(p):
+            rep = (x, y)
+            if rep in seen:
+                continue
+            image_list = [((a * x + b * y) % p, (c * x + d * y) % p) for a, b, c, d in matrices]
+            orbit = frozenset(image_list)
+            if min(orbit) != rep:
+                raise ValueError(f"the table does not map {rep} to the least point of its orbit")
+            seen |= orbit
+            if len(orbit) == len(image_list):
+                # the images are distinct, so exactly one element fixes rep
+                stab = (elements[image_list.index(rep)],)
+            else:
+                stab = tuple(compress(elements, [image == rep for image in image_list]))
+            runs.append((x, (y,), len(orbit), len(stab), stab))
+            point_sets.append(orbit)
+    return tuple(runs), images, tuple(point_sets)
+
+
+def _assert_sweep_matches_tuple_reference(sweep, table):
+    p = sweep.p
+    runs, images, point_sets = _tuple_sweep_reference(p, table)
+    assert sweep.runs == runs
+    assert sweep.rows == tuple(
+        ((x, y), size, order, gens) for x, ys, size, order, gens in runs for y in ys
+    )
+    assert [frozenset(divmod(code, p) for code in codes) for codes in sweep.point_sets] == list(
+        point_sets
+    )
+    assert [orb.elements for orb in sweep.orbits] == list(point_sets)
+    assert sweep.partition() == frozenset(point_sets)
+    by_representative = {min(points): points for points in point_sets}
+    for v in product(range(p), repeat=2):
+        orb = sweep.orbit_of(v)
+        assert orb.representative == min(images(v))
+        assert orb.elements == by_representative[orb.representative]
+
+
+def test_coded_sweep_matches_the_tuple_reference(monkeypatch):
+    """The coded sweep against the tuple sweep on the same tables: every
+    dihedral n = 3..8 at two primes and every i0, and every character
+    pair of the abelian orbit grid."""
+    tables = []
+    real = fusion._sweep_orbits
+
+    def recording(p, table):
+        tables.append(table)
+        return real(p, table)
+
+    monkeypatch.setattr(fusion, "_sweep_orbits", recording)
+    monkeypatch.setattr(abelian, "_sweep_orbits", recording)
+    checked = 0
+    for n in range(3, 9):
+        for p in find_primes(n, 2):
+            params = DihedralParams.standard(n, p)
+            for i0 in params.irr2_indices():
+                _assert_sweep_matches_tuple_reference(fusion_orbits_bruteforce(params, i0),
+                                                      tables.pop())
+                checked += 1
+    for pair in abelian_orbit_grid():
+        _assert_sweep_matches_tuple_reference(abelian.abelian_orbits_bruteforce(pair),
+                                              tables.pop())
+        checked += 1
+    # 24 dihedral actions and 2 * (4 + 16 + 36 + 16 + 36 + 81) character pairs
+    assert checked == 24 + 378
+
+
+def test_coded_sweep_refuses_a_table_that_misses_the_least_point():
+    # a table without the identity: (0, 0) is fixed, and (0, 1), the next
+    # point swept, is not among its own images
+    table = [(GroupElement.rotation(3), (2, 0, 0, 2))]
+    with pytest.raises(ValueError, match=r"does not map \(0, 1\) to the least point"):
+        fusion._sweep_orbits(5, table)
