@@ -22,11 +22,10 @@ from collections import Counter
 from math import gcd, lcm, prod
 
 from .ffield import (
-    PRIME_SEARCH_CEILING,
     FpMatrix,
     LimitExceeded,
+    find_prime,
     is_odd_prime,
-    is_prime,
     primitive_root_of_unity,
 )
 from .fusion import (
@@ -50,17 +49,12 @@ ABELIAN_GROUP_ORDER_LIMIT = 10**4
 def smallest_valid_abelian_prime(exponent: int, group_order: int) -> int:
     """Smallest odd prime p with exponent | p - 1 and p coprime to the order.
 
-    The search stops at PRIME_SEARCH_CEILING and raises LimitExceeded
-    there instead of running on.
+    The order and the exponent have the same prime divisors, and a prime
+    p = 1 (mod exponent) divides neither, so group_order is not read:
+    this is find_prime(exponent), which raises LimitExceeded past its
+    ceiling, and 3 for an exponent of 1 or 2.
     """
-    p = 3
-    while p <= PRIME_SEARCH_CEILING:
-        if (p - 1) % exponent == 0 and group_order % p != 0 and is_prime(p):
-            return p
-        p += 2
-    raise LimitExceeded(
-        f"no odd prime p = 1 (mod {exponent}) prime to {group_order} up to {PRIME_SEARCH_CEILING}"
-    )
+    return find_prime(exponent) if exponent >= 3 else 3
 
 
 class AbelianParams(FrozenRecord):
@@ -149,7 +143,8 @@ class CharacterPair(FrozenRecord):
     def from_exponents(cls, params: AbelianParams, e1, e2) -> "CharacterPair":
         """Characters g_i -> w_i^(e_i) for the deterministic roots w_i."""
         roots = params.generator_roots()
-        if len(tuple(e1)) != len(roots) or len(tuple(e2)) != len(roots):
+        e1, e2 = tuple(e1), tuple(e2)
+        if len(e1) != len(roots) or len(e2) != len(roots):
             raise ValueError("need one exponent per cyclic factor")
         img1 = tuple(pow(w, int(e) % m, params.p) for w, e, m in zip(roots, e1, params.cyclic_orders))
         img2 = tuple(pow(w, int(e) % m, params.p) for w, e, m in zip(roots, e2, params.cyclic_orders))

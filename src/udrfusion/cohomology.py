@@ -25,8 +25,9 @@ tests and computes nothing on the `dims` path.
 A second, independent route recomputes d1 from scratch: 1-cocycles of
 the finitely presented semidirect product with values in the 2x2 matrix
 module, solved as a linear system over F_p in the values on the four
-generators.  It shares nothing with the fixed-point path beyond the
-representation matrices themselves.
+generators and ranked by the package's one elimination routine,
+`ffield._gauss_jordan`.  It shares nothing with the fixed-point path
+beyond the representation matrices themselves.
 """
 
 from __future__ import annotations
@@ -288,25 +289,30 @@ class _MonomialModule:
 
 
 # Cache bounds, each above the working set of a default `verify` (120
-# distinct dims arguments, 228 distinct (params, i0) signature rows, 228
-# distinct (params, index) monomial modules, 28 distinct (params, j)
-# oracle modules), so that run never evicts, while a long-lived caller's
-# memory stays bounded.
+# distinct dims arguments, 228 distinct (params, i0) signature rows, 35
+# distinct params with monomial modules, 28 distinct (params, j) oracle
+# modules), so that run never evicts, while a long-lived caller's memory
+# stays bounded.
 DIMS_CACHE_SIZE = 4096
 ROW_CACHE_SIZE = 1024
-MONOMIAL_CACHE_SIZE = 1024
+MONOMIAL_CACHE_SIZE = 64
 ORACLE_MODULE_CACHE_SIZE = 256
 
 
 @lru_cache(maxsize=MONOMIAL_CACHE_SIZE)
-def _irr2_monomial(params: DihedralParams, i: int) -> tuple:
-    """theta_i as a monomial module V, together with its adjoint
-    V* (x) V, the adjoint's coordinates by weight, the dual V* and the
-    determinant of V*."""
-    v = _MonomialModule.from_rep(irr2_rep(params, i))
-    dual = v.dual()
-    adj = dual.tensor(v)
-    return v, adj, adj.by_weight(), dual, dual.det()
+def _irr2_monomials(params: DihedralParams) -> tuple:
+    """For every theta_i, i in params.irr2_indices() in order, as a
+    monomial module V: the adjoints V* (x) V with their coordinates by
+    weight, and the duals V* with det V*.  One entry holds every index,
+    so that a signature row never evicts a module the next row reads."""
+    adjoints, duals = [], []
+    for i in params.irr2_indices():
+        v = _MonomialModule.from_rep(irr2_rep(params, i))
+        dual = v.dual()
+        adj = dual.tensor(v)
+        adjoints.append((adj, adj.by_weight()))
+        duals.append((dual, dual.det()))
+    return tuple(adjoints), tuple(duals)
 
 
 @lru_cache(maxsize=ROW_CACHE_SIZE)
@@ -315,8 +321,11 @@ def dims_row(params: DihedralParams, i0: int) -> tuple[tuple[int, int], ...]:
     params.irr2_indices() in order: the invariant counts of phi~ (x) adj_j
     and det phi~ (x) adj_j, one weight join of each factor against every
     adjoint."""
-    _, _, _, phi_tilde, wedge = _irr2_monomial(params, i0)
-    adjoints = [_irr2_monomial(params, j)[1:3] for j in params.irr2_indices()]
+    indices = params.irr2_indices()
+    if i0 not in indices:
+        raise ValueError(f"index {i0} is not in [1, {params.n}/2)")
+    adjoints, duals = _irr2_monomials(params)
+    phi_tilde, wedge = duals[i0 - indices.start]
     d1s = phi_tilde.tensor_fixed_point_dims(adjoints)
     d2s = [d1 + d_wedge for d1, d_wedge in zip(d1s, wedge.tensor_fixed_point_dims(adjoints))]
     # a row holds a few distinct pairs; each is stored once
@@ -406,11 +415,8 @@ def _mul4(p: int, x: tuple, y: tuple) -> tuple[int, ...]:
 
 def _conjugation_operator(mat: FpMatrix, inv: FpMatrix) -> tuple[int, ...]:
     """X -> mat . X . inv on 2x2 matrices, in the basis E11, E12, E21, E22:
-    the image of E_ab has entry mat[r][a] * inv[b][c] at (r, c)."""
-    m, v, p = mat.data, inv.data, mat.p
-    return tuple(
-        m[r][a] * v[b][c] % p for r in (0, 1) for c in (0, 1) for a in (0, 1) for b in (0, 1)
-    )
+    row-major vectorization turns it into mat (x) inv^T."""
+    return tuple(v for row in mat.kron(inv.transpose()).data for v in row)
 
 
 def _module_relators(n: int, p: int) -> list[list[tuple[str, int]]]:
@@ -479,34 +485,13 @@ def _invariant_dim(p: int, operator: dict[str, tuple]) -> int:
     return 4 - _gauss_jordan(p, rows, 4)[1]
 
 
-def _echelon(p: int, rows) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """The reduced row echelon form of rows in the 16 unknowns, as
-    (pivot column, row) pairs."""
-    reduced, rank, _ = _gauss_jordan(p, rows, 16)
-    return tuple((next(c for c, v in enumerate(row) if v), tuple(row)) for row in reduced[:rank])
-
-
-def _rank_over(p: int, echelon, rows) -> int:
-    """The rank of the echelon rows stacked on rows: each row is reduced
-    against the (pivot column, row) pairs of echelon, which clears its
-    pivot columns, and the rank of what remains is added."""
-    residual = []
-    for row in rows:
-        for col, pivot_row in echelon:
-            f = row[col]
-            if f:
-                row = [(v - f * w) % p for v, w in zip(row, pivot_row)]
-        residual.append(row)
-    return len(echelon) + _gauss_jordan(p, residual, 16)[1]
-
-
 @lru_cache(maxsize=ORACLE_MODULE_CACHE_SIZE)
 def _cocycle_module(params: DihedralParams, j: int) -> tuple:
     """The half of the cocycle system that depends on (params, j) alone:
     the operator of each generator on the 2x2 matrix module M of theta_j
-    (a and b act as the identity) and their inverses, the reduced row
-    echelon form of the six relators that do not involve the action, as
-    (pivot column, row) pairs, and dim M^G."""
+    (a and b act as the identity) and their inverses, the nonzero rows of
+    the reduced row echelon form of the six relators that do not involve
+    the action, and dim M^G."""
     p = params.p
     module_rep = irr2_rep(params, j)
     operator = {"a": _IDENTITY16, "b": _IDENTITY16}
@@ -520,23 +505,8 @@ def _cocycle_module(params: DihedralParams, j: int) -> tuple:
         for rel in _module_relators(params.n, p)
         for row in _relator_rows(p, rel, operator, operator_inv)
     ]
-    return operator, operator_inv, _echelon(p, rows), _invariant_dim(p, operator)
-
-
-def _cocycle_presentation(
-    params: DihedralParams, i0: int, j: int
-) -> tuple[dict[str, tuple], dict[str, tuple], list[list[tuple[str, int]]]]:
-    """The presentation behind d1_oracle_cocycles: the flat operator of
-    each generator on the 2x2 matrix module M of theta_j (a and b act as
-    the identity), the inverse operators, and all ten relators as lists
-    of (generator, exponent) letters.  d1_oracle_cocycles expands only
-    the last four per call; expanded whole, this is the reference its
-    split is tested against."""
-    operator, operator_inv, _, _ = _cocycle_module(params, j)
-    relators = _module_relators(params.n, params.p) + _conjugation_relators(
-        irr2_rep(params, i0)
-    )
-    return dict(operator), dict(operator_inv), relators
+    reduced, rank, _ = _gauss_jordan(p, rows, 16)
+    return operator, operator_inv, reduced[:rank], _invariant_dim(p, operator)
 
 
 def d1_oracle_cocycles(params: DihedralParams, i0: int, j: int) -> int:
@@ -552,21 +522,20 @@ def d1_oracle_cocycles(params: DihedralParams, i0: int, j: int) -> int:
 
         d1 = dim Z1 - (dim M - dim M^G).
 
-    The first six relators, in reduced row echelon form, and dim M^G
-    depend on (params, j) alone and come from the memo _cocycle_module;
-    only the four conjugation relators are expanded per call, and their
-    rows are reduced against that form before the remaining rank is
-    taken.
+    The reduced rows of the first six relators and dim M^G depend on
+    (params, j) alone and come from the memo _cocycle_module; only the
+    four conjugation relators are expanded per call, and the system's
+    rank is that of their rows stacked under the memoized ones.
     """
     n, p = params.n, params.p
     if 2 * n * p * p > H1_ORACLE_GROUP_ORDER_LIMIT:
         raise LimitExceeded(
             f"group order {2 * n * p * p} exceeds oracle limit {H1_ORACLE_GROUP_ORDER_LIMIT}"
         )
-    operator, operator_inv, echelon, m_fixed = _cocycle_module(params, j)
+    operator, operator_inv, module_rows, m_fixed = _cocycle_module(params, j)
     rows = [
         row
         for rel in _conjugation_relators(irr2_rep(params, i0))
         for row in _relator_rows(p, rel, operator, operator_inv)
     ]
-    return 16 - _rank_over(p, echelon, rows) - (4 - m_fixed)
+    return 16 - _gauss_jordan(p, module_rows + rows, 16)[1] - (4 - m_fixed)

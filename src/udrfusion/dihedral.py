@@ -69,10 +69,10 @@ class DihedralParams(FrozenRecord):
         return irr2_indices(self.n)
 
 
-class GroupElement:
+class GroupElement(FrozenRecord):
     """The element s^flip r^rot of the dihedral group of order 2n."""
 
-    __slots__ = ("n", "rot", "flip")
+    __slots__ = _fields = ("n", "rot", "flip")
 
     def __init__(self, n: int, rot: int, flip: int = 0) -> None:
         if n < 3:
@@ -80,9 +80,6 @@ class GroupElement:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rot", rot % n)
         object.__setattr__(self, "flip", flip % 2)
-
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("GroupElement is immutable")
 
     @classmethod
     def identity(cls, n: int) -> "GroupElement":
@@ -123,17 +120,6 @@ class GroupElement:
         elif self.rot > 1:
             parts.append(f"r^{self.rot}")
         return " ".join(parts) if parts else "e"
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GroupElement)
-            and self.n == other.n
-            and self.rot == other.rot
-            and self.flip == other.flip
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.rot, self.flip))
 
     def __repr__(self) -> str:
         return f"GroupElement(n={self.n}, {self.word()!r})"

@@ -22,7 +22,7 @@ from udrfusion.abelian import (
 )
 from udrfusion.cohomology import CohomologyDims
 from udrfusion.deformation import UdrClass
-from udrfusion.ffield import FpMatrix, LimitExceeded
+from udrfusion.ffield import FpMatrix, LimitExceeded, is_prime
 from udrfusion.fusion import fusion_numbers
 
 from orbit_checks import abelian_orbit_grid, assert_same_orbits, burnside_count
@@ -34,6 +34,18 @@ def test_smallest_valid_prime():
     assert smallest_valid_abelian_prime(3, 3) == 7
     assert smallest_valid_abelian_prime(6, 6) == 7
     assert smallest_valid_abelian_prime(10, 10) == 11
+
+
+def test_smallest_valid_prime_is_the_brute_force_search():
+    """The smallest odd prime p with exponent | p - 1 and p prime to the
+    order, searched directly, for every exponent up to 200 and orders
+    with the exponent's prime divisors."""
+    for exponent in range(1, 201):
+        for order in (exponent, exponent**2):
+            p = 3
+            while not ((p - 1) % exponent == 0 and order % p and is_prime(p)):
+                p += 2
+            assert smallest_valid_abelian_prime(exponent, order) == p, (exponent, order)
 
 
 def test_smallest_valid_prime_ceiling():
@@ -82,6 +94,9 @@ def test_character_from_exponents():
     two = CharacterPair.from_exponents(AbelianParams((2, 3), 7), (1, 1), (0, 2))
     assert two.theta1 == (6, 2) and two.theta2 == (1, 4)
     assert two.value1((1, 1)) == 5  # 6 * 2 mod 7
+    # each exponent iterable is read once, so generators give what lists give
+    generated = CharacterPair.from_exponents(two.params, iter((1, 1)), (e for e in (0, 2)))
+    assert generated == CharacterPair.from_exponents(two.params, [1, 1], [0, 2]) == two
 
 
 def test_character_validation():

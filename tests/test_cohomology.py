@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import importlib
-import random
+from collections import Counter
 from time import perf_counter
 from types import CodeType, FunctionType
 
@@ -15,7 +15,9 @@ from udrfusion.cohomology import (
     CohomologyDims,
     GModule,
     _MonomialModule,
-    _cocycle_presentation,
+    _cocycle_module,
+    _conjugation_relators,
+    _module_relators,
     _relator_rows,
     adjoint_decomposition_check,
     adjoint_module,
@@ -245,7 +247,7 @@ def test_dims_rejects_non_monomial_generator(monkeypatch):
         (Rep2(params, good.label, good.mat_r, FpMatrix(p, ((0, 2), (6, 0)))), "signed permutation"),
     )
     # past every memo, so that dims reads the broken matrices
-    monkeypatch.setattr(cohomology, "_irr2_monomial", cohomology._irr2_monomial.__wrapped__)
+    monkeypatch.setattr(cohomology, "_irr2_monomials", cohomology._irr2_monomials.__wrapped__)
     monkeypatch.setattr(cohomology, "dims_row", cohomology.dims_row.__wrapped__)
     for rep, message in broken:
         monkeypatch.setattr(cohomology, "irr2_rep", lambda _params, _i, rep=rep: rep)
@@ -338,11 +340,23 @@ def _as_fp_matrix(p, flat):
     return FpMatrix(p, [flat[start : start + 4] for start in (0, 4, 8, 12)])
 
 
+def _presentation(params, i0, j):
+    """The presentation behind d1_oracle_cocycles: the flat operator of
+    each generator on the 2x2 matrix module M of theta_j (a and b act as
+    the identity), the inverse operators, and all ten relators as lists
+    of (generator, exponent) letters.  The oracle expands only the last
+    four per call; expanded whole, this is the reference it is tested
+    against."""
+    operator, operator_inv, _, _ = _cocycle_module(params, j)
+    relators = _module_relators(params.n, params.p) + _conjugation_relators(irr2_rep(params, i0))
+    return dict(operator), dict(operator_inv), relators
+
+
 def _reference_system(params, i0, j):
     """The coefficient rows of all ten relators, expanded letter by letter
     with FpMatrix operators, and dim M^G as a dense nullity."""
     p = params.p
-    operator, operator_inv, relators = _cocycle_presentation(params, i0, j)
+    operator, operator_inv, relators = _presentation(params, i0, j)
     dense = {sym: _as_fp_matrix(p, op) for sym, op in operator.items()}
     dense_inv = {sym: _as_fp_matrix(p, op) for sym, op in operator_inv.items()}
     rows = []
@@ -366,7 +380,7 @@ def test_oracle_expansion_matches_letter_by_letter_reference():
                 continue
             for i0 in params.irr2_indices():
                 for j in params.irr2_indices():
-                    operator, operator_inv, relators = _cocycle_presentation(params, i0, j)
+                    operator, operator_inv, relators = _presentation(params, i0, j)
                     rep = irr2_rep(params, j)
                     for sym, mat in (("r", rep.mat_r), ("s", rep.mat_s)):
                         dense = _as_fp_matrix(p, operator[sym])
@@ -393,28 +407,6 @@ def test_oracle_expansion_matches_letter_by_letter_reference():
     assert checked == 86
 
 
-def test_rank_over_an_echelon_form_is_the_stacked_rank():
-    """The oracle ranks the conjugation rows over the memoized echelon
-    form of the module rows.  On the oracle's own systems the two never
-    share a pivot column (a and b act trivially on M), so random rows,
-    some of them combinations of the echelon rows, exercise the
-    reduction."""
-    rng = random.Random(0)
-    for case in range(300):
-        p = rng.choice((3, 7, 13, 29))
-
-        def random_row():
-            return [rng.randrange(p) for _ in range(16)]
-
-        base = [random_row() for _ in range(rng.randrange(1, 10))]
-        rows = [random_row() for _ in range(rng.randrange(0, 6))]
-        f = rng.randrange(1, p)
-        rows.append([(f * v + w) % p for v, w in zip(rng.choice(base), random_row())])
-        rows.append([f * v % p for v in rng.choice(base)])
-        echelon = cohomology._echelon(p, base)
-        assert cohomology._rank_over(p, echelon, rows) == FpMatrix(p, base + rows).rank(), case
-
-
 @st.composite
 def _flat_operator_pair(draw):
     p = draw(st.one_of(st.just(1000003), st.integers(2, 1000003)))
@@ -436,10 +428,10 @@ def test_unrolled_mul4_is_the_textbook_product(case):
 
 
 def _full_expansion_d1(params, i0, j):
-    """d1 from all ten relators of _cocycle_presentation, expanded afresh
-    and ranked as one system."""
+    """d1 from all ten relators of _presentation, expanded afresh and
+    ranked as one system."""
     p = params.p
-    operator, operator_inv, relators = _cocycle_presentation(params, i0, j)
+    operator, operator_inv, relators = _presentation(params, i0, j)
     rows = [row for rel in relators for row in _relator_rows(p, rel, operator, operator_inv)]
     return 16 - FpMatrix(p, rows).rank() - (4 - cohomology._invariant_dim(p, operator))
 
@@ -555,16 +547,41 @@ def test_dims_rejects_indices_outside_the_row():
     for j in (0, 3, -1):
         with pytest.raises(ValueError, match="not in"):
             dims(params, 1, j)
+        with pytest.raises(ValueError, match="not in"):
+            dims_row(params, j)
+
+
+def test_rows_of_a_group_with_many_indices_build_each_module_once(monkeypatch):
+    """With more irreducible indices (1,025) than a per-index memo of
+    1,024 entries holds, three signature rows still build each theta_i's
+    monomial module once, instead of evicting each one just before the
+    next row reads it."""
+    params = DihedralParams.standard(2052, 2053)
+    assert len(params.irr2_indices()) == 1025
+    for value in vars(cohomology).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+    builds = Counter()
+    real = _MonomialModule.from_rep.__func__
+
+    def counting(cls, rep):
+        builds[rep.label.index] += 1
+        return real(cls, rep)
+
+    monkeypatch.setattr(_MonomialModule, "from_rep", classmethod(counting))
+    for i0 in (1, 2, 3):
+        dims_row(params, i0)
+    assert builds == Counter(dict.fromkeys(params.irr2_indices(), 1))
 
 
 # The cocycle oracle and the dims route it checks share no code beyond
 # the representation matrices: the oracle's code never names the route,
 # and the route's code never names an oracle helper.
-_ROUTE_NAMES = {"dims", "dims_row", "_irr2_monomial", "_MonomialModule"}
+_ROUTE_NAMES = {"dims", "dims_row", "_irr2_monomials", "_MonomialModule"}
 
 
 def _oracle_roots():
-    return [cohomology.d1_oracle_cocycles, cohomology._cocycle_presentation]
+    return [cohomology.d1_oracle_cocycles]
 
 
 def _route_roots():
@@ -617,7 +634,7 @@ def _cross_references():
     }
     assert {"_cocycle_module", "_relator_rows", "_mul4", "_invariant_dim"} <= helpers
     _, route_names = _reached(_route_roots())
-    assert {"_irr2_monomial", "tensor_fixed_point_dims"} <= route_names
+    assert {"_irr2_monomials", "tensor_fixed_point_dims"} <= route_names
     return oracle_names & _ROUTE_NAMES, route_names & helpers
 
 
@@ -641,8 +658,8 @@ def test_independence_check_sees_a_planted_cross_reference(monkeypatch):
     assert "dims" in _cross_references()[0]
     monkeypatch.undo()
     # a route helper that names an oracle helper
-    monkeypatch.setattr(cohomology, "_irr2_monomial", _planted(
-        "_irr2_monomial", "def _irr2_monomial(params, i):\n    return _mul4\n"
+    monkeypatch.setattr(cohomology, "_irr2_monomials", _planted(
+        "_irr2_monomials", "def _irr2_monomials(params):\n    return _mul4\n"
     ))
     assert "_mul4" in _cross_references()[1]
 
@@ -655,4 +672,4 @@ def test_every_cache_is_bounded():
             if hasattr(value, "cache_parameters") and value.__module__ == module.__name__:
                 assert value.cache_parameters()["maxsize"] is not None, (name, attr)
                 bounded.add(attr)
-    assert {"dims", "dims_row", "irr2_rep", "_irr2_monomial", "_cocycle_module"} <= bounded
+    assert {"dims", "dims_row", "irr2_rep", "_irr2_monomials", "_cocycle_module"} <= bounded

@@ -4,8 +4,10 @@ literals below were recorded from the dataclass versions), == with a
 class-identity check, hash over the compared fields or none, the
 immutability, and one __post_init__ call per construction.  The one
 exception is FusionOrbitSet's constructor, which takes runs since orbit
-sets store them; its repr, == and hash still read the rows.  The CLI's
-import path loads neither dataclasses nor the modules it would pull in."""
+sets store them; its repr, == and hash still read the rows.
+GroupElement, never a dataclass, keeps its own repr, which shows the
+element as a word.  The CLI's import path loads neither dataclasses nor
+the modules it would pull in."""
 
 from __future__ import annotations
 
@@ -94,6 +96,8 @@ RECORDS = [
         "GModule(n=3, p=7, dim=1, mat_r=FpMatrix(p=7, [[1]]), mat_s=FpMatrix(p=7, [[6]]))",
     ),
     (CohomologyDims, (1, 2), (1, 1), (1, 2), "CohomologyDims(d1=1, d2=2)"),
+    # rot and flip are stored reduced, and the repr shows the word
+    (GroupElement, (5, 7, 3), (5, 3, 1), (5, 2, 1), "GroupElement(n=5, 's r^2')"),
     (
         UdrSignature,
         ({1: UdrClass.ZP, 2: UdrClass.ZP_T_TORSION},),
@@ -140,6 +144,7 @@ SIGNATURES = {
     FusionNumbers: ["counts"],
     GModule: ["n", "p", "dim", "mat_r", "mat_s"],
     CohomologyDims: ["d1", "d2"],
+    GroupElement: ["n", "rot", ("flip", 0)],
     UdrSignature: ["per_rep"],
     VerificationReport: ["check_name", "parameters", "passed", ("witness", None)],
     AbelianParams: ["cyclic_orders", "p"],
