@@ -96,8 +96,6 @@ RECORDS = [
         "GModule(n=3, p=7, dim=1, mat_r=FpMatrix(p=7, [[1]]), mat_s=FpMatrix(p=7, [[6]]))",
     ),
     (CohomologyDims, (1, 2), (1, 1), (1, 2), "CohomologyDims(d1=1, d2=2)"),
-    # rot and flip are stored reduced, and the repr shows the word
-    (GroupElement, (5, 7, 3), (5, 3, 1), (5, 2, 1), "GroupElement(n=5, 's r^2')"),
     (
         UdrSignature,
         ({1: UdrClass.ZP, 2: UdrClass.ZP_T_TORSION},),
@@ -129,6 +127,8 @@ RECORDS = [
         "CharacterPair(params=AbelianParams(cyclic_orders=(2, 3), p=7), theta1=(6, 2), "
         "theta2=(1, 4))",
     ),
+    # rot and flip are stored reduced, and the repr shows the word
+    (GroupElement, (5, 7, 3), (5, 3, 1), (5, 2, 1), "GroupElement(n=5, 's r^2')"),
 ]
 _IDS = [f"{cls.__name__}-{pos}" for pos, (cls, *_rest) in enumerate(RECORDS)]
 EQ_ONLY = (FusionNumbers, UdrSignature)
