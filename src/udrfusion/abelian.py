@@ -46,11 +46,11 @@ ABELIAN_BRUTE_FORCE_LIMIT = 10**6
 ABELIAN_GROUP_ORDER_LIMIT = 10**4
 
 
-def smallest_valid_abelian_prime(exponent: int, group_order: int) -> int:
+def smallest_valid_abelian_prime(exponent: int) -> int:
     """Smallest odd prime p with exponent | p - 1 and p coprime to the order.
 
     The order and the exponent have the same prime divisors, and a prime
-    p = 1 (mod exponent) divides neither, so group_order is not read:
+    p = 1 (mod exponent) divides neither, so the order is not needed:
     this is find_prime(exponent), which raises LimitExceeded past its
     ceiling, and 3 for an exponent of 1 or 2.
     """
@@ -88,7 +88,7 @@ class AbelianParams(FrozenRecord):
         if p is None:
             if not orders or any(m < 1 for m in orders):
                 raise ValueError("cyclic orders must be positive integers")
-            p = smallest_valid_abelian_prime(lcm(*orders), prod(orders))
+            p = smallest_valid_abelian_prime(lcm(*orders))
         return cls(orders, p)
 
     @property

@@ -185,8 +185,11 @@ def _analyze_dihedral(args) -> dict:
         udr_class,
     )
     from .dihedral import DihedralParams, RepLabel, omega_set, t_map
-    from .fusion import fusion_orbits_bruteforce, fusion_orbits_closed_form
+    from .fusion import ORBIT_LIMIT, fusion_orbits_bruteforce, fusion_orbits_closed_form
 
+    # the census has at least p orbits: refuse such p before trial division
+    if args.p is not None and args.p > ORBIT_LIMIT:
+        raise LimitExceeded(f"--p {args.p} gives at least p orbits, limit is {ORBIT_LIMIT}")
     params = DihedralParams.standard(args.n, args.p)
     i0 = args.i0
     if i0 not in params.irr2_indices():

@@ -13,21 +13,21 @@ determinant character (the sign character).  Every module here is
 monomial: r acts diagonally by powers of w and s by a signed
 permutation, and duals, tensor products and determinants keep it so.
 Invariants are therefore counted from the weights and the signed
-permutation alone (`_MonomialModule`), which is exact for any
-multiplicity because p is odd and prime to n.  `dims_row` counts them
-for one action against every theta_j at once, as a join on weight, and
-`dims` reads one entry of that row.
+permutation alone (`_MonomialModule`; theta_i is the weights (i, -i) and
+the swap, no matrix), exact for any multiplicity as p is odd and prime
+to n.  `dims_row` counts them for one action against every theta_j at
+once, as a join on weight, and `dims` reads one entry of that row.
 
-The dense `GModule` route, whose fixed-point dimension is the rank of
-the averaging idempotent, is kept as an independent oracle for the
-tests and computes nothing on the `dims` path.
+The dense `GModule` route on `irr2_rep`'s matrices, whose fixed-point
+dimension is the rank of the averaging idempotent, is kept as an
+independent oracle for the tests and computes nothing on the `dims` path.
 
 A second, independent route recomputes d1 from scratch: 1-cocycles of
 the finitely presented semidirect product with values in the 2x2 matrix
 module, solved as a linear system over F_p in the values on the four
 generators and ranked by the package's one elimination routine,
-`ffield._gauss_jordan`.  It shares nothing with the fixed-point path
-beyond the representation matrices themselves.
+`ffield._gauss_jordan`.  It reads `irr2_rep`'s matrices and shares
+nothing with the fixed-point path beyond the definition of theta_i.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .dihedral import (
     Rep2,
     RepLabel,
     induced_rep,
+    irr2_indices,
     irr2_rep,
     t_map,
 )
@@ -191,32 +192,10 @@ class _MonomialModule:
         return m
 
     @classmethod
-    def from_rep(cls, rep: Rep2) -> "_MonomialModule":
-        """Weights and signed permutation read off the generator matrices;
-        ValueError unless r is diagonal in powers of omega and s is a
-        signed permutation."""
-        params = rep.params
-        n, p = params.n, params.p
-        log, power = {}, 1
-        for k in range(n):
-            log[power] = k
-            power = power * params.omega % p
-        dim = rep.mat_r.rows
-        if any(m.rows != dim or m.cols != dim for m in (rep.mat_r, rep.mat_s)):
-            raise ValueError("generator matrices are not square of one size")
-        rows_r, rows_s = rep.mat_r.data, rep.mat_s.data
-        weight, perm, sign = [], [], []
-        for c in range(dim):
-            column_r = [(rr, row[c]) for rr, row in enumerate(rows_r) if row[c]]
-            column_s = [(rr, row[c]) for rr, row in enumerate(rows_s) if row[c]]
-            if len(column_r) != 1 or column_r[0][0] != c or column_r[0][1] not in log:
-                raise ValueError("rotation matrix is not diagonal in powers of omega")
-            if len(column_s) != 1 or column_s[0][1] not in (1, p - 1):
-                raise ValueError("reflection matrix is not a signed permutation")
-            weight.append(log[column_r[0][1]])
-            perm.append(column_s[0][0])
-            sign.append(1 if column_s[0][1] == 1 else -1)
-        return cls(n, weight, perm, sign)
+    def irr2(cls, n: int, i: int) -> "_MonomialModule":
+        """theta_i as dihedral.py defines it: r -> diag(w^i, w^-i) gives
+        the weights (i, -i), and s swaps the two coordinates."""
+        return cls(n, (i, -i), (1, 0), (1, 1))
 
     def dual(self) -> "_MonomialModule":
         # s is an involution with sign[perm[c]] = sign[c], so its
@@ -289,8 +268,8 @@ class _MonomialModule:
 
 
 # Cache bounds, each above the working set of a default `verify` (120
-# distinct dims arguments, 228 distinct (params, i0) signature rows, 35
-# distinct params with monomial modules, 28 distinct (params, j) oracle
+# distinct dims arguments, 228 distinct (params, i0) signature rows, 19
+# distinct n with monomial modules, 28 distinct (params, j) oracle
 # modules), so that run never evicts, while a long-lived caller's memory
 # stays bounded.
 DIMS_CACHE_SIZE = 4096
@@ -300,14 +279,15 @@ ORACLE_MODULE_CACHE_SIZE = 256
 
 
 @lru_cache(maxsize=MONOMIAL_CACHE_SIZE)
-def _irr2_monomials(params: DihedralParams) -> tuple:
-    """For every theta_i, i in params.irr2_indices() in order, as a
-    monomial module V: the adjoints V* (x) V with their coordinates by
-    weight, and the duals V* with det V*.  One entry holds every index,
-    so that a signature row never evicts a module the next row reads."""
+def _irr2_monomials(n: int) -> tuple:
+    """For every theta_i, i in irr2_indices(n) in order, built from its
+    weights as a monomial module V: the adjoints V* (x) V with their
+    coordinates by weight, and the duals V* with det V*.  Nothing reads
+    p, so the primes of one n share an entry; it holds every index, so
+    that a signature row never evicts a module the next row reads."""
     adjoints, duals = [], []
-    for i in params.irr2_indices():
-        v = _MonomialModule.from_rep(irr2_rep(params, i))
+    for i in irr2_indices(n):
+        v = _MonomialModule.irr2(n, i)
         dual = v.dual()
         adj = dual.tensor(v)
         adjoints.append((adj, adj.by_weight()))
@@ -320,11 +300,11 @@ def dims_row(params: DihedralParams, i0: int) -> tuple[tuple[int, int], ...]:
     """(d1, d2) for the action of theta_i0 against each theta_j, j in
     params.irr2_indices() in order: the invariant counts of phi~ (x) adj_j
     and det phi~ (x) adj_j, one weight join of each factor against every
-    adjoint."""
+    adjoint of _irr2_monomials(params.n)."""
     indices = params.irr2_indices()
     if i0 not in indices:
         raise ValueError(f"index {i0} is not in [1, {params.n}/2)")
-    adjoints, duals = _irr2_monomials(params)
+    adjoints, duals = _irr2_monomials(params.n)
     phi_tilde, wedge = duals[i0 - indices.start]
     d1s = phi_tilde.tensor_fixed_point_dims(adjoints)
     d2s = [d1 + d_wedge for d1, d_wedge in zip(d1s, wedge.tensor_fixed_point_dims(adjoints))]

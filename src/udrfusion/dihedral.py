@@ -205,7 +205,7 @@ def _induced_matrices(params: DihedralParams, m: int) -> tuple[FpMatrix, FpMatri
     return mat_r, mat_s
 
 
-# above the 240 distinct representations a default `verify` builds
+# above the 60 distinct representations a default `verify` builds
 IRR2_REP_CACHE_SIZE = 1024
 
 

@@ -29,11 +29,11 @@ from orbit_checks import abelian_orbit_grid, assert_same_orbits, burnside_count
 
 
 def test_smallest_valid_prime():
-    assert smallest_valid_abelian_prime(1, 1) == 3
-    assert smallest_valid_abelian_prime(2, 2) == 3
-    assert smallest_valid_abelian_prime(3, 3) == 7
-    assert smallest_valid_abelian_prime(6, 6) == 7
-    assert smallest_valid_abelian_prime(10, 10) == 11
+    assert smallest_valid_abelian_prime(1) == 3
+    assert smallest_valid_abelian_prime(2) == 3
+    assert smallest_valid_abelian_prime(3) == 7
+    assert smallest_valid_abelian_prime(6) == 7
+    assert smallest_valid_abelian_prime(10) == 11
 
 
 def test_smallest_valid_prime_is_the_brute_force_search():
@@ -45,13 +45,13 @@ def test_smallest_valid_prime_is_the_brute_force_search():
             p = 3
             while not ((p - 1) % exponent == 0 and order % p and is_prime(p)):
                 p += 2
-            assert smallest_valid_abelian_prime(exponent, order) == p, (exponent, order)
+            assert smallest_valid_abelian_prime(exponent) == p, (exponent, order)
 
 
 def test_smallest_valid_prime_ceiling():
     # every p = 1 (mod 1000003) exceeds the 10^6 ceiling
     with pytest.raises(LimitExceeded):
-        smallest_valid_abelian_prime(1000003, 1000003)
+        smallest_valid_abelian_prime(1000003)
 
 
 def test_params_standard():

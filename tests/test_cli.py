@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import importlib
+import io
 import itertools
 import json
 import os
@@ -264,14 +267,32 @@ def test_cli_abelian_group_order_ceiling(capsys):
 
 
 def test_cli_closed_form_orbit_ceiling(capsys):
-    # about 1.7e11 orbits: refused from the census before any enumeration
+    # about 1.7e11 orbits: a p above the orbit limit is refused before
+    # the params are built, as the census has at least p orbits
     start = perf_counter()
     rc, out, err = _run(
         capsys, ["analyze", "dihedral", "--n", "3", "--p", "1000003", "--i0", "1"]
     )
     assert perf_counter() - start < 1.0
     assert rc == 2 and out == ""
-    assert err.startswith("error: action has 166668166670 orbits, limit is 1000000")
+    assert err == "error: --p 1000003 gives at least p orbits, limit is 1000000\n"
+    # below it, 1,502,501 orbits: refused from the census before any enumeration
+    start = perf_counter()
+    rc, out, err = _run(capsys, ["analyze", "dihedral", "--n", "3", "--p", "3001", "--i0", "1"])
+    assert perf_counter() - start < 1.0
+    assert rc == 2 and out == ""
+    assert err == "error: action has 1502501 orbits, limit is 1000000\n"
+
+
+def test_cli_huge_prime_is_refused_before_the_primality_test():
+    # trial division of this p alone would take minutes
+    proc = subprocess.run(
+        [sys.executable, "-m", "udrfusion", "analyze", "dihedral",
+         "--n", "3", "--p", str(2**61 - 1), "--i0", "1"],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def test_cli_error_exits():
@@ -411,9 +432,58 @@ def test_verify_sweeps_each_orbit_instance_once(capsys, monkeypatch):
     assert set(sweeps.values()) == {1}
 
 
+def _readme_cache_table():
+    """(module, cache, constant, bound, default verify uses) for each row
+    of README's cache table."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| cache | key | bound | default `verify` uses |\n", 1)[1]
+    rows = []
+    for line in table.splitlines()[1:]:
+        if not line.startswith("| `"):
+            break
+        cache, _, bound, uses = (cell.strip() for cell in line.strip("|").split(" | "))
+        module, name = cache.strip("`").split(".")
+        constant, value = bound.split(" = ")
+        rows.append((module, name, constant.strip("`"), int(value), int(uses)))
+    return rows
+
+
+@pytest.fixture(scope="module")
+def default_verify():
+    """One default verify from cleared caches: its exit code, its stdout,
+    and the size of each cache of README's cache table after it."""
+    caches = {}
+    for module, name, *_ in _readme_cache_table():
+        caches[module, name] = getattr(importlib.import_module(f"udrfusion.{module}"), name)
+    for cache in caches.values():
+        cache.cache_clear()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(["verify"])
+    return rc, out.getvalue(), {key: cache.cache_info().currsize for key, cache in caches.items()}
+
+
+def test_readme_cache_table_matches_the_caches(default_verify):
+    rows = _readme_cache_table()
+    caches = set()
+    for module_name in ("ffield", "dihedral", "fusion", "cohomology", "deformation", "abelian", "cli"):
+        module = importlib.import_module(f"udrfusion.{module_name}")
+        caches |= {(module_name, attr) for attr, value in vars(module).items()
+                   if hasattr(value, "cache_info") and value.__module__ == module.__name__}
+    assert {(module_name, name) for module_name, name, *_ in rows} == caches
+    for module_name, name, constant, bound, uses in rows:
+        module = importlib.import_module(f"udrfusion.{module_name}")
+        assert getattr(module, constant) == bound, (name, constant)
+        assert getattr(module, name).cache_parameters()["maxsize"] == bound, name
+        assert default_verify[2][module_name, name] == uses, name
+
+
 @pytest.mark.parametrize("ceiling", [[], ["--n-max", "6"]])
-def test_verify_orbit_families_alone_equal_their_slice_of_the_full_run(capsys, ceiling):
-    rc, full, _ = _run(capsys, ["verify", *ceiling])
+def test_verify_orbit_families_alone_equal_their_slice_of_the_full_run(capsys, ceiling, request):
+    if ceiling:
+        rc, full, _ = _run(capsys, ["verify", *ceiling])
+    else:
+        rc, full, _ = request.getfixturevalue("default_verify")
     assert rc == 0
     assert full.splitlines()[-1] == ("61" if ceiling else "371") + " checks, 0 failed"
     for token in ("prop48", "cor49"):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import importlib
 from collections import Counter
+from dis import get_instructions
 from time import perf_counter
 from types import CodeType, FunctionType
 
@@ -35,7 +36,6 @@ from udrfusion.cohomology import (
 )
 from udrfusion.dihedral import (
     DihedralParams,
-    Rep2,
     RepLabel,
     group_elements,
     induced_rep,
@@ -191,10 +191,18 @@ def _as_gmodule(mod, params):
 
 
 def test_monomial_operations_match_dense_modules():
+    # _MonomialModule.irr2 and irr2_rep spell theta_i alike, on every i
+    # of n = 3..30 at the two smallest primes
+    for n in range(3, 31):
+        for p in find_primes(n, 2):
+            params = DihedralParams.standard(n, p)
+            for i in params.irr2_indices():
+                mono = _MonomialModule.irr2(n, i)
+                assert _as_gmodule(mono, params) == rep_module(irr2_rep(params, i)), (n, p, i)
     for n in (5, 6, 8):
         params = DihedralParams.standard(n)
         for i in params.irr2_indices():
-            mono = _MonomialModule.from_rep(irr2_rep(params, i))
+            mono = _MonomialModule.irr2(n, i)
             dense = rep_module(irr2_rep(params, i))
             assert _as_gmodule(mono, params) == dense
             dual, dense_dual = mono.dual(), contragredient(dense)
@@ -225,9 +233,9 @@ def test_derived_monomial_modules_pass_the_checked_constructor(n, i0, j):
     # dual, tensor and det skip the relation checks; every module dims
     # derives must still satisfy them
     params = DihedralParams.standard(n)
-    v = _MonomialModule.from_rep(irr2_rep(params, j))
+    v = _MonomialModule.irr2(n, j)
     adj = v.dual().tensor(v)
-    phi_tilde = _MonomialModule.from_rep(irr2_rep(params, i0)).dual()
+    phi_tilde = _MonomialModule.irr2(n, i0).dual()
     derived = [v.dual(), adj, phi_tilde, phi_tilde.tensor(adj), phi_tilde.det(),
                phi_tilde.det().tensor(adj), adj.det()]
     for m in derived:
@@ -235,24 +243,6 @@ def test_derived_monomial_modules_pass_the_checked_constructor(n, i0, j):
         assert (checked.n, checked.weight, checked.perm, checked.sign) == (
             m.n, m.weight, m.perm, m.sign
         )
-
-
-def test_dims_rejects_non_monomial_generator(monkeypatch):
-    params = DihedralParams.standard(5)  # p = 11, omega = 3
-    good = irr2_rep(params, 1)
-    p = params.p
-    broken = (
-        (Rep2(params, good.label, FpMatrix(p, ((3, 1), (0, 4))), good.mat_s), "not diagonal"),
-        (Rep2(params, good.label, FpMatrix.diagonal(p, (2, 6)), good.mat_s), "powers of omega"),
-        (Rep2(params, good.label, good.mat_r, FpMatrix(p, ((0, 2), (6, 0)))), "signed permutation"),
-    )
-    # past every memo, so that dims reads the broken matrices
-    monkeypatch.setattr(cohomology, "_irr2_monomials", cohomology._irr2_monomials.__wrapped__)
-    monkeypatch.setattr(cohomology, "dims_row", cohomology.dims_row.__wrapped__)
-    for rep, message in broken:
-        monkeypatch.setattr(cohomology, "irr2_rep", lambda _params, _i, rep=rep: rep)
-        with pytest.raises(ValueError, match=message):
-            dims.__wrapped__(params, 1, 1)
 
 
 def test_dims_structure():
@@ -528,10 +518,10 @@ def test_dims_row_counts_the_built_products():
         params = DihedralParams.standard(n)
         adjoints = {}
         for j in params.irr2_indices():
-            v = _MonomialModule.from_rep(irr2_rep(params, j))
+            v = _MonomialModule.irr2(n, j)
             adjoints[j] = v.dual().tensor(v)
         for i0 in params.irr2_indices():
-            phi_tilde = _MonomialModule.from_rep(irr2_rep(params, i0)).dual()
+            phi_tilde = _MonomialModule.irr2(n, i0).dual()
             row = dims_row(params, i0)
             assert len(row) == len(adjoints)
             for (d1, d2), (j, adj) in zip(row, adjoints.items()):
@@ -562,13 +552,13 @@ def test_rows_of_a_group_with_many_indices_build_each_module_once(monkeypatch):
         if hasattr(value, "cache_clear"):
             value.cache_clear()
     builds = Counter()
-    real = _MonomialModule.from_rep.__func__
+    real = _MonomialModule.irr2.__func__
 
-    def counting(cls, rep):
-        builds[rep.label.index] += 1
-        return real(cls, rep)
+    def counting(cls, n, i):
+        builds[i] += 1
+        return real(cls, n, i)
 
-    monkeypatch.setattr(_MonomialModule, "from_rep", classmethod(counting))
+    monkeypatch.setattr(_MonomialModule, "irr2", classmethod(counting))
     for i0 in (1, 2, 3):
         dims_row(params, i0)
     assert builds == Counter(dict.fromkeys(params.irr2_indices(), 1))
@@ -590,10 +580,12 @@ def _route_roots():
 
 def _reached(roots):
     """The package functions and classes reachable from roots, and every
-    name their code objects (nested ones included) refer to.  A name is
-    followed when it resolves, in the globals of the code that names it,
-    to a function or class of the package; memoized functions through
-    __wrapped__, classes through the functions in their namespace."""
+    name their code objects (nested ones included) refer to.  A name the
+    code loads as a global is followed when it resolves, in the globals
+    of that code, to a function or class of the package; memoized
+    functions through __wrapped__, classes through the functions in
+    their namespace.  Attribute names are collected but not followed, so
+    a method call m.tensor(...) does not reach the function tensor."""
     names, reached, seen = set(), [], set()
     todo = list(roots)
     while todo:
@@ -614,7 +606,7 @@ def _reached(roots):
             code = codes.pop()
             names.update(code.co_names)
             codes += [const for const in code.co_consts if isinstance(const, CodeType)]
-            for name in code.co_names:
+            for name in {ins.argval for ins in get_instructions(code) if ins.opname == "LOAD_GLOBAL"}:
                 target = obj.__globals__.get(name)
                 module = getattr(target, "__module__", None) or ""
                 if module.startswith("udrfusion") and (
@@ -640,6 +632,22 @@ def _cross_references():
 
 def test_oracle_and_dims_route_share_no_code():
     assert _cross_references() == (set(), set())
+
+
+def test_dims_route_reads_no_representation_matrix():
+    # the route builds each theta_i from its weights; only the oracles
+    # read irr2_rep's matrices
+    _, route_names = _reached(_route_roots())
+    assert route_names & {"irr2_rep", "Rep2", "FpMatrix"} == set()
+
+
+def test_primes_of_one_n_share_one_monomial_entry():
+    cohomology._irr2_monomials.cache_clear()
+    dims_row.cache_clear()
+    for p in find_primes(12, 2):
+        dims_row(DihedralParams.standard(12, p), 1)
+    info = cohomology._irr2_monomials.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
 
 
 def _planted(name, source):
