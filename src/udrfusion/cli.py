@@ -447,7 +447,8 @@ def _oracle_h1(n: int):
 # ceiling, largest n ceiling admitted, reports).  reports gives the
 # family's reports of one rank n; a family that checks the brute-force
 # orbit sweep of each (n, p, i0) names instead the deformation check that
-# reads a sweep, and such families share their sweeps (_sweep_reports).
+# reads a sweep, and such families share their sweeps, one per distinct
+# theta_i0 table of an (n, p), renamed to each index (_sweep_reports).
 # Each largest ceiling is the last at which the family alone was
 # estimated to run in under about 2 s on a 2-core Intel Xeon under
 # CPython 3.11; a larger one is refused before any family runs.
@@ -480,22 +481,50 @@ def _verify_ceilings(check: str, n_max: int | None) -> dict[str, int]:
 
 def _sweep_reports(checks: dict[str, str], n_max: int) -> dict[str, list[VerificationReport]]:
     """The reports up to n_max of the families checks (token -> the
-    deformation check it runs), from one brute-force orbit sweep per
-    (n, p, i0) that all of them read and none of them keeps."""
-    from . import deformation
-    from .dihedral import DihedralParams
-    from .fusion import fusion_orbits_bruteforce
+    deformation check it runs), in i0 order within each (n, p).
 
-    runs = {token: getattr(deformation, name) for token, name in checks.items()}
+    The indices i0 of an (n, p) are grouped by their theta_i0 table, keyed
+    by its matrices with their multiplicities, as computed, not by any
+    criterion the checks test.  Each group is swept once, at its first
+    index; every other index of it gets that sweep renamed to its own
+    table, and each index gets its own checks.  One group's sweep is alive
+    at a time, and none is kept.  With no checks, the sweeps still run and
+    nothing is renamed."""
+    from . import deformation, fusion
+    from .dihedral import DihedralParams
+
+    runs = [getattr(deformation, name) for name in checks.values()]
     reports: dict[str, list[VerificationReport]] = {token: [] for token in checks}
     for n in range(3, n_max + 1):
         for p in find_primes(n, 2):
             params = DihedralParams.standard(n, p)
+            groups: dict[tuple, list] = {}
             for i0 in params.irr2_indices():
-                brute = fusion_orbits_bruteforce(params, i0)
-                for token, check in runs.items():
-                    reports[token].append(check(params, i0, brute))
+                table = fusion._theta_table(params, i0)
+                groups.setdefault(tuple(sorted(mat for _, mat in table)), []).append((i0, table))
+            by_index: dict[int, list[VerificationReport]] = {}
+            for group in groups.values():
+                by_index.update(_group_reports(params, runs, group))
+            for i0 in sorted(by_index):
+                for token, report in zip(checks, by_index[i0]):
+                    reports[token].append(report)
     return reports
+
+
+def _group_reports(params, runs, group) -> dict[int, list[VerificationReport]]:
+    """i0 -> the reports of runs on it, for each (i0, theta_i0 table) of
+    group, from one sweep at the first index renamed to the others."""
+    from . import fusion
+
+    (first, table), *others = group
+    brute = fusion.fusion_orbits_bruteforce(params, first)
+    if not runs:
+        return {}
+    out = {first: [check(params, first, brute) for check in runs]}
+    for i0, other in others:
+        renamed = fusion.renamed_sweep(brute, table, other)
+        out[i0] = [check(params, i0, renamed) for check in runs]
+    return out
 
 
 def _cmd_verify(args) -> int:

@@ -20,15 +20,38 @@ class LimitExceeded(RuntimeError):
 
 
 def is_prime(m: int) -> bool:
+    """Trial division below PRIME_SEARCH_CEILING, which every prime the
+    package searches for lies below; above it, Miller-Rabin to the first
+    13 prime bases, which decides every m below 3.3 * 10^24 (Sorenson and
+    Webster, 2015).  Raises LimitExceeded from that bound on."""
     if m < 2:
         return False
     if m % 2 == 0:
         return m == 2
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
+    if m < PRIME_SEARCH_CEILING:
+        f = 3
+        while f * f <= m:
+            if m % f == 0:
+                return False
+            f += 2
+        return True
+    ceiling = 3_317_044_064_679_887_385_961_981
+    if m >= ceiling:
+        raise LimitExceeded(f"primality is decided below {ceiling} only, got {m}")
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -104,10 +127,12 @@ def primitive_root_of_unity(p: int, n: int) -> int:
     if n == 1:
         return 1
     # the elements of order n are the powers h^j, gcd(j, n) = 1, of any
-    # one of them, and some a^((p-1)/n) is one of them
+    # one of them, and some a^((p-1)/n) is one of them.  h^n = 1, so h has
+    # order n exactly when no h^(n/q), q a prime divisor of n, is 1
+    cofactors = [n // q for q in _sorted_divisors(n)[1:] if is_prime(q)]
     for a in range(2, p):
         h = pow(a, (p - 1) // n, p)
-        if multiplicative_order(h, p) == n:
+        if all(pow(h, c, p) != 1 for c in cofactors):
             return min(pow(h, j, p) for j in range(1, n) if gcd(j, n) == 1)
     raise AssertionError("unreachable: F_p* is cyclic of order p - 1")
 

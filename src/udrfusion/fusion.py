@@ -11,14 +11,20 @@ lexicographically least representative of every orbit directly from the
 coset minima of U = <w^i0> in F_p^*, in time and memory linear in p plus
 the number of orbits.  The brute-force sweep over all p^2 points,
 _sweep_orbits, shares no code with it and is kept as its oracle; the
-abelian brute force in abelian.py runs on the same sweep.  Both routes
-return their orbits as runs: a first coordinate x and an increasing
-sequence of second coordinates ys whose orbits share one size and one
-stabilizer.  The closed form makes one run per stretch of such ys, the
-sweep one run per orbit.  The rows (representative, size, stabilizer)
-are expanded from the runs, and FusionOrbit objects built from them,
-only when a caller asks for them; an orbit's point set is computed from
-its representative on first access.
+abelian brute force in abelian.py runs on the same sweep.  The sweep
+reads nothing of the group but the matrices of its table, so two indices
+whose theta_i0 tables hold the same matrices with the same
+multiplicities have the same sweep up to the names of the stabilizer
+elements: renamed_sweep turns the one into the other without sweeping
+again, and verify sweeps each distinct table of an (n, p) once.
+
+Both routes return their orbits as runs: a first coordinate x and an
+increasing sequence of second coordinates ys whose orbits share one size
+and one stabilizer.  The closed form makes one run per stretch of such
+ys, the sweep one run per orbit.  The rows (representative, size,
+stabilizer) are expanded from the runs, and FusionOrbit objects built
+from them, only when a caller asks for them; an orbit's point set is
+computed from its representative on first access.
 
 Inside the orbit layer a point (x, y) is the integer code x*p + y, which
 sorts as (x, y) does, so the least point of an orbit is still its min.
@@ -315,17 +321,12 @@ def _sweep_orbits(p: int, table) -> FusionOrbitSet:
     return FusionOrbitSet(tuple(runs), p, images, tuple(point_sets))
 
 
-def fusion_orbits_bruteforce(params: DihedralParams, i0: int) -> FusionOrbitSet:
-    """Orbit partition by sweeping every point of the plane.
-
-    Serves as the oracle for the closed form; refuses planes larger
-    than BRUTE_FORCE_POINT_LIMIT points.
-    """
-    p = params.p
-    if p * p > BRUTE_FORCE_POINT_LIMIT:
-        raise LimitExceeded(f"plane has {p * p} points, limit is {BRUTE_FORCE_POINT_LIMIT}")
+def _theta_table(params: DihedralParams, i0: int) -> list:
+    """(g, (a, b, c, d)) for every group element g, in group_elements
+    order, with g acting through theta_i0 as the matrix [[a, b], [c, d]]."""
     from .dihedral import group_elements, irr2_rep
 
+    p = params.p
     rep = irr2_rep(params, i0)
     (r00, r01), (r10, r11) = rep.mat_r.data
     (s00, s01), (s10, s11) = rep.mat_s.data
@@ -343,8 +344,44 @@ def fusion_orbits_bruteforce(params: DihedralParams, i0: int) -> FusionOrbitSet:
          (s10 * a + s11 * c) % p, (s10 * b + s11 * d) % p)
         for a, b, c, d in powers
     ]
-    table = list(zip(group_elements(params.n), powers + reflected))
-    return _sweep_orbits(p, table)
+    return list(zip(group_elements(params.n), powers + reflected))
+
+
+def fusion_orbits_bruteforce(params: DihedralParams, i0: int) -> FusionOrbitSet:
+    """Orbit partition by sweeping every point of the plane.
+
+    Serves as the oracle for the closed form; refuses planes larger
+    than BRUTE_FORCE_POINT_LIMIT points.
+    """
+    p = params.p
+    if p * p > BRUTE_FORCE_POINT_LIMIT:
+        raise LimitExceeded(f"plane has {p * p} points, limit is {BRUTE_FORCE_POINT_LIMIT}")
+    return _sweep_orbits(p, _theta_table(params, i0))
+
+
+def renamed_sweep(brute: FusionOrbitSet, table: list, other: list) -> FusionOrbitSet:
+    """The sweep of the action through other, from brute, the sweep of the
+    action through table, when the two tables hold the same matrices with
+    the same multiplicities; raises ValueError otherwise.
+
+    A sweep reads nothing but the matrices, so the runs, sizes, stabilizer
+    orders, point sets and images stay; each stabilizer becomes the
+    elements of other whose matrix is one of those of its elements in
+    table, in the order of other.
+    """
+    if sorted(mat for _, mat in table) != sorted(mat for _, mat in other):
+        raise ValueError("the two tables do not hold the same matrices")
+    matrix_of = dict(table)
+    renamed: dict[tuple, tuple] = {}
+
+    def rename(stab: tuple) -> tuple:
+        if stab not in renamed:
+            fixing = {matrix_of[g] for g in stab}
+            renamed[stab] = tuple(g for g, mat in other if mat in fixing)
+        return renamed[stab]
+
+    runs = tuple((x, ys, size, order, rename(stab)) for x, ys, size, order, stab in brute.runs)
+    return FusionOrbitSet(runs, brute.p, brute.images, brute.point_sets)
 
 
 def fusion_orbits_closed_form(params: DihedralParams, i0: int) -> FusionOrbitSet:

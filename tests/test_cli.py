@@ -16,11 +16,13 @@ from time import perf_counter
 
 import pytest
 
-from udrfusion import __version__, abelian, cli, cohomology, fusion
+from udrfusion import __version__, abelian, cli, cohomology, deformation, fusion
 from udrfusion.cli import main
 from udrfusion.cohomology import CohomologyDims
+from udrfusion.dihedral import DihedralParams
 from udrfusion.ffield import LimitExceeded
 from udrfusion.fusion import FusionOrbit
+from udrfusion.records import VerificationReport
 
 REFERENCES_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
 
@@ -295,6 +297,21 @@ def test_cli_huge_prime_is_refused_before_the_primality_test():
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
+def test_analyze_abelian_at_a_61_bit_prime_finishes():
+    # trial division of this p, or walking the divisors of p - 1, would
+    # take minutes
+    proc = subprocess.run(
+        [sys.executable, "-m", "udrfusion", "analyze", "abelian", "--orders", "2",
+         "--p", str(2**61 - 1), "--theta1", "1", "--theta2", "1"],
+        capture_output=True, text=True, timeout=20,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    report = json.loads(proc.stdout)
+    assert report["params"]["p"] == 2**61 - 1
+    assert (report["reps"][0]["d1"], report["reps"][0]["d2"]) == (0, 1)
+    assert all(check["passed"] for check in report["checks"])
+
+
 def test_cli_error_exits():
     assert main(["analyze", "dihedral", "--n", "5", "--p", "6", "--i0", "1"]) == 2
     assert main(["analyze", "dihedral", "--n", "5", "--i0", "3"]) == 2
@@ -428,8 +445,97 @@ def test_verify_sweeps_each_orbit_instance_once(capsys, monkeypatch):
     prop48 = [line.split()[2:] for line in out.splitlines() if line.startswith("PASS prop48 ")]
     cor49 = [line.split()[2:] for line in out.splitlines() if line.startswith("PASS cor49 ")]
     assert prop48 == cor49 and len(prop48) == 12
-    assert sorted(sweeps) == sorted(tuple(map(int, par)) for par in prop48)
+    # one sweep per distinct theta_i0 table of each (n, p), at one of its
+    # indices: i0 = 1, 2 share theirs at n = 5
+    instances = [tuple(map(int, par)) for par in prop48]
+    assert set(sweeps) <= set(instances) and len(sweeps) == 10
+    assert {_table_key(*instance) for instance in sweeps} == {
+        _table_key(*instance) for instance in instances
+    }
     assert set(sweeps.values()) == {1}
+
+
+def _table_key(n, p, i0):
+    """(n, p) and the matrices of theta_i0's table with their multiplicities."""
+    table = fusion._theta_table(DihedralParams.standard(n, p), i0)
+    return n, p, tuple(sorted(mat for _, mat in table))
+
+
+def _handed_sweeps(monkeypatch, n_max):
+    """(n, p, i0) -> the orbit set _sweep_reports hands to its checks up to
+    n_max."""
+    handed = {}
+
+    def recording(params, i0, brute):
+        handed[params.n, params.p, i0] = brute
+        return VerificationReport("recorded", (params.n, params.p, i0), True)
+
+    monkeypatch.setattr(deformation, "check_orbit_census", recording)
+    cli._sweep_reports({"cor49": "check_orbit_census"}, n_max)
+    return handed
+
+
+def _unlike_a_fresh_sweep(handed):
+    """The instances whose handed set differs from a fresh sweep of its own
+    index in ==, runs, point sets or any orbit's stabilizer generators."""
+    unlike = []
+    for (n, p, i0), brute in handed.items():
+        fresh = fusion.fusion_orbits_bruteforce(DihedralParams.standard(n, p), i0)
+        if not (
+            brute == fresh
+            and brute.runs == fresh.runs
+            and brute.point_sets == fresh.point_sets
+            and [orb.stabilizer_gens for orb in brute.orbits]
+            == [orb.stabilizer_gens for orb in fresh.orbits]
+        ):
+            unlike.append((n, p, i0))
+    return unlike
+
+
+def test_verify_hands_every_check_the_sweep_of_its_own_index(monkeypatch):
+    handed = _handed_sweeps(monkeypatch, 12)
+    # every (n, p, i0) of the default ceilings
+    assert len(handed) == 60 and set(handed) == {
+        (n, p, i0)
+        for n in range(3, 13)
+        for p in cli.find_primes(n, 2)
+        for i0 in DihedralParams.standard(n, p).irr2_indices()
+    }
+    assert _unlike_a_fresh_sweep(handed) == []
+
+
+def test_a_rename_that_keeps_the_swept_index_gens_is_caught(monkeypatch):
+    monkeypatch.setattr(fusion, "renamed_sweep", lambda brute, table, other: brute)
+    unlike = _unlike_a_fresh_sweep(_handed_sweeps(monkeypatch, 12))
+    # i0 = 5 shares the table of i0 = 1 at n = 12
+    assert (12, 13, 5) in unlike and (12, 13, 1) not in unlike
+
+
+def test_prop48_fails_a_renamed_index_whose_closed_form_is_wrong(capsys, monkeypatch):
+    real = deformation.fusion_orbits_closed_form
+
+    def planted(params, i0):
+        closed = real(params, i0)
+        if (params.n, i0) != (11, 3):
+            return closed
+        # every point is its own image: no orbit of size > 1 matches
+        return fusion.FusionOrbitSet(closed.runs, closed.p, lambda code: (code,))
+
+    sweeps = Counter()
+    real_sweep = fusion.fusion_orbits_bruteforce
+
+    def counting(params, i0):
+        sweeps[params.n, i0] += 1
+        return real_sweep(params, i0)
+
+    monkeypatch.setattr(deformation, "fusion_orbits_closed_form", planted)
+    monkeypatch.setattr(fusion, "fusion_orbits_bruteforce", counting)
+    rc, out, _ = _run(capsys, ["verify", "--check", "prop48"])
+    assert rc == 1
+    # n = 11 sweeps only i0 = 1: index 3 reads a renamed sweep
+    assert sweeps[11, 1] == 2 and sweeps[11, 3] == 0
+    failed = [line.split()[2:5] for line in out.splitlines() if line.startswith("FAIL")]
+    assert failed == [["11", "23", "3"], ["11", "67", "3"]]
 
 
 def _readme_cache_table():
@@ -476,6 +582,14 @@ def test_readme_cache_table_matches_the_caches(default_verify):
         assert getattr(module, constant) == bound, (name, constant)
         assert getattr(module, name).cache_parameters()["maxsize"] == bound, name
         assert default_verify[2][module_name, name] == uses, name
+
+
+def test_default_verify_stdout_is_pinned(default_verify):
+    rc, out, _ = default_verify
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "60ab9f837b745499457c6b42fd00743dc5b02940411474563689be8b3b070fdb"
+    )
 
 
 @pytest.mark.parametrize("ceiling", [[], ["--n-max", "6"]])

@@ -249,8 +249,9 @@ def test_verify_orbit_families_build_no_orbit_objects(capsys, monkeypatch):
     assert cli.main(["verify", "--n-max", "6"]) == 0
     out = capsys.readouterr().out
     prop48 = sum(line.startswith("PASS prop48 ") for line in out.splitlines())
-    # one sweep per (n, p, i0) for n = 3..6 at two primes each
-    assert prop48 == calls["sweep"] == 12
+    # 12 instances (n, p, i0) for n = 3..6 at two primes each, and one
+    # sweep per distinct theta_i0 table: i0 = 1, 2 share theirs at n = 5
+    assert prop48 == 12 and calls["sweep"] == 10
     assert calls["orbit"] == calls["partition"] == 0
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from itertools import permutations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,38 @@ def test_is_prime_small_values():
     assert not is_prime(91)
     assert not is_odd_prime(2)
     assert is_odd_prime(3)
+
+
+def _sieve(lo: int, hi: int) -> list[int]:
+    """The primes in [lo, hi), sieved by the primes up to sqrt(hi)."""
+    flags = bytearray([1]) * (hi - lo)
+    for f in range(2, int(hi**0.5) + 1):
+        start = max(f * f, (lo + f - 1) // f * f)
+        flags[start - lo::f] = bytes(len(range(start, hi, f)))
+    return [m for m in range(max(lo, 2), hi) if flags[m - lo]]
+
+
+def test_is_prime_matches_a_sieve():
+    # trial division below the search ceiling, Miller-Rabin just above it
+    for lo, hi in ((0, 2 * 10**5), (10**6 - 10**4, 10**6 + 2 * 10**4)):
+        assert [m for m in range(lo, hi) if is_prime(m)] == _sieve(lo, hi)
+
+
+def test_is_prime_rejects_strong_pseudoprimes_and_carmichael_numbers():
+    # strong pseudoprimes to the bases 2; 2, 3; 2, 3, 5; 2, 3, 5, 7; and
+    # 2, ..., 23, then two Carmichael numbers
+    for m in (2047, 1373653, 25326001, 3215031751, 3825123056546413051, 561, 41041):
+        assert not is_prime(m), m
+    for m in (1000003, 2**31 - 1, 2**61 - 1):
+        assert is_prime(m) and not is_prime(m * 1000003), m
+
+
+def test_is_prime_refuses_from_the_miller_rabin_bound():
+    # the bound is the least strong pseudoprime to all 13 bases
+    bound = 3_317_044_064_679_887_385_961_981
+    for m in (bound, bound + 2, 2**127 - 1):
+        with pytest.raises(LimitExceeded):
+            is_prime(m)
 
 
 def test_find_prime_smallest_congruent():
@@ -95,6 +128,27 @@ def test_primitive_root_is_smallest_of_exact_order():
             if (p - 1) % n == 0:
                 first = next(w for w in range(2, p) if multiplicative_order(w, p) == n)
                 assert primitive_root_of_unity(p, n) == first
+
+
+def _primitive_root_by_orders(p: int, n: int) -> int:
+    """The search primitive_root_of_unity made before it tested against
+    the prime divisors of n: the order of each a^((p-1)/n), found by
+    walking the divisors of p - 1."""
+    if n == 1:
+        return 1
+    for a in range(2, p):
+        h = pow(a, (p - 1) // n, p)
+        if multiplicative_order(h, p) == n:
+            return min(pow(h, j, p) for j in range(1, n) if gcd(j, n) == 1)
+    raise AssertionError("F_p* is cyclic")
+
+
+def test_primitive_root_equals_the_search_by_orders():
+    for p in range(3, 2000, 2):
+        if is_prime(p):
+            for n in range(1, p):
+                if (p - 1) % n == 0:
+                    assert primitive_root_of_unity(p, n) == _primitive_root_by_orders(p, n), (p, n)
 
 
 def test_primitive_root_at_a_large_prime():

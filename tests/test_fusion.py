@@ -200,6 +200,24 @@ def test_bruteforce_table_is_the_representation_matrices(monkeypatch):
                 assert tables.pop() == expected
 
 
+def test_renamed_sweep_needs_the_same_matrix_multiset():
+    params = DihedralParams.standard(12, 13)
+    one, two, five = (fusion._theta_table(params, i0) for i0 in (1, 2, 5))
+    brute = fusion_orbits_bruteforce(params, 1)
+    renamed = fusion.renamed_sweep(brute, one, five)
+    assert renamed.runs == fusion_orbits_bruteforce(params, 5).runs
+    assert renamed.point_sets is brute.point_sets and renamed.images is brute.images
+    with pytest.raises(ValueError):
+        fusion.renamed_sweep(brute, one, two)
+    # theta_2 has kernel {1, r^6}: giving r the identity's matrix keeps the
+    # set of matrices and changes two multiplicities
+    doubled = [(g, two[0][1] if g == GroupElement.rotation(12) else mat) for g, mat in two]
+    assert {mat for _, mat in doubled} == {mat for _, mat in two}
+    sweep_two = fusion_orbits_bruteforce(params, 2)
+    with pytest.raises(ValueError):
+        fusion.renamed_sweep(sweep_two, two, doubled)
+
+
 def test_orbit_rows_and_lazy_orbits_agree():
     params = DihedralParams.standard(12, 13)
     for orbit_set in (fusion_orbits_closed_form(params, 5), fusion_orbits_bruteforce(params, 2)):
