@@ -174,6 +174,11 @@ def _fusion_block(k: int | None, orbit_set) -> dict:
     }
 
 
+# analyze dihedral refuses a rank above this: its checks are O(n^2), and
+# the slowest ranks near it (odd n) take about 2 s on a 2-core Intel Xeon
+ANALYZE_RANK_LIMIT = 2500
+
+
 def _analyze_dihedral(args) -> dict:
     """The report of analyze dihedral on the parsed arguments."""
     from .cohomology import dims
@@ -187,6 +192,8 @@ def _analyze_dihedral(args) -> dict:
     from .dihedral import DihedralParams, RepLabel, omega_set, t_map
     from .fusion import ORBIT_LIMIT, fusion_orbits_bruteforce, fusion_orbits_closed_form
 
+    if args.n > ANALYZE_RANK_LIMIT:
+        raise LimitExceeded(f"--n {args.n} is above the rank limit {ANALYZE_RANK_LIMIT}")
     # the census has at least p orbits: refuse such p before trial division
     if args.p is not None and args.p > ORBIT_LIMIT:
         raise LimitExceeded(f"--p {args.p} gives at least p orbits, limit is {ORBIT_LIMIT}")
@@ -447,8 +454,7 @@ def _oracle_h1(n: int):
 # ceiling, largest n ceiling admitted, reports).  reports gives the
 # family's reports of one rank n; a family that checks the brute-force
 # orbit sweep of each (n, p, i0) names instead the deformation check that
-# reads a sweep, and such families share their sweeps, one per distinct
-# theta_i0 table of an (n, p), renamed to each index (_sweep_reports).
+# reads a sweep, and such families share their sweeps (_sweep_reports).
 # Each largest ceiling is the last at which the family alone was
 # estimated to run in under about 2 s on a 2-core Intel Xeon under
 # CPython 3.11; a larger one is refused before any family runs.
@@ -481,49 +487,54 @@ def _verify_ceilings(check: str, n_max: int | None) -> dict[str, int]:
 
 def _sweep_reports(checks: dict[str, str], n_max: int) -> dict[str, list[VerificationReport]]:
     """The reports up to n_max of the families checks (token -> the
-    deformation check it runs), in i0 order within each (n, p).
+    deformation check it runs), in (n, p, i0) order.
 
-    The indices i0 of an (n, p) are grouped by their theta_i0 table, keyed
-    by its matrices with their multiplicities, as computed, not by any
-    criterion the checks test.  Each group is swept once, at its first
-    index; every other index of it gets that sweep renamed to its own
-    table, and each index gets its own checks.  One group's sweep is alive
-    at a time, and none is kept.  With no checks, the sweeps still run and
-    nothing is renamed."""
+    The indices of all (n, p) at one prime p are grouped by the set of
+    their theta_i0 table's matrices, as computed, not by a criterion the
+    checks test.  Each group is swept once, at its first (n, i0), and the
+    sweep is renamed to each other member's table; every instance gets its
+    own checks.  One group's sweep is alive at a time.  With no checks,
+    the sweeps still run and nothing is renamed."""
     from . import deformation, fusion
     from .dihedral import DihedralParams
 
     runs = [getattr(deformation, name) for name in checks.values()]
-    reports: dict[str, list[VerificationReport]] = {token: [] for token in checks}
+    by_prime: dict[int, list] = {}
     for n in range(3, n_max + 1):
         for p in find_primes(n, 2):
-            params = DihedralParams.standard(n, p)
-            groups: dict[tuple, list] = {}
+            by_prime.setdefault(p, []).append(DihedralParams.standard(n, p))
+    by_instance: dict[tuple, list[VerificationReport]] = {}
+    for ranks in by_prime.values():
+        # only the tables of one prime are alive at a time
+        groups: dict[frozenset, list] = {}
+        for params in ranks:
             for i0 in params.irr2_indices():
                 table = fusion._theta_table(params, i0)
-                groups.setdefault(tuple(sorted(mat for _, mat in table)), []).append((i0, table))
-            by_index: dict[int, list[VerificationReport]] = {}
-            for group in groups.values():
-                by_index.update(_group_reports(params, runs, group))
-            for i0 in sorted(by_index):
-                for token, report in zip(checks, by_index[i0]):
-                    reports[token].append(report)
+                key = frozenset(mat for _, mat in table)
+                groups.setdefault(key, []).append((params, i0, table))
+        for group in groups.values():
+            by_instance.update(_group_reports(runs, group))
+    reports: dict[str, list[VerificationReport]] = {token: [] for token in checks}
+    for key in sorted(by_instance):
+        for token, report in zip(checks, by_instance[key]):
+            reports[token].append(report)
     return reports
 
 
-def _group_reports(params, runs, group) -> dict[int, list[VerificationReport]]:
-    """i0 -> the reports of runs on it, for each (i0, theta_i0 table) of
-    group, from one sweep at the first index renamed to the others."""
+def _group_reports(runs, group) -> dict[tuple, list[VerificationReport]]:
+    """(n, p, i0) -> the reports of runs on it, for each (params, i0,
+    theta_i0 table) of group, from one sweep at the first member renamed
+    to the others."""
     from . import fusion
 
-    (first, table), *others = group
+    (params, first, table), *others = group
     brute = fusion.fusion_orbits_bruteforce(params, first)
     if not runs:
         return {}
-    out = {first: [check(params, first, brute) for check in runs]}
-    for i0, other in others:
+    out = {(params.n, params.p, first): [check(params, first, brute) for check in runs]}
+    for params, i0, other in others:
         renamed = fusion.renamed_sweep(brute, table, other)
-        out[i0] = [check(params, i0, renamed) for check in runs]
+        out[params.n, params.p, i0] = [check(params, i0, renamed) for check in runs]
     return out
 
 

@@ -12,19 +12,13 @@ coset minima of U = <w^i0> in F_p^*, in time and memory linear in p plus
 the number of orbits.  The brute-force sweep over all p^2 points,
 _sweep_orbits, shares no code with it and is kept as its oracle; the
 abelian brute force in abelian.py runs on the same sweep.  The sweep
-reads nothing of the group but the matrices of its table, so two indices
-whose theta_i0 tables hold the same matrices with the same
-multiplicities have the same sweep up to the names of the stabilizer
-elements: renamed_sweep turns the one into the other without sweeping
-again, and verify sweeps each distinct table of an (n, p) once.
+reads nothing of the group but the set of matrices of its table, so two
+tables with the same set, of any ranks and multiplicities, have the same
+sweep up to the stabilizer elements: renamed_sweep turns the one into
+the other, and verify sweeps each distinct set at a prime once.
 
-Both routes return their orbits as runs: a first coordinate x and an
-increasing sequence of second coordinates ys whose orbits share one size
-and one stabilizer.  The closed form makes one run per stretch of such
-ys, the sweep one run per orbit.  The rows (representative, size,
-stabilizer) are expanded from the runs, and FusionOrbit objects built
-from them, only when a caller asks for them; an orbit's point set is
-computed from its representative on first access.
+Both routes return their orbits as runs (FusionOrbitSet), each run as
+long as its neighbours allow.
 
 Inside the orbit layer a point (x, y) is the integer code x*p + y, which
 sorts as (x, y) does, so the least point of an orbit is still its min.
@@ -113,16 +107,13 @@ class FusionOrbitSet(FrozenRecord):
     representatives and size_census() read the runs without expanding
     them.  rows, one (representative, size, stabilizer_order,
     stabilizer_gens) tuple per orbit, is their expansion, built on first
-    access, and so are the FusionOrbit objects of orbits; a caller that
-    reads only the census, the count or the representatives builds
-    neither.  images is the action shared by every orbit of the set, on
-    codes x*p + y: it maps the code of a point to the codes of its images.
-    point_sets, when given, holds the point set of each orbit in row order
-    as a frozenset of codes (a sweep has them already); decoded, they
-    become the elements of the orbits built.  Everything a caller reads
-    is tuple-valued: rows, representatives, orbit_of, partition() and the
-    orbits' elements.  repr, == and hash read rows and p; images and
-    point_sets are left out.
+    access, and so are the FusionOrbit objects of orbits, each orbit's
+    point set on its own first access.  images is the action shared by
+    every orbit of the set, on codes x*p + y: it maps the code of a point
+    to the codes of its images.  point_sets, when given, holds the point
+    set of each orbit in row order as a frozenset of codes (a sweep has
+    them already); decoded, they become the elements of the orbits built.
+    repr, == and hash read rows and p; images and point_sets are left out.
     """
 
     _fields = ("rows", "p")
@@ -281,17 +272,19 @@ def _sweep_orbits(p: int, table) -> FusionOrbitSet:
     p^2 flags; callers guard the p^2 cost.  Points are swept in
     increasing code order, which is lexicographic order, jumping to the
     next unmarked point, so the first point met of each orbit is its
-    least one and the orbits come out sorted, one run each; the
-    stabilizer is read off the same image list as the orbit.  The rows
-    and everything else read from the set stay tuple-valued.
+    least one and the orbits come out sorted.  Each distinct matrix is
+    applied once per orbit; the stabilizer is the elements whose matrix
+    fixes the point, in table order, and neighbouring orbits of one x
+    with the same size and stabilizer make one run.
     """
-    matrices = [mat for _, mat in table]
+    matrices = list(dict.fromkeys(mat for _, mat in table))
 
     def images(v: int) -> set:
         x, y = divmod(v, p)
         return {((a * x + b * y) % p) * p + (c * x + d * y) % p for a, b, c, d in matrices}
 
-    elements = [g for g, _ in table]
+    # the positions of the matrices fixing a point -> its stabilizer
+    stabilizers: dict[tuple, tuple] = {}
     seen = bytearray(p * p)
     runs = []
     point_sets = []
@@ -310,15 +303,23 @@ def _sweep_orbits(p: int, table) -> FusionOrbitSet:
         for v in orbit:
             seen[v] = 1
         if len(orbit) == len(image_list):
-            # the images are distinct, so exactly one element fixes pos
-            stab = (elements[image_list.index(pos)],)
+            # the images are distinct, so exactly one matrix fixes pos
+            fixing = (image_list.index(pos),)
         else:
-            stab = tuple(compress(elements, [image == pos for image in image_list]))
-        runs.append((x, (y,), len(orbit), len(stab), stab))
+            fixing = tuple(compress(range(len(image_list)), [image == pos for image in image_list]))
+        stab = stabilizers.get(fixing)
+        if stab is None:
+            fixed = {matrices[i] for i in fixing}
+            stab = stabilizers[fixing] = tuple(g for g, mat in table if mat in fixed)
+        if runs and runs[-1][:3] == (x, len(orbit), stab):
+            runs[-1][3].append(y)
+        else:
+            runs.append((x, len(orbit), stab, [y]))
         point_sets.append(orbit)
         pos = seen.find(0, pos + 1)
+    runs = tuple((x, tuple(ys), size, len(stab), stab) for x, size, stab, ys in runs)
     # the sweep already holds every point set: hand them to the orbits
-    return FusionOrbitSet(tuple(runs), p, images, tuple(point_sets))
+    return FusionOrbitSet(runs, p, images, tuple(point_sets))
 
 
 def _theta_table(params: DihedralParams, i0: int) -> list:
@@ -361,27 +362,27 @@ def fusion_orbits_bruteforce(params: DihedralParams, i0: int) -> FusionOrbitSet:
 
 def renamed_sweep(brute: FusionOrbitSet, table: list, other: list) -> FusionOrbitSet:
     """The sweep of the action through other, from brute, the sweep of the
-    action through table, when the two tables hold the same matrices with
-    the same multiplicities; raises ValueError otherwise.
+    action through table, when the two tables hold the same set of
+    matrices, in any multiplicities; raises ValueError otherwise.
 
-    A sweep reads nothing but the matrices, so the runs, sizes, stabilizer
-    orders, point sets and images stay; each stabilizer becomes the
-    elements of other whose matrix is one of those of its elements in
-    table, in the order of other.
+    The runs, sizes, point sets and images stay; each stabilizer becomes
+    the elements of other whose matrix is one of its elements' matrices,
+    in other's order, and its order their number.
     """
-    if sorted(mat for _, mat in table) != sorted(mat for _, mat in other):
+    if {mat for _, mat in table} != {mat for _, mat in other}:
         raise ValueError("the two tables do not hold the same matrices")
     matrix_of = dict(table)
-    renamed: dict[tuple, tuple] = {}
-
-    def rename(stab: tuple) -> tuple:
-        if stab not in renamed:
+    # by identity, as a sweep shares one tuple per stabilizer: hashing one
+    # would hash each of its elements
+    renamed: dict[int, tuple] = {}
+    runs = []
+    for x, ys, size, _, stab in brute.runs:
+        new = renamed.get(id(stab))
+        if new is None:
             fixing = {matrix_of[g] for g in stab}
-            renamed[stab] = tuple(g for g, mat in other if mat in fixing)
-        return renamed[stab]
-
-    runs = tuple((x, ys, size, order, rename(stab)) for x, ys, size, order, stab in brute.runs)
-    return FusionOrbitSet(runs, brute.p, brute.images, brute.point_sets)
+            new = renamed[id(stab)] = tuple(g for g, mat in other if mat in fixing)
+        runs.append((x, ys, size, len(new), new))
+    return FusionOrbitSet(tuple(runs), brute.p, brute.images, brute.point_sets)
 
 
 def fusion_orbits_closed_form(params: DihedralParams, i0: int) -> FusionOrbitSet:

@@ -312,6 +312,20 @@ def test_analyze_abelian_at_a_61_bit_prime_finishes():
     assert all(check["passed"] for check in report["checks"])
 
 
+def test_analyze_dihedral_refuses_a_rank_above_the_limit(capsys):
+    # the checks are O(n^2): n = 100000 would run for tens of minutes
+    proc = subprocess.run(
+        [sys.executable, "-m", "udrfusion", "analyze", "dihedral", "--n", "100000", "--i0", "2"],
+        capture_output=True, text=True, timeout=20,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"error: --n 100000 is above the rank limit {cli.ANALYZE_RANK_LIMIT}\n"
+    rc, out, err = _run(
+        capsys, ["analyze", "dihedral", "--n", str(cli.ANALYZE_RANK_LIMIT + 1), "--i0", "1"]
+    )
+    assert rc == 2 and out == "" and "rank limit" in err
+
+
 def test_cli_error_exits():
     assert main(["analyze", "dihedral", "--n", "5", "--p", "6", "--i0", "1"]) == 2
     assert main(["analyze", "dihedral", "--n", "5", "--i0", "3"]) == 2
@@ -445,10 +459,11 @@ def test_verify_sweeps_each_orbit_instance_once(capsys, monkeypatch):
     prop48 = [line.split()[2:] for line in out.splitlines() if line.startswith("PASS prop48 ")]
     cor49 = [line.split()[2:] for line in out.splitlines() if line.startswith("PASS cor49 ")]
     assert prop48 == cor49 and len(prop48) == 12
-    # one sweep per distinct theta_i0 table of each (n, p), at one of its
-    # indices: i0 = 1, 2 share theirs at n = 5
+    # one sweep per distinct set of theta_i0 matrices at each prime, at one
+    # of its instances: i0 = 1, 2 share theirs at n = 5, and (6, p, 2)
+    # shares that of (3, p, 1) at p = 7 and 13
     instances = [tuple(map(int, par)) for par in prop48]
-    assert set(sweeps) <= set(instances) and len(sweeps) == 10
+    assert set(sweeps) <= set(instances) and len(sweeps) == 8
     assert {_table_key(*instance) for instance in sweeps} == {
         _table_key(*instance) for instance in instances
     }
@@ -456,9 +471,9 @@ def test_verify_sweeps_each_orbit_instance_once(capsys, monkeypatch):
 
 
 def _table_key(n, p, i0):
-    """(n, p) and the matrices of theta_i0's table with their multiplicities."""
+    """p and the set of matrices of theta_i0's table."""
     table = fusion._theta_table(DihedralParams.standard(n, p), i0)
-    return n, p, tuple(sorted(mat for _, mat in table))
+    return p, frozenset(mat for _, mat in table)
 
 
 def _handed_sweeps(monkeypatch, n_max):

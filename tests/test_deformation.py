@@ -250,8 +250,9 @@ def test_verify_orbit_families_build_no_orbit_objects(capsys, monkeypatch):
     out = capsys.readouterr().out
     prop48 = sum(line.startswith("PASS prop48 ") for line in out.splitlines())
     # 12 instances (n, p, i0) for n = 3..6 at two primes each, and one
-    # sweep per distinct theta_i0 table: i0 = 1, 2 share theirs at n = 5
-    assert prop48 == 12 and calls["sweep"] == 10
+    # sweep per distinct set of theta_i0 matrices at each prime: i0 = 1, 2
+    # share theirs at n = 5, and (6, p, 2) shares that of (3, p, 1)
+    assert prop48 == 12 and calls["sweep"] == 8
     assert calls["orbit"] == calls["partition"] == 0
 
 

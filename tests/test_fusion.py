@@ -200,7 +200,7 @@ def test_bruteforce_table_is_the_representation_matrices(monkeypatch):
                 assert tables.pop() == expected
 
 
-def test_renamed_sweep_needs_the_same_matrix_multiset():
+def test_renamed_sweep_needs_the_same_matrix_set():
     params = DihedralParams.standard(12, 13)
     one, two, five = (fusion._theta_table(params, i0) for i0 in (1, 2, 5))
     brute = fusion_orbits_bruteforce(params, 1)
@@ -210,12 +210,36 @@ def test_renamed_sweep_needs_the_same_matrix_multiset():
     with pytest.raises(ValueError):
         fusion.renamed_sweep(brute, one, two)
     # theta_2 has kernel {1, r^6}: giving r the identity's matrix keeps the
-    # set of matrices and changes two multiplicities
+    # set of matrices and changes two multiplicities, which a sweep does
+    # not read; the stabilizers and their orders follow the new table
     doubled = [(g, two[0][1] if g == GroupElement.rotation(12) else mat) for g, mat in two]
     assert {mat for _, mat in doubled} == {mat for _, mat in two}
     sweep_two = fusion_orbits_bruteforce(params, 2)
+    assert fusion.renamed_sweep(sweep_two, two, doubled).runs == fusion._sweep_orbits(13, doubled).runs
+    # a table whose set lacks one matrix of the other's
     with pytest.raises(ValueError):
-        fusion.renamed_sweep(sweep_two, two, doubled)
+        fusion.renamed_sweep(sweep_two, two, [(g, mat) for g, mat in two if mat != two[-1][1]])
+
+
+@pytest.mark.parametrize(
+    "swept, renamed",
+    [((3, 13, 1), (6, 13, 2)), ((3, 13, 1), (12, 13, 4)), ((4, 13, 1), (12, 13, 3)),
+     ((3, 7, 1), (6, 7, 2))],
+)
+def test_renamed_sweep_crosses_ranks(swept, renamed):
+    """Tables of different ranks at one prime with the same set of
+    matrices, in different multiplicities: the renamed sweep equals a fresh
+    sweep of the other index in runs, rows with their stabilizer
+    generators and orders, and point sets."""
+    (n, p, i0), (m, q, j0) = swept, renamed
+    params, other_params = DihedralParams.standard(n, p), DihedralParams.standard(m, q)
+    table, other = fusion._theta_table(params, i0), fusion._theta_table(other_params, j0)
+    assert len(other) != len(table)
+    got = fusion.renamed_sweep(fusion_orbits_bruteforce(params, i0), table, other)
+    fresh = fusion_orbits_bruteforce(other_params, j0)
+    # each row carries its stabilizer order and generators
+    assert got.runs == fresh.runs and got.rows == fresh.rows
+    assert got.point_sets == fresh.point_sets
 
 
 def test_orbit_rows_and_lazy_orbits_agree():
@@ -272,8 +296,9 @@ def _split_sweep(draw):
 @given(_split_sweep())
 def test_any_runs_of_a_sweep_read_as_its_rows(case):
     sweep, runs = case
-    # the sweep itself holds one run per row
-    assert len(sweep.runs) == sweep.orbit_count == len(sweep.rows)
+    # the sweep merges its runs as far as they go: no two neighbouring
+    # runs share x, size and stabilizer
+    assert all(a[0] != b[0] or a[2:] != b[2:] for a, b in zip(sweep.runs, sweep.runs[1:]))
     split = FusionOrbitSet(runs, sweep.p, sweep.images, sweep.point_sets)
     assert split.rows == sweep.rows
     assert split.representatives == sweep.representatives
@@ -415,10 +440,22 @@ def _tuple_sweep_reference(p, table):
     return tuple(runs), images, tuple(point_sets)
 
 
+def _maximal_merge(runs):
+    """runs with each joined to the run before it whenever both share x,
+    size, stabilizer order and stabilizer; ys stay tuples."""
+    merged = []
+    for x, ys, *shared in runs:
+        if merged and merged[-1][0] == x and list(merged[-1][2:]) == shared:
+            merged[-1] = (x, merged[-1][1] + tuple(ys), *shared)
+        else:
+            merged.append((x, tuple(ys), *shared))
+    return tuple(merged)
+
+
 def _assert_sweep_matches_tuple_reference(sweep, table):
     p = sweep.p
     runs, images, point_sets = _tuple_sweep_reference(p, table)
-    assert sweep.runs == runs
+    assert sweep.runs == _maximal_merge(runs)
     assert sweep.rows == tuple(
         ((x, y), size, order, gens) for x, ys, size, order, gens in runs for y in ys
     )
