@@ -31,6 +31,7 @@ from .ffield import (
 from .fusion import (
     ORBIT_LIMIT,
     FusionOrbitSet,
+    _read_sweep,
     _sweep_orbits,
     coset_minima,
     diagonal_images,
@@ -296,8 +297,9 @@ def abelian_orbits_bruteforce(pair: CharacterPair) -> FusionOrbitSet:
         raise LimitExceeded(
             f"sweep size {params.order * p * p} exceeds {ABELIAN_BRUTE_FORCE_LIMIT}"
         )
-    table = [(g, (pair.value1(g), 0, 0, pair.value2(g))) for g in params.elements()]
-    return _sweep_orbits(p, table)
+    elements = list(params.elements())
+    matrices = [(pair.value1(g), 0, 0, pair.value2(g)) for g in elements]
+    return _read_sweep(p, _sweep_orbits(p, matrices), elements, matrices)
 
 
 def all_character_pairs(params: AbelianParams):

@@ -491,51 +491,37 @@ def _sweep_reports(checks: dict[str, str], n_max: int) -> dict[str, list[Verific
 
     The indices of all (n, p) at one prime p are grouped by the set of
     their theta_i0 table's matrices, as computed, not by a criterion the
-    checks test.  Each group is swept once, at its first (n, i0), and the
-    sweep is renamed to each other member's table; every instance gets its
-    own checks.  One group's sweep is alive at a time.  With no checks,
-    the sweeps still run and nothing is renamed."""
+    checks test.  Each group is swept once, and every member reads its own
+    orbit set from that sweep, with its rank's group elements and its own
+    matrices, and gets its own checks.  With no checks, the sweeps still
+    run and nothing is read."""
     from . import deformation, fusion
-    from .dihedral import DihedralParams
+    from .dihedral import DihedralParams, group_elements
 
     runs = [getattr(deformation, name) for name in checks.values()]
+    elements = {n: group_elements(n) for n in range(3, n_max + 1)}
     by_prime: dict[int, list] = {}
-    for n in range(3, n_max + 1):
+    for n in elements:
         for p in find_primes(n, 2):
             by_prime.setdefault(p, []).append(DihedralParams.standard(n, p))
     by_instance: dict[tuple, list[VerificationReport]] = {}
-    for ranks in by_prime.values():
+    for p, ranks in by_prime.items():
         # only the tables of one prime are alive at a time
         groups: dict[frozenset, list] = {}
         for params in ranks:
             for i0 in params.irr2_indices():
-                table = fusion._theta_table(params, i0)
-                key = frozenset(mat for _, mat in table)
-                groups.setdefault(key, []).append((params, i0, table))
+                matrices = fusion._theta_table(params, i0)
+                groups.setdefault(frozenset(matrices), []).append((params, i0, matrices))
         for group in groups.values():
-            by_instance.update(_group_reports(runs, group))
+            sweep = fusion._sweep_orbits(p, group[0][2])
+            for params, i0, matrices in group if runs else ():
+                brute = fusion._read_sweep(p, sweep, elements[params.n], matrices)
+                by_instance[params.n, p, i0] = [check(params, i0, brute) for check in runs]
     reports: dict[str, list[VerificationReport]] = {token: [] for token in checks}
     for key in sorted(by_instance):
         for token, report in zip(checks, by_instance[key]):
             reports[token].append(report)
     return reports
-
-
-def _group_reports(runs, group) -> dict[tuple, list[VerificationReport]]:
-    """(n, p, i0) -> the reports of runs on it, for each (params, i0,
-    theta_i0 table) of group, from one sweep at the first member renamed
-    to the others."""
-    from . import fusion
-
-    (params, first, table), *others = group
-    brute = fusion.fusion_orbits_bruteforce(params, first)
-    if not runs:
-        return {}
-    out = {(params.n, params.p, first): [check(params, first, brute) for check in runs]}
-    for params, i0, other in others:
-        renamed = fusion.renamed_sweep(brute, table, other)
-        out[params.n, params.p, i0] = [check(params, i0, renamed) for check in runs]
-    return out
 
 
 def _cmd_verify(args) -> int:

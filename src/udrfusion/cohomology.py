@@ -162,7 +162,8 @@ class _MonomialModule:
     sign[c] * e_perm[c].  Construction checks the dihedral relations in
     O(dim): perm is an involution with sign[perm[c]] = sign[c] = +-1
     (s^2 = 1), and weight[perm[c]] = -weight[c] mod n (s r s = r^-1);
-    r^n = 1 holds because weights live mod n.
+    r^n = 1 holds because weights live mod n.  dual, tensor and det build
+    their results through the same constructor, so every module is checked.
     """
 
     __slots__ = ("n", "weight", "perm", "sign")
@@ -183,15 +184,6 @@ class _MonomialModule:
         self.n, self.weight, self.perm, self.sign = n, weight, perm, sign
 
     @classmethod
-    def _derived(cls, n: int, weight, perm, sign) -> "_MonomialModule":
-        """Wrap the dual, tensor product or determinant of valid modules,
-        which satisfies the relations by construction; reduces the
-        weights mod n and skips the O(dim) checks of __init__."""
-        m = object.__new__(cls)
-        m.n, m.weight, m.perm, m.sign = n, tuple(w % n for w in weight), tuple(perm), tuple(sign)
-        return m
-
-    @classmethod
     def irr2(cls, n: int, i: int) -> "_MonomialModule":
         """theta_i as dihedral.py defines it: r -> diag(w^i, w^-i) gives
         the weights (i, -i), and s swaps the two coordinates."""
@@ -200,12 +192,12 @@ class _MonomialModule:
     def dual(self) -> "_MonomialModule":
         # s is an involution with sign[perm[c]] = sign[c], so its
         # transpose inverse is itself
-        return _MonomialModule._derived(self.n, [-w for w in self.weight], self.perm, self.sign)
+        return _MonomialModule(self.n, [-w for w in self.weight], self.perm, self.sign)
 
     def tensor(self, other: "_MonomialModule") -> "_MonomialModule":
         """Coordinates ordered as in FpMatrix.kron: c = a * other.dim + b."""
         dim_b = len(other.weight)
-        return _MonomialModule._derived(
+        return _MonomialModule(
             self.n,
             [wa + wb for wa in self.weight for wb in other.weight],
             [pa * dim_b + pb for pa in self.perm for pb in other.perm],
@@ -221,7 +213,7 @@ class _MonomialModule:
         for c, target in enumerate(self.perm):
             if c < target:  # one transposition per 2-cycle
                 sgn = -sgn
-        return _MonomialModule._derived(self.n, [sum(self.weight)], [0], [sgn])
+        return _MonomialModule(self.n, [sum(self.weight)], [0], [sgn])
 
     def fixed_point_dim(self) -> int:
         """Weight-zero coordinates span the r-invariants (w has order n);

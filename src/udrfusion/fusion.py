@@ -12,10 +12,11 @@ coset minima of U = <w^i0> in F_p^*, in time and memory linear in p plus
 the number of orbits.  The brute-force sweep over all p^2 points,
 _sweep_orbits, shares no code with it and is kept as its oracle; the
 abelian brute force in abelian.py runs on the same sweep.  The sweep
-reads nothing of the group but the set of matrices of its table, so two
-tables with the same set, of any ranks and multiplicities, have the same
-sweep up to the stabilizer elements: renamed_sweep turns the one into
-the other, and verify sweeps each distinct set at a prime once.
+reads nothing of the group but the set of its matrices, and marks each
+run by the positions of the matrices that fix it; _read_sweep names the
+stabilizers from a group's own elements and matrices.  So every table
+with the same set of matrices, of any rank and multiplicities, reads the
+same sweep, and verify sweeps each distinct set at a prime once.
 
 Both routes return their orbits as runs (FusionOrbitSet), each run as
 long as its neighbours allow.
@@ -263,28 +264,29 @@ def diagonal_images(p: int, scalars) -> OrbitMap:
     return images
 
 
-def _sweep_orbits(p: int, table) -> FusionOrbitSet:
-    """Orbit partition by sweeping every point of the plane.
+def _sweep_orbits(p: int, matrices) -> tuple:
+    """Orbit partition by sweeping every point of the plane, refused past
+    BRUTE_FORCE_POINT_LIMIT points, as (swept, runs, images, point_sets).
 
-    table lists (g, (a, b, c, d)) with g acting as the matrix
-    [[a, b], [c, d]].  Points are the codes x*p + y; every orbit is built
-    as a frozenset of codes and every point is marked in a bytearray of
-    p^2 flags; callers guard the p^2 cost.  Points are swept in
-    increasing code order, which is lexicographic order, jumping to the
-    next unmarked point, so the first point met of each orbit is its
-    least one and the orbits come out sorted.  Each distinct matrix is
-    applied once per orbit; the stabilizer is the elements whose matrix
-    fixes the point, in table order, and neighbouring orbits of one x
-    with the same size and stabilizer make one run.
+    swept holds the distinct matrices [[a, b], [c, d]] of matrices, given
+    as (a, b, c, d), in first-seen order; each is applied once per orbit.
+    Points are the codes x*p + y; every orbit is built as a frozenset of
+    codes and every point is marked in a bytearray of p^2 flags.  Points
+    are swept in increasing code order, which is lexicographic order,
+    jumping to the next unmarked point, so the first point met of each
+    orbit is its least one and the orbits come out sorted.  A run
+    (x, ys, size, fixing) holds the orbits of (x, y), y in ys, fixed by
+    the matrices at the positions fixing of swept: neighbouring orbits of
+    one x with the same size and fixing make one run.
     """
-    matrices = list(dict.fromkeys(mat for _, mat in table))
+    if p * p > BRUTE_FORCE_POINT_LIMIT:
+        raise LimitExceeded(f"plane has {p * p} points, limit is {BRUTE_FORCE_POINT_LIMIT}")
+    swept = tuple(dict.fromkeys(matrices))
 
     def images(v: int) -> set:
         x, y = divmod(v, p)
-        return {((a * x + b * y) % p) * p + (c * x + d * y) % p for a, b, c, d in matrices}
+        return {((a * x + b * y) % p) * p + (c * x + d * y) % p for a, b, c, d in swept}
 
-    # the positions of the matrices fixing a point -> its stabilizer
-    stabilizers: dict[tuple, tuple] = {}
     seen = bytearray(p * p)
     runs = []
     point_sets = []
@@ -295,7 +297,7 @@ def _sweep_orbits(p: int, table) -> FusionOrbitSet:
         if x != row:
             # a*x and c*x are fixed along a row
             row = x
-            shifted = [(a * x, b, c * x, d) for a, b, c, d in matrices]
+            shifted = [(a * x, b, c * x, d) for a, b, c, d in swept]
         image_list = [((ax + b * y) % p) * p + (cx + d * y) % p for ax, b, cx, d in shifted]
         orbit = frozenset(image_list)
         if min(orbit) != pos:
@@ -307,25 +309,42 @@ def _sweep_orbits(p: int, table) -> FusionOrbitSet:
             fixing = (image_list.index(pos),)
         else:
             fixing = tuple(compress(range(len(image_list)), [image == pos for image in image_list]))
-        stab = stabilizers.get(fixing)
-        if stab is None:
-            fixed = {matrices[i] for i in fixing}
-            stab = stabilizers[fixing] = tuple(g for g, mat in table if mat in fixed)
-        if runs and runs[-1][:3] == (x, len(orbit), stab):
+        if runs and runs[-1][:3] == (x, len(orbit), fixing):
             runs[-1][3].append(y)
         else:
-            runs.append((x, len(orbit), stab, [y]))
+            runs.append((x, len(orbit), fixing, [y]))
         point_sets.append(orbit)
         pos = seen.find(0, pos + 1)
-    runs = tuple((x, tuple(ys), size, len(stab), stab) for x, size, stab, ys in runs)
-    # the sweep already holds every point set: hand them to the orbits
-    return FusionOrbitSet(runs, p, images, tuple(point_sets))
+    runs = tuple((x, tuple(ys), size, fixing) for x, size, fixing, ys in runs)
+    return swept, runs, images, tuple(point_sets)
+
+
+def _read_sweep(p: int, sweep: tuple, elements, matrices) -> FusionOrbitSet:
+    """The orbit set of the group whose element elements[t] acts as
+    matrices[t], read from sweep, a _sweep_orbits of the same set of
+    matrices in any multiplicities; raises ValueError when the sets
+    differ.  Each run's stabilizer is the elements whose matrix fixes its
+    representatives, in table order, and its order their number; the
+    sweep's point sets become those of the orbits."""
+    swept, runs, images, point_sets = sweep
+    if set(swept) != set(matrices):
+        raise ValueError("the table does not hold the matrices the sweep applied")
+    position = {mat: i for i, mat in enumerate(swept)}
+    at = [position[mat] for mat in matrices]
+    stabilizers: dict[tuple, tuple] = {}
+    read = []
+    for x, ys, size, fixing in runs:
+        stab = stabilizers.get(fixing)
+        if stab is None:
+            stab = stabilizers[fixing] = tuple(compress(elements, [i in fixing for i in at]))
+        read.append((x, ys, size, len(stab), stab))
+    return FusionOrbitSet(tuple(read), p, images, point_sets)
 
 
 def _theta_table(params: DihedralParams, i0: int) -> list:
-    """(g, (a, b, c, d)) for every group element g, in group_elements
-    order, with g acting through theta_i0 as the matrix [[a, b], [c, d]]."""
-    from .dihedral import group_elements, irr2_rep
+    """(a, b, c, d) for every group element g, in group_elements order,
+    with g acting through theta_i0 as the matrix [[a, b], [c, d]]."""
+    from .dihedral import irr2_rep
 
     p = params.p
     rep = irr2_rep(params, i0)
@@ -345,44 +364,20 @@ def _theta_table(params: DihedralParams, i0: int) -> list:
          (s10 * a + s11 * c) % p, (s10 * b + s11 * d) % p)
         for a, b, c, d in powers
     ]
-    return list(zip(group_elements(params.n), powers + reflected))
+    return powers + reflected
 
 
 def fusion_orbits_bruteforce(params: DihedralParams, i0: int) -> FusionOrbitSet:
     """Orbit partition by sweeping every point of the plane.
 
-    Serves as the oracle for the closed form; refuses planes larger
-    than BRUTE_FORCE_POINT_LIMIT points.
+    Serves as the oracle for the closed form; the sweep refuses planes
+    larger than BRUTE_FORCE_POINT_LIMIT points.
     """
-    p = params.p
-    if p * p > BRUTE_FORCE_POINT_LIMIT:
-        raise LimitExceeded(f"plane has {p * p} points, limit is {BRUTE_FORCE_POINT_LIMIT}")
-    return _sweep_orbits(p, _theta_table(params, i0))
+    from .dihedral import group_elements
 
-
-def renamed_sweep(brute: FusionOrbitSet, table: list, other: list) -> FusionOrbitSet:
-    """The sweep of the action through other, from brute, the sweep of the
-    action through table, when the two tables hold the same set of
-    matrices, in any multiplicities; raises ValueError otherwise.
-
-    The runs, sizes, point sets and images stay; each stabilizer becomes
-    the elements of other whose matrix is one of its elements' matrices,
-    in other's order, and its order their number.
-    """
-    if {mat for _, mat in table} != {mat for _, mat in other}:
-        raise ValueError("the two tables do not hold the same matrices")
-    matrix_of = dict(table)
-    # by identity, as a sweep shares one tuple per stabilizer: hashing one
-    # would hash each of its elements
-    renamed: dict[int, tuple] = {}
-    runs = []
-    for x, ys, size, _, stab in brute.runs:
-        new = renamed.get(id(stab))
-        if new is None:
-            fixing = {matrix_of[g] for g in stab}
-            new = renamed[id(stab)] = tuple(g for g, mat in other if mat in fixing)
-        runs.append((x, ys, size, len(new), new))
-    return FusionOrbitSet(tuple(runs), brute.p, brute.images, brute.point_sets)
+    matrices = _theta_table(params, i0)
+    sweep = _sweep_orbits(params.p, matrices)
+    return _read_sweep(params.p, sweep, group_elements(params.n), matrices)
 
 
 def fusion_orbits_closed_form(params: DihedralParams, i0: int) -> FusionOrbitSet:

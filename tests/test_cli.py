@@ -7,6 +7,7 @@ import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -16,7 +17,7 @@ from time import perf_counter
 
 import pytest
 
-from udrfusion import __version__, abelian, cli, cohomology, deformation, fusion
+from udrfusion import __version__, abelian, cli, cohomology, deformation, dihedral, fusion
 from udrfusion.cli import main
 from udrfusion.cohomology import CohomologyDims
 from udrfusion.dihedral import DihedralParams
@@ -447,13 +448,13 @@ def test_module_entry_point():
 
 def test_verify_sweeps_each_orbit_instance_once(capsys, monkeypatch):
     sweeps = Counter()
-    real = fusion.fusion_orbits_bruteforce
+    real = fusion._sweep_orbits
 
-    def counting(params, i0):
-        sweeps[(params.n, params.p, i0)] += 1
-        return real(params, i0)
+    def counting(p, matrices):
+        sweeps[p, tuple(matrices)] += 1
+        return real(p, matrices)
 
-    monkeypatch.setattr(fusion, "fusion_orbits_bruteforce", counting)
+    monkeypatch.setattr(fusion, "_sweep_orbits", counting)
     rc, out, _ = _run(capsys, ["verify", "--n-max", "6"])
     assert rc == 0
     prop48 = [line.split()[2:] for line in out.splitlines() if line.startswith("PASS prop48 ")]
@@ -463,17 +464,21 @@ def test_verify_sweeps_each_orbit_instance_once(capsys, monkeypatch):
     # of its instances: i0 = 1, 2 share theirs at n = 5, and (6, p, 2)
     # shares that of (3, p, 1) at p = 7 and 13
     instances = [tuple(map(int, par)) for par in prop48]
-    assert set(sweeps) <= set(instances) and len(sweeps) == 8
-    assert {_table_key(*instance) for instance in sweeps} == {
+    assert set(sweeps) <= {_table(*instance) for instance in instances} and len(sweeps) == 8
+    assert {(p, frozenset(matrices)) for p, matrices in sweeps} == {
         _table_key(*instance) for instance in instances
     }
     assert set(sweeps.values()) == {1}
 
 
+def _table(n, p, i0):
+    """p and the matrices of theta_i0's table."""
+    return p, tuple(fusion._theta_table(DihedralParams.standard(n, p), i0))
+
+
 def _table_key(n, p, i0):
     """p and the set of matrices of theta_i0's table."""
-    table = fusion._theta_table(DihedralParams.standard(n, p), i0)
-    return p, frozenset(mat for _, mat in table)
+    return p, frozenset(_table(n, p, i0)[1])
 
 
 def _handed_sweeps(monkeypatch, n_max):
@@ -520,7 +525,18 @@ def test_verify_hands_every_check_the_sweep_of_its_own_index(monkeypatch):
 
 
 def test_a_rename_that_keeps_the_swept_index_gens_is_caught(monkeypatch):
-    monkeypatch.setattr(fusion, "renamed_sweep", lambda brute, table, other: brute)
+    # planted: every member of a group reads the shared sweep with the
+    # elements and matrices of the first member read
+    real = fusion._read_sweep
+    # id(sweep) -> the sweep, kept alive so that no id is reused, and the
+    # elements and matrices of its first read
+    first = {}
+
+    def planted(p, sweep, elements, matrices):
+        _, elements, matrices = first.setdefault(id(sweep), (sweep, elements, matrices))
+        return real(p, sweep, elements, matrices)
+
+    monkeypatch.setattr(fusion, "_read_sweep", planted)
     unlike = _unlike_a_fresh_sweep(_handed_sweeps(monkeypatch, 12))
     # i0 = 5 shares the table of i0 = 1 at n = 12
     assert (12, 13, 5) in unlike and (12, 13, 1) not in unlike
@@ -537,20 +553,80 @@ def test_prop48_fails_a_renamed_index_whose_closed_form_is_wrong(capsys, monkeyp
         return fusion.FusionOrbitSet(closed.runs, closed.p, lambda code: (code,))
 
     sweeps = Counter()
-    real_sweep = fusion.fusion_orbits_bruteforce
+    real_sweep = fusion._sweep_orbits
 
-    def counting(params, i0):
-        sweeps[params.n, i0] += 1
-        return real_sweep(params, i0)
+    def counting(p, matrices):
+        sweeps[p, tuple(matrices)] += 1
+        return real_sweep(p, matrices)
 
     monkeypatch.setattr(deformation, "fusion_orbits_closed_form", planted)
-    monkeypatch.setattr(fusion, "fusion_orbits_bruteforce", counting)
+    monkeypatch.setattr(fusion, "_sweep_orbits", counting)
     rc, out, _ = _run(capsys, ["verify", "--check", "prop48"])
     assert rc == 1
-    # n = 11 sweeps only i0 = 1: index 3 reads a renamed sweep
-    assert sweeps[11, 1] == 2 and sweeps[11, 3] == 0
+    # n = 11 sweeps only the table of i0 = 1: index 3 reads that sweep
+    for p in (23, 67):
+        assert sweeps[_table(11, p, 1)] == 1 and sweeps[_table(11, p, 3)] == 0
     failed = [line.split()[2:5] for line in out.splitlines() if line.startswith("FAIL")]
     assert failed == [["11", "23", "3"], ["11", "67", "3"]]
+
+
+def test_orbit_block_work_at_the_default_ceilings_is_pinned(monkeypatch):
+    """The default prop48/cor49 block: one group_elements list per rank,
+    no GroupElement hashed, and the sweeps and points README states."""
+    calls = Counter()
+    real_elements, real_hash, real_sweep = (
+        dihedral.group_elements, dihedral.GroupElement.__hash__, fusion._sweep_orbits
+    )
+
+    def elements(n):
+        calls["group_elements"] += 1
+        return real_elements(n)
+
+    def hashing(g):
+        calls["hash"] += 1
+        return real_hash(g)
+
+    def sweeping(p, matrices):
+        calls["sweeps"] += 1
+        calls["points"] += p * p
+        return real_sweep(p, matrices)
+
+    monkeypatch.setattr(dihedral, "group_elements", elements)
+    monkeypatch.setattr(dihedral.GroupElement, "__hash__", hashing)
+    monkeypatch.setattr(fusion, "_sweep_orbits", sweeping)
+    reports = cli._sweep_reports(
+        {"prop48": "check_orbit_closed_form", "cor49": "check_orbit_census"}, 12
+    )
+    assert [len(reports[token]) for token in ("prop48", "cor49")] == [60, 60]
+    assert all(report.passed for family in reports.values() for report in family)
+    assert calls["group_elements"] == 10 and calls["hash"] == 0
+    # the counter sees a hash when there is one
+    hash(dihedral.GroupElement.rotation(3))
+    assert calls["hash"] == 1
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    stated = re.search(
+        r"At the default ceilings that is (\d+) sweeps over ([\d,]+) points for the (\d+) "
+        r"instances, with one `group_elements` list per rank, (\d+) in all, and no "
+        r"`GroupElement` hashed",
+        readme,
+    )
+    assert stated is not None
+    sweeps, points, instances, lists = (int(v.replace(",", "")) for v in stated.groups())
+    assert (sweeps, points, instances, lists) == (calls["sweeps"], calls["points"], 60, 10)
+    assert (sweeps, points) == (26, 22178)
+
+
+def test_readme_quick_start_prints_its_comments(capsys):
+    """Runs README's library quick start and compares each printed line
+    with the comment on its print call."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library quick start\n\n```python\n", 1)[1].split("```", 1)[0]
+    expected = [
+        line.split("#", 1)[1].strip() for line in block.splitlines() if line.startswith("print(")
+    ]
+    assert len(expected) == 6
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == expected
 
 
 def _readme_cache_table():
@@ -648,14 +724,23 @@ def test_scan_work_ceiling_refuses_3_to_2000_before_any_work(capsys, monkeypatch
 
 
 def test_verify_sweep_ceiling_admits_n_max_20(monkeypatch):
-    instances = set()
+    swept = set()
 
-    def counting(params, i0):
-        instances.add((params.n, params.p))
+    def counting(p, matrices):
+        swept.add((p, frozenset(matrices)))
 
-    monkeypatch.setattr(fusion, "fusion_orbits_bruteforce", counting)
+    monkeypatch.setattr(fusion, "_sweep_orbits", counting)
     cli._sweep_reports({}, 20)
+    # every (n, p) has its tables swept, each plane within the sweep's guard
+    instances = {
+        (n, p)
+        for n in range(3, 21)
+        for p in cli.find_primes(n, 2)
+        for i0 in DihedralParams.standard(n, p).irr2_indices()
+        if _table_key(n, p, i0) in swept
+    }
     assert len(instances) == 2 * 18
+    assert all(p * p <= fusion.BRUTE_FORCE_POINT_LIMIT for p, _ in swept)
     for n_max in (20, 25):
         assert cli._verify_ceilings("all", n_max) == dict.fromkeys(cli._VERIFY_FAMILIES, n_max)
     with pytest.raises(LimitExceeded):
@@ -671,7 +756,7 @@ def _no_family_runs(monkeypatch):
         for token, (default, largest, reports) in cli._VERIFY_FAMILIES.items()
     }
     monkeypatch.setattr(cli, "_VERIFY_FAMILIES", families)
-    monkeypatch.setattr(fusion, "fusion_orbits_bruteforce", no_work)
+    monkeypatch.setattr(fusion, "_sweep_orbits", no_work)
 
 
 def test_verify_sweep_ceiling_refuses_n_max_40_before_any_family_runs(capsys, monkeypatch):

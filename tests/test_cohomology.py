@@ -4,7 +4,7 @@ import importlib
 from collections import Counter
 from dis import get_instructions
 from time import perf_counter
-from types import CodeType, FunctionType
+from types import CodeType, FunctionType, SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -230,8 +230,8 @@ def test_monomial_module_checks_relations():
 
 @pytest.mark.parametrize("n, i0, j", [(5, 2, 1), (6, 1, 2), (8, 3, 1), (12, 5, 4), (13, 6, 6)])
 def test_derived_monomial_modules_pass_the_checked_constructor(n, i0, j):
-    # dual, tensor and det skip the relation checks; every module dims
-    # derives must still satisfy them
+    # dual, tensor and det build their results through the checked
+    # constructor; every module dims derives satisfies the relations
     params = DihedralParams.standard(n)
     v = _MonomialModule.irr2(n, j)
     adj = v.dual().tensor(v)
@@ -243,6 +243,22 @@ def test_derived_monomial_modules_pass_the_checked_constructor(n, i0, j):
         assert (checked.n, checked.weight, checked.perm, checked.sign) == (
             m.n, m.weight, m.perm, m.sign
         )
+
+
+def test_a_tensor_that_drops_the_second_permutation_is_refused(monkeypatch):
+    # planted: the second factor's permutation replaced by the identity,
+    # so s no longer inverts the weights of the product
+    real = _MonomialModule.tensor
+
+    def planted(self, other):
+        unpermuted = SimpleNamespace(
+            weight=other.weight, perm=tuple(range(len(other.perm))), sign=other.sign
+        )
+        return real(self, unpermuted)
+
+    monkeypatch.setattr(_MonomialModule, "tensor", planted)
+    with pytest.raises(ValueError, match="weights do not satisfy the dihedral relation"):
+        cohomology._irr2_monomials.__wrapped__(7)
 
 
 def test_dims_structure():

@@ -243,9 +243,7 @@ def test_verify_orbit_families_build_no_orbit_objects(capsys, monkeypatch):
         fusion.FusionOrbitSet, "partition",
         counting("partition", fusion.FusionOrbitSet.partition),
     )
-    monkeypatch.setattr(
-        fusion, "fusion_orbits_bruteforce", counting("sweep", fusion.fusion_orbits_bruteforce)
-    )
+    monkeypatch.setattr(fusion, "_sweep_orbits", counting("sweep", fusion._sweep_orbits))
     assert cli.main(["verify", "--n-max", "6"]) == 0
     out = capsys.readouterr().out
     prop48 = sum(line.startswith("PASS prop48 ") for line in out.splitlines())

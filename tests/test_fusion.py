@@ -78,6 +78,17 @@ def test_bruteforce_guard():
         fusion_orbits_bruteforce(DihedralParams.standard(3, 1009), 1)
 
 
+def test_the_sweep_guards_its_own_plane():
+    # the sweep refuses the plane itself, whoever calls it
+    with pytest.raises(LimitExceeded, match="plane has 1018081 points, limit is 1000000"):
+        fusion._sweep_orbits(1009, [(1, 0, 0, 1)])
+    # the abelian brute force still fails first on its own order * p^2
+    # guard, with its own message
+    pair = abelian.CharacterPair.from_exponents(abelian.AbelianParams((6,), 409), (1,), (0,))
+    with pytest.raises(LimitExceeded, match=r"^sweep size 1003686 exceeds 1000000$"):
+        abelian.abelian_orbits_bruteforce(pair)
+
+
 def test_closed_form_orbit_frozen():
     # n = 6, p = 7, i0 = 2: k = 3, orbit of (1, 2) stays in the ratio locus
     params = DihedralParams.standard(6)
@@ -186,7 +197,13 @@ def test_bruteforce_table_is_the_representation_matrices(monkeypatch):
     # the sweep's table is a running product of irr2_rep's generators;
     # it must equal Rep2.matrix element by element
     tables = []
-    monkeypatch.setattr(fusion, "_sweep_orbits", lambda p, table: tables.append(table))
+    real = fusion._sweep_orbits
+
+    def recording(p, matrices):
+        tables.append(matrices)
+        return real(p, matrices)
+
+    monkeypatch.setattr(fusion, "_sweep_orbits", recording)
     for n in (3, 4, 6, 7, 12):
         for p in find_primes(n, 2):
             params = DihedralParams.standard(n, p)
@@ -194,31 +211,47 @@ def test_bruteforce_table_is_the_representation_matrices(monkeypatch):
                 fusion_orbits_bruteforce(params, i0)
                 rep = irr2_rep(params, i0)
                 expected = [
-                    (g, tuple(x for row in rep.matrix(g).data for x in row))
-                    for g in group_elements(n)
+                    tuple(x for row in rep.matrix(g).data for x in row) for g in group_elements(n)
                 ]
                 assert tables.pop() == expected
 
 
+def _read(sweep, params, i0, matrices=None):
+    """The orbit set of theta_i0 at params read from sweep, with the
+    table's matrices (or matrices in their place)."""
+    if matrices is None:
+        matrices = fusion._theta_table(params, i0)
+    return fusion._read_sweep(params.p, sweep, group_elements(params.n), matrices)
+
+
 def test_renamed_sweep_needs_the_same_matrix_set():
+    """A sweep renamed to another table (read with that table's elements
+    and matrices) equals a fresh sweep of it when the two hold the same
+    set of matrices, and is refused otherwise."""
     params = DihedralParams.standard(12, 13)
-    one, two, five = (fusion._theta_table(params, i0) for i0 in (1, 2, 5))
-    brute = fusion_orbits_bruteforce(params, 1)
-    renamed = fusion.renamed_sweep(brute, one, five)
-    assert renamed.runs == fusion_orbits_bruteforce(params, 5).runs
-    assert renamed.point_sets is brute.point_sets and renamed.images is brute.images
+    one, two = (fusion._theta_table(params, i0) for i0 in (1, 2))
+    sweep = fusion._sweep_orbits(13, one)
+    # theta_5 lists the matrices of theta_1 in another order
+    five = fusion._theta_table(params, 5)
+    assert set(five) == set(one) and list(dict.fromkeys(five)) != list(dict.fromkeys(one))
+    read = _read(sweep, params, 5)
+    fresh = fusion_orbits_bruteforce(params, 5)
+    assert read.runs == fresh.runs and read.rows == fresh.rows
+    assert read.point_sets is sweep[3] and read.images is sweep[2]
     with pytest.raises(ValueError):
-        fusion.renamed_sweep(brute, one, two)
+        _read(sweep, params, 2)
     # theta_2 has kernel {1, r^6}: giving r the identity's matrix keeps the
     # set of matrices and changes two multiplicities, which a sweep does
-    # not read; the stabilizers and their orders follow the new table
-    doubled = [(g, two[0][1] if g == GroupElement.rotation(12) else mat) for g, mat in two]
-    assert {mat for _, mat in doubled} == {mat for _, mat in two}
-    sweep_two = fusion_orbits_bruteforce(params, 2)
-    assert fusion.renamed_sweep(sweep_two, two, doubled).runs == fusion._sweep_orbits(13, doubled).runs
-    # a table whose set lacks one matrix of the other's
+    # not read; the stabilizers and their orders follow the table read
+    doubled = [two[0] if t == 1 else mat for t, mat in enumerate(two)]
+    assert set(doubled) == set(two) and doubled != two
+    fresh = fusion._read_sweep(13, fusion._sweep_orbits(13, doubled), group_elements(12), doubled)
+    read = _read(fusion._sweep_orbits(13, two), params, 2, doubled)
+    assert read.runs == fresh.runs and read.rows == fresh.rows
+    assert read.point_sets == fresh.point_sets
+    # a table whose set lacks one matrix of the sweep's
     with pytest.raises(ValueError):
-        fusion.renamed_sweep(sweep_two, two, [(g, mat) for g, mat in two if mat != two[-1][1]])
+        _read(fusion._sweep_orbits(13, two), params, 2, [mat for mat in two if mat != two[-1]])
 
 
 @pytest.mark.parametrize(
@@ -228,14 +261,14 @@ def test_renamed_sweep_needs_the_same_matrix_set():
 )
 def test_renamed_sweep_crosses_ranks(swept, renamed):
     """Tables of different ranks at one prime with the same set of
-    matrices, in different multiplicities: the renamed sweep equals a fresh
-    sweep of the other index in runs, rows with their stabilizer
-    generators and orders, and point sets."""
+    matrices, in different multiplicities: the renamed index, read from
+    the sweep of the swept one, equals a fresh sweep of it in runs, rows
+    with their stabilizer generators and orders, and point sets."""
     (n, p, i0), (m, q, j0) = swept, renamed
     params, other_params = DihedralParams.standard(n, p), DihedralParams.standard(m, q)
     table, other = fusion._theta_table(params, i0), fusion._theta_table(other_params, j0)
-    assert len(other) != len(table)
-    got = fusion.renamed_sweep(fusion_orbits_bruteforce(params, i0), table, other)
+    assert len(other) != len(table) and set(other) == set(table)
+    got = _read(fusion._sweep_orbits(p, table), other_params, j0)
     fresh = fusion_orbits_bruteforce(other_params, j0)
     # each row carries its stabilizer order and generators
     assert got.runs == fresh.runs and got.rows == fresh.rows
@@ -478,9 +511,9 @@ def test_coded_sweep_matches_the_tuple_reference(monkeypatch):
     tables = []
     real = fusion._sweep_orbits
 
-    def recording(p, table):
-        tables.append(table)
-        return real(p, table)
+    def recording(p, matrices):
+        tables.append(matrices)
+        return real(p, matrices)
 
     monkeypatch.setattr(fusion, "_sweep_orbits", recording)
     monkeypatch.setattr(abelian, "_sweep_orbits", recording)
@@ -489,12 +522,15 @@ def test_coded_sweep_matches_the_tuple_reference(monkeypatch):
         for p in find_primes(n, 2):
             params = DihedralParams.standard(n, p)
             for i0 in params.irr2_indices():
-                _assert_sweep_matches_tuple_reference(fusion_orbits_bruteforce(params, i0),
-                                                      tables.pop())
+                _assert_sweep_matches_tuple_reference(
+                    fusion_orbits_bruteforce(params, i0), list(zip(group_elements(n), tables.pop()))
+                )
                 checked += 1
     for pair in abelian_orbit_grid():
-        _assert_sweep_matches_tuple_reference(abelian.abelian_orbits_bruteforce(pair),
-                                              tables.pop())
+        _assert_sweep_matches_tuple_reference(
+            abelian.abelian_orbits_bruteforce(pair),
+            list(zip(pair.params.elements(), tables.pop())),
+        )
         checked += 1
     # 24 dihedral actions and 2 * (4 + 16 + 36 + 16 + 36 + 81) character pairs
     assert checked == 24 + 378
@@ -503,6 +539,5 @@ def test_coded_sweep_matches_the_tuple_reference(monkeypatch):
 def test_coded_sweep_refuses_a_table_that_misses_the_least_point():
     # a table without the identity: (0, 0) is fixed, and (0, 1), the next
     # point swept, is not among its own images
-    table = [(GroupElement.rotation(3), (2, 0, 0, 2))]
     with pytest.raises(ValueError, match=r"does not map \(0, 1\) to the least point"):
-        fusion._sweep_orbits(5, table)
+        fusion._sweep_orbits(5, [(2, 0, 0, 2)])
