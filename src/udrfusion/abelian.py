@@ -31,11 +31,10 @@ from .ffield import (
 from .fusion import (
     ORBIT_LIMIT,
     FusionOrbitSet,
-    _read_sweep,
-    _sweep_orbits,
     coset_minima,
     diagonal_images,
     fusion_numbers,
+    orbit_sets_bruteforce,
 )
 from .records import CohomologyDims, FrozenRecord, UdrClass
 
@@ -299,7 +298,8 @@ def abelian_orbits_bruteforce(pair: CharacterPair) -> FusionOrbitSet:
         )
     elements = list(params.elements())
     matrices = [(pair.value1(g), 0, 0, pair.value2(g)) for g in elements]
-    return _read_sweep(p, _sweep_orbits(p, matrices), elements, matrices)
+    ((_, orbit_set),) = orbit_sets_bruteforce([(pair, p, elements, matrices)])
+    return orbit_set
 
 
 def all_character_pairs(params: AbelianParams):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import chain
+from itertools import chain, groupby, starmap
 from math import gcd
 
 from . import __version__
@@ -274,7 +274,6 @@ def _dihedral_csv(report: dict) -> str:
 def _analyze_abelian(args) -> dict:
     """The report of analyze abelian on the parsed arguments."""
     from .abelian import (
-        ABELIAN_BRUTE_FORCE_LIMIT,
         AbelianParams,
         CharacterPair,
         abelian_dims,
@@ -292,30 +291,22 @@ def _analyze_abelian(args) -> dict:
     dd = abelian_dims(pair)
     # the projector's d1 is a rank, found without counting trivial characters
     projected = abelian_dims_projector(pair)
+    at = (params.cyclic_orders, params.p)
     checks = [
         VerificationReport(
-            "fixed_count_power_rule",
-            (params.cyclic_orders, params.p),
-            abelian_fixed_count(pair) == params.p ** projected.d1,
+            "fixed_count_power_rule", at, abelian_fixed_count(pair) == params.p ** projected.d1
         ),
-        VerificationReport(
-            "dims_match_projector",
-            (params.cyclic_orders, params.p),
-            projected == dd,
-        ),
+        VerificationReport("dims_match_projector", at, projected == dd),
     ]
-    fusion_block = {"k": None, "numbers": None, "orbit_count": None, "representatives": None}
     # the fusion block and its oracle check appear only where the brute
-    # force could still check them
-    if params.order * params.p**2 <= ABELIAN_BRUTE_FORCE_LIMIT:
+    # force, which refuses the rest, could still check them
+    try:
+        matches = abelian_fixed_count_bruteforce(pair) == abelian_fixed_count(pair)
+    except LimitExceeded:
+        fusion_block = {"k": None, "numbers": None, "orbit_count": None, "representatives": None}
+    else:
         fusion_block = _fusion_block(None, abelian_orbits(pair))
-        checks.append(
-            VerificationReport(
-                "fixed_count_matches_bruteforce",
-                (params.cyclic_orders, params.p),
-                abelian_fixed_count_bruteforce(pair) == abelian_fixed_count(pair),
-            )
-        )
+        checks.append(VerificationReport("fixed_count_matches_bruteforce", at, matches))
     return {
         "version": __version__,
         "params": {
@@ -450,23 +441,48 @@ def _oracle_h1(n: int):
                 yield VerificationReport("cocycle_oracle_d1", (n, p, i0, j), ok)
 
 
+def _ranks(reports_of_rank):
+    """The reports function of a family whose reports of one rank n are
+    reports_of_rank(n): those of ranks 3..n_max, made as they are read."""
+    return lambda n_max, tokens: [chain.from_iterable(map(reports_of_rank, range(3, n_max + 1)))]
+
+
+def _orbit_reports(n_max: int, tokens) -> list[list[VerificationReport]]:
+    """The reports function of prop48 and cor49: for each of tokens, its
+    check on the brute-force orbit set of every (n, p, i0) up to n_max, in
+    that order, every check reading the one orbit set fusion gives."""
+    from .deformation import check_orbit_census, check_orbit_closed_form
+    from .dihedral import DihedralParams
+    from .fusion import fusion_orbit_sets_bruteforce
+
+    checks = [{"prop48": check_orbit_closed_form, "cor49": check_orbit_census}[t] for t in tokens]
+    planes = (DihedralParams.standard(n, p) for n in range(3, n_max + 1) for p in find_primes(n, 2))
+    instances = [(params, i0) for params in planes for i0 in params.irr2_indices()]
+
+    def row(instance, brute):
+        params, i0 = instance
+        return (params.n, params.p, i0), [check(params, i0, brute) for check in checks]
+
+    # starmap, unlike a for loop, keeps no orbit set while the next is swept
+    rows = sorted(starmap(row, fusion_orbit_sets_bruteforce(instances)))
+    return [[reports[t] for _, reports in rows] for t in range(len(checks))]
+
+
 # verify's families, in the order it runs them: token -> (default n
-# ceiling, largest n ceiling admitted, reports).  reports gives the
-# family's reports of one rank n; a family that checks the brute-force
-# orbit sweep of each (n, p, i0) names instead the deformation check that
-# reads a sweep, and such families share their sweeps (_sweep_reports).
-# Each largest ceiling is the last at which the family alone was
+# ceiling, largest n ceiling admitted, reports).  reports(n_max, tokens)
+# gives the reports up to n_max of each of tokens, the families that share
+# it.  Each largest ceiling is the last at which the family alone was
 # estimated to run in under about 2 s on a 2-core Intel Xeon under
 # CPython 3.11; a larger one is refused before any family runs.
 _VERIFY_FAMILIES = {
-    "thm42": (12, 119, _thm42),
-    "thm43": (12, 100, _thm43),
-    "thm11": (30, 267, _thm11),
-    "lemma410": (40, 3537, _lemma410),
-    "cor34": (12, 133, _cor34),
-    "prop48": (12, 25, "check_orbit_closed_form"),
-    "cor49": (12, 25, "check_orbit_census"),
-    "oracle-h1": (12, 265, _oracle_h1),
+    "thm42": (12, 119, _ranks(_thm42)),
+    "thm43": (12, 100, _ranks(_thm43)),
+    "thm11": (30, 267, _ranks(_thm11)),
+    "lemma410": (40, 3537, _ranks(_lemma410)),
+    "cor34": (12, 133, _ranks(_cor34)),
+    "prop48": (12, 25, _orbit_reports),
+    "cor49": (12, 25, _orbit_reports),
+    "oracle-h1": (12, 265, _ranks(_oracle_h1)),
 }
 
 
@@ -485,77 +501,29 @@ def _verify_ceilings(check: str, n_max: int | None) -> dict[str, int]:
     return ceilings
 
 
-def _sweep_reports(checks: dict[str, str], n_max: int) -> dict[str, list[VerificationReport]]:
-    """The reports up to n_max of the families checks (token -> the
-    deformation check it runs), in (n, p, i0) order.
-
-    The indices of all (n, p) at one prime p are grouped by the set of
-    their theta_i0 table's matrices, as computed, not by a criterion the
-    checks test.  Each group is swept once, and every member reads its own
-    orbit set from that sweep, with its rank's group elements and its own
-    matrices, and gets its own checks.  With no checks, the sweeps still
-    run and nothing is read."""
-    from . import deformation, fusion
-    from .dihedral import DihedralParams, group_elements
-
-    runs = [getattr(deformation, name) for name in checks.values()]
-    elements = {n: group_elements(n) for n in range(3, n_max + 1)}
-    by_prime: dict[int, list] = {}
-    for n in elements:
-        for p in find_primes(n, 2):
-            by_prime.setdefault(p, []).append(DihedralParams.standard(n, p))
-    by_instance: dict[tuple, list[VerificationReport]] = {}
-    for p, ranks in by_prime.items():
-        # only the tables of one prime are alive at a time
-        groups: dict[frozenset, list] = {}
-        for params in ranks:
-            for i0 in params.irr2_indices():
-                matrices = fusion._theta_table(params, i0)
-                groups.setdefault(frozenset(matrices), []).append((params, i0, matrices))
-        for group in groups.values():
-            sweep = fusion._sweep_orbits(p, group[0][2])
-            for params, i0, matrices in group if runs else ():
-                brute = fusion._read_sweep(p, sweep, elements[params.n], matrices)
-                by_instance[params.n, p, i0] = [check(params, i0, brute) for check in runs]
-    reports: dict[str, list[VerificationReport]] = {token: [] for token in checks}
-    for key in sorted(by_instance):
-        for token, report in zip(checks, by_instance[key]):
-            reports[token].append(report)
-    return reports
-
-
 def _cmd_verify(args) -> int:
-    # every ceiling is checked before any family runs.  The sweep families
-    # have one ceiling: the first of them to run makes the reports of all,
-    # which wait here for each family's turn, while the other families
-    # print their reports as they come
+    # every ceiling is checked before any family runs.  Neighbouring
+    # families with one reports function run from one call of it, at the
+    # ceiling of the first: prop48 and cor49 share their sweeps
     ceilings = _verify_ceilings(args.check, args.n_max)
-    families = {token: _VERIFY_FAMILIES[token][2] for token in ceilings}
-    sweep_checks = {token: name for token, name in families.items() if isinstance(name, str)}
-    pending: dict[str, list[VerificationReport]] = {}
-    failed = 0
-    total = 0
-    for token, n_max in ceilings.items():
-        if token in sweep_checks:
-            if token not in pending:
-                pending = _sweep_reports(sweep_checks, n_max)
-            reports = pending.pop(token)
-        else:
-            reports = chain.from_iterable(map(families[token], range(3, n_max + 1)))
-        family_total = total
-        for report in reports:
-            total += 1
-            par = " ".join(str(v) for v in report.parameters)
-            if report.passed:
-                print(f"PASS {token} {par}")
-            else:
+    failed = total = 0
+    for reports, group in groupby(ceilings, lambda token: _VERIFY_FAMILIES[token][2]):
+        tokens = list(group)
+        for token, family in zip(tokens, reports(ceilings[tokens[0]], tokens)):
+            family_total = total
+            for report in family:
+                total += 1
+                par = " ".join(str(v) for v in report.parameters)
+                if report.passed:
+                    print(f"PASS {token} {par}")
+                else:
+                    failed += 1
+                    print(f"FAIL {token} {par} witness={_jsonable(report.witness)}")
+            if total == family_total:
+                # a family that checked nothing must not pass
+                total += 1
                 failed += 1
-                print(f"FAIL {token} {par} witness={_jsonable(report.witness)}")
-        if total == family_total:
-            # a family that checked nothing must not pass
-            total += 1
-            failed += 1
-            print(f"FAIL {token} no instances (n-max {n_max})")
+                print(f"FAIL {token} no instances (n-max {ceilings[token]})")
     print(f"{total} checks, {failed} failed")
     return 1 if failed else 0
 

@@ -9,14 +9,13 @@ k.
 The production route, fusion_orbits_closed_form, enumerates the
 lexicographically least representative of every orbit directly from the
 coset minima of U = <w^i0> in F_p^*, in time and memory linear in p plus
-the number of orbits.  The brute-force sweep over all p^2 points,
-_sweep_orbits, shares no code with it and is kept as its oracle; the
-abelian brute force in abelian.py runs on the same sweep.  The sweep
-reads nothing of the group but the set of its matrices, and marks each
-run by the positions of the matrices that fix it; _read_sweep names the
-stabilizers from a group's own elements and matrices.  So every table
-with the same set of matrices, of any rank and multiplicities, reads the
-same sweep, and verify sweeps each distinct set at a prime once.
+the number of orbits.  Its oracle, the brute-force sweep over all p^2
+points, shares no code with it; only this module builds theta_i0 tables,
+sweeps and reads.  A sweep (_sweep_orbits) reads nothing of a group but
+the set of its matrices, and _read_sweep names each run's stabilizer from
+a group's own elements and matrices, so orbit_sets_bruteforce sweeps each
+set of matrices at a prime once for all the tables that hold it.  Every
+brute-force orbit set, dihedral or abelian, comes from it.
 
 Both routes return their orbits as runs (FusionOrbitSet), each run as
 long as its neighbours allow.
@@ -30,8 +29,8 @@ FusionOrbit.elements decode with divmod(code, p).  Other modules reach
 the codes only through FusionOrbitSet and diagonal_images.
 
 The abelian route shares the orbit sets, the census and the sweep, so
-this module does not import dihedral at load; the three functions that
-act through theta_i0 import it when called.
+this module does not import dihedral at load; the functions that act
+through theta_i0 import it when called.
 """
 
 from __future__ import annotations
@@ -39,8 +38,9 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
 from functools import cached_property
-from itertools import compress
+from itertools import compress, groupby
 from math import gcd
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from .ffield import LimitExceeded
@@ -367,17 +367,47 @@ def _theta_table(params: DihedralParams, i0: int) -> list:
     return powers + reflected
 
 
+def orbit_sets_bruteforce(tables) -> Iterator[tuple]:
+    """(key, orbit set) for each (key, p, elements, matrices) of tables:
+    the orbit set at the prime p of the group whose element elements[t]
+    acts as matrices[t].  Neighbouring tables of one prime that hold one
+    set of matrices, in any order and multiplicities, share one sweep.
+    Only one prime's tables are read in at a time, and no sweep is alive
+    here while the next one is made."""
+    for p, of_prime in groupby(tables, itemgetter(1)):
+        groups: dict[frozenset, list] = {}
+        for key, _, elements, matrices in of_prime:
+            groups.setdefault(frozenset(matrices), []).append((key, elements, matrices))
+        for group in groups.values():
+            sweep = _sweep_orbits(p, group[0][2])
+            for key, elements, matrices in group:
+                yield key, _read_sweep(p, sweep, elements, matrices)
+            del sweep
+
+
+def fusion_orbit_sets_bruteforce(instances) -> Iterator[tuple]:
+    """((params, i0), orbit set) for each (params, i0) of instances, as
+    fusion_orbits_bruteforce gives it, from orbit_sets_bruteforce on the
+    theta_i0 tables, built prime by prime.  Each rank lists its group
+    elements once."""
+    from .dihedral import group_elements
+
+    instances = sorted(instances, key=lambda instance: instance[0].p)
+    elements = {n: group_elements(n) for n in {params.n for params, _ in instances}}
+    return orbit_sets_bruteforce(
+        ((params, i0), params.p, elements[params.n], _theta_table(params, i0))
+        for params, i0 in instances
+    )
+
+
 def fusion_orbits_bruteforce(params: DihedralParams, i0: int) -> FusionOrbitSet:
     """Orbit partition by sweeping every point of the plane.
 
     Serves as the oracle for the closed form; the sweep refuses planes
     larger than BRUTE_FORCE_POINT_LIMIT points.
     """
-    from .dihedral import group_elements
-
-    matrices = _theta_table(params, i0)
-    sweep = _sweep_orbits(params.p, matrices)
-    return _read_sweep(params.p, sweep, group_elements(params.n), matrices)
+    ((_, orbit_set),) = fusion_orbit_sets_bruteforce([(params, i0)])
+    return orbit_set
 
 
 def fusion_orbits_closed_form(params: DihedralParams, i0: int) -> FusionOrbitSet:

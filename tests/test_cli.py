@@ -482,8 +482,8 @@ def _table_key(n, p, i0):
 
 
 def _handed_sweeps(monkeypatch, n_max):
-    """(n, p, i0) -> the orbit set _sweep_reports hands to its checks up to
-    n_max."""
+    """(n, p, i0) -> the orbit set that fusion.fusion_orbit_sets_bruteforce
+    hands to verify's cor49 check up to n_max."""
     handed = {}
 
     def recording(params, i0, brute):
@@ -491,7 +491,7 @@ def _handed_sweeps(monkeypatch, n_max):
         return VerificationReport("recorded", (params.n, params.p, i0), True)
 
     monkeypatch.setattr(deformation, "check_orbit_census", recording)
-    cli._sweep_reports({"cor49": "check_orbit_census"}, n_max)
+    assert main(["verify", "--check", "cor49", "--n-max", str(n_max)]) == 0
     return handed
 
 
@@ -594,9 +594,8 @@ def test_orbit_block_work_at_the_default_ceilings_is_pinned(monkeypatch):
     monkeypatch.setattr(dihedral, "group_elements", elements)
     monkeypatch.setattr(dihedral.GroupElement, "__hash__", hashing)
     monkeypatch.setattr(fusion, "_sweep_orbits", sweeping)
-    reports = cli._sweep_reports(
-        {"prop48": "check_orbit_closed_form", "cor49": "check_orbit_census"}, 12
-    )
+    tokens = ["prop48", "cor49"]
+    reports = dict(zip(tokens, cli._VERIFY_FAMILIES["prop48"][2](12, tokens)))
     assert [len(reports[token]) for token in ("prop48", "cor49")] == [60, 60]
     assert all(report.passed for family in reports.values() for report in family)
     assert calls["group_elements"] == 10 and calls["hash"] == 0
@@ -614,6 +613,27 @@ def test_orbit_block_work_at_the_default_ceilings_is_pinned(monkeypatch):
     sweeps, points, instances, lists = (int(v.replace(",", "")) for v in stated.groups())
     assert (sweeps, points, instances, lists) == (calls["sweeps"], calls["points"], 60, 10)
     assert (sweeps, points) == (26, 22178)
+
+
+@pytest.mark.parametrize("token, other", [("prop48", "check_orbit_census"),
+                                          ("cor49", "check_orbit_closed_form")])
+def test_a_single_orbit_token_runs_only_its_own_check(capsys, monkeypatch, token, other):
+    calls = Counter()
+    real_sweep = fusion._sweep_orbits
+
+    def sweeping(p, matrices):
+        calls["sweeps"] += 1
+        return real_sweep(p, matrices)
+
+    def never(params, i0, brute):
+        calls[other] += 1
+        return VerificationReport("never", (params.n, params.p, i0), False)
+
+    monkeypatch.setattr(fusion, "_sweep_orbits", sweeping)
+    monkeypatch.setattr(deformation, other, never)
+    rc, out, _ = _run(capsys, ["verify", "--check", token])
+    assert rc == 0 and out.splitlines()[-1] == "60 checks, 0 failed"
+    assert calls[other] == 0 and calls["sweeps"] == 26
 
 
 def test_readme_quick_start_prints_its_comments(capsys):
@@ -729,15 +749,19 @@ def test_verify_sweep_ceiling_admits_n_max_20(monkeypatch):
     def counting(p, matrices):
         swept.add((p, frozenset(matrices)))
 
+    # the sweeps are recorded, not made, and nothing is read from them
     monkeypatch.setattr(fusion, "_sweep_orbits", counting)
-    cli._sweep_reports({}, 20)
-    # every (n, p) has its tables swept, each plane within the sweep's guard
-    instances = {
-        (n, p)
+    monkeypatch.setattr(fusion, "_read_sweep", lambda p, sweep, elements, matrices: None)
+    every = [
+        (DihedralParams.standard(n, p), i0)
         for n in range(3, 21)
         for p in cli.find_primes(n, 2)
         for i0 in DihedralParams.standard(n, p).irr2_indices()
-        if _table_key(n, p, i0) in swept
+    ]
+    assert len(list(fusion.fusion_orbit_sets_bruteforce(every))) == len(every)
+    # every (n, p) has its tables swept, each plane within the sweep's guard
+    instances = {
+        (params.n, params.p) for params, i0 in every if _table_key(params.n, params.p, i0) in swept
     }
     assert len(instances) == 2 * 18
     assert all(p * p <= fusion.BRUTE_FORCE_POINT_LIMIT for p, _ in swept)
@@ -752,8 +776,8 @@ def _no_family_runs(monkeypatch):
         raise AssertionError("verify started a family past its ceiling")
 
     families = {
-        token: (default, largest, reports if isinstance(reports, str) else no_work)
-        for token, (default, largest, reports) in cli._VERIFY_FAMILIES.items()
+        token: (default, largest, no_work)
+        for token, (default, largest, _) in cli._VERIFY_FAMILIES.items()
     }
     monkeypatch.setattr(cli, "_VERIFY_FAMILIES", families)
     monkeypatch.setattr(fusion, "_sweep_orbits", no_work)
@@ -802,10 +826,17 @@ def test_verify_work_ceiling_admits_the_default_ceilings():
 
 
 def test_verify_sweep_families_share_one_default_ceiling():
-    # _cmd_verify runs every sweep family to the ceiling of the first
-    defaults = {default for default, _, reports in cli._VERIFY_FAMILIES.values()
-                if isinstance(reports, str)}
+    # _cmd_verify runs the families that share a reports function, prop48
+    # and cor49 with their sweeps, to the ceiling of the first
+    families = cli._VERIFY_FAMILIES
+    sharing = [token for token, (_, _, reports) in families.items()
+               if reports is families["prop48"][2]]
+    assert sharing == ["prop48", "cor49"]
+    defaults = {default for default, _, reports in families.values()
+                if reports is families["prop48"][2]}
     assert len(defaults) == 1
+    # every other family has a reports function of its own
+    assert len({id(reports) for _, _, reports in families.values()}) == len(families) - 1
 
 
 def test_readme_verify_table_matches_the_family_table():
