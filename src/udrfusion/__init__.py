@@ -37,12 +37,14 @@ _MODULE_EXPORTS = {
         "t_map",
         "t_preimage",
     ),
-    "fusion": (
+    "orbits": (
         "FusionNumbers",
         "FusionOrbit",
         "FusionOrbitSet",
-        "act",
         "fusion_numbers",
+    ),
+    "fusion": (
+        "act",
         "fusion_orbits_bruteforce",
         "fusion_orbits_closed_form",
         "same_fusion",
@@ -98,9 +100,10 @@ _MODULE_EXPORTS = {
 
 _EXPORTS = {name: module for module, names in _MODULE_EXPORTS.items() for name in names}
 
-_SUBMODULES = frozenset(
-    ("abelian", "cli", "cohomology", "deformation", "dihedral", "ffield", "fusion", "records")
-)
+_SUBMODULES = frozenset((
+    "abelian", "cli", "cli_dihedral", "cli_verify", "cohomology", "deformation", "dihedral",
+    "ffield", "fusion", "orbits", "records",
+))
 
 __all__ = list(_EXPORTS)
 

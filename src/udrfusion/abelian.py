@@ -28,14 +28,7 @@ from .ffield import (
     is_odd_prime,
     primitive_root_of_unity,
 )
-from .fusion import (
-    ORBIT_LIMIT,
-    FusionOrbitSet,
-    coset_minima,
-    diagonal_images,
-    fusion_numbers,
-    orbit_sets_bruteforce,
-)
+from .orbits import ORBIT_LIMIT, FusionOrbitSet, coset_minima, diagonal_images, fusion_numbers
 from .records import CohomologyDims, FrozenRecord, UdrClass
 
 ABELIAN_BRUTE_FORCE_LIMIT = 10**6
@@ -289,7 +282,9 @@ def abelian_orbits(pair: CharacterPair) -> FusionOrbitSet:
 
 def abelian_orbits_bruteforce(pair: CharacterPair) -> FusionOrbitSet:
     """Orbit partition of the plane by sweeping every point; the oracle
-    for abelian_orbits."""
+    for abelian_orbits.  It loads fusion, the sweep's module, when called."""
+    from .fusion import orbit_sets_bruteforce
+
     params = pair.params
     p = params.p
     if params.order * p * p > ABELIAN_BRUTE_FORCE_LIMIT:

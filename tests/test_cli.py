@@ -17,11 +17,22 @@ from time import perf_counter
 
 import pytest
 
-from udrfusion import __version__, abelian, cli, cohomology, deformation, dihedral, fusion
+from udrfusion import (
+    __version__,
+    abelian,
+    cli,
+    cli_dihedral,
+    cli_verify,
+    cohomology,
+    deformation,
+    dihedral,
+    ffield,
+    fusion,
+)
 from udrfusion.cli import main
 from udrfusion.cohomology import CohomologyDims
 from udrfusion.dihedral import DihedralParams
-from udrfusion.ffield import LimitExceeded
+from udrfusion.ffield import LimitExceeded, find_primes
 from udrfusion.fusion import FusionOrbit
 from udrfusion.records import VerificationReport
 
@@ -319,11 +330,10 @@ def test_analyze_dihedral_refuses_a_rank_above_the_limit(capsys):
         [sys.executable, "-m", "udrfusion", "analyze", "dihedral", "--n", "100000", "--i0", "2"],
         capture_output=True, text=True, timeout=20,
     )
+    limit = cli_dihedral.ANALYZE_RANK_LIMIT
     assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr == f"error: --n 100000 is above the rank limit {cli.ANALYZE_RANK_LIMIT}\n"
-    rc, out, err = _run(
-        capsys, ["analyze", "dihedral", "--n", str(cli.ANALYZE_RANK_LIMIT + 1), "--i0", "1"]
-    )
+    assert proc.stderr == f"error: --n 100000 is above the rank limit {limit}\n"
+    rc, out, err = _run(capsys, ["analyze", "dihedral", "--n", str(limit + 1), "--i0", "1"])
     assert rc == 2 and out == "" and "rank limit" in err
 
 
@@ -518,7 +528,7 @@ def test_verify_hands_every_check_the_sweep_of_its_own_index(monkeypatch):
     assert len(handed) == 60 and set(handed) == {
         (n, p, i0)
         for n in range(3, 13)
-        for p in cli.find_primes(n, 2)
+        for p in find_primes(n, 2)
         for i0 in DihedralParams.standard(n, p).irr2_indices()
     }
     assert _unlike_a_fresh_sweep(handed) == []
@@ -595,7 +605,7 @@ def test_orbit_block_work_at_the_default_ceilings_is_pinned(monkeypatch):
     monkeypatch.setattr(dihedral.GroupElement, "__hash__", hashing)
     monkeypatch.setattr(fusion, "_sweep_orbits", sweeping)
     tokens = ["prop48", "cor49"]
-    reports = dict(zip(tokens, cli._VERIFY_FAMILIES["prop48"][2](12, tokens)))
+    reports = dict(zip(tokens, cli_verify._REPORTS["prop48"](12, tokens)))
     assert [len(reports[token]) for token in ("prop48", "cor49")] == [60, 60]
     assert all(report.passed for family in reports.values() for report in family)
     assert calls["group_elements"] == 10 and calls["hash"] == 0
@@ -722,7 +732,7 @@ def test_verify_orbit_families_alone_equal_their_slice_of_the_full_run(capsys, c
 def test_scan_work_ceiling_admits_3_to_200(capsys, monkeypatch):
     # no primes, so the admitted range builds no table: only the
     # ceiling's verdict is under test here
-    monkeypatch.setattr(cli, "find_primes", lambda n, count: [])
+    monkeypatch.setattr(ffield, "find_primes", lambda n, count: [])
     rc, out, err = _run(capsys, ["scan", "dihedral", "--n-min", "3", "--n-max", "200"])
     assert rc == 0 and err == ""
     assert out == "n,p,i0,k,in_omega,determinable,signature\n"
@@ -732,13 +742,13 @@ def test_scan_work_ceiling_refuses_3_to_2000_before_any_work(capsys, monkeypatch
     def no_work(n, count):
         raise AssertionError("scan started work past its ceiling")
 
-    monkeypatch.setattr(cli, "find_primes", no_work)
+    monkeypatch.setattr(ffield, "find_primes", no_work)
     start = perf_counter()
     rc, out, err = _run(capsys, ["scan", "dihedral", "--n-min", "3", "--n-max", "2000"])
     assert perf_counter() - start < 1.0
     assert rc == 2 and out == ""
     assert err.startswith("error: scan of n = 3..2000 at 1 primes per n needs about 667166748 ")
-    assert err.rstrip().endswith(f"limit is {cli.SCAN_WORK_LIMIT}")
+    assert err.rstrip().endswith(f"limit is {cli_dihedral.SCAN_WORK_LIMIT}")
     # the second prime per n doubles the work: 3..200 no longer fits
     assert main(["scan", "dihedral", "--n-min", "3", "--n-max", "200", "--primes-per-n", "2"]) == 2
 
@@ -755,7 +765,7 @@ def test_verify_sweep_ceiling_admits_n_max_20(monkeypatch):
     every = [
         (DihedralParams.standard(n, p), i0)
         for n in range(3, 21)
-        for p in cli.find_primes(n, 2)
+        for p in find_primes(n, 2)
         for i0 in DihedralParams.standard(n, p).irr2_indices()
     ]
     assert len(list(fusion.fusion_orbit_sets_bruteforce(every))) == len(every)
@@ -766,20 +776,16 @@ def test_verify_sweep_ceiling_admits_n_max_20(monkeypatch):
     assert len(instances) == 2 * 18
     assert all(p * p <= fusion.BRUTE_FORCE_POINT_LIMIT for p, _ in swept)
     for n_max in (20, 25):
-        assert cli._verify_ceilings("all", n_max) == dict.fromkeys(cli._VERIFY_FAMILIES, n_max)
+        assert cli_verify.ceilings("all", n_max) == dict.fromkeys(cli.VERIFY_CEILINGS, n_max)
     with pytest.raises(LimitExceeded):
-        cli._verify_ceilings("all", 26)
+        cli_verify.ceilings("all", 26)
 
 
 def _no_family_runs(monkeypatch):
     def no_work(*args):
         raise AssertionError("verify started a family past its ceiling")
 
-    families = {
-        token: (default, largest, no_work)
-        for token, (default, largest, _) in cli._VERIFY_FAMILIES.items()
-    }
-    monkeypatch.setattr(cli, "_VERIFY_FAMILIES", families)
+    monkeypatch.setattr(cli_verify, "_REPORTS", dict.fromkeys(cli_verify._REPORTS, no_work))
     monkeypatch.setattr(fusion, "_sweep_orbits", no_work)
 
 
@@ -812,31 +818,34 @@ def test_verify_work_ceiling_refuses_each_family_alone(capsys, monkeypatch, toke
     crossing = _FAMILY_WORK_CROSSING[token]
     assert err.startswith(f"error: verify {token} admits n-max up to {crossing - 1}, got ")
     # both sides of the ceiling
-    assert cli._verify_ceilings(token, crossing - 1) == {token: crossing - 1}
+    assert cli_verify.ceilings(token, crossing - 1) == {token: crossing - 1}
     with pytest.raises(LimitExceeded):
-        cli._verify_ceilings(token, crossing)
+        cli_verify.ceilings(token, crossing)
 
 
 def test_verify_work_ceiling_admits_the_default_ceilings():
     defaults = {"thm42": 12, "thm43": 12, "thm11": 30, "lemma410": 40, "cor34": 12,
                 "prop48": 12, "cor49": 12, "oracle-h1": 12}
-    assert cli._verify_ceilings("all", None) == defaults
+    assert cli_verify.ceilings("all", None) == defaults
     for token, default in defaults.items():
-        assert cli._verify_ceilings(token, None) == {token: default}
+        assert cli_verify.ceilings(token, None) == {token: default}
 
 
 def test_verify_sweep_families_share_one_default_ceiling():
-    # _cmd_verify runs the families that share a reports function, prop48
-    # and cor49 with their sweeps, to the ceiling of the first
-    families = cli._VERIFY_FAMILIES
-    sharing = [token for token, (_, _, reports) in families.items()
-               if reports is families["prop48"][2]]
+    # cli_verify.families runs the families that share a reports function,
+    # prop48 and cor49 with their sweeps, to the ceiling of the first
+    families = cli_verify._REPORTS
+    sharing = [token for token, reports in families.items() if reports is families["prop48"]]
     assert sharing == ["prop48", "cor49"]
-    defaults = {default for default, _, reports in families.values()
-                if reports is families["prop48"][2]}
+    defaults = {cli.VERIFY_CEILINGS[token][0] for token in sharing}
     assert len(defaults) == 1
     # every other family has a reports function of its own
-    assert len({id(reports) for _, _, reports in families.values()}) == len(families) - 1
+    assert len({id(reports) for reports in families.values()}) == len(families) - 1
+
+
+def test_every_verify_token_has_one_reports_function():
+    # cli owns the tokens and ceilings, cli_verify the reports functions
+    assert list(cli_verify._REPORTS) == list(cli.VERIFY_CEILINGS)
 
 
 def test_readme_verify_table_matches_the_family_table():
@@ -849,7 +858,7 @@ def test_readme_verify_table_matches_the_family_table():
         token, _, default, largest = (cell.strip() for cell in line.strip("|").split(" | "))
         rows.append((token.strip("`"), int(default), int(largest)))
     assert rows == [(token, default, largest)
-                    for token, (default, largest, _) in cli._VERIFY_FAMILIES.items()]
+                    for token, (default, largest) in cli.VERIFY_CEILINGS.items()]
 
 
 def test_fixed_count_power_rule_fails_when_trivial_count_is_wrong(capsys, monkeypatch):
@@ -885,6 +894,17 @@ def _recorded_reports(monkeypatch):
 
     monkeypatch.setattr(cli, "_report_pieces", recording)
     return reports
+
+
+def test_scan_output_equals_its_recorded_reference(capsys):
+    # the scan-signatures argv of perfbench, about 0.08 s; the analyze
+    # dihedral references take about 1 s each and are left to the benchmark
+    key = "scan dihedral --n-min 3 --n-max 30"
+    rc, out, err = _run(capsys, key.split())
+    assert rc == 0 and err == ""
+    reference = json.loads(REFERENCES_PATH.read_text())[key]
+    assert hashlib.sha256(out.encode()).hexdigest() == reference["sha256"]
+    assert len(out.splitlines()) - 1 == reference["items"]
 
 
 def test_json_outputs_equal_json_dumps_and_the_recorded_references(capsys, monkeypatch):

@@ -9,6 +9,7 @@ site's own imports and this process's imports do not count."""
 from __future__ import annotations
 
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -17,10 +18,10 @@ from pathlib import Path
 import pytest
 
 import udrfusion
-from udrfusion import cohomology, deformation, records
+from udrfusion import cli_dihedral, cli_verify, cohomology, deformation, fusion, records
 
 ROUTE_MODULES = {f"udrfusion.{name}" for name in
-                 ("abelian", "cohomology", "deformation", "dihedral", "fusion")}
+                 ("abelian", "cohomology", "deformation", "dihedral", "fusion", "orbits")}
 
 ABELIAN_ARGV = ["analyze", "abelian", "--orders", "2,3", "--p", "7",
                 "--theta1", "1,1", "--theta2", "1,2"]
@@ -30,6 +31,15 @@ def _modules_loaded_by(call: str) -> tuple[str, set[str]]:
     """The value of the expression call, in which udrfusion is imported,
     and the modules a fresh interpreter loads to evaluate it.  What call
     writes to stdout is discarded."""
+    result, loaded = _after(call, "' '.join(sorted(set(sys.modules) - before))")
+    return result, set(loaded.split())
+
+
+def _after(call: str, expression: str) -> tuple[str, str]:
+    """The values of the expression call, in which udrfusion is imported,
+    and then of expression, evaluated in a fresh interpreter that holds
+    in before the modules it had loaded before the import.  What call
+    writes to stdout is discarded."""
     code = (
         "import contextlib, io, sys\n"
         "before = set(sys.modules)\n"
@@ -37,7 +47,7 @@ def _modules_loaded_by(call: str) -> tuple[str, set[str]]:
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    result = {call}\n"
         "print(result)\n"
-        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+        f"print({expression})\n"
     )
     src = str(Path(udrfusion.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
@@ -48,8 +58,8 @@ def _modules_loaded_by(call: str) -> tuple[str, set[str]]:
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    result, loaded = proc.stdout.splitlines()
-    return result, set(loaded.split())
+    result, value = proc.stdout.splitlines()
+    return result, value
 
 
 def _loaded_by(call: str) -> tuple[str, set[str]]:
@@ -68,9 +78,10 @@ def test_build_parser_loads_no_route_module():
 def test_analyze_abelian_loads_no_dihedral_half():
     result, loaded = _loaded_by(f"udrfusion.cli.main({ABELIAN_ARGV!r})")
     assert result == "0"
-    assert loaded & {"udrfusion.cohomology", "udrfusion.deformation", "udrfusion.dihedral"} == set()
+    assert loaded & {"udrfusion.cohomology", "udrfusion.deformation", "udrfusion.dihedral",
+                     "udrfusion.fusion"} == set()
     assert loaded == {"udrfusion", "udrfusion.cli", "udrfusion.ffield", "udrfusion.records",
-                      "udrfusion.fusion", "udrfusion.abelian"}
+                      "udrfusion.orbits", "udrfusion.abelian"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -83,6 +94,55 @@ def test_dihedral_commands_load_no_abelian(argv):
     assert result == "0"
     assert "udrfusion.abelian" not in loaded
     assert ROUTE_MODULES - loaded == {"udrfusion.abelian"}
+
+
+COMMAND_MODULES = {"udrfusion.cli_dihedral", "udrfusion.cli_verify"}
+
+
+@pytest.mark.parametrize("argv, body", [
+    (ABELIAN_ARGV, set()),
+    (["analyze", "dihedral", "--n", "5", "--i0", "1"], {"udrfusion.cli_dihedral"}),
+    (["scan", "dihedral", "--n-min", "3", "--n-max", "6"], {"udrfusion.cli_dihedral"}),
+    (["verify", "--check", "lemma410"], {"udrfusion.cli_verify"}),
+])
+def test_each_command_loads_only_its_own_body(argv, body):
+    result, loaded = _loaded_by(f"udrfusion.cli.main({argv!r})")
+    assert result == "0"
+    assert loaded & COMMAND_MODULES == body
+
+
+def _dihedral_only_names() -> set[str]:
+    """Every function defined in fusion (its routes act through theta_i0
+    or sweep) or in a dihedral command module: none of them is called by
+    analyze abelian or build_parser."""
+    return {
+        name
+        for module in (fusion, cli_dihedral, cli_verify)
+        for name, value in vars(module).items()
+        if inspect.isfunction(value) and value.__module__ == module.__name__
+    }
+
+
+def test_the_dihedral_only_names_cover_the_moved_bodies():
+    names = _dihedral_only_names()
+    assert {"fusion_orbits_closed_form", "_sweep_orbits", "_theta_table", "orbit_sets_bruteforce",
+            "analyze_dihedral", "scan_rows", "ceilings", "families", "_orbit_reports",
+            "_thm42", "_oracle_h1"} <= names
+    # the orbit-set records fusion binds are not its own
+    assert {"fusion_numbers", "coset_minima", "diagonal_images"}.isdisjoint(names)
+
+
+@pytest.mark.parametrize("call", [
+    "type(udrfusion.cli.build_parser()).__name__",
+    f"udrfusion.cli.main({ABELIAN_ARGV!r})",
+])
+def test_no_module_loaded_by_the_abelian_half_binds_a_dihedral_only_name(call):
+    names = sorted(_dihedral_only_names())
+    _, bound = _after(call, (
+        f"' '.join(sorted(f'{{module}}.{{name}}' for module, found in sys.modules.items() "
+        f"if module.startswith('udrfusion') for name in {names!r} if name in vars(found)))"
+    ))
+    assert bound == ""
 
 
 @pytest.mark.parametrize("call, result", [
