@@ -41,6 +41,21 @@ VERIFY_CEILINGS = {
 }
 
 
+def _verify_ceilings(check: str, n_max: int | None) -> dict[str, int]:
+    """The n ceiling of each family that check runs (every family for
+    all): n_max if given, else the family's default.  A ceiling above the
+    family's largest admitted one raises LimitExceeded."""
+    ceilings = {}
+    for token in VERIFY_CEILINGS if check == "all" else [check]:
+        default, largest = VERIFY_CEILINGS[token]
+        ceilings[token] = default if n_max is None else n_max
+        if ceilings[token] > largest:
+            raise LimitExceeded(
+                f"verify {token} admits n-max up to {largest}, got {ceilings[token]}"
+            )
+    return ceilings
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="udrfusion",
@@ -279,10 +294,12 @@ def _analyze_abelian(args) -> tuple:
 
 
 def _cmd_verify(args) -> int:
+    # every ceiling is checked before the first family runs
+    ceilings = _verify_ceilings(args.check, args.n_max)
     from .cli_verify import families
 
     failed = total = 0
-    for token, ceiling, reports in families(args.check, args.n_max):
+    for token, ceiling, reports in families(ceilings):
         family_total = total
         for report in reports:
             total += 1

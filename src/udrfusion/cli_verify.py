@@ -1,7 +1,7 @@
-"""The body of the verify command: each family's reports, and the n
-ceilings that bound them.  cli imports this module when verify starts,
-and prints the reports; cli.VERIFY_CEILINGS holds each family's token
-and ceilings, in the order verify runs them.
+"""The body of the verify command: each family's reports function.  cli
+imports this module when verify starts, hands families the n ceiling of
+each family to run, and prints the reports; cli.VERIFY_CEILINGS holds
+each family's token and ceilings, in the order verify runs them.
 
 Each function imports the route names it calls when it is called, so a
 name rebound in the module that defines it (a test's patch, a tracer's
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from itertools import chain, groupby, starmap
 
-from .cli import VERIFY_CEILINGS
 from .ffield import LimitExceeded
 from .records import VerificationReport
 
@@ -111,26 +110,11 @@ _REPORTS = {
 }
 
 
-def ceilings(check: str, n_max: int | None) -> dict[str, int]:
-    """The n ceiling of each family that check runs (every family for
-    all): n_max if given, else the family's default.  A ceiling above the
-    family's largest admitted one raises LimitExceeded."""
-    found = {}
-    for token in VERIFY_CEILINGS if check == "all" else [check]:
-        default, largest = VERIFY_CEILINGS[token]
-        found[token] = default if n_max is None else n_max
-        if found[token] > largest:
-            raise LimitExceeded(f"verify {token} admits n-max up to {largest}, got {found[token]}")
-    return found
-
-
-def families(check: str, n_max: int | None):
-    """(token, ceiling, reports) for each family that check runs, in
-    order, the reports made as they are read.  Every ceiling is checked,
-    by ceilings, before the first family is given.  Neighbouring families
-    with one reports function run from one call of it, at the ceiling of
-    the first: prop48 and cor49 share their sweeps."""
-    found = ceilings(check, n_max)
+def families(found: dict[str, int]):
+    """(token, ceiling, reports) for each token of found, in order, with
+    found[token] its n ceiling, the reports made as they are read.
+    Neighbouring families with one reports function run from one call of
+    it, at the ceiling of the first: prop48 and cor49 share their sweeps."""
     for reports, group in groupby(found, _REPORTS.__getitem__):
         tokens = list(group)
         for token, family in zip(tokens, reports(found[tokens[0]], tokens)):

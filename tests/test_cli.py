@@ -776,9 +776,9 @@ def test_verify_sweep_ceiling_admits_n_max_20(monkeypatch):
     assert len(instances) == 2 * 18
     assert all(p * p <= fusion.BRUTE_FORCE_POINT_LIMIT for p, _ in swept)
     for n_max in (20, 25):
-        assert cli_verify.ceilings("all", n_max) == dict.fromkeys(cli.VERIFY_CEILINGS, n_max)
+        assert cli._verify_ceilings("all", n_max) == dict.fromkeys(cli.VERIFY_CEILINGS, n_max)
     with pytest.raises(LimitExceeded):
-        cli_verify.ceilings("all", 26)
+        cli._verify_ceilings("all", 26)
 
 
 def _no_family_runs(monkeypatch):
@@ -818,17 +818,17 @@ def test_verify_work_ceiling_refuses_each_family_alone(capsys, monkeypatch, toke
     crossing = _FAMILY_WORK_CROSSING[token]
     assert err.startswith(f"error: verify {token} admits n-max up to {crossing - 1}, got ")
     # both sides of the ceiling
-    assert cli_verify.ceilings(token, crossing - 1) == {token: crossing - 1}
+    assert cli._verify_ceilings(token, crossing - 1) == {token: crossing - 1}
     with pytest.raises(LimitExceeded):
-        cli_verify.ceilings(token, crossing)
+        cli._verify_ceilings(token, crossing)
 
 
 def test_verify_work_ceiling_admits_the_default_ceilings():
     defaults = {"thm42": 12, "thm43": 12, "thm11": 30, "lemma410": 40, "cor34": 12,
                 "prop48": 12, "cor49": 12, "oracle-h1": 12}
-    assert cli_verify.ceilings("all", None) == defaults
+    assert cli._verify_ceilings("all", None) == defaults
     for token, default in defaults.items():
-        assert cli_verify.ceilings(token, None) == {token: default}
+        assert cli._verify_ceilings(token, None) == {token: default}
 
 
 def test_verify_sweep_families_share_one_default_ceiling():
