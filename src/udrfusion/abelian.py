@@ -283,7 +283,7 @@ def abelian_orbits(pair: CharacterPair) -> FusionOrbitSet:
 def abelian_orbits_bruteforce(pair: CharacterPair) -> FusionOrbitSet:
     """Orbit partition of the plane by sweeping every point; the oracle
     for abelian_orbits.  It loads fusion, the sweep's module, when called."""
-    from .fusion import orbit_sets_bruteforce
+    from . import fusion
 
     params = pair.params
     p = params.p
@@ -293,7 +293,7 @@ def abelian_orbits_bruteforce(pair: CharacterPair) -> FusionOrbitSet:
         )
     elements = list(params.elements())
     matrices = [(pair.value1(g), 0, 0, pair.value2(g)) for g in elements]
-    ((_, orbit_set),) = orbit_sets_bruteforce([(pair, p, elements, matrices)])
+    ((_, orbit_set),) = fusion.orbit_sets_bruteforce([(pair, p, elements, matrices)])
     return orbit_set
 
 

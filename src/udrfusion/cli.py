@@ -247,39 +247,31 @@ def _report_csv(report: dict) -> str:
 def _analyze_abelian(args) -> tuple:
     """The params, k, orbit set, rows and checks of the report of analyze
     abelian on the parsed arguments, for _report."""
-    from .abelian import (
-        AbelianParams,
-        CharacterPair,
-        abelian_dims,
-        abelian_dims_projector,
-        abelian_fixed_count,
-        abelian_fixed_count_bruteforce,
-        abelian_orbits,
-        abelian_udr,
-    )
+    from . import abelian
 
-    params = AbelianParams.standard(_parse_int_list(args.orders, "--orders"), args.p)
+    params = abelian.AbelianParams.standard(_parse_int_list(args.orders, "--orders"), args.p)
     e1 = _parse_int_list(args.theta1, "--theta1")
     e2 = _parse_int_list(args.theta2, "--theta2")
-    pair = CharacterPair.from_exponents(params, e1, e2)
-    dd = abelian_dims(pair)
+    pair = abelian.CharacterPair.from_exponents(params, e1, e2)
+    dd = abelian.abelian_dims(pair)
     # the projector's d1 is a rank, found without counting trivial characters
-    projected = abelian_dims_projector(pair)
+    projected = abelian.abelian_dims_projector(pair)
     at = (params.cyclic_orders, params.p)
     checks = [
         VerificationReport(
-            "fixed_count_power_rule", at, abelian_fixed_count(pair) == params.p ** projected.d1
+            "fixed_count_power_rule", at,
+            abelian.abelian_fixed_count(pair) == params.p ** projected.d1,
         ),
         VerificationReport("dims_match_projector", at, projected == dd),
     ]
     # the fusion block and its oracle check appear only where the brute
     # force, which refuses the rest, could still check them
     try:
-        matches = abelian_fixed_count_bruteforce(pair) == abelian_fixed_count(pair)
+        matches = abelian.abelian_fixed_count_bruteforce(pair) == abelian.abelian_fixed_count(pair)
     except LimitExceeded:
         orbit_set = None
     else:
-        orbit_set = abelian_orbits(pair)
+        orbit_set = abelian.abelian_orbits(pair)
         checks.append(VerificationReport("fixed_count_matches_bruteforce", at, matches))
     report_params = {
         "group": "abelian",
@@ -289,17 +281,17 @@ def _analyze_abelian(args) -> tuple:
         "theta2": list(pair.theta2),
     }
     row = {"j": None, "gcd": None, "T": None, "in_omega": None,
-           "d1": dd.d1, "d2": dd.d2, "udr": abelian_udr(pair).label}
+           "d1": dd.d1, "d2": dd.d2, "udr": abelian.abelian_udr(pair).label}
     return report_params, None, orbit_set, [row], checks
 
 
 def _cmd_verify(args) -> int:
     # every ceiling is checked before the first family runs
     ceilings = _verify_ceilings(args.check, args.n_max)
-    from .cli_verify import families
+    from . import cli_verify
 
     failed = total = 0
-    for token, ceiling, reports in families(ceilings):
+    for token, ceiling, reports in cli_verify.families(ceilings):
         family_total = total
         for report in reports:
             total += 1
@@ -320,9 +312,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_analyze(args) -> int:
     if args.family == "dihedral":
-        from .cli_dihedral import analyze_dihedral
+        from . import cli_dihedral
 
-        report = _report(*analyze_dihedral(args))
+        report = _report(*cli_dihedral.analyze_dihedral(args))
     else:
         report = _report(*_analyze_abelian(args))
     if args.format == "json":
@@ -333,9 +325,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    from .cli_dihedral import scan_rows
+    from . import cli_dihedral
 
-    rows = scan_rows(args.n_min, args.n_max, args.primes_per_n)
+    rows = cli_dihedral.scan_rows(args.n_min, args.n_max, args.primes_per_n)
     if args.format == "json":
         import json
 

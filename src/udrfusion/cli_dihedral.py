@@ -2,16 +2,19 @@
 scan.  cli imports this module when one of them starts, and writes what
 they return.
 
-Each function imports the route names it calls when it is called, so a
-name rebound in the module that defines it (a test's patch, a tracer's
-wrapper) is the one called.
+Each route function is called through the module that defines it, so a
+name rebound there (a test's patch, a tracer's wrapper) is the one
+called.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
+from . import cohomology, deformation, dihedral, ffield, fusion
+from .dihedral import DihedralParams, RepLabel
 from .ffield import LimitExceeded
+from .fusion import ORBIT_LIMIT
 from .records import VerificationReport
 
 # analyze dihedral refuses a rank above this: its checks are O(n^2), and
@@ -22,17 +25,6 @@ ANALYZE_RANK_LIMIT = 2500
 def analyze_dihedral(args) -> tuple:
     """The params, k, orbit set, rows and checks of the report of analyze
     dihedral on the parsed arguments, for cli to write."""
-    from .cohomology import dims
-    from .deformation import (
-        check_center_constraint,
-        check_kernel_sets_detect_fusion,
-        check_orbit_census,
-        check_orbit_closed_form,
-        udr_class,
-    )
-    from .dihedral import DihedralParams, RepLabel, omega_set, t_map
-    from .fusion import ORBIT_LIMIT, fusion_orbits_bruteforce, fusion_orbits_closed_form
-
     if args.n > ANALYZE_RANK_LIMIT:
         raise LimitExceeded(f"--n {args.n} is above the rank limit {ANALYZE_RANK_LIMIT}")
     # the census has at least p orbits: refuse such p before trial division
@@ -43,33 +35,33 @@ def analyze_dihedral(args) -> tuple:
     if i0 not in params.irr2_indices():
         raise ValueError(f"--i0 must lie in [1, {args.n}/2), got {i0}")
     n, p = params.n, params.p
-    closed = fusion_orbits_closed_form(params, i0)
+    closed = fusion.fusion_orbits_closed_form(params, i0)
     checks = []
 
     try:
-        brute = fusion_orbits_bruteforce(params, i0)
-        checks.append(check_orbit_closed_form(params, i0, brute))
-        checks.append(check_orbit_census(params, i0, brute))
+        brute = fusion.fusion_orbits_bruteforce(params, i0)
+        checks.append(deformation.check_orbit_closed_form(params, i0, brute))
+        checks.append(deformation.check_orbit_census(params, i0, brute))
     except LimitExceeded:
         pass
 
-    om = omega_set(params)
+    om = dihedral.omega_set(params)
     reps = []
     structure_ok = True
     for j in params.irr2_indices():
-        dd = dims(params, i0, j)
+        dd = cohomology.dims(params, i0, j)
         structural = dd.d2 == dd.d1 + 1 and dd.d1 == (
-            1 if t_map(params, j) == RepLabel.irr2(i0) else 0
+            1 if dihedral.t_map(params, j) == RepLabel.irr2(i0) else 0
         )
         reps.append(
             {
                 "j": j,
                 "gcd": gcd(j, n),
-                "T": t_map(params, j).name,
+                "T": dihedral.t_map(params, j).name,
                 "in_omega": j in om,
                 "d1": dd.d1,
                 "d2": dd.d2,
-                "udr": udr_class(params, i0, j).label,
+                "udr": deformation.udr_class(params, i0, j).label,
             }
         )
         if not structural:
@@ -78,9 +70,9 @@ def analyze_dihedral(args) -> tuple:
                 VerificationReport("cohomology_dims_structure", (n, p, i0, j), False)
             )
     checks.append(VerificationReport("cohomology_dims_structure", (n, p, i0), structure_ok))
-    checks.append(check_center_constraint(params, i0))
+    checks.append(deformation.check_center_constraint(params, i0))
     if i0 in om:
-        checks.append(check_kernel_sets_detect_fusion(params, i0))
+        checks.append(deformation.check_kernel_sets_detect_fusion(params, i0))
 
     report_params = {"group": "dihedral", "n": n, "p": p, "omega": params.omega, "i0": i0}
     return report_params, n // gcd(i0, n), closed, reps, checks
@@ -105,10 +97,6 @@ def _scan_work(n_min: int, n_max: int, primes_per_n: int) -> int:
 def scan_rows(n_min: int, n_max: int, primes_per_n: int) -> list[dict]:
     """The rows of scan dihedral: one per (n, p, i0), for primes_per_n
     primes of each n = n_min..n_max."""
-    from .deformation import signature_table_determinability, udr_signature
-    from .dihedral import DihedralParams, omega_set
-    from .ffield import find_primes
-
     if n_min < 3 or n_max < n_min:
         raise ValueError("need 3 <= n-min <= n-max")
     if primes_per_n < 1:
@@ -121,11 +109,11 @@ def scan_rows(n_min: int, n_max: int, primes_per_n: int) -> list[dict]:
         )
     rows = []
     for n in range(n_min, n_max + 1):
-        for p in find_primes(n, primes_per_n):
+        for p in ffield.find_primes(n, primes_per_n):
             params = DihedralParams.standard(n, p)
-            om = omega_set(params)
-            signatures = {i0: udr_signature(params, i0) for i0 in params.irr2_indices()}
-            determinable = signature_table_determinability(params, signatures).passed
+            om = dihedral.omega_set(params)
+            signatures = {i0: deformation.udr_signature(params, i0) for i0 in params.irr2_indices()}
+            determinable = deformation.signature_table_determinability(params, signatures).passed
             for i0, signature in signatures.items():
                 rows.append(
                     {

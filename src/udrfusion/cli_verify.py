@@ -3,68 +3,56 @@ imports this module when verify starts, hands families the n ceiling of
 each family to run, and prints the reports; cli.VERIFY_CEILINGS holds
 each family's token and ceilings, in the order verify runs them.
 
-Each function imports the route names it calls when it is called, so a
-name rebound in the module that defines it (a test's patch, a tracer's
-wrapper) is the one called.
+Each route function is called through the module that defines it, so a
+name rebound there (a test's patch, a tracer's wrapper) is the one
+called.
 """
 
 from __future__ import annotations
 
 from itertools import chain, groupby, starmap
 
+from . import cohomology, deformation, dihedral, ffield, fusion
+from .dihedral import DihedralParams
 from .ffield import LimitExceeded
 from .records import VerificationReport
 
 
 def _thm42(n: int) -> list[VerificationReport]:
-    from .deformation import check_kernel_sets_detect_fusion
-    from .dihedral import DihedralParams, omega_set
-
     params = DihedralParams.standard(n)
-    return [check_kernel_sets_detect_fusion(params, i0) for i0 in sorted(omega_set(params))]
+    return [deformation.check_kernel_sets_detect_fusion(params, i0)
+            for i0 in sorted(dihedral.omega_set(params))]
 
 
 def _thm43(n: int) -> list[VerificationReport]:
-    from .deformation import check_maximality_matches_doubling_fibers
-    from .dihedral import DihedralParams
-
-    return [check_maximality_matches_doubling_fibers(DihedralParams.standard(n))]
+    return [deformation.check_maximality_matches_doubling_fibers(DihedralParams.standard(n))]
 
 
 def _thm11(n: int) -> list[VerificationReport]:
-    from .deformation import check_determinability_rule
-
-    return [] if n % 2 else [check_determinability_rule(n)]
+    return [] if n % 2 else [deformation.check_determinability_rule(n)]
 
 
 def _lemma410(n: int) -> list[VerificationReport]:
-    from .deformation import check_gcd_pair_identity
-
-    return [] if n % 2 else [check_gcd_pair_identity(n, i0) for i0 in range(2, (n + 1) // 2, 2)]
+    if n % 2:
+        return []
+    return [deformation.check_gcd_pair_identity(n, i0) for i0 in range(2, (n + 1) // 2, 2)]
 
 
 def _cor34(n: int) -> list[VerificationReport]:
-    from .deformation import check_center_constraint
-    from .dihedral import DihedralParams
-
     params = DihedralParams.standard(n)
-    return [check_center_constraint(params, i0) for i0 in params.irr2_indices()]
+    return [deformation.check_center_constraint(params, i0) for i0 in params.irr2_indices()]
 
 
 def _oracle_h1(n: int):
-    from .cohomology import d1_oracle_cocycles, dims
-    from .dihedral import DihedralParams
-    from .ffield import find_primes
-
-    for p in find_primes(n, 2):
+    for p in ffield.find_primes(n, 2):
         params = DihedralParams.standard(n, p)
         for i0 in params.irr2_indices():
             for j in params.irr2_indices():
                 try:
-                    oracle = d1_oracle_cocycles(params, i0, j)
+                    oracle = cohomology.d1_oracle_cocycles(params, i0, j)
                 except LimitExceeded:
                     continue
-                ok = oracle == dims(params, i0, j).d1
+                ok = oracle == cohomology.dims(params, i0, j).d1
                 yield VerificationReport("cocycle_oracle_d1", (n, p, i0, j), ok)
 
 
@@ -78,13 +66,11 @@ def _orbit_reports(n_max: int, tokens) -> list[list[VerificationReport]]:
     """The reports function of prop48 and cor49: for each of tokens, its
     check on the brute-force orbit set of every (n, p, i0) up to n_max, in
     that order, every check reading the one orbit set fusion gives."""
-    from .deformation import check_orbit_census, check_orbit_closed_form
-    from .dihedral import DihedralParams
-    from .ffield import find_primes
-    from .fusion import fusion_orbit_sets_bruteforce
-
-    checks = [{"prop48": check_orbit_closed_form, "cor49": check_orbit_census}[t] for t in tokens]
-    planes = (DihedralParams.standard(n, p) for n in range(3, n_max + 1) for p in find_primes(n, 2))
+    check_of = {"prop48": deformation.check_orbit_closed_form,
+                "cor49": deformation.check_orbit_census}
+    checks = [check_of[t] for t in tokens]
+    planes = (DihedralParams.standard(n, p)
+              for n in range(3, n_max + 1) for p in ffield.find_primes(n, 2))
     instances = [(params, i0) for params in planes for i0 in params.irr2_indices()]
 
     def row(instance, brute):
@@ -92,7 +78,7 @@ def _orbit_reports(n_max: int, tokens) -> list[list[VerificationReport]]:
         return (params.n, params.p, i0), [check(params, i0, brute) for check in checks]
 
     # starmap, unlike a for loop, keeps no orbit set while the next is swept
-    rows = sorted(starmap(row, fusion_orbit_sets_bruteforce(instances)))
+    rows = sorted(starmap(row, fusion.fusion_orbit_sets_bruteforce(instances)))
     return [[reports[t] for _, reports in rows] for t in range(len(checks))]
 
 

@@ -38,8 +38,10 @@ from .dihedral import (
     DihedralParams,
     Rep2,
     RepLabel,
+    group_elements,
     induced_rep,
     irr2_indices,
+    irr2_position,
     irr2_rep,
     t_map,
 )
@@ -293,11 +295,9 @@ def dims_row(params: DihedralParams, i0: int) -> tuple[tuple[int, int], ...]:
     params.irr2_indices() in order: the invariant counts of phi~ (x) adj_j
     and det phi~ (x) adj_j, one weight join of each factor against every
     adjoint of _irr2_monomials(params.n)."""
-    indices = params.irr2_indices()
-    if i0 not in indices:
-        raise ValueError(f"index {i0} is not in [1, {params.n}/2)")
+    at = irr2_position(params.n, i0)
     adjoints, duals = _irr2_monomials(params.n)
-    phi_tilde, wedge = duals[i0 - indices.start]
+    phi_tilde, wedge = duals[at]
     d1s = phi_tilde.tensor_fixed_point_dims(adjoints)
     d2s = [d1 + d_wedge for d1, d_wedge in zip(d1s, wedge.tensor_fixed_point_dims(adjoints))]
     # a row holds a few distinct pairs; each is stored once
@@ -309,10 +309,8 @@ def dims_row(params: DihedralParams, i0: int) -> tuple[tuple[int, int], ...]:
 def dims(params: DihedralParams, i0: int, j: int) -> CohomologyDims:
     """d1 and d2 for the action of theta_i0 on the plane with adjoint
     coefficients coming from theta_j: entry j of dims_row."""
-    indices = params.irr2_indices()
-    if j not in indices:
-        raise ValueError(f"index {j} is not in [1, {params.n}/2)")
-    return CohomologyDims(*dims_row(params, i0)[j - indices.start])
+    at = irr2_position(params.n, j)
+    return CohomologyDims(*dims_row(params, i0)[at])
 
 
 def adjoint_decomposition_check(params: DihedralParams, i: int) -> bool:
@@ -329,7 +327,6 @@ def adjoint_decomposition_check(params: DihedralParams, i: int) -> bool:
     sgn = sign_module(params)
     tmod = module_for_label(params, t_map(params, i))
     p = params.p
-    from .dihedral import group_elements
 
     for g in group_elements(params.n):
         if adj.trace(g) != (triv.trace(g) + sgn.trace(g) + tmod.trace(g)) % p:

@@ -32,6 +32,14 @@ def irr2_indices(n: int) -> range:
     return range(1, (n + 1) // 2)
 
 
+def irr2_position(n: int, i: int) -> int:
+    """The position of i in irr2_indices(n); ValueError if i is not there."""
+    indices = irr2_indices(n)
+    if i not in indices:
+        raise ValueError(f"index {i} is not in [1, {n}/2)")
+    return i - indices.start
+
+
 class DihedralParams(FrozenRecord):
     """A dihedral group of order 2n together with a splitting prime field.
 
@@ -211,8 +219,7 @@ IRR2_REP_CACHE_SIZE = 1024
 
 @lru_cache(maxsize=IRR2_REP_CACHE_SIZE)
 def irr2_rep(params: DihedralParams, i: int) -> Rep2:
-    if i not in irr2_indices(params.n):
-        raise ValueError(f"index {i} is not in [1, {params.n}/2)")
+    irr2_position(params.n, i)
     mat_r, mat_s = _induced_matrices(params, i)
     return Rep2(params, RepLabel.irr2(i), mat_r, mat_s)
 
@@ -238,8 +245,7 @@ def t_map(params: DihedralParams, i: int) -> RepLabel:
     i = n/4 where the induced representation splits.
     """
     n = params.n
-    if i not in irr2_indices(n):
-        raise ValueError(f"index {i} is not in [1, {n}/2)")
+    irr2_position(n, i)
     m = 2 * i
     if (2 * m) % n == 0:
         return RepLabel.induced(m)
@@ -276,8 +282,7 @@ def t_preimage(params: DihedralParams, i0: int) -> frozenset[int]:
 def kernel_invariant(params: DihedralParams, i: int) -> tuple[int, tuple[GroupElement, ...]]:
     """gcd(i, n) together with ker(theta_i) = <r^(n/gcd)> as an element list."""
     n = params.n
-    if i not in irr2_indices(n):
-        raise ValueError(f"index {i} is not in [1, {n}/2)")
+    irr2_position(n, i)
     g0 = gcd(i, n)
     step = n // g0
     return g0, tuple(GroupElement(n, step * t, 0) for t in range(g0))

@@ -20,9 +20,9 @@ brute-force orbit set, dihedral or abelian, comes from it.
 Both routes return their orbits as runs (FusionOrbitSet), each run as
 long as its neighbours allow.  The orbit-set records live in orbits,
 which the abelian route imports without this module; they are bound here
-too, as fusion.FusionOrbitSet and so on.  This module does not import
-dihedral at load; the functions that act through theta_i0 import it when
-called.
+too, as fusion.FusionOrbitSet and so on.  The functions that act through
+theta_i0 call dihedral's functions through that module, so a name rebound
+there (a test's patch, a tracer's wrapper) is the one called.
 """
 
 from __future__ import annotations
@@ -31,8 +31,9 @@ from collections.abc import Iterator
 from itertools import compress, groupby
 from math import gcd
 from operator import itemgetter
-from typing import TYPE_CHECKING
 
+from . import dihedral
+from .dihedral import DihedralParams, GroupElement
 from .ffield import LimitExceeded
 from .orbits import (
     ORBIT_LIMIT,
@@ -41,21 +42,15 @@ from .orbits import (
     FusionOrbitSet,
     NPoint,
     coset_minima,
-    diagonal_images,
     fusion_numbers,
 )
-
-if TYPE_CHECKING:
-    from .dihedral import DihedralParams, GroupElement
 
 BRUTE_FORCE_POINT_LIMIT = 10**6
 
 
 def act(params: DihedralParams, i0: int, g: GroupElement, v: NPoint) -> NPoint:
     """Image of the point v under g through theta_i0."""
-    from .dihedral import irr2_rep
-
-    return irr2_rep(params, i0).matrix(g).apply(v)
+    return dihedral.irr2_rep(params, i0).matrix(g).apply(v)
 
 
 def _sweep_orbits(p: int, matrices) -> tuple:
@@ -138,10 +133,8 @@ def _read_sweep(p: int, sweep: tuple, elements, matrices) -> FusionOrbitSet:
 def _theta_table(params: DihedralParams, i0: int) -> list:
     """(a, b, c, d) for every group element g, in group_elements order,
     with g acting through theta_i0 as the matrix [[a, b], [c, d]]."""
-    from .dihedral import irr2_rep
-
     p = params.p
-    rep = irr2_rep(params, i0)
+    rep = dihedral.irr2_rep(params, i0)
     (r00, r01), (r10, r11) = rep.mat_r.data
     (s00, s01), (s10, s11) = rep.mat_s.data
     # g = s^flip r^rot acts as mat_s^flip mat_r^rot: a running product of
@@ -184,10 +177,8 @@ def fusion_orbit_sets_bruteforce(instances) -> Iterator[tuple]:
     fusion_orbits_bruteforce gives it, from orbit_sets_bruteforce on the
     theta_i0 tables, built prime by prime.  Each rank lists its group
     elements once."""
-    from .dihedral import group_elements
-
     instances = sorted(instances, key=lambda instance: instance[0].p)
-    elements = {n: group_elements(n) for n in {params.n for params, _ in instances}}
+    elements = {n: dihedral.group_elements(n) for n in {params.n for params, _ in instances}}
     return orbit_sets_bruteforce(
         ((params, i0), params.p, elements[params.n], _theta_table(params, i0))
         for params, i0 in instances
@@ -220,11 +211,8 @@ def fusion_orbits_closed_form(params: DihedralParams, i0: int) -> FusionOrbitSet
     Raises LimitExceeded before enumerating when the census counts more
     than ORBIT_LIMIT orbits.
     """
-    from .dihedral import GroupElement
-
     n, p, w = params.n, params.p, params.omega
-    if i0 not in params.irr2_indices():
-        raise ValueError(f"index {i0} is not in [1, {n}/2)")
+    dihedral.irr2_position(n, i0)
     g0 = gcd(i0, n)
     k = n // g0
     orbit_count = sum(FusionNumbers.dihedral_closed_form(p, k).counts.values())
@@ -272,11 +260,9 @@ def fusion_orbits_closed_form(params: DihedralParams, i0: int) -> FusionOrbitSet
     return FusionOrbitSet(tuple(runs), p, images)
 
 
-
 def same_fusion(params: DihedralParams, i: int, i0: int) -> bool:
     """Two actions give the same orbit structure iff gcd(i, n) = gcd(i0, n)."""
     n = params.n
     for idx in (i, i0):
-        if idx not in params.irr2_indices():
-            raise ValueError(f"index {idx} is not in [1, {n}/2)")
+        dihedral.irr2_position(n, idx)
     return gcd(i, n) == gcd(i0, n)

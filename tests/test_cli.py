@@ -646,6 +646,38 @@ def test_a_single_orbit_token_runs_only_its_own_check(capsys, monkeypatch, token
     assert calls[other] == 0 and calls["sweeps"] == 26
 
 
+# the route each verify family calls, as (defining module, name)
+_FAMILY_ROUTES = {
+    "thm42": (deformation, "check_kernel_sets_detect_fusion"),
+    "thm43": (deformation, "check_maximality_matches_doubling_fibers"),
+    "thm11": (deformation, "check_determinability_rule"),
+    "lemma410": (deformation, "check_gcd_pair_identity"),
+    "cor34": (deformation, "check_center_constraint"),
+    "prop48": (deformation, "check_orbit_closed_form"),
+    "cor49": (deformation, "check_orbit_census"),
+    "oracle-h1": (cohomology, "d1_oracle_cocycles"),
+}
+
+
+@pytest.mark.parametrize("token", _FAMILY_ROUTES)
+def test_every_verify_family_calls_its_route_through_the_defining_module(
+    capsys, monkeypatch, token
+):
+    argv = ["verify", "--check", token, "--n-max", "6"]
+    unpatched = _run(capsys, argv)
+    module, name = _FAMILY_ROUTES[token]
+    real = getattr(module, name)
+    calls = Counter()
+
+    def counting(*args):
+        calls[name] += 1
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    assert _run(capsys, argv) == unpatched
+    assert unpatched[0] == 0 and calls[name] > 0
+
+
 def test_readme_quick_start_prints_its_comments(capsys):
     """Runs README's library quick start and compares each printed line
     with the comment on its print call."""

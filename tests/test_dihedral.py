@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from udrfusion import cohomology, fusion
 from udrfusion.dihedral import (
     DihedralParams,
     GroupElement,
@@ -11,6 +12,7 @@ from udrfusion.dihedral import (
     group_elements,
     induced_rep,
     irr2_indices,
+    irr2_position,
     irr2_rep,
     irr2_reps,
     kernel_invariant,
@@ -28,6 +30,7 @@ def test_irr2_indices():
     assert list(irr2_indices(5)) == [1, 2]
     assert list(irr2_indices(6)) == [1, 2]
     assert list(irr2_indices(12)) == [1, 2, 3, 4, 5]
+    assert [irr2_position(12, i) for i in irr2_indices(12)] == [0, 1, 2, 3, 4]
     with pytest.raises(ValueError):
         irr2_indices(2)
 
@@ -177,6 +180,33 @@ def test_t_map_frozen():
     assert t_map(p12, 5) == RepLabel.irr2(2)
     assert t_map(DihedralParams.standard(4), 1) == RepLabel.induced(2)
     assert t_map(DihedralParams.standard(6), 2) == RepLabel.irr2(2)
+
+
+# the seven functions that check an action index, each called with i in
+# the place it checks (dims checks j; dims_row checks its i0), and the
+# helper whose error they all raise
+_INDEX_TAKERS = {
+    "irr2_rep": irr2_rep,
+    "t_map": t_map,
+    "kernel_invariant": kernel_invariant,
+    "dims_row": cohomology.dims_row,
+    "dims": lambda params, i: cohomology.dims(params, 1, i),
+    "fusion_orbits_closed_form": fusion.fusion_orbits_closed_form,
+    "same_fusion": lambda params, i: fusion.same_fusion(params, i, 1),
+    "same_fusion, second index": lambda params, i: fusion.same_fusion(params, 1, i),
+    "irr2_position": lambda params, i: irr2_position(params.n, i),
+}
+
+
+@pytest.mark.parametrize("name", _INDEX_TAKERS)
+@pytest.mark.parametrize("n", [6, 7])
+def test_every_index_taker_refuses_an_index_outside_irr2_indices_alike(n, name):
+    params = DihedralParams.standard(n)
+    for i in (0, (n + 1) // 2):
+        expected = f"index {i} is not in [1, {n}/2)"
+        with pytest.raises(ValueError) as caught:
+            _INDEX_TAKERS[name](params, i)
+        assert str(caught.value) == expected
 
 
 def test_t_map_validation():

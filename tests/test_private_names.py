@@ -1,7 +1,11 @@
 """Every module-level private function or class of the package is named
 by production code other than its own definition.  A private helper
 that only tests call is a test hook living in the package; it belongs
-in the tests that use it."""
+in the tests that use it.
+
+An import inside a function means one thing, load this module late: only
+cli's command dispatch and writers and the abelian sweep oracle have
+one, and each package import there is of a module, `from . import X`."""
 
 from __future__ import annotations
 
@@ -113,3 +117,76 @@ def test_a_planted_cross_module_private_use_is_caught():
     }
     sources["abelian"] += "\nfrom .fusion import _sweep_orbits as sweep\n"
     assert ("abelian", "fusion", "_sweep_orbits") in _cross_module_private_uses(sources)
+
+
+# the functions that may import inside their body, by module: an import
+# there loads a module late, the command bodies and abelian from cli's
+# dispatch, json from its two JSON writers, and fusion from the abelian
+# sweep oracle
+LATE_LOADS = {
+    "cli": {"_cmd_verify", "_cmd_analyze", "_cmd_scan", "_analyze_abelian", "_report_pieces"},
+    "abelian": {"abelian_orbits_bruteforce"},
+}
+
+
+def _imports_inside_functions(sources: dict[str, str]):
+    """(module, function, statement) for every import statement inside
+    the body of a function of a module of sources.  An import in a nested
+    function is listed under every function that holds it.  Only
+    statements are walked: no expression holds one."""
+    for module, source in sources.items():
+        stack = [(ast.parse(source), ())]
+        while stack:
+            node, functions = stack.pop()
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                yield from ((module, function, node) for function in functions)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                functions += (node.name,)
+            stack.extend(
+                (child, functions)
+                for child in ast.iter_child_nodes(node)
+                if isinstance(child, (ast.stmt, ast.excepthandler, ast.match_case))
+            )
+
+
+def _late_import_faults(imports) -> set[tuple[str, str, str]]:
+    """(module, function, import) for each of imports, as
+    _imports_inside_functions gives them, that is outside LATE_LOADS or
+    takes names from a package module, `from .other import name`; the
+    import is given as its source text."""
+    return {
+        (module, function, ast.unparse(statement))
+        for module, function, statement in imports
+        if function not in LATE_LOADS.get(module, ())
+        or (isinstance(statement, ast.ImportFrom) and statement.level and statement.module)
+    }
+
+
+def test_only_late_loads_import_inside_a_function():
+    imports = list(_imports_inside_functions(_package_sources()))
+    assert _late_import_faults(imports) == set()
+    holders = {(module, function) for module, function, _ in imports}
+    assert holders == {(module, f) for module, functions in LATE_LOADS.items() for f in functions}
+
+
+def test_a_planted_import_of_names_inside_a_function_is_caught():
+    sources = _package_sources()
+    sources["cli_verify"] += (
+        "\n\ndef _planted(params, i0, j):\n"
+        "    from .deformation import dims\n\n"
+        "    return dims(params, i0, j)\n"
+    )
+    sources["fusion"] += (
+        "\n\ndef planted(params, i0):\n"
+        "    from .dihedral import irr2_rep\n\n"
+        "    return irr2_rep(params, i0)\n"
+    )
+    assert _late_import_faults(_imports_inside_functions(sources)) == {
+        ("cli_verify", "_planted", "from .deformation import dims"),
+        ("fusion", "planted", "from .dihedral import irr2_rep"),
+    }
+    # a late load of names, where a late load is allowed, is caught too
+    cli = sources["cli"].replace("from . import cli_verify", "from .cli_verify import families")
+    assert _late_import_faults(_imports_inside_functions({"cli": cli})) == {
+        ("cli", "_cmd_verify", "from .cli_verify import families")
+    }
