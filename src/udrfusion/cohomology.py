@@ -34,11 +34,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from . import dihedral
 from .dihedral import (
     DihedralParams,
     Rep2,
     RepLabel,
-    group_elements,
     induced_rep,
     irr2_indices,
     irr2_position,
@@ -328,7 +328,7 @@ def adjoint_decomposition_check(params: DihedralParams, i: int) -> bool:
     tmod = module_for_label(params, t_map(params, i))
     p = params.p
 
-    for g in group_elements(params.n):
+    for g in dihedral.group_elements(params.n):
         if adj.trace(g) != (triv.trace(g) + sgn.trace(g) + tmod.trace(g)) % p:
             return False
 

@@ -84,6 +84,18 @@ def test_analyze_abelian_loads_no_dihedral_half():
                       "udrfusion.orbits", "udrfusion.abelian"}
 
 
+def test_abelian_sweep_oracle_loads_fusion_and_dihedral():
+    """abelian_orbits_bruteforce loads fusion, the sweep's module, and
+    fusion loads dihedral at import; nothing else of the dihedral half."""
+    result, loaded = _loaded_by(
+        "len(udrfusion.abelian_orbits_bruteforce(udrfusion.CharacterPair.from_exponents("
+        "udrfusion.AbelianParams.standard((3,)), (1,), (0,))).orbits)"
+    )
+    assert result == "21"
+    assert loaded == {"udrfusion", "udrfusion.ffield", "udrfusion.records", "udrfusion.orbits",
+                      "udrfusion.abelian", "udrfusion.fusion", "udrfusion.dihedral"}
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--check", "lemma410"],
     ["scan", "dihedral", "--n-min", "3", "--n-max", "6"],
