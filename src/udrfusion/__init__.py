@@ -6,6 +6,14 @@ loads no submodule, and the first access to a name imports the module
 that defines it.  A command that runs one half of the package, dihedral
 or abelian, so never compiles the other.  Submodules are reachable as
 attributes too, as udrfusion.cohomology and so on.
+
+A function is bound once, in the module that defines it: other modules
+import the module (`from . import dihedral`) and call
+`dihedral.irr2_rep(...)`, and import by name only classes, constants,
+exceptions and type aliases.  So a name rebound in its module (a test's
+patch, a tracer's wrapper) is the one every caller calls.  The one
+exception is fusion, which re-exports orbits' coset_minima and
+fusion_numbers as its own.
 """
 
 import importlib

@@ -1,5 +1,5 @@
 import sys
 
-from .cli import main
+from . import cli
 
-sys.exit(main())
+sys.exit(cli.main())

@@ -21,14 +21,9 @@ import itertools
 from collections import Counter
 from math import gcd, lcm, prod
 
-from .ffield import (
-    FpMatrix,
-    LimitExceeded,
-    find_prime,
-    is_odd_prime,
-    primitive_root_of_unity,
-)
-from .orbits import ORBIT_LIMIT, FusionOrbitSet, coset_minima, diagonal_images, fusion_numbers
+from . import ffield, orbits
+from .ffield import FpMatrix, LimitExceeded
+from .orbits import ORBIT_LIMIT, FusionOrbitSet
 from .records import CohomologyDims, FrozenRecord, UdrClass
 
 ABELIAN_BRUTE_FORCE_LIMIT = 10**6
@@ -47,7 +42,7 @@ def smallest_valid_abelian_prime(exponent: int) -> int:
     this is find_prime(exponent), which raises LimitExceeded past its
     ceiling, and 3 for an exponent of 1 or 2.
     """
-    return find_prime(exponent) if exponent >= 3 else 3
+    return ffield.find_prime(exponent) if exponent >= 3 else 3
 
 
 class AbelianParams(FrozenRecord):
@@ -66,7 +61,7 @@ class AbelianParams(FrozenRecord):
         object.__setattr__(self, "cyclic_orders", orders)
         if not orders or any(m < 1 for m in orders):
             raise ValueError("cyclic orders must be positive integers")
-        if not is_odd_prime(self.p):
+        if not ffield.is_odd_prime(self.p):
             raise ValueError(f"{self.p} is not an odd prime")
         if gcd(self.p, self.order) != 1:
             raise ValueError(f"{self.p} divides the group order {self.order}")
@@ -104,7 +99,7 @@ class AbelianParams(FrozenRecord):
 
     def generator_roots(self) -> tuple[int, ...]:
         """Deterministic primitive m_i-th root of unity for each factor."""
-        return tuple(primitive_root_of_unity(self.p, m) for m in self.cyclic_orders)
+        return tuple(ffield.primitive_root_of_unity(self.p, m) for m in self.cyclic_orders)
 
 
 class CharacterPair(FrozenRecord):
@@ -172,6 +167,14 @@ def abelian_fixed_count(pair: CharacterPair) -> int:
     return pair.params.p ** pair.trivial_count()
 
 
+def _check_sweep_size(params: AbelianParams) -> None:
+    """Refuse a brute force over the order * p^2 (element, point) pairs of
+    the plane past ABELIAN_BRUTE_FORCE_LIMIT."""
+    size = params.order * params.p**2
+    if size > ABELIAN_BRUTE_FORCE_LIMIT:
+        raise LimitExceeded(f"sweep size {size} exceeds {ABELIAN_BRUTE_FORCE_LIMIT}")
+
+
 def abelian_fixed_count_bruteforce(pair: CharacterPair) -> int:
     """Fixed points counted by testing every group element on every
     coordinate value; the guard matches the orbit brute force.
@@ -183,8 +186,7 @@ def abelian_fixed_count_bruteforce(pair: CharacterPair) -> int:
     """
     params = pair.params
     p = params.p
-    if params.order * p * p > ABELIAN_BRUTE_FORCE_LIMIT:
-        raise LimitExceeded("plane sweep too large")
+    _check_sweep_size(params)
     values = [(pair.value1(g), pair.value2(g)) for g in params.elements()]
     full = (1 << len(values)) - 1
 
@@ -264,7 +266,7 @@ def abelian_orbits(pair: CharacterPair) -> FusionOrbitSet:
         return tuple(g for g, (a, b) in zip(elements, values) if a * x % p == x and b * y % p == y)
 
     def minima(subgroup) -> list[int]:
-        cmin = coset_minima(p, subgroup)
+        cmin = orbits.coset_minima(p, subgroup)
         return [y for y in range(1, p) if cmin[y] == y]
 
     stab_0 = stabilizer((0, 0))
@@ -277,7 +279,7 @@ def abelian_orbits(pair: CharacterPair) -> FusionOrbitSet:
     kernel_minima = minima(kernel)
     for x in minima(first):
         runs += ((x, (0,), *axis_x), (x, kernel_minima, *generic))
-    return FusionOrbitSet(tuple(runs), p, diagonal_images(p, image))
+    return FusionOrbitSet(tuple(runs), p, orbits.diagonal_images(p, image))
 
 
 def abelian_orbits_bruteforce(pair: CharacterPair) -> FusionOrbitSet:
@@ -286,14 +288,10 @@ def abelian_orbits_bruteforce(pair: CharacterPair) -> FusionOrbitSet:
     from . import fusion
 
     params = pair.params
-    p = params.p
-    if params.order * p * p > ABELIAN_BRUTE_FORCE_LIMIT:
-        raise LimitExceeded(
-            f"sweep size {params.order * p * p} exceeds {ABELIAN_BRUTE_FORCE_LIMIT}"
-        )
+    _check_sweep_size(params)
     elements = list(params.elements())
     matrices = [(pair.value1(g), 0, 0, pair.value2(g)) for g in elements]
-    ((_, orbit_set),) = fusion.orbit_sets_bruteforce([(pair, p, elements, matrices)])
+    ((_, orbit_set),) = fusion.orbit_sets_bruteforce([(pair, params.p, elements, matrices)])
     return orbit_set
 
 
@@ -324,7 +322,7 @@ def find_underdetermined_pair(params: AbelianParams):
     for pair in all_character_pairs(params):
         orbit_set = abelian_orbits_bruteforce(pair)
         summary = (
-            tuple(sorted(fusion_numbers(orbit_set).counts.items())),
+            tuple(orbit_set.size_census().items()),
             abelian_dims(pair),
             abelian_udr(pair),
         )

@@ -1,10 +1,6 @@
 """The bodies of the dihedral calculator commands, analyze dihedral and
 scan.  cli imports this module when one of them starts, and writes what
 they return.
-
-Each route function is called through the module that defines it, so a
-name rebound there (a test's patch, a tracer's wrapper) is the one
-called.
 """
 
 from __future__ import annotations
@@ -50,14 +46,13 @@ def analyze_dihedral(args) -> tuple:
     structure_ok = True
     for j in params.irr2_indices():
         dd = cohomology.dims(params, i0, j)
-        structural = dd.d2 == dd.d1 + 1 and dd.d1 == (
-            1 if dihedral.t_map(params, j) == RepLabel.irr2(i0) else 0
-        )
+        image = dihedral.t_map(params, j)
+        structural = dd.d2 == dd.d1 + 1 and dd.d1 == (1 if image == RepLabel.irr2(i0) else 0)
         reps.append(
             {
                 "j": j,
                 "gcd": gcd(j, n),
-                "T": dihedral.t_map(params, j).name,
+                "T": image.name,
                 "in_omega": j in om,
                 "d1": dd.d1,
                 "d2": dd.d2,

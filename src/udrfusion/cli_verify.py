@@ -2,10 +2,6 @@
 imports this module when verify starts, hands families the n ceiling of
 each family to run, and prints the reports; cli.VERIFY_CEILINGS holds
 each family's token and ceilings, in the order verify runs them.
-
-Each route function is called through the module that defines it, so a
-name rebound there (a test's patch, a tracer's wrapper) is the one
-called.
 """
 
 from __future__ import annotations

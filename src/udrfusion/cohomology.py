@@ -34,18 +34,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from . import dihedral
-from .dihedral import (
-    DihedralParams,
-    Rep2,
-    RepLabel,
-    induced_rep,
-    irr2_indices,
-    irr2_position,
-    irr2_rep,
-    t_map,
-)
-from .ffield import FpMatrix, LimitExceeded, _gauss_jordan
+from . import dihedral, ffield
+from .dihedral import DihedralParams, Rep2, RepLabel
+from .ffield import FpMatrix, LimitExceeded
 from .records import CohomologyDims, FrozenRecord
 
 H1_ORACLE_GROUP_ORDER_LIMIT = 10**4
@@ -97,9 +88,9 @@ def sign_module(params: DihedralParams) -> GModule:
 
 def module_for_label(params: DihedralParams, label: RepLabel) -> GModule:
     if label.kind == "irr2":
-        return rep_module(irr2_rep(params, label.index))
+        return rep_module(dihedral.irr2_rep(params, label.index))
     if label.kind == "ind":
-        return rep_module(induced_rep(params, label.index))
+        return rep_module(dihedral.induced_rep(params, label.index))
     if label.kind == "triv":
         return trivial_module(params)
     if label.kind == "sign":
@@ -280,7 +271,7 @@ def _irr2_monomials(n: int) -> tuple:
     p, so the primes of one n share an entry; it holds every index, so
     that a signature row never evicts a module the next row reads."""
     adjoints, duals = [], []
-    for i in irr2_indices(n):
+    for i in dihedral.irr2_indices(n):
         v = _MonomialModule.irr2(n, i)
         dual = v.dual()
         adj = dual.tensor(v)
@@ -295,7 +286,7 @@ def dims_row(params: DihedralParams, i0: int) -> tuple[tuple[int, int], ...]:
     params.irr2_indices() in order: the invariant counts of phi~ (x) adj_j
     and det phi~ (x) adj_j, one weight join of each factor against every
     adjoint of _irr2_monomials(params.n)."""
-    at = irr2_position(params.n, i0)
+    at = dihedral.irr2_position(params.n, i0)
     adjoints, duals = _irr2_monomials(params.n)
     phi_tilde, wedge = duals[at]
     d1s = phi_tilde.tensor_fixed_point_dims(adjoints)
@@ -309,7 +300,7 @@ def dims_row(params: DihedralParams, i0: int) -> tuple[tuple[int, int], ...]:
 def dims(params: DihedralParams, i0: int, j: int) -> CohomologyDims:
     """d1 and d2 for the action of theta_i0 on the plane with adjoint
     coefficients coming from theta_j: entry j of dims_row."""
-    at = irr2_position(params.n, j)
+    at = dihedral.irr2_position(params.n, j)
     return CohomologyDims(*dims_row(params, i0)[at])
 
 
@@ -321,11 +312,11 @@ def adjoint_decomposition_check(params: DihedralParams, i: int) -> bool:
     (sign), and the pair of off-diagonal elementary matrices which the
     rotation scales by w^(2i) and w^(-2i) and the reflection swaps.
     """
-    rep = irr2_rep(params, i)
+    rep = dihedral.irr2_rep(params, i)
     adj = adjoint_module(rep_module(rep))
     triv = trivial_module(params)
     sgn = sign_module(params)
-    tmod = module_for_label(params, t_map(params, i))
+    tmod = module_for_label(params, dihedral.t_map(params, i))
     p = params.p
 
     for g in dihedral.group_elements(params.n):
@@ -451,7 +442,7 @@ def _invariant_dim(p: int, operator: dict[str, tuple]) -> int:
         for op in (operator["r"], operator["s"])
         for i in range(4)
     ]
-    return 4 - _gauss_jordan(p, rows, 4)[1]
+    return 4 - ffield._gauss_jordan(p, rows, 4)[1]
 
 
 @lru_cache(maxsize=ORACLE_MODULE_CACHE_SIZE)
@@ -462,7 +453,7 @@ def _cocycle_module(params: DihedralParams, j: int) -> tuple:
     the reduced row echelon form of the six relators that do not involve
     the action, and dim M^G."""
     p = params.p
-    module_rep = irr2_rep(params, j)
+    module_rep = dihedral.irr2_rep(params, j)
     operator = {"a": _IDENTITY16, "b": _IDENTITY16}
     operator_inv = dict(operator)
     for sym, mat in (("r", module_rep.mat_r), ("s", module_rep.mat_s)):
@@ -474,7 +465,7 @@ def _cocycle_module(params: DihedralParams, j: int) -> tuple:
         for rel in _module_relators(params.n, p)
         for row in _relator_rows(p, rel, operator, operator_inv)
     ]
-    reduced, rank, _ = _gauss_jordan(p, rows, 16)
+    reduced, rank, _ = ffield._gauss_jordan(p, rows, 16)
     return operator, operator_inv, reduced[:rank], _invariant_dim(p, operator)
 
 
@@ -504,7 +495,7 @@ def d1_oracle_cocycles(params: DihedralParams, i0: int, j: int) -> int:
     operator, operator_inv, module_rows, m_fixed = _cocycle_module(params, j)
     rows = [
         row
-        for rel in _conjugation_relators(irr2_rep(params, i0))
+        for rel in _conjugation_relators(dihedral.irr2_rep(params, i0))
         for row in _relator_rows(p, rel, operator, operator_inv)
     ]
-    return 16 - _gauss_jordan(p, module_rows + rows, 16)[1] - (4 - m_fixed)
+    return 16 - ffield._gauss_jordan(p, module_rows + rows, 16)[1] - (4 - m_fixed)

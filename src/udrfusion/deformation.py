@@ -13,22 +13,9 @@ from __future__ import annotations
 
 from math import gcd
 
-from .cohomology import cohomologically_maximal_set, dims, dims_row
-from .dihedral import (
-    DihedralParams,
-    center_acts_trivially,
-    kernel_invariant,
-    omega_set,
-    t_preimage,
-)
-from .ffield import find_primes, is_prime
-from .fusion import (
-    FusionNumbers,
-    FusionOrbitSet,
-    fusion_numbers,
-    fusion_orbits_closed_form,
-    same_fusion,
-)
+from . import cohomology, dihedral, ffield, fusion
+from .dihedral import DihedralParams
+from .fusion import FusionNumbers, FusionOrbitSet
 from .records import Record, UdrClass, VerificationReport
 
 
@@ -54,18 +41,17 @@ def _class_of(d2: int) -> UdrClass:
 
 
 def udr_class(params: DihedralParams, i0: int, j: int) -> UdrClass:
-    return _class_of(dims(params, i0, j).d2)
+    return _class_of(cohomology.dims(params, i0, j).d2)
 
 
 def udr_signature(params: DihedralParams, i0: int) -> UdrSignature:
     """The ring class of every index j, read off the row of dims."""
-    return UdrSignature(
-        {j: _class_of(d2) for j, (_, d2) in zip(params.irr2_indices(), dims_row(params, i0))}
-    )
+    row = cohomology.dims_row(params, i0)
+    return UdrSignature({j: _class_of(d2) for j, (_, d2) in zip(params.irr2_indices(), row)})
 
 
 def _kernel_subgroup(params: DihedralParams, i: int) -> frozenset:
-    return frozenset(kernel_invariant(params, i)[1])
+    return frozenset(dihedral.kernel_invariant(params, i)[1])
 
 
 def _subgroup_words(subgroup: frozenset) -> tuple[str, ...]:
@@ -75,7 +61,7 @@ def _subgroup_words(subgroup: frozenset) -> tuple[str, ...]:
 def maximal_kernel_set(params: DihedralParams, i0: int) -> frozenset:
     """Kernels of the representations with maximal d2, as a set of subgroups."""
     return frozenset(
-        _kernel_subgroup(params, j) for j in cohomologically_maximal_set(params, i0)
+        _kernel_subgroup(params, j) for j in cohomology.cohomologically_maximal_set(params, i0)
     )
 
 
@@ -98,7 +84,7 @@ def check_kernel_sets_detect_fusion(params: DihedralParams, i0: int) -> Verifica
     Kernels are compared as explicit element-list subgroups.
     """
     name = "kernel_sets_detect_fusion"
-    if i0 not in omega_set(params):
+    if i0 not in dihedral.omega_set(params):
         raise ValueError(f"index {i0} is not a doubling-map value for n = {params.n}")
     ks0 = maximal_kernel_set(params, i0)
     if ks0 != nontrivial_udr_kernel_set(params, i0):
@@ -108,14 +94,14 @@ def check_kernel_sets_detect_fusion(params: DihedralParams, i0: int) -> Verifica
             sorted(map(_subgroup_words, nontrivial_udr_kernel_set(params, i0))),
         )
         return VerificationReport(name, (params.n, params.p, i0), False, witness)
-    for i1 in sorted(omega_set(params)):
+    for i1 in sorted(dihedral.omega_set(params)):
         same_kernels = maximal_kernel_set(params, i1) == ks0
-        if same_kernels != same_fusion(params, i1, i0):
+        if same_kernels != fusion.same_fusion(params, i1, i0):
             return VerificationReport(
                 name,
                 (params.n, params.p, i0),
                 False,
-                ("mismatch_at", i1, same_kernels, same_fusion(params, i1, i0)),
+                ("mismatch_at", i1, same_kernels, fusion.same_fusion(params, i1, i0)),
             )
     return VerificationReport(name, (params.n, params.p, i0), True)
 
@@ -132,10 +118,10 @@ def check_maximality_matches_doubling_fibers(params: DihedralParams) -> Verifica
     """
     name = "maximality_matches_doubling_fibers"
     n = params.n
-    om = sorted(omega_set(params))
+    om = sorted(dihedral.omega_set(params))
     for phi in om:
-        fiber = t_preimage(params, phi)
-        maximal = cohomologically_maximal_set(params, phi)
+        fiber = dihedral.t_preimage(params, phi)
+        maximal = cohomology.cohomologically_maximal_set(params, phi)
         if maximal != fiber:
             return VerificationReport(
                 name, (n, params.p), False, ("fiber_mismatch", phi, sorted(maximal), sorted(fiber))
@@ -144,19 +130,19 @@ def check_maximality_matches_doubling_fibers(params: DihedralParams) -> Verifica
         universe = list(params.irr2_indices())
         for a_pos, phi1 in enumerate(universe):
             for phi2 in universe[a_pos + 1 :]:
-                (k1,) = t_preimage(params, phi1)
-                (k2,) = t_preimage(params, phi2)
+                (k1,) = dihedral.t_preimage(params, phi1)
+                (k2,) = dihedral.t_preimage(params, phi2)
                 kernels_equal = _kernel_subgroup(params, k1) == _kernel_subgroup(params, k2)
-                if kernels_equal != same_fusion(params, phi1, phi2):
+                if kernels_equal != fusion.same_fusion(params, phi1, phi2):
                     return VerificationReport(
                         name, (n, params.p), False, ("odd_case", phi1, phi2)
                     )
     else:
         for a_pos, phi1 in enumerate(om):
             for phi2 in om[a_pos + 1 :]:
-                ks1 = frozenset(_kernel_subgroup(params, i) for i in t_preimage(params, phi1))
-                ks2 = frozenset(_kernel_subgroup(params, i) for i in t_preimage(params, phi2))
-                if (ks1 == ks2) != same_fusion(params, phi1, phi2):
+                fibers = dihedral.t_preimage(params, phi1), dihedral.t_preimage(params, phi2)
+                ks1, ks2 = (frozenset(_kernel_subgroup(params, i) for i in f) for f in fibers)
+                if (ks1 == ks2) != fusion.same_fusion(params, phi1, phi2):
                     return VerificationReport(
                         name, (n, params.p), False, ("even_case", phi1, phi2)
                     )
@@ -196,7 +182,7 @@ def check_center_constraint(params: DihedralParams, i0: int) -> VerificationRepo
     nontrivial = [
         j for j in params.irr2_indices() if udr_class(params, i0, j) is not UdrClass.ZP
     ]
-    ok = not nontrivial or center_acts_trivially(params, i0)
+    ok = not nontrivial or dihedral.center_acts_trivially(params, i0)
     witness = None if ok else ("nontrivial_at", nontrivial)
     return VerificationReport(name, (params.n, params.p, i0), ok, witness)
 
@@ -212,7 +198,7 @@ def check_orbit_closed_form(
     sweep's representatives are least in their orbits, so are the closed
     form's.  The point sets are compared as the orbit sets hold them, as
     sets of point codes."""
-    closed = fusion_orbits_closed_form(params, i0)
+    closed = fusion.fusion_orbits_closed_form(params, i0)
     two_n = 2 * params.n
     sweep_sets = brute.point_sets
     if sweep_sets is None:
@@ -240,7 +226,7 @@ def check_orbit_census(
     the closed-form fusion numbers for k = n/gcd(i0, n), and its orbits
     cover all p^2 points."""
     n, p = params.n, params.p
-    census = fusion_numbers(brute)
+    census = fusion.fusion_numbers(brute)
     expected = FusionNumbers.dihedral_closed_form(p, n // gcd(i0, n))
     ok = census.counts == expected.counts and census.total_points() == p * p
     return VerificationReport("orbit_census_closed_form", (n, p, i0), ok)
@@ -267,7 +253,7 @@ def signature_table_determinability(
     idxs = sorted(sigs)
     for pos, i1 in enumerate(idxs):
         for i2 in idxs[pos + 1 :]:
-            if sigs[i1] == sigs[i2] and not same_fusion(params, i1, i2):
+            if sigs[i1] == sigs[i2] and not fusion.same_fusion(params, i1, i2):
                 return VerificationReport(
                     "fusion_determinability", (params.n, params.p), False, (i1, i2)
                 )
@@ -283,7 +269,7 @@ def determinability_rule(n: int) -> bool:
     or twice an odd prime."""
     if n % 2 == 1:
         return True
-    return _is_power_of_two(n) or (n // 2 % 2 == 1 and is_prime(n // 2))
+    return _is_power_of_two(n) or (n // 2 % 2 == 1 and ffield.is_prime(n // 2))
 
 
 def check_determinability_rule(n: int) -> VerificationReport:
@@ -294,7 +280,7 @@ def check_determinability_rule(n: int) -> VerificationReport:
     expected = determinability_rule(n)
     witnesses = []
     ok = True
-    for p in find_primes(n, 2):
+    for p in ffield.find_primes(n, 2):
         rep = fusion_determinability(DihedralParams.standard(n, p))
         if rep.passed != expected:
             ok = False

@@ -15,13 +15,8 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
-from .ffield import (
-    FpMatrix,
-    find_prime,
-    is_odd_prime,
-    multiplicative_order,
-    primitive_root_of_unity,
-)
+from . import ffield
+from .ffield import FpMatrix
 from .records import FrozenRecord
 
 
@@ -58,20 +53,20 @@ class DihedralParams(FrozenRecord):
     def __post_init__(self) -> None:
         if self.n < 3:
             raise ValueError("need n >= 3")
-        if not is_odd_prime(self.p):
+        if not ffield.is_odd_prime(self.p):
             raise ValueError(f"{self.p} is not an odd prime")
         if self.p % self.n != 1:
             raise ValueError(f"{self.p} is not 1 mod {self.n}")
         object.__setattr__(self, "omega", self.omega % self.p)
-        if multiplicative_order(self.omega, self.p) != self.n:
+        if ffield.multiplicative_order(self.omega, self.p) != self.n:
             raise ValueError(f"{self.omega} does not have order {self.n} mod {self.p}")
 
     @classmethod
     def standard(cls, n: int, p: int | None = None) -> "DihedralParams":
         """Smallest valid prime (unless given) and smallest primitive root."""
         if p is None:
-            p = find_prime(n, 3)
-        return cls(n, p, primitive_root_of_unity(p, n))
+            p = ffield.find_prime(n, 3)
+        return cls(n, p, ffield.primitive_root_of_unity(p, n))
 
     def irr2_indices(self) -> range:
         return irr2_indices(self.n)

@@ -20,9 +20,9 @@ brute-force orbit set, dihedral or abelian, comes from it.
 Both routes return their orbits as runs (FusionOrbitSet), each run as
 long as its neighbours allow.  The orbit-set records live in orbits,
 which the abelian route imports without this module; they are bound here
-too, as fusion.FusionOrbitSet and so on.  The functions that act through
-theta_i0 call dihedral's functions through that module, so a name rebound
-there (a test's patch, a tracer's wrapper) is the one called.
+too, as fusion.FusionOrbitSet and so on.  So are orbits' coset_minima
+and fusion_numbers, the package's only functions bound outside the module
+that defines them; this module itself calls orbits.coset_minima.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from itertools import compress, groupby
 from math import gcd
 from operator import itemgetter
 
-from . import dihedral
+from . import dihedral, orbits
 from .dihedral import DihedralParams, GroupElement
 from .ffield import LimitExceeded
 from .orbits import (
@@ -222,7 +222,7 @@ def fusion_orbits_closed_form(params: DihedralParams, i0: int) -> FusionOrbitSet
     unit_powers = [pow(wi, t, p) for t in range(k)]
     exponent_of = {u: t for t, u in enumerate(unit_powers)}
     inverse_powers = [pow(u, -1, p) for u in unit_powers]
-    cmin = coset_minima(p, unit_powers)
+    cmin = orbits.coset_minima(p, unit_powers)
     minima = [m for m in range(1, p) if cmin[m] == m]
 
     units = list(zip(unit_powers, inverse_powers))

@@ -553,7 +553,7 @@ def test_a_rename_that_keeps_the_swept_index_gens_is_caught(monkeypatch):
 
 
 def test_prop48_fails_a_renamed_index_whose_closed_form_is_wrong(capsys, monkeypatch):
-    real = deformation.fusion_orbits_closed_form
+    real = fusion.fusion_orbits_closed_form
 
     def planted(params, i0):
         closed = real(params, i0)
@@ -569,7 +569,7 @@ def test_prop48_fails_a_renamed_index_whose_closed_form_is_wrong(capsys, monkeyp
         sweeps[p, tuple(matrices)] += 1
         return real_sweep(p, matrices)
 
-    monkeypatch.setattr(deformation, "fusion_orbits_closed_form", planted)
+    monkeypatch.setattr(fusion, "fusion_orbits_closed_form", planted)
     monkeypatch.setattr(fusion, "_sweep_orbits", counting)
     rc, out, _ = _run(capsys, ["verify", "--check", "prop48"])
     assert rc == 1

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from udrfusion import abelian, cli, deformation, fusion
+from udrfusion import abelian, cli, deformation, fusion, orbits
 from udrfusion.deformation import (
     UdrClass,
     check_center_constraint,
@@ -163,14 +163,14 @@ def test_closed_form_check_fails_on_a_planted_coding_fault(monkeypatch, n, i0, f
     base or applied to the code of the next point, fails the check."""
     params = DihedralParams.standard(n)
     brute = fusion_orbits_bruteforce(params, i0)
-    real = deformation.fusion_orbits_closed_form
+    real = fusion.fusion_orbits_closed_form
 
     def planted(params, i0):
         closed = real(params, i0)
         return FusionOrbitSet(closed.runs, closed.p, fault(closed.p, closed.images))
 
     assert check_orbit_closed_form(params, i0, brute).passed
-    monkeypatch.setattr(deformation, "fusion_orbits_closed_form", planted)
+    monkeypatch.setattr(fusion, "fusion_orbits_closed_form", planted)
     assert not check_orbit_closed_form(params, i0, brute).passed
 
 
@@ -190,7 +190,7 @@ def test_transposed_codes_are_invisible_in_a_dihedral_orbit(monkeypatch, n, i0):
         for code in brute.iter_codes()
     )
     monkeypatch.setattr(
-        deformation,
+        fusion,
         "fusion_orbits_closed_form",
         lambda params, i0: FusionOrbitSet(closed.runs, closed.p, transposed),
     )
@@ -199,9 +199,9 @@ def test_transposed_codes_are_invisible_in_a_dihedral_orbit(monkeypatch, n, i0):
     pair = abelian.CharacterPair.from_exponents(abelian.AbelianParams((2, 3), 7), (1, 0), (1, 2))
     sweep = abelian.abelian_orbits_bruteforce(pair)
     assert abelian.abelian_orbits(pair).partition() == sweep.partition()
-    real = abelian.diagonal_images
+    real = orbits.diagonal_images
     monkeypatch.setattr(
-        abelian, "diagonal_images", lambda p, scalars: _transposed(p, real(p, scalars))
+        orbits, "diagonal_images", lambda p, scalars: _transposed(p, real(p, scalars))
     )
     assert abelian.abelian_orbits(pair).partition() != sweep.partition()
 

@@ -82,11 +82,12 @@ def test_the_sweep_guards_its_own_plane():
     # the sweep refuses the plane itself, whoever calls it
     with pytest.raises(LimitExceeded, match="plane has 1018081 points, limit is 1000000"):
         fusion._sweep_orbits(1009, [(1, 0, 0, 1)])
-    # the abelian brute force still fails first on its own order * p^2
+    # both abelian brute forces still fail first on their own order * p^2
     # guard, with its own message
     pair = abelian.CharacterPair.from_exponents(abelian.AbelianParams((6,), 409), (1,), (0,))
-    with pytest.raises(LimitExceeded, match=r"^sweep size 1003686 exceeds 1000000$"):
-        abelian.abelian_orbits_bruteforce(pair)
+    for brute_force in (abelian.abelian_orbits_bruteforce, abelian.abelian_fixed_count_bruteforce):
+        with pytest.raises(LimitExceeded, match=r"^sweep size 1003686 exceeds 1000000$"):
+            brute_force(pair)
 
 
 def test_closed_form_orbit_frozen():

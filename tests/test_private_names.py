@@ -3,6 +3,10 @@ by production code other than its own definition.  A private helper
 that only tests call is a test hook living in the package; it belongs
 in the tests that use it.
 
+A function is bound once, in the module that defines it: other modules
+call it through that module, so a patch there reaches every caller.
+Only fusion re-exports two functions of orbits by name.
+
 An import inside a function means one thing, load this module late: only
 cli's command dispatch and writers and the abelian sweep oracle have
 one, and each package import there is of a module, `from . import X`."""
@@ -10,9 +14,14 @@ one, and each package import there is of a module, `from . import X`."""
 from __future__ import annotations
 
 import ast
+import importlib
+import sys
 from pathlib import Path
 
+import pytest
+
 import udrfusion
+from udrfusion import abelian, cohomology, deformation, dihedral
 
 PACKAGE_DIR = Path(udrfusion.__file__).resolve().parent
 
@@ -117,6 +126,98 @@ def test_a_planted_cross_module_private_use_is_caught():
     }
     sources["abelian"] += "\nfrom .fusion import _sweep_orbits as sweep\n"
     assert ("abelian", "fusion", "_sweep_orbits") in _cross_module_private_uses(sources)
+
+
+# the by-name bindings of another module's function that a package module
+# may make: fusion re-exports these two of orbits as its own
+BY_NAME_ALLOWED = {("fusion", "orbits", "coset_minima"), ("fusion", "orbits", "fusion_numbers")}
+
+
+def _by_name_function_bindings(sources: dict[str, str]) -> set[tuple[str, str, str]]:
+    """(module, other module, name) for every `from .other import name`, at
+    load or in a function, in a module of sources (module -> source) where
+    name is a function that other binds: one it defines by a top-level
+    def, or one it imports by name in turn."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    functions = {
+        module: {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        for module, tree in trees.items()
+    }
+    imports = {
+        (module, node.module, alias.name)
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        for alias in node.names
+    }
+    found: set[tuple[str, str, str]] = set()
+    # a function imported by name is bound in the importer too: follow
+    # such bindings until none is added
+    while True:
+        new = {imp for imp in imports if imp[2] in functions.get(imp[1], ())} - found
+        if not new:
+            return found
+        found |= new
+        for module, _, name in new:
+            functions[module].add(name)
+
+
+def test_no_module_binds_another_modules_function_by_name():
+    assert _by_name_function_bindings(_package_sources()) == BY_NAME_ALLOWED
+
+
+def test_a_planted_by_name_binding_is_caught():
+    sources = _package_sources()
+    sources["deformation"] += "\nfrom .cohomology import dims\n"
+    sources["dihedral"] += "\nfrom .ffield import is_prime\n"
+    assert _by_name_function_bindings(sources) - BY_NAME_ALLOWED == {
+        ("deformation", "cohomology", "dims"),
+        ("dihedral", "ffield", "is_prime"),
+    }
+    # a function fusion re-exports is caught when imported from there
+    sources["deformation"] += "from .fusion import fusion_numbers\n"
+    assert ("deformation", "fusion", "fusion_numbers") in _by_name_function_bindings(sources)
+
+
+# (home module, function, calling module, a call that reaches the
+# function from that module)
+@pytest.mark.parametrize("home, name, caller, call", [
+    ("cohomology", "dims", "deformation",
+     lambda: deformation.udr_class(dihedral.DihedralParams.standard(6), 1, 2)),
+    ("fusion", "same_fusion", "deformation",
+     lambda: deformation.check_maximality_matches_doubling_fibers(
+         dihedral.DihedralParams.standard(5))),
+    ("ffield", "is_prime", "deformation", lambda: deformation.determinability_rule(6)),
+    ("dihedral", "irr2_rep", "cohomology",
+     lambda: cohomology.d1_oracle_cocycles(dihedral.DihedralParams.standard(3), 1, 1)),
+    ("ffield", "is_odd_prime", "dihedral", lambda: dihedral.DihedralParams(3, 7, 2)),
+    ("orbits", "coset_minima", "abelian",
+     lambda: abelian.abelian_orbits(abelian.CharacterPair.from_exponents(
+         abelian.AbelianParams((2, 3), 7), (1, 0), (1, 2)))),
+], ids=[
+    "cohomology.dims-deformation.udr_class",
+    "fusion.same_fusion-deformation.check_maximality_matches_doubling_fibers",
+    "ffield.is_prime-deformation.determinability_rule",
+    "dihedral.irr2_rep-cohomology.d1_oracle_cocycles",
+    "ffield.is_odd_prime-dihedral.DihedralParams",
+    "orbits.coset_minima-abelian.abelian_orbits",
+])
+def test_a_patch_on_a_functions_home_reaches_a_caller_in_another_module(
+    monkeypatch, home, name, caller, call
+):
+    """The patch is called from caller itself, not only through another
+    function of its home (ffield's own helpers call is_odd_prime too)."""
+    module = importlib.import_module(f"udrfusion.{home}")
+    real = getattr(module, name)
+    callers = set()
+
+    def spy(*args):
+        callers.add(sys._getframe(1).f_globals["__name__"])
+        return real(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    call()
+    assert f"udrfusion.{caller}" in callers
 
 
 # the functions that may import inside their body, by module: an import
