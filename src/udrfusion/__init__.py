@@ -24,7 +24,6 @@ __version__ = "0.1.0"
 _MODULE_EXPORTS = {
     "ffield": (
         "FpMatrix",
-        "LimitExceeded",
         "find_prime",
         "find_primes",
         "multiplicative_order",
@@ -59,6 +58,7 @@ _MODULE_EXPORTS = {
     ),
     "records": (
         "CohomologyDims",
+        "LimitExceeded",
         "UdrClass",
         "VerificationReport",
     ),
@@ -109,8 +109,8 @@ _MODULE_EXPORTS = {
 _EXPORTS = {name: module for module, names in _MODULE_EXPORTS.items() for name in names}
 
 _SUBMODULES = frozenset((
-    "abelian", "cli", "cli_dihedral", "cli_verify", "cohomology", "deformation", "dihedral",
-    "ffield", "fusion", "orbits", "records",
+    "abelian", "cli", "cli_dihedral", "cli_report", "cli_verify", "cohomology", "deformation",
+    "dihedral", "ffield", "fusion", "orbits", "records",
 ))
 
 __all__ = list(_EXPORTS)

@@ -2,13 +2,16 @@
 verification families.  Output is deterministic; rerunning a command
 reproduces it byte for byte.
 
-This module holds the parser, the dispatch, the writers and the abelian
-analyze, and at load imports only what they need.  The dihedral commands
-keep their bodies in modules of their own, which each imports when it
-starts, once: cli_dihedral for analyze dihedral and scan, cli_verify for
-verify.  So analyze abelian compiles no dihedral code and never loads
-cohomology, deformation, dihedral or fusion, and verify and scan never
-load abelian.
+This module holds what the parser and the dispatch need: the parser,
+with verify's ceilings and their check, main, the three command
+functions and verify's printer, and at load imports only the standard
+library, the package's __version__ and records.  Each command imports
+the modules of its body when it starts, once: cli_report (the writers
+and the abelian analyze) for analyze and scan, cli_dihedral for analyze
+dihedral and scan, cli_verify for verify.  So analyze abelian compiles
+no dihedral code and never loads cohomology, deformation, dihedral or
+fusion, verify and scan never load abelian, and verify compiles no
+writer.
 """
 
 from __future__ import annotations
@@ -18,11 +21,7 @@ import os
 import sys
 
 from . import __version__
-from .ffield import LimitExceeded
-from .records import UdrClass, VerificationReport
-
-# JSON reports carry the ring class label; CSV cells carry its comma-free tag
-_CSV_TAGS = {cls.label: cls.value for cls in UdrClass}
+from .records import LimitExceeded
 
 # verify's families, in the order it runs them: token -> (default n
 # ceiling, largest n ceiling admitted).  Each largest ceiling is the last
@@ -107,14 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise ValueError(f"{flag} must be a comma-separated integer list, got {text!r}")
-
-
-def _stdout_to_devnull() -> None:
+# main and verify's printer share these two with cli_report's writers
+def stdout_to_devnull() -> None:
     """Point the stdout descriptor at os.devnull, so that what is still
     buffered for a reader that has gone raises nothing at exit."""
     devnull = os.open(os.devnull, os.O_WRONLY)
@@ -122,167 +115,14 @@ def _stdout_to_devnull() -> None:
     os.close(devnull)
 
 
-def _emit(pieces, out_path: str | None) -> None:
-    """Write the text that pieces() yields to stdout, each piece as it
-    comes, and then, with out_path, to that file from a second call:
-    the pieces are made again, never kept.  A reader that closes stdout
-    early does not cost the file: the BrokenPipeError is raised again
-    only after the file is written, and stdout is on os.devnull by then,
-    so an error writing the file is the one reported."""
-    write = sys.stdout.write
-    broken = None
-    try:
-        for piece in pieces():
-            write(piece)
-    except BrokenPipeError as exc:
-        broken = exc
-        _stdout_to_devnull()
-    if out_path is not None:
-        with open(out_path, "w") as fh:
-            fh.writelines(pieces())
-    if broken is not None:
-        raise broken
-
-
-def _check_entry(report: VerificationReport) -> dict:
-    return {
-        "name": report.check_name,
-        "params": list(report.parameters),
-        "passed": report.passed,
-        "witness": _jsonable(report.witness),
-    }
-
-
-def _jsonable(value):
+def jsonable(value):
     if value is None or isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+        return [jsonable(v) for v in value]
     if isinstance(value, frozenset):
-        return sorted(_jsonable(v) for v in value)
+        return sorted(jsonable(v) for v in value)
     return repr(value)
-
-
-# a report's one large value, the representatives of its fusion block,
-# stands in the report as the orbit set itself and is written run by run;
-# json.dumps writes the rest around a placeholder.  With indent set, json
-# takes its pure-Python encoder, one call per value.
-_PLACEHOLDER = "@representatives@"
-
-
-def _report_pieces(report: dict):
-    """json.dumps(report, indent=2) and a line break, byte for byte, in
-    pieces, with the orbit set that stands in fusion.representatives
-    written as the list of its representatives: the report up to that
-    list, one piece per run, and the rest.  No pair is built per orbit: a
-    run's pairs are one join of its ys, their x written into the
-    separator.  A report whose representatives are null is one piece."""
-    import json
-
-    fusion = report["fusion"]
-    orbit_set = fusion["representatives"]
-    if orbit_set is None:
-        yield json.dumps(report, indent=2) + "\n"
-        return
-    skeleton = {**report, "fusion": {**fusion, "representatives": _PLACEHOLDER}}
-    head, tail = json.dumps(skeleton, indent=2).split(json.dumps(_PLACEHOLDER), 1)
-    yield head + "["
-    opening = "\n      "
-    for x, ys, *_ in orbit_set.runs:
-        pair = f"[\n        {x},\n        "
-        yield "".join((opening, pair, f"\n      ],\n      {pair}".join(map(str, ys)), "\n      ]"))
-        opening = ",\n      "
-    yield ("\n    ]" if orbit_set.runs else "]") + tail + "\n"
-
-
-def _fusion_block(k: int | None, orbit_set) -> dict:
-    """The fusion block of a report; its representatives are the orbit
-    set, for _report_pieces to write.  Without an orbit set every field
-    is null."""
-    if orbit_set is None:
-        return dict.fromkeys(("k", "numbers", "orbit_count", "representatives"))
-    return {
-        "k": k,
-        "numbers": {str(size): cnt for size, cnt in orbit_set.size_census().items()},
-        "orbit_count": orbit_set.orbit_count,
-        "representatives": orbit_set,
-    }
-
-
-def _report(params: dict, k: int | None, orbit_set, reps: list, checks) -> dict:
-    """The report of an analyze: its params, the fusion block of orbit_set
-    (null without one), its rows and its checks."""
-    return {
-        "version": __version__,
-        "params": params,
-        "fusion": _fusion_block(k, orbit_set),
-        "reps": reps,
-        "checks": [_check_entry(c) for c in checks],
-    }
-
-
-def _csv(header: str, rows) -> str:
-    """The header line, then one comma-joined line per row, with booleans
-    written as true/false."""
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(str(v).lower() if isinstance(v, bool) else str(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def _report_csv(report: dict) -> str:
-    """The CSV of an analyze report: one line per row of reps, the
-    params first (lists joined by x, the group left out), then the
-    fields that are not null, with the ring class written as its tag."""
-    params = {key: "x".join(map(str, v)) if isinstance(v, list) else v
-              for key, v in report["params"].items() if key != "group"}
-    fields = [key for key, v in report["reps"][0].items() if v is not None]
-    return _csv(
-        ",".join([*params, *fields]),
-        ([*params.values(), *(_CSV_TAGS[row[key]] if key == "udr" else row[key] for key in fields)]
-         for row in report["reps"]),
-    )
-
-
-def _analyze_abelian(args) -> tuple:
-    """The params, k, orbit set, rows and checks of the report of analyze
-    abelian on the parsed arguments, for _report."""
-    from . import abelian
-
-    params = abelian.AbelianParams.standard(_parse_int_list(args.orders, "--orders"), args.p)
-    e1 = _parse_int_list(args.theta1, "--theta1")
-    e2 = _parse_int_list(args.theta2, "--theta2")
-    pair = abelian.CharacterPair.from_exponents(params, e1, e2)
-    dd = abelian.abelian_dims(pair)
-    # the projector's d1 is a rank, found without counting trivial characters
-    projected = abelian.abelian_dims_projector(pair)
-    at = (params.cyclic_orders, params.p)
-    checks = [
-        VerificationReport(
-            "fixed_count_power_rule", at,
-            abelian.abelian_fixed_count(pair) == params.p ** projected.d1,
-        ),
-        VerificationReport("dims_match_projector", at, projected == dd),
-    ]
-    # the fusion block and its oracle check appear only where the brute
-    # force, which refuses the rest, could still check them
-    try:
-        matches = abelian.abelian_fixed_count_bruteforce(pair) == abelian.abelian_fixed_count(pair)
-    except LimitExceeded:
-        orbit_set = None
-    else:
-        orbit_set = abelian.abelian_orbits(pair)
-        checks.append(VerificationReport("fixed_count_matches_bruteforce", at, matches))
-    report_params = {
-        "group": "abelian",
-        "orders": list(params.cyclic_orders),
-        "p": params.p,
-        "theta1": list(pair.theta1),
-        "theta2": list(pair.theta2),
-    }
-    row = {"j": None, "gcd": None, "T": None, "in_omega": None,
-           "d1": dd.d1, "d2": dd.d2, "udr": abelian.abelian_udr(pair).label}
-    return report_params, None, orbit_set, [row], checks
 
 
 def _cmd_verify(args) -> int:
@@ -300,7 +140,7 @@ def _cmd_verify(args) -> int:
                 print(f"PASS {token} {par}")
             else:
                 failed += 1
-                print(f"FAIL {token} {par} witness={_jsonable(report.witness)}")
+                print(f"FAIL {token} {par} witness={jsonable(report.witness)}")
         if total == family_total:
             # a family that checked nothing must not pass
             total += 1
@@ -311,21 +151,23 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from . import cli_report
+
     if args.family == "dihedral":
         from . import cli_dihedral
 
-        report = _report(*cli_dihedral.analyze_dihedral(args))
+        report = cli_report.report(*cli_dihedral.analyze_dihedral(args))
     else:
-        report = _report(*_analyze_abelian(args))
+        report = cli_report.report(*cli_report.analyze_abelian(args))
     if args.format == "json":
-        _emit(lambda: _report_pieces(report), args.out)
+        cli_report.emit(lambda: cli_report.report_pieces(report), args.out)
     else:
-        _emit(lambda: (_report_csv(report),), args.out)
+        cli_report.emit(lambda: (cli_report.report_csv(report),), args.out)
     return 0
 
 
 def _cmd_scan(args) -> int:
-    from . import cli_dihedral
+    from . import cli_dihedral, cli_report
 
     rows = cli_dihedral.scan_rows(args.n_min, args.n_max, args.primes_per_n)
     if args.format == "json":
@@ -333,8 +175,10 @@ def _cmd_scan(args) -> int:
 
         text = json.dumps({"version": __version__, "rows": rows}, indent=2) + "\n"
     else:
-        text = _csv("n,p,i0,k,in_omega,determinable,signature", (row.values() for row in rows))
-    _emit(lambda: (text,), args.out)
+        text = cli_report.csv(
+            "n,p,i0,k,in_omega,determinable,signature", (row.values() for row in rows)
+        )
+    cli_report.emit(lambda: (text,), args.out)
     return 0
 
 
@@ -352,7 +196,7 @@ def main(argv=None) -> int:
         return code
     except (ValueError, LimitExceeded, OSError) as exc:
         if isinstance(exc, BrokenPipeError):
-            _stdout_to_devnull()
+            stdout_to_devnull()
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

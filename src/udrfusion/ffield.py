@@ -12,11 +12,9 @@ from __future__ import annotations
 from math import gcd
 from operator import mul
 
+from .records import LimitExceeded
+
 PRIME_SEARCH_CEILING = 10**6
-
-
-class LimitExceeded(RuntimeError):
-    """A computation was refused because it exceeds a built-in size guard."""
 
 
 def is_prime(m: int) -> bool:

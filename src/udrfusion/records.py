@@ -12,13 +12,19 @@ process, and each decorator compiles its generated methods at import.
 CohomologyDims, UdrClass and VerificationReport are results of the
 dihedral and the abelian routes alike.  They live here so that the
 abelian route and the CLI's writers need neither cohomology nor
-deformation.
+deformation.  LimitExceeded, which every route raises and the CLI
+catches, lives here too, so that the CLI's parser loads no other
+package module; ffield binds it as its own.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from operator import attrgetter
+
+
+class LimitExceeded(RuntimeError):
+    """A computation was refused because it exceeds a built-in size guard."""
 
 
 class Record:

@@ -22,6 +22,7 @@ from udrfusion import (
     abelian,
     cli,
     cli_dihedral,
+    cli_report,
     cli_verify,
     cohomology,
     deformation,
@@ -322,6 +323,27 @@ def test_analyze_abelian_at_a_61_bit_prime_finishes():
     assert report["params"]["p"] == 2**61 - 1
     assert (report["reps"][0]["d1"], report["reps"][0]["d2"]) == (0, 1)
     assert all(check["passed"] for check in report["checks"])
+
+
+def test_a_limit_raised_inside_ffield_exits_2(capsys, monkeypatch):
+    # p is above the Miller-Rabin ceiling: ffield.is_prime raises, and
+    # main catches the class it imports from records
+    raised = []
+    real = ffield.is_prime
+
+    def recording(m):
+        try:
+            return real(m)
+        except LimitExceeded as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(ffield, "is_prime", recording)
+    rc, out, err = _run(capsys, ["analyze", "abelian", "--orders", "2", "--theta1", "1",
+                                 "--theta2", "1", "--p", "3317044064679887385961983"])
+    assert rc == 2 and out == ""
+    assert err.startswith("error: primality is decided below ") and err.count("\n") == 1
+    assert len(raised) == 1 and err == f"error: {raised[0]}\n"
 
 
 def test_analyze_dihedral_refuses_a_rank_above_the_limit(capsys):
@@ -916,15 +938,15 @@ def _expanded(report):
 
 
 def _recorded_reports(monkeypatch):
-    """A list that collects every report _report_pieces is given."""
+    """A list that collects every report report_pieces is given."""
     reports = []
-    real = cli._report_pieces
+    real = cli_report.report_pieces
 
     def recording(report):
         reports.append(report)
         return real(report)
 
-    monkeypatch.setattr(cli, "_report_pieces", recording)
+    monkeypatch.setattr(cli_report, "report_pieces", recording)
     return reports
 
 
@@ -1003,15 +1025,16 @@ def test_run_wise_writer_equals_json_dumps_on_analyze_dihedral(capsys, monkeypat
 
 
 def _report_text(report):
-    return "".join(cli._report_pieces(report))
+    return "".join(cli_report.report_pieces(report))
 
 
 def test_run_wise_writer_on_null_and_empty_representatives():
     report = {"version": __version__, "params": {}, "reps": [], "checks": [],
               "fusion": {"k": None, "numbers": None, "orbit_count": None, "representatives": None}}
     assert _report_text(report) == json.dumps(report, indent=2) + "\n"
-    assert len(list(cli._report_pieces(report))) == 1
-    empty = {**report, "fusion": cli._fusion_block(None, fusion.FusionOrbitSet((), 3, list))}
+    assert len(list(cli_report.report_pieces(report))) == 1
+    orbit_set = fusion.FusionOrbitSet((), 3, list)
+    empty = {**report, "fusion": cli_report.fusion_block(None, orbit_set)}
     assert empty["fusion"]["orbit_count"] == 0
     assert _report_text(empty) == json.dumps(_expanded(empty), indent=2) + "\n"
     assert '"representatives": []' in _report_text(empty)

@@ -18,7 +18,9 @@ from pathlib import Path
 import pytest
 
 import udrfusion
-from udrfusion import cli_dihedral, cli_verify, cohomology, deformation, fusion, records
+from udrfusion import (
+    cli_dihedral, cli_verify, cohomology, deformation, ffield, fusion, records,
+)
 
 ROUTE_MODULES = {f"udrfusion.{name}" for name in
                  ("abelian", "cohomology", "deformation", "dihedral", "fusion", "orbits")}
@@ -71,7 +73,7 @@ def _loaded_by(call: str) -> tuple[str, set[str]]:
 def test_build_parser_loads_no_route_module():
     result, loaded = _loaded_by("type(udrfusion.cli.build_parser()).__name__")
     assert result == "ArgumentParser"
-    assert loaded == {"udrfusion", "udrfusion.cli", "udrfusion.ffield", "udrfusion.records"}
+    assert loaded == {"udrfusion", "udrfusion.cli", "udrfusion.records"}
     assert loaded & ROUTE_MODULES == set()
 
 
@@ -80,8 +82,8 @@ def test_analyze_abelian_loads_no_dihedral_half():
     assert result == "0"
     assert loaded & {"udrfusion.cohomology", "udrfusion.deformation", "udrfusion.dihedral",
                      "udrfusion.fusion"} == set()
-    assert loaded == {"udrfusion", "udrfusion.cli", "udrfusion.ffield", "udrfusion.records",
-                      "udrfusion.orbits", "udrfusion.abelian"}
+    assert loaded == {"udrfusion", "udrfusion.cli", "udrfusion.cli_report", "udrfusion.ffield",
+                      "udrfusion.records", "udrfusion.orbits", "udrfusion.abelian"}
 
 
 def test_abelian_sweep_oracle_loads_fusion_and_dihedral():
@@ -108,13 +110,14 @@ def test_dihedral_commands_load_no_abelian(argv):
     assert ROUTE_MODULES - loaded == {"udrfusion.abelian"}
 
 
-COMMAND_MODULES = {"udrfusion.cli_dihedral", "udrfusion.cli_verify"}
+COMMAND_MODULES = {"udrfusion.cli_dihedral", "udrfusion.cli_report", "udrfusion.cli_verify"}
+DIHEDRAL_BODY = {"udrfusion.cli_dihedral", "udrfusion.cli_report"}
 
 
 @pytest.mark.parametrize("argv, body", [
-    (ABELIAN_ARGV, set()),
-    (["analyze", "dihedral", "--n", "5", "--i0", "1"], {"udrfusion.cli_dihedral"}),
-    (["scan", "dihedral", "--n-min", "3", "--n-max", "6"], {"udrfusion.cli_dihedral"}),
+    (ABELIAN_ARGV, {"udrfusion.cli_report"}),
+    (["analyze", "dihedral", "--n", "5", "--i0", "1"], DIHEDRAL_BODY),
+    (["scan", "dihedral", "--n-min", "3", "--n-max", "6"], DIHEDRAL_BODY),
     (["verify", "--check", "lemma410"], {"udrfusion.cli_verify"}),
 ])
 def test_each_command_loads_only_its_own_body(argv, body):
@@ -187,7 +190,7 @@ def test_importing_the_package_loads_no_submodule():
 # with the module that defines it
 EXPORTS = {
     "ffield": (
-        "FpMatrix", "LimitExceeded", "find_prime", "find_primes", "multiplicative_order",
+        "FpMatrix", "find_prime", "find_primes", "multiplicative_order",
         "primitive_root_of_unity",
     ),
     "dihedral": (
@@ -199,7 +202,7 @@ EXPORTS = {
         "FusionNumbers", "FusionOrbit", "FusionOrbitSet", "act", "fusion_numbers",
         "fusion_orbits_bruteforce", "fusion_orbits_closed_form", "same_fusion",
     ),
-    "records": ("CohomologyDims", "UdrClass", "VerificationReport"),
+    "records": ("CohomologyDims", "LimitExceeded", "UdrClass", "VerificationReport"),
     "cohomology": (
         "GModule", "adjoint_decomposition_check", "adjoint_module",
         "cohomologically_maximal_set", "contragredient", "d1_oracle_cocycles", "det_module",
@@ -238,6 +241,12 @@ def test_shared_records_are_one_class_each():
     assert deformation.UdrClass is records.UdrClass
     assert deformation.VerificationReport is records.VerificationReport
     assert records.UdrClass.ZP_CP.label == "Zp[Z/p]"
+
+
+def test_limit_exceeded_is_one_class():
+    # ffield, which raised it first, binds the class records defines
+    assert ffield.LimitExceeded is records.LimitExceeded
+    assert udrfusion.LimitExceeded is records.LimitExceeded
 
 
 def test_star_import_binds_every_export():

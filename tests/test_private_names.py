@@ -8,8 +8,10 @@ call it through that module, so a patch there reaches every caller.
 Only fusion re-exports two functions of orbits by name.
 
 An import inside a function means one thing, load this module late: only
-cli's command dispatch and writers and the abelian sweep oracle have
-one, and each package import there is of a module, `from . import X`."""
+cli's command dispatch, cli_report's abelian body and JSON writer and
+the abelian sweep oracle have one, and each package import there is of
+a module, `from . import X`.  At load, cli imports only the standard
+library, the package's __version__ and records."""
 
 from __future__ import annotations
 
@@ -221,11 +223,12 @@ def test_a_patch_on_a_functions_home_reaches_a_caller_in_another_module(
 
 
 # the functions that may import inside their body, by module: an import
-# there loads a module late, the command bodies and abelian from cli's
-# dispatch, json from its two JSON writers, and fusion from the abelian
-# sweep oracle
+# there loads a module late, the command bodies from cli's dispatch,
+# abelian from cli_report's abelian body, json from the two JSON writers,
+# and fusion from the abelian sweep oracle
 LATE_LOADS = {
-    "cli": {"_cmd_verify", "_cmd_analyze", "_cmd_scan", "_analyze_abelian", "_report_pieces"},
+    "cli": {"_cmd_verify", "_cmd_analyze", "_cmd_scan"},
+    "cli_report": {"analyze_abelian", "report_pieces"},
     "abelian": {"abelian_orbits_bruteforce"},
 }
 
@@ -290,4 +293,51 @@ def test_a_planted_import_of_names_inside_a_function_is_caught():
     cli = sources["cli"].replace("from . import cli_verify", "from .cli_verify import families")
     assert _late_import_faults(_imports_inside_functions({"cli": cli})) == {
         ("cli", "_cmd_verify", "from .cli_verify import families")
+    }
+
+
+def _cli_load_faults(source: str) -> set[str]:
+    """The imports that the module source makes at load, outside every
+    function, and that take something other than a standard library
+    module, the package's __version__ or records; each given as its
+    source text."""
+    faults = set()
+    stack = [ast.parse(source)]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Import):
+            if any(alias.name.split(".")[0] not in sys.stdlib_module_names
+                   for alias in node.names):
+                faults.add(ast.unparse(node))
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                allowed = node.module.split(".")[0] in sys.stdlib_module_names
+            elif node.module is None:
+                allowed = {alias.name for alias in node.names} <= {"__version__", "records"}
+            else:
+                allowed = node.level == 1 and node.module == "records"
+            if not allowed:
+                faults.add(ast.unparse(node))
+        stack.extend(
+            child
+            for child in ast.iter_child_nodes(node)
+            if isinstance(child, (ast.stmt, ast.excepthandler, ast.match_case))
+            and not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+        )
+    return faults
+
+
+def test_cli_loads_only_the_standard_library_and_records():
+    assert _cli_load_faults(_package_sources()["cli"]) == set()
+
+
+def test_a_planted_load_of_another_package_module_by_cli_is_caught():
+    cli = _package_sources()["cli"]
+    top = "from .records import LimitExceeded\n"
+    assert top in cli
+    planted = cli.replace(
+        top, top + "from .ffield import LimitExceeded\nfrom . import cli_report\n", 1
+    )
+    assert _cli_load_faults(planted) == {
+        "from .ffield import LimitExceeded", "from . import cli_report"
     }
