@@ -12,8 +12,8 @@ import the module (`from . import dihedral`) and call
 `dihedral.irr2_rep(...)`, and import by name only classes, constants,
 exceptions and type aliases.  So a name rebound in its module (a test's
 patch, a tracer's wrapper) is the one every caller calls.  The one
-exception is fusion, which re-exports orbits' coset_minima and
-fusion_numbers as its own.
+exception is fusion, which re-exports orbits' fusion_numbers as its own,
+because the benchmark's tracer wraps it there.
 """
 
 import importlib

@@ -85,10 +85,6 @@ class GroupElement(FrozenRecord):
         object.__setattr__(self, "flip", flip % 2)
 
     @classmethod
-    def identity(cls, n: int) -> "GroupElement":
-        return cls(n, 0, 0)
-
-    @classmethod
     def rotation(cls, n: int, a: int = 1) -> "GroupElement":
         return cls(n, a, 0)
 
@@ -104,12 +100,6 @@ class GroupElement(FrozenRecord):
         # s^b1 r^a1 . s^b2 r^a2 = s^(b1+b2) r^(a2 + (-1)^b2 a1)
         rot = other.rot + (-self.rot if other.flip else self.rot)
         return GroupElement(self.n, rot, self.flip ^ other.flip)
-
-    def inverse(self) -> "GroupElement":
-        return GroupElement(self.n, self.rot if self.flip else -self.rot, self.flip)
-
-    def is_identity(self) -> bool:
-        return self.rot == 0 and self.flip == 0
 
     def sort_key(self) -> tuple[int, int]:
         return (self.flip, self.rot)
@@ -157,14 +147,6 @@ class RepLabel(FrozenRecord):
     @classmethod
     def induced(cls, j: int) -> "RepLabel":
         return cls("ind", j)
-
-    @classmethod
-    def trivial(cls) -> "RepLabel":
-        return cls("triv", 0)
-
-    @classmethod
-    def sign(cls) -> "RepLabel":
-        return cls("sign", 0)
 
     @property
     def name(self) -> str:

@@ -135,13 +135,6 @@ def primitive_root_of_unity(p: int, n: int) -> int:
     raise AssertionError("unreachable: F_p* is cyclic of order p - 1")
 
 
-def _check_shape(p: int, rows: int, cols: int) -> None:
-    if not is_odd_prime(p):
-        raise ValueError(f"modulus {p} is not an odd prime")
-    if rows < 1 or cols < 1:
-        raise ValueError("matrix needs at least one row and one column")
-
-
 def _gauss_jordan(p: int, rows, ncols: int) -> tuple[list, int, int]:
     """Bring a copy of rows (sequences of residues mod p) to reduced row
     echelon form in its first ncols columns.
@@ -213,13 +206,11 @@ class FpMatrix:
 
     @classmethod
     def identity(cls, p: int, size: int) -> "FpMatrix":
-        _check_shape(p, size, size)
-        return cls._identity(p, size)
+        return cls(p, [[int(i == j) for j in range(size)] for i in range(size)])
 
     @classmethod
     def zeros(cls, p: int, rows: int, cols: int) -> "FpMatrix":
-        _check_shape(p, rows, cols)
-        return cls._reduced(p, ((0,) * cols,) * rows)
+        return cls(p, [[0] * cols] * rows)
 
     @classmethod
     def diagonal(cls, p: int, entries) -> "FpMatrix":

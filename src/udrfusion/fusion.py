@@ -20,9 +20,9 @@ brute-force orbit set, dihedral or abelian, comes from it.
 Both routes return their orbits as runs (FusionOrbitSet), each run as
 long as its neighbours allow.  The orbit-set records live in orbits,
 which the abelian route imports without this module; they are bound here
-too, as fusion.FusionOrbitSet and so on.  So are orbits' coset_minima
-and fusion_numbers, the package's only functions bound outside the module
-that defines them; this module itself calls orbits.coset_minima.
+too, as fusion.FusionOrbitSet and so on.  So is orbits' fusion_numbers,
+the package's only function bound outside the module that defines it,
+kept because the benchmark's tracer wraps it here.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .orbits import (
     FusionOrbit,
     FusionOrbitSet,
     NPoint,
-    coset_minima,
     fusion_numbers,
 )
 
@@ -114,7 +113,8 @@ def _read_sweep(p: int, sweep: tuple, elements, matrices) -> FusionOrbitSet:
     matrices in any multiplicities; raises ValueError when the sets
     differ.  Each run's stabilizer is the elements whose matrix fixes its
     representatives, in table order, and its order their number; the
-    sweep's point sets become those of the orbits."""
+    sweep's point sets are kept for check_orbit_closed_form, and the
+    orbits read their elements from the sweep's images."""
     swept, runs, images, point_sets = sweep
     if set(swept) != set(matrices):
         raise ValueError("the table does not hold the matrices the sweep applied")

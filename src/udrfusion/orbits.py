@@ -86,9 +86,10 @@ class FusionOrbitSet(FrozenRecord):
     access, and so are the FusionOrbit objects of orbits, each orbit's
     point set on its own first access.  images is the action shared by
     every orbit of the set, on codes x*p + y: it maps the code of a point
-    to the codes of its images.  point_sets, when given, holds the point
-    set of each orbit in row order as a frozenset of codes (a sweep has
-    them already); decoded, they become the elements of the orbits built.
+    to the codes of its images, and every orbit's elements are read from
+    it.  point_sets, when given, holds the point set of each orbit in row
+    order as a frozenset of codes, as a sweep keeps them; only
+    deformation.check_orbit_closed_form reads them.
     repr, == and hash read rows and p; images and point_sets are left out.
     """
 
@@ -143,11 +144,7 @@ class FusionOrbitSet(FrozenRecord):
             x, y = v
             return [divmod(code, p) for code in images(x * p + y)]
 
-        orbits = tuple(FusionOrbit(*row, point_images) for row in self.iter_rows())
-        if self.point_sets is not None:
-            for orb, codes in zip(orbits, self.point_sets):
-                orb.__dict__["elements"] = frozenset(divmod(code, p) for code in codes)
-        return orbits
+        return tuple(FusionOrbit(*row, point_images) for row in self.iter_rows())
 
     @property
     def orbit_count(self) -> int:

@@ -4,7 +4,7 @@ from time import perf_counter
 
 import pytest
 
-from udrfusion import abelian
+from udrfusion import abelian, ffield
 from udrfusion.abelian import (
     ABELIAN_GROUP_ORDER_LIMIT,
     AbelianParams,
@@ -59,6 +59,18 @@ def test_params_standard():
     assert AbelianParams.standard((3,)).p == 7
     assert AbelianParams.standard((2, 2)).p == 3
     assert AbelianParams.standard((2, 3)).p == 7
+
+
+def test_params_standard_refuses_nonpositive_orders_before_a_prime_search(monkeypatch):
+    """A negative order is refused with ValueError before the search for
+    a prime, which for the exponent 10^7 would raise LimitExceeded."""
+
+    def no_search(*args):
+        raise AssertionError("no prime search may run")
+
+    monkeypatch.setattr(ffield, "find_prime", no_search)
+    with pytest.raises(ValueError, match=r"^cyclic orders must be positive integers$"):
+        AbelianParams.standard((-10**7,))
 
 
 def test_params_order_exponent_elements():

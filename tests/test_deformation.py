@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from udrfusion import abelian, cli, deformation, fusion, orbits
+from udrfusion import abelian, cli, cohomology, deformation, fusion, orbits
 from udrfusion.deformation import (
     UdrClass,
     check_center_constraint,
@@ -66,7 +66,7 @@ def test_signature_digest_length():
 
 def test_maximal_kernel_set_frozen():
     params = DihedralParams.standard(5)
-    trivial_subgroup = frozenset({GroupElement.identity(5)})
+    trivial_subgroup = frozenset({GroupElement(5, 0)})
     assert maximal_kernel_set(params, 1) == frozenset({trivial_subgroup})
     assert maximal_kernel_set(params, 1) == nontrivial_udr_kernel_set(params, 1)
 
@@ -81,6 +81,16 @@ def test_kernel_sets_detect_fusion():
             assert report.parameters == (n, params.p, i0)
 
 
+def test_kernel_sets_check_writes_its_kernels_as_sorted_words(monkeypatch):
+    """With no d2-maximal representation the first claim fails, and its
+    witness writes each kernel as the words of its elements, sorted."""
+    monkeypatch.setattr(cohomology, "cohomologically_maximal_set", lambda params, i0: frozenset())
+    report = check_kernel_sets_detect_fusion(DihedralParams.standard(6), 2)
+    assert (report.passed, report.witness) == (
+        False, ("maximal_vs_nontrivial", [], [("e",), ("e", "r^3")])
+    )
+
+
 def test_kernel_sets_check_requires_omega():
     with pytest.raises(ValueError):
         check_kernel_sets_detect_fusion(DihedralParams.standard(12), 1)
@@ -90,6 +100,19 @@ def test_maximality_matches_fibers():
     for n in range(3, 11):
         report = check_maximality_matches_doubling_fibers(DihedralParams.standard(n))
         assert report.passed, report.witness
+
+
+def test_maximality_check_fails_at_the_first_pair_when_fusion_is_negated(monkeypatch):
+    """One pair loop serves both parities; its witness is tagged by the
+    parity of n.  n = 8 still passes: its doubling image has one index,
+    so there is no pair to compare."""
+    real = fusion.same_fusion
+    monkeypatch.setattr(fusion, "same_fusion", lambda params, i, i0: not real(params, i, i0))
+    for n, case in ((5, "odd_case"), (7, "odd_case"), (12, "even_case"), (16, "even_case")):
+        report = check_maximality_matches_doubling_fibers(DihedralParams.standard(n))
+        pair = (1, 2) if case == "odd_case" else (2, 4)
+        assert (report.passed, report.witness) == (False, (case, *pair))
+    assert check_maximality_matches_doubling_fibers(DihedralParams.standard(8)).passed
 
 
 @pytest.mark.parametrize("n, i0", [(5, 2), (6, 1), (8, 2)])

@@ -58,13 +58,13 @@ def test_params_validation():
 
 
 def test_group_element_basics():
-    e = GroupElement.identity(4)
+    e = GroupElement(4, 0)
     r = GroupElement.rotation(4)
     s = GroupElement.reflection(4)
-    assert e.is_identity()
-    assert (r * r * r * r).is_identity()
-    assert (s * s).is_identity()
-    assert s * r * s == r.inverse()
+    assert r * r * r * r == e
+    assert s * s == e
+    # s r s^-1 = r^-1, and r^-1 = r^3
+    assert s * r * s == r * r * r
     assert GroupElement(4, 5, 2) == GroupElement(4, 1, 0)
 
 
@@ -80,17 +80,19 @@ def test_group_element_product_frozen():
 def test_group_law_exhaustive():
     els = group_elements(4)
     assert len(els) == 8 and len(set(els)) == 8
-    e = GroupElement.identity(4)
+    e = GroupElement(4, 0)
     for g in els:
         assert g * e == g and e * g == g
-        assert (g * g.inverse()).is_identity()
+        # one two-sided inverse
+        inverses = [h for h in els if g * h == e]
+        assert len(inverses) == 1 and inverses[0] * g == e
         for h in els:
             for k in els:
                 assert (g * h) * k == g * (h * k)
 
 
 def test_group_element_words():
-    assert GroupElement.identity(5).word() == "e"
+    assert GroupElement(5, 0).word() == "e"
     assert GroupElement.rotation(5).word() == "r"
     assert GroupElement.rotation(5, 3).word() == "r^3"
     assert GroupElement.reflection(5).word() == "s"
@@ -103,10 +105,10 @@ def test_group_element_rejects_mixed_ranks():
 
 
 def test_center():
-    assert center(5) == [GroupElement.identity(5)]
-    assert center(7) == [GroupElement.identity(7)]
-    assert center(6) == [GroupElement.identity(6), GroupElement.rotation(6, 3)]
-    assert center(8) == [GroupElement.identity(8), GroupElement.rotation(8, 4)]
+    assert center(5) == [GroupElement(5, 0)]
+    assert center(7) == [GroupElement(7, 0)]
+    assert center(6) == [GroupElement(6, 0), GroupElement.rotation(6, 3)]
+    assert center(8) == [GroupElement(8, 0), GroupElement.rotation(8, 4)]
 
 
 def test_rep_matrices_frozen():
@@ -220,8 +222,8 @@ def test_t_map_validation():
 def test_rep_label_names():
     assert RepLabel.irr2(3).name == "theta3"
     assert RepLabel.induced(6).name == "ind_chi6"
-    assert RepLabel.trivial().name == "triv"
-    assert RepLabel.sign().name == "chi1"
+    assert RepLabel("triv").name == "triv"
+    assert RepLabel("sign").name == "chi1"
 
 
 def test_omega_set_frozen():
@@ -282,17 +284,28 @@ def test_t_preimages_cover_indices():
             assert missing == set()
 
 
+def test_odd_rank_fibers_are_single_indices():
+    """For odd n the doubling image is every index and each fiber holds
+    exactly one index, so the fibers permute the indices."""
+    for n in range(3, 42, 2):
+        params = DihedralParams.standard(n)
+        assert omega_set(params) == frozenset(params.irr2_indices())
+        fibers = [t_preimage(params, i0) for i0 in params.irr2_indices()]
+        assert all(len(fiber) == 1 for fiber in fibers)
+        assert frozenset().union(*fibers) == frozenset(params.irr2_indices())
+
+
 def test_kernel_invariant_frozen():
     p12 = DihedralParams.standard(12)
     g0, kernel = kernel_invariant(p12, 3)
     assert g0 == 3
     assert kernel == (
-        GroupElement.identity(12),
+        GroupElement(12, 0),
         GroupElement.rotation(12, 4),
         GroupElement.rotation(12, 8),
     )
-    assert kernel_invariant(p12, 2) == (2, (GroupElement.identity(12), GroupElement.rotation(12, 6)))
-    assert kernel_invariant(DihedralParams.standard(5), 2) == (1, (GroupElement.identity(5),))
+    assert kernel_invariant(p12, 2) == (2, (GroupElement(12, 0), GroupElement.rotation(12, 6)))
+    assert kernel_invariant(DihedralParams.standard(5), 2) == (1, (GroupElement(5, 0),))
 
 
 def test_kernel_matches_matrix_scan():

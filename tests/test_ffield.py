@@ -352,13 +352,14 @@ def test_derived_matrices_are_canonical(pair):
 
 
 def test_identity_and_zeros_validate():
-    for bad in ((6, 2), (7, 0)):
-        with pytest.raises(ValueError):
+    modulus = r"^modulus {} is not an odd prime$"
+    empty = r"^matrix needs at least one row and one column$"
+    for bad, text in (((6, 2), modulus.format(6)), ((7, 0), empty), ((7, -1), empty)):
+        with pytest.raises(ValueError, match=text):
             FpMatrix.identity(*bad)
-    with pytest.raises(ValueError):
-        FpMatrix.zeros(9, 1, 1)
-    with pytest.raises(ValueError):
-        FpMatrix.zeros(7, 1, 0)
+    for bad, text in (((9, 1, 1), modulus.format(9)), ((7, 1, 0), empty), ((7, 0, 2), empty)):
+        with pytest.raises(ValueError, match=text):
+            FpMatrix.zeros(*bad)
 
 
 @given(_matrix_pair())

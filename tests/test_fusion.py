@@ -16,12 +16,12 @@ from udrfusion.fusion import (
     FusionOrbitSet,
     NPoint,
     act,
-    coset_minima,
     fusion_numbers,
     fusion_orbits_bruteforce,
     fusion_orbits_closed_form,
     same_fusion,
 )
+from udrfusion.orbits import coset_minima
 
 from orbit_checks import abelian_orbit_grid, assert_same_orbits, burnside_count
 
@@ -183,7 +183,7 @@ def test_stabilizer_generators_generate_stabilizer():
         params = DihedralParams.standard(n)
         for i0 in params.irr2_indices():
             for orb in fusion_orbits_closed_form(params, i0).orbits:
-                closure = {GroupElement.identity(n)}
+                closure = {GroupElement(n, 0)}
                 while True:
                     grown = closure | {
                         a * b for a in closure for b in orb.stabilizer_gens
@@ -287,10 +287,16 @@ def test_orbit_rows_and_lazy_orbits_agree():
         ] == list(orbit_set.rows)
         # built once and kept
         assert orbit_set.orbits is orbit_set.orbits
-    # the sweep hands its point sets to its orbits: nothing is recomputed
-    brute = fusion_orbits_bruteforce(params, 2)
-    assert all("elements" in vars(o) for o in brute.orbits)
-    assert not any("elements" in vars(o) for o in fusion_orbits_closed_form(params, 2).orbits)
+    for i0 in params.irr2_indices():
+        brute = fusion_orbits_bruteforce(params, i0)
+        # no orbit set, swept or closed-form, holds an orbit's elements
+        # before they are read
+        for orbit_set in (brute, fusion_orbits_closed_form(params, i0)):
+            assert not any("elements" in vars(o) for o in orbit_set.orbits)
+        # a sweep's elements, read from its images, are its point sets
+        assert [o.elements for o in brute.orbits] == [
+            frozenset(divmod(code, params.p) for code in codes) for codes in brute.point_sets
+        ]
 
 
 # the sweeps whose rows the run tests regroup: dihedral n = 3..8 at the
