@@ -52,9 +52,7 @@ class AbelianParams(FrozenRecord):
     __slots__ = _fields = ("cyclic_orders", "p")
 
     def __init__(self, cyclic_orders: tuple, p: int) -> None:
-        object.__setattr__(self, "cyclic_orders", cyclic_orders)
-        object.__setattr__(self, "p", p)
-        self.__post_init__()
+        self._init(cyclic_orders, p)
 
     def __post_init__(self) -> None:
         orders = tuple(int(m) for m in self.cyclic_orders)
@@ -108,10 +106,7 @@ class CharacterPair(FrozenRecord):
     __slots__ = _fields = ("params", "theta1", "theta2")
 
     def __init__(self, params: AbelianParams, theta1: tuple, theta2: tuple) -> None:
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "theta1", theta1)
-        object.__setattr__(self, "theta2", theta2)
-        self.__post_init__()
+        self._init(params, theta1, theta2)
 
     def __post_init__(self) -> None:
         p = self.params.p

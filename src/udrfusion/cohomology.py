@@ -49,12 +49,7 @@ class GModule(FrozenRecord):
     __slots__ = _fields = ("n", "p", "dim", "mat_r", "mat_s")
 
     def __init__(self, n: int, p: int, dim: int, mat_r: FpMatrix, mat_s: FpMatrix) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "mat_r", mat_r)
-        object.__setattr__(self, "mat_s", mat_s)
-        self.__post_init__()
+        self._init(n, p, dim, mat_r, mat_s)
 
     def __post_init__(self) -> None:
         ident = FpMatrix.identity(self.p, self.dim)

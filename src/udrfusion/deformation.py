@@ -186,19 +186,19 @@ def check_orbit_closed_form(
     form's.  The point sets are compared as the orbit sets hold them, as
     sets of point codes."""
     closed = fusion.fusion_orbits_closed_form(params, i0)
-    two_n = 2 * params.n
+    two_n, p = 2 * params.n, brute.p
     sweep_sets = brute.point_sets
     if sweep_sets is None:
-        sweep_sets = [frozenset(brute.images(code)) for code in brute.iter_codes()]
+        sweep_sets = [frozenset(brute.images(x * p + y)) for (x, y), *_ in brute.iter_rows()]
     # both row sequences are expanded as they are compared, and not kept
     ok = brute.orbit_count == closed.orbit_count == len(sweep_sets) and all(
         rep == closed_rep
         and size == closed_size == len(points)
         and stab == closed_stab
         and size * stab == two_n
-        and frozenset(closed.images(code)) == points
-        for (rep, size, stab, _), (closed_rep, closed_size, closed_stab, _), code, points in zip(
-            brute.iter_rows(), closed.iter_rows(), brute.iter_codes(), sweep_sets
+        and frozenset(closed.images(rep[0] * p + rep[1])) == points
+        for (rep, size, stab, _), (closed_rep, closed_size, closed_stab, _), points in zip(
+            brute.iter_rows(), closed.iter_rows(), sweep_sets
         )
     )
     return VerificationReport(

@@ -45,10 +45,7 @@ class DihedralParams(FrozenRecord):
     __slots__ = _fields = ("n", "p", "omega")
 
     def __init__(self, n: int, p: int, omega: int) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "omega", omega)
-        self.__post_init__()
+        self._init(n, p, omega)
 
     def __post_init__(self) -> None:
         if self.n < 3:
@@ -80,9 +77,7 @@ class GroupElement(FrozenRecord):
     def __init__(self, n: int, rot: int, flip: int = 0) -> None:
         if n < 3:
             raise ValueError("need n >= 3")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rot", rot % n)
-        object.__setattr__(self, "flip", flip % 2)
+        self._init(n, rot % n, flip % 2)
 
     @classmethod
     def rotation(cls, n: int, a: int = 1) -> "GroupElement":
@@ -137,8 +132,7 @@ class RepLabel(FrozenRecord):
     __slots__ = _fields = ("kind", "index")
 
     def __init__(self, kind: str, index: int = 0) -> None:
-        object.__setattr__(self, "kind", kind)  # "irr2" | "ind" | "triv" | "sign"
-        object.__setattr__(self, "index", index)
+        self._init(kind, index)  # kind: "irr2" | "ind" | "triv" | "sign"
 
     @classmethod
     def irr2(cls, i: int) -> "RepLabel":
@@ -167,10 +161,7 @@ class Rep2(FrozenRecord):
     def __init__(
         self, params: DihedralParams, label: RepLabel, mat_r: FpMatrix, mat_s: FpMatrix
     ) -> None:
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "mat_r", mat_r)
-        object.__setattr__(self, "mat_s", mat_s)
+        self._init(params, label, mat_r, mat_s)
 
     def matrix(self, g: GroupElement) -> FpMatrix:
         m = self.mat_r ** g.rot

@@ -201,10 +201,6 @@ class FpMatrix:
         return m
 
     @classmethod
-    def _identity(cls, p: int, size: int) -> "FpMatrix":
-        return cls._reduced(p, tuple(tuple(int(i == j) for j in range(size)) for i in range(size)))
-
-    @classmethod
     def identity(cls, p: int, size: int) -> "FpMatrix":
         return cls(p, [[int(i == j) for j in range(size)] for i in range(size)])
 
@@ -248,15 +244,7 @@ class FpMatrix:
         )
 
     def __sub__(self, other: "FpMatrix") -> "FpMatrix":
-        self._same_shape(other)
-        p = self.p
-        return FpMatrix._reduced(
-            p,
-            tuple(
-                tuple((a - b) % p for a, b in zip(ra, rb))
-                for ra, rb in zip(self.data, other.data)
-            ),
-        )
+        return self + -other
 
     def __neg__(self) -> "FpMatrix":
         p = self.p
@@ -288,7 +276,7 @@ class FpMatrix:
             raise ValueError("power of a non-square matrix")
         if e < 0:
             return self.inverse() ** (-e)
-        result = FpMatrix._identity(self.p, self.rows)
+        result = FpMatrix.identity(self.p, self.rows)
         base = self
         while e:
             if e & 1:

@@ -54,12 +54,8 @@ class FusionOrbit(FrozenRecord):
         stabilizer_gens: tuple,
         images: PointMap,
     ) -> None:
-        object.__setattr__(self, "representative", representative)
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "stabilizer_order", stabilizer_order)
-        object.__setattr__(self, "stabilizer_gens", stabilizer_gens)
         object.__setattr__(self, "images", images)
-        self.__post_init__()
+        self._init(representative, size, stabilizer_order, stabilizer_gens)
 
     def __post_init__(self) -> None:
         if self.size < 1 or self.stabilizer_order < 1:
@@ -127,14 +123,6 @@ class FusionOrbitSet(FrozenRecord):
     @cached_property
     def rows(self) -> tuple:
         return tuple(self.iter_rows())
-
-    def iter_codes(self) -> Iterator[int]:
-        """The representatives as codes x*p + y, in row order."""
-        p = self.p
-        for x, ys, *_ in self.runs:
-            base = x * p
-            for y in ys:
-                yield base + y
 
     @cached_property
     def orbits(self) -> tuple:

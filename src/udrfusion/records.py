@@ -2,12 +2,14 @@
 the records that both halves of the package share.
 
 A subclass names in _fields the attributes that its repr shows and that
-== compares, in constructor order, and writes its own __init__.  ==
-holds only between instances of the same class, as for a dataclass.  A
-Record is mutable and unhashable; a FrozenRecord refuses assignment and
-hashes the tuple of its _fields, so it can key a cache.  Importing
-dataclasses would pull inspect, ast, dis and tokenize into every CLI
-process, and each decorator compiles its generated methods at import.
+== compares, in constructor order; a FrozenRecord's __init__ passes
+their values to _init, which stores them and runs the class's checks,
+__post_init__, if it has any.  == holds only between instances of the
+same class, as for a dataclass.  A Record is mutable and unhashable; a
+FrozenRecord refuses assignment and hashes the tuple of its _fields, so
+it can key a cache.  Importing dataclasses would pull inspect, ast, dis
+and tokenize into every CLI process, and each decorator compiles its
+generated methods at import.
 
 CohomologyDims, UdrClass and VerificationReport are results of the
 dihedral and the abelian routes alike.  They live here so that the
@@ -52,6 +54,15 @@ class Record:
 class FrozenRecord(Record):
     __slots__ = ()
 
+    def _init(self, *values) -> None:
+        """Store values under _fields, in order, then run __post_init__
+        if the class has one; ValueError if the counts differ."""
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+        post_init = getattr(self, "__post_init__", None)
+        if post_init is not None:
+            post_init()
+
     def __hash__(self) -> int:
         return hash(self._values(self))
 
@@ -66,8 +77,7 @@ class CohomologyDims(FrozenRecord):
     __slots__ = _fields = ("d1", "d2")
 
     def __init__(self, d1: int, d2: int) -> None:
-        object.__setattr__(self, "d1", d1)
-        object.__setattr__(self, "d2", d2)
+        self._init(d1, d2)
 
 
 class UdrClass(Enum):
@@ -96,7 +106,4 @@ class VerificationReport(FrozenRecord):
     __slots__ = _fields = ("check_name", "parameters", "passed", "witness")
 
     def __init__(self, check_name: str, parameters: tuple, passed: bool, witness=None) -> None:
-        object.__setattr__(self, "check_name", check_name)
-        object.__setattr__(self, "parameters", parameters)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "witness", witness)
+        self._init(check_name, parameters, passed, witness)

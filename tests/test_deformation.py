@@ -207,10 +207,11 @@ def test_transposed_codes_are_invisible_in_a_dihedral_orbit(monkeypatch, n, i0):
     params = DihedralParams.standard(n)
     brute = fusion_orbits_bruteforce(params, i0)
     closed = fusion_orbits_closed_form(params, i0)
-    transposed = _transposed(closed.p, closed.images)
+    p = closed.p
+    transposed = _transposed(p, closed.images)
     assert all(
-        frozenset(transposed(code)) == frozenset(closed.images(code))
-        for code in brute.iter_codes()
+        frozenset(transposed(x * p + y)) == frozenset(closed.images(x * p + y))
+        for (x, y), *_ in brute.iter_rows()
     )
     monkeypatch.setattr(
         fusion,

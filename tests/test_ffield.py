@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import operator
 from itertools import permutations
 from math import gcd
 
@@ -432,3 +433,9 @@ def test_product_errors_keep_their_messages():
         a * FpMatrix(5, [[1, 2]])
     with pytest.raises(ValueError, match="^vector length mismatch$"):
         a.apply((1, 2, 3))
+    # - is + of the negation, and keeps the texts of +
+    for op in (operator.add, operator.sub):
+        with pytest.raises(ValueError, match="^modulus mismatch$"):
+            op(a, FpMatrix(7, [[1, 2], [3, 4]]))
+        with pytest.raises(ValueError, match="^shape mismatch$"):
+            op(a, FpMatrix(5, [[1, 2]]))

@@ -5,13 +5,18 @@ in the tests that use it.
 
 A function is bound once, in the module that defines it: other modules
 call it through that module, so a patch there reaches every caller.
-Only fusion re-exports two functions of orbits by name.
+Only fusion re-exports one function of orbits by name.
 
 An import inside a function means one thing, load this module late: only
 cli's command dispatch, cli_report's abelian body and JSON writer and
 the abelian sweep oracle have one, and each package import there is of
 a module, `from . import X`.  At load, cli imports only the standard
-library, the package's __version__ and records."""
+library, the package's __version__ and records.
+
+A frozen record stores its fields and runs its checks one way, through
+FrozenRecord._init: no other FrozenRecord subclass's __init__ calls
+__post_init__ or stores a field itself.  FusionOrbitSet, which takes
+runs in place of its fields, is the exception."""
 
 from __future__ import annotations
 
@@ -341,4 +346,78 @@ def test_a_planted_load_of_another_package_module_by_cli_is_caught():
     )
     assert _cli_load_faults(planted) == {
         "from .ffield import LimitExceeded", "from . import cli_report"
+    }
+
+
+def _constructor_faults(sources: dict[str, str]) -> set[tuple[str, str, str]]:
+    """(module, class, fault) for every direct FrozenRecord subclass of a
+    module of sources (module -> source), FusionOrbitSet aside, whose
+    __init__ calls __post_init__ (fault "__post_init__") or stores one of
+    the class's _fields with object.__setattr__ (fault: the field)."""
+    faults = set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if not (
+                isinstance(node, ast.ClassDef)
+                and any(isinstance(b, ast.Name) and b.id == "FrozenRecord" for b in node.bases)
+                and node.name != "FusionOrbitSet"
+            ):
+                continue
+            fields = next(
+                ast.literal_eval(stmt.value)
+                for stmt in node.body
+                if isinstance(stmt, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "_fields" for t in stmt.targets)
+            )
+            calls = (
+                call
+                for stmt in node.body
+                if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__"
+                for call in ast.walk(stmt)
+                if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+            )
+            for call in calls:
+                if call.func.attr == "__post_init__":
+                    faults.add((module, node.name, "__post_init__"))
+                elif (
+                    call.func.attr == "__setattr__"
+                    and isinstance(call.func.value, ast.Name)
+                    and call.func.value.id == "object"
+                    and isinstance(call.args[1], ast.Constant)
+                    and call.args[1].value in fields
+                ):
+                    faults.add((module, node.name, call.args[1].value))
+    return faults
+
+
+def test_every_frozen_record_constructs_through_init():
+    sources = _package_sources()
+    assert _constructor_faults(sources) == set()
+    # the rule reads all ten constructors: each is caught with a planted call
+    planted = {
+        module: source.replace("self._init(", "self.__post_init__(); self._init(")
+        for module, source in sources.items()
+    }
+    assert {cls for _, cls, _ in _constructor_faults(planted)} == {
+        "CohomologyDims", "VerificationReport", "DihedralParams", "GroupElement", "RepLabel",
+        "Rep2", "AbelianParams", "CharacterPair", "GModule", "FusionOrbit",
+    }
+
+
+def test_a_planted_second_constructor_path_is_caught():
+    """A stored field and a __post_init__ call are each named; a stored
+    attribute outside _fields, as FusionOrbit stores images, is not."""
+    sources = _package_sources()
+    one_path = "        self._init(d1, d2)\n"
+    assert one_path in sources["records"]
+    sources["records"] = sources["records"].replace(
+        one_path,
+        '        object.__setattr__(self, "d1", d1)\n'
+        '        object.__setattr__(self, "extra", None)\n'
+        + one_path
+        + "        self.__post_init__()\n",
+    )
+    assert _constructor_faults(sources) == {
+        ("records", "CohomologyDims", "d1"),
+        ("records", "CohomologyDims", "__post_init__"),
     }

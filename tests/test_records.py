@@ -2,9 +2,10 @@
 keeps what it had as a dataclass: the constructor, the repr text (the
 literals below were recorded from the dataclass versions), == with a
 class-identity check, hash over the compared fields or none, the
-immutability, and one __post_init__ call per construction.  The one
-exception is FusionOrbitSet's constructor, which takes runs since orbit
-sets store them; its repr, == and hash still read the rows.
+immutability, and one __post_init__ call per construction, which
+FrozenRecord._init makes.  The one exception is FusionOrbitSet's
+constructor, which takes runs since orbit sets store them; its repr, ==
+and hash still read the rows.
 GroupElement, never a dataclass, keeps its own repr, which shows the
 element as a word.  The CLI's import path loads neither dataclasses nor
 the modules it would pull in."""
@@ -275,6 +276,27 @@ def test_post_init_checks_keep_their_messages():
             make()
         assert str(info.value) == message
     assert DihedralParams(5, 11, 14).omega == 3
+
+
+def test_init_refuses_a_wrong_number_of_values():
+    for values in ((1,), (1, 2, 3)):
+        with pytest.raises(ValueError):
+            object.__new__(CohomologyDims)._init(*values)
+
+
+WITHOUT_POST_INIT = (RepLabel, Rep2, GroupElement, CohomologyDims, VerificationReport)
+
+
+def test_init_stores_the_fields_in_order():
+    """Records without checks, whose stored values nothing normalises
+    after _init (GroupElement reduces rot and flip before it)."""
+    cases = [
+        (cls, args, values) for cls, args, _, values, _ in RECORDS if cls in WITHOUT_POST_INIT
+    ]
+    assert {cls for cls, *_ in cases} == set(WITHOUT_POST_INIT)
+    for cls, args, values in cases:
+        obj = cls(*args)
+        assert tuple(getattr(obj, f) for f in cls._fields) == values
 
 
 def test_cli_import_loads_no_dataclasses():
