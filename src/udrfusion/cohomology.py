@@ -248,7 +248,7 @@ class _MonomialModule:
 
 
 # Cache bounds, each above the working set of a default `verify` (120
-# distinct dims arguments, 228 distinct (params, i0) signature rows, 19
+# distinct dims arguments, 120 distinct (n, i0) signature rows, 19
 # distinct n with monomial modules, 28 distinct (params, j) oracle
 # modules), so that run never evicts, while a long-lived caller's memory
 # stays bounded.
@@ -275,14 +275,19 @@ def _irr2_monomials(n: int) -> tuple:
     return tuple(adjoints), tuple(duals)
 
 
-@lru_cache(maxsize=ROW_CACHE_SIZE)
 def dims_row(params: DihedralParams, i0: int) -> tuple[tuple[int, int], ...]:
     """(d1, d2) for the action of theta_i0 against each theta_j, j in
     params.irr2_indices() in order: the invariant counts of phi~ (x) adj_j
     and det phi~ (x) adj_j, one weight join of each factor against every
-    adjoint of _irr2_monomials(params.n)."""
-    at = dihedral.irr2_position(params.n, i0)
-    adjoints, duals = _irr2_monomials(params.n)
+    adjoint of _irr2_monomials(params.n).  Nothing reads p, so the primes
+    of one n share the row, memoized by _dims_row on (n, i0)."""
+    return _dims_row(params.n, i0)
+
+
+@lru_cache(maxsize=ROW_CACHE_SIZE)
+def _dims_row(n: int, i0: int) -> tuple[tuple[int, int], ...]:
+    at = dihedral.irr2_position(n, i0)
+    adjoints, duals = _irr2_monomials(n)
     phi_tilde, wedge = duals[at]
     d1s = phi_tilde.tensor_fixed_point_dims(adjoints)
     d2s = [d1 + d_wedge for d1, d_wedge in zip(d1s, wedge.tensor_fixed_point_dims(adjoints))]

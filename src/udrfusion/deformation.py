@@ -174,6 +174,14 @@ def check_center_constraint(params: DihedralParams, i0: int) -> VerificationRepo
     return VerificationReport(name, (params.n, params.p, i0), ok, witness)
 
 
+def _image_sets_match(images, p: int, reps: list, point_sets) -> bool:
+    """Whether the orbit map images takes the code of each representative
+    of reps to the point set of its row in point_sets."""
+    return all(
+        frozenset(images(x * p + y)) == points for (x, y), points in zip(reps, point_sets)
+    )
+
+
 def check_orbit_closed_form(
     params: DihedralParams, i0: int, brute: FusionOrbitSet
 ) -> VerificationReport:
@@ -184,7 +192,15 @@ def check_orbit_closed_form(
     representative equal to the sweep's point set of that row.  Since the
     sweep's representatives are least in their orbits, so are the closed
     form's.  The point sets are compared as the orbit sets hold them, as
-    sets of point codes."""
+    sets of point codes.
+
+    The rows are checked per action.  The image sets are compared once
+    per pair of orbit map and point sets: the actions of one (p, U) share
+    the closed form's images object, those of one sweep its
+    SweepPointSets, and the point sets keep each comparison with the
+    representatives it read.  An action whose pair and representatives
+    are those of a comparison made reuses its result, which is the one
+    its own comparison would compute, whatever the closed form does."""
     closed = fusion.fusion_orbits_closed_form(params, i0)
     two_n, p = 2 * params.n, brute.p
     sweep_sets = brute.point_sets
@@ -196,11 +212,20 @@ def check_orbit_closed_form(
         and size == closed_size == len(points)
         and stab == closed_stab
         and size * stab == two_n
-        and frozenset(closed.images(rep[0] * p + rep[1])) == points
         for (rep, size, stab, _), (closed_rep, closed_size, closed_stab, _), points in zip(
             brute.iter_rows(), closed.iter_rows(), sweep_sets
         )
     )
+    if ok:
+        reps, images = brute.representatives, closed.images
+        memo = sweep_sets.compared if isinstance(sweep_sets, fusion.SweepPointSets) else {}
+        # keyed by identity, an equal but distinct map being compared anew;
+        # the entry holds its map, so no other object takes its id
+        made = memo.get(id(images))
+        if made is None or made[1] != reps:
+            made = images, reps, _image_sets_match(images, p, reps, sweep_sets)
+            memo[id(images)] = made
+        ok = made[2]
     return VerificationReport(
         "orbit_closed_form_matches_bruteforce", (params.n, params.p, i0), ok
     )

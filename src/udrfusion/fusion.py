@@ -17,6 +17,16 @@ a group's own elements and matrices, so orbit_sets_bruteforce sweeps each
 set of matrices at a prime once for all the tables that hold it.  Every
 brute-force orbit set, dihedral or abelian, comes from it.
 
+The closed form's geometry, the coset minima of U and the orbit map,
+depends on p and U alone: _closed_form_geometry memoizes it on
+(p, the set U), so the actions of one (p, U) share one images object,
+and the actions that share a sweep share its SweepPointSets.  prop48
+(deformation.check_orbit_closed_form) checks every action's rows but
+compares the image sets once per such pair of objects, keeping the
+result on the point sets with the representatives it read; an action
+with the same pair and representatives would compute that very result.
+The memo dies with the sweep: no module-level cache holds a sweep.
+
 Both routes return their orbits as runs (FusionOrbitSet), each run as
 long as its neighbours allow.  The orbit-set records live in orbits,
 which the abelian route imports without this module; they are bound here
@@ -28,6 +38,7 @@ kept because the benchmark's tracer wraps it here.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from functools import lru_cache
 from itertools import compress, groupby
 from math import gcd
 from operator import itemgetter
@@ -52,6 +63,19 @@ def act(params: DihedralParams, i0: int, g: GroupElement, v: NPoint) -> NPoint:
     return dihedral.irr2_rep(params, i0).matrix(g).apply(v)
 
 
+class SweepPointSets(tuple):
+    """A sweep's point sets, one frozenset of codes per orbit in row
+    order, with compared, the memo of deformation.check_orbit_closed_form
+    on them: it maps the id of an orbit map to the map, the
+    representatives it was applied to and whether it took each to the
+    point set of its row.  Every orbit set read from the sweep holds this
+    one object, so the memo lives and dies with the sweep, and no
+    module-level cache holds one."""
+
+    def __init__(self, point_sets) -> None:
+        self.compared = {}
+
+
 def _sweep_orbits(p: int, matrices) -> tuple:
     """Orbit partition by sweeping every point of the plane, refused past
     BRUTE_FORCE_POINT_LIMIT points, as (swept, runs, images, point_sets).
@@ -59,13 +83,14 @@ def _sweep_orbits(p: int, matrices) -> tuple:
     swept holds the distinct matrices [[a, b], [c, d]] of matrices, given
     as (a, b, c, d), in first-seen order; each is applied once per orbit.
     Points are the codes x*p + y; every orbit is built as a frozenset of
-    codes and every point is marked in a bytearray of p^2 flags.  Points
-    are swept in increasing code order, which is lexicographic order,
-    jumping to the next unmarked point, so the first point met of each
-    orbit is its least one and the orbits come out sorted.  A run
-    (x, ys, size, fixing) holds the orbits of (x, y), y in ys, fixed by
-    the matrices at the positions fixing of swept: neighbouring orbits of
-    one x with the same size and fixing make one run.
+    codes, kept in a SweepPointSets, and every point is marked in a
+    bytearray of p^2 flags.  Points are swept in increasing code order,
+    which is lexicographic order, jumping to the next unmarked point,
+    so the first point met of each orbit is its least one and the orbits
+    come out sorted.  A run (x, ys, size, fixing) holds the orbits of
+    (x, y), y in ys, fixed by the matrices at the positions fixing of
+    swept: neighbouring orbits of one x with the same size and fixing
+    make one run.
     """
     if p * p > BRUTE_FORCE_POINT_LIMIT:
         raise LimitExceeded(f"plane has {p * p} points, limit is {BRUTE_FORCE_POINT_LIMIT}")
@@ -104,7 +129,7 @@ def _sweep_orbits(p: int, matrices) -> tuple:
         point_sets.append(orbit)
         pos = seen.find(0, pos + 1)
     runs = tuple((x, tuple(ys), size, fixing) for x, size, fixing, ys in runs)
-    return swept, runs, images, tuple(point_sets)
+    return swept, runs, images, SweepPointSets(point_sets)
 
 
 def _read_sweep(p: int, sweep: tuple, elements, matrices) -> FusionOrbitSet:
@@ -195,6 +220,32 @@ def fusion_orbits_bruteforce(params: DihedralParams, i0: int) -> FusionOrbitSet:
     return orbit_set
 
 
+# Bound of the closed form's geometry cache, above the 26 (p, U) of a
+# default `verify`, so that run never evicts; kept small, since an entry
+# holds a list of p coset minima.
+GEOMETRY_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
+def _closed_form_geometry(p: int, units: frozenset) -> tuple:
+    """(cmin, minima, images) of the closed form at the prime p for the
+    subgroup units = U of F_p^*: the coset minima, the least element of
+    each coset in increasing order, and the orbit map on codes.  Nothing
+    here reads the group or i0, so the actions of one (p, U) share the
+    entry and its one images object, and a wrong U is a key of its own."""
+    cmin = orbits.coset_minima(p, units)
+    minima = tuple(m for m in range(1, p) if cmin[m] == m)
+    pairs = [(u, pow(u, -1, p)) for u in sorted(units)]
+
+    def images(v: int) -> list:
+        x, y = divmod(v, p)
+        return [(u * x % p) * p + ui * y % p for u, ui in pairs] + [
+            (u * y % p) * p + ui * x % p for u, ui in pairs
+        ]
+
+    return cmin, minima, images
+
+
 def fusion_orbits_closed_form(params: DihedralParams, i0: int) -> FusionOrbitSet:
     """Orbit partition enumerated from coset minima, without a sweep.
 
@@ -208,8 +259,10 @@ def fusion_orbits_closed_form(params: DihedralParams, i0: int) -> FusionOrbitSet
         cmin[y] >= m.  When cmin[y] = m the ratio y/m = w^(i0 j0) lies in
         U and the orbit has size k with stabilizer <r^k, s r^j0>;
         otherwise it has size 2k with stabilizer <r^k>.
-    Raises LimitExceeded before enumerating when the census counts more
-    than ORBIT_LIMIT orbits.
+    The coset minima and the orbit map depend on p and U alone and come
+    from _closed_form_geometry; the exponents j0, the stabilizers and the
+    runs are built per action.  Raises LimitExceeded before enumerating
+    when the census counts more than ORBIT_LIMIT orbits.
     """
     n, p, w = params.n, params.p, params.omega
     dihedral.irr2_position(n, i0)
@@ -221,17 +274,7 @@ def fusion_orbits_closed_form(params: DihedralParams, i0: int) -> FusionOrbitSet
     wi = pow(w, i0, p)
     unit_powers = [pow(wi, t, p) for t in range(k)]
     exponent_of = {u: t for t, u in enumerate(unit_powers)}
-    inverse_powers = [pow(u, -1, p) for u in unit_powers]
-    cmin = orbits.coset_minima(p, unit_powers)
-    minima = [m for m in range(1, p) if cmin[m] == m]
-
-    units = list(zip(unit_powers, inverse_powers))
-
-    def images(v: int) -> list:
-        x, y = divmod(v, p)
-        return [(u * x % p) * p + ui * y % p for u, ui in units] + [
-            (u * y % p) * p + ui * x % p for u, ui in units
-        ]
+    cmin, minima, images = _closed_form_geometry(p, frozenset(unit_powers))
 
     r_k = GroupElement.rotation(n, k)
     big_gens = (r_k,)

@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import weakref
 from collections import Counter
 from pathlib import Path
 from time import perf_counter
@@ -645,6 +646,47 @@ def test_orbit_block_work_at_the_default_ceilings_is_pinned(monkeypatch):
     sweeps, points, instances, lists = (int(v.replace(",", "")) for v in stated.groups())
     assert (sweeps, points, instances, lists) == (calls["sweeps"], calls["points"], 60, 10)
     assert (sweeps, points) == (26, 22178)
+
+
+def test_default_orbit_block_shares_its_work_per_sweep(capsys, monkeypatch):
+    """A default verify's prop48/cor49 block: per (p, U), 26 in all, one
+    sweep, one closed-form geometry (a cache miss) and one image-set
+    comparison; per instance, 60 in all, one row check of each family.
+    When a sweep is made, no orbit set of an earlier group, and no map
+    of an earlier sweep, is alive."""
+    calls = Counter()
+    handed = []
+    real_sweep, real_match = fusion._sweep_orbits, deformation._image_sets_match
+
+    def sweeping(p, matrices):
+        calls["sweeps"] += 1
+        calls["alive"] += sum(ref() is not None for ref in handed)
+        return real_sweep(p, matrices)
+
+    def matching(*args):
+        calls["comparisons"] += 1
+        return real_match(*args)
+
+    def counting(token, real):
+        def check(params, i0, brute):
+            calls[token] += 1
+            handed.extend((weakref.ref(brute), weakref.ref(brute.images)))
+            return real(params, i0, brute)
+
+        return check
+
+    monkeypatch.setattr(fusion, "_sweep_orbits", sweeping)
+    monkeypatch.setattr(deformation, "_image_sets_match", matching)
+    for token, name in (("prop48", "check_orbit_closed_form"), ("cor49", "check_orbit_census")):
+        monkeypatch.setattr(deformation, name, counting(token, getattr(deformation, name)))
+    fusion._closed_form_geometry.cache_clear()
+    rc, out, _ = _run(capsys, ["verify"])
+    assert rc == 0 and out.splitlines()[-1] == "371 checks, 0 failed"
+    assert fusion._closed_form_geometry.cache_info().misses == 26
+    assert (calls["sweeps"], calls["comparisons"], calls["prop48"], calls["cor49"]) == (
+        26, 26, 60, 60
+    )
+    assert len(handed) == 240 and calls["alive"] == 0
 
 
 @pytest.mark.parametrize("token, other", [("prop48", "check_orbit_census"),

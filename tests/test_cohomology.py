@@ -658,12 +658,16 @@ def test_dims_route_reads_no_representation_matrix():
 
 
 def test_primes_of_one_n_share_one_monomial_entry():
+    """Neither the monomial modules nor the signature row read p: two
+    primes of one n build one module entry and one row."""
     cohomology._irr2_monomials.cache_clear()
-    dims_row.cache_clear()
-    for p in find_primes(12, 2):
-        dims_row(DihedralParams.standard(12, p), 1)
+    cohomology._dims_row.cache_clear()
+    rows = [dims_row(DihedralParams.standard(12, p), 1) for p in find_primes(12, 2)]
     info = cohomology._irr2_monomials.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
+    info = cohomology._dims_row.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    assert rows[0] is rows[1]
 
 
 def _planted(name, source):
@@ -696,4 +700,7 @@ def test_every_cache_is_bounded():
             if hasattr(value, "cache_parameters") and value.__module__ == module.__name__:
                 assert value.cache_parameters()["maxsize"] is not None, (name, attr)
                 bounded.add(attr)
-    assert {"dims", "dims_row", "irr2_rep", "_irr2_monomials", "_cocycle_module"} <= bounded
+    assert {
+        "dims", "_dims_row", "irr2_rep", "_irr2_monomials", "_cocycle_module",
+        "_closed_form_geometry",
+    } <= bounded

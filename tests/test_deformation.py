@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import inspect
+import textwrap
 import tracemalloc
 from collections import Counter
 
@@ -247,6 +249,101 @@ def test_orbit_checks_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20, peak
+
+
+# two groups of actions at p = 13 that share a sweep each: (3, 1), (6, 2)
+# and (12, 4) act through U of order 3, (12, 1) and (12, 5) through all
+# of F_13^*
+_SHARED_AT_13 = [(3, 1), (6, 2), (12, 4), (12, 1), (12, 5)]
+
+
+def _planted_fusion(name, old, new):
+    """fusion's function name compiled from its own source with the one
+    occurrence of old replaced by new, in a copy of fusion's namespace."""
+    source = textwrap.dedent(inspect.getsource(getattr(fusion, name)))
+    assert source.count(old) == 1, (name, old)
+    namespace = dict(vars(fusion))
+    exec(source.replace(old, new), namespace)
+    return namespace[name]
+
+
+def _prop48_on_shared_sweeps(monkeypatch):
+    """prop48 on every action of _SHARED_AT_13, each on the orbit set
+    read from its group's sweep: (n, i0) -> passed, and the number of
+    sweeps and of image-set comparisons made."""
+    calls = Counter()
+    real_sweep, real_match = fusion._sweep_orbits, deformation._image_sets_match
+
+    def sweeping(p, matrices):
+        calls["sweeps"] += 1
+        return real_sweep(p, matrices)
+
+    def matching(*args):
+        calls["comparisons"] += 1
+        return real_match(*args)
+
+    monkeypatch.setattr(fusion, "_sweep_orbits", sweeping)
+    monkeypatch.setattr(deformation, "_image_sets_match", matching)
+    instances = [(DihedralParams.standard(n, 13), i0) for n, i0 in _SHARED_AT_13]
+    passed = {
+        (params.n, i0): check_orbit_closed_form(params, i0, brute).passed
+        for (params, i0), brute in fusion.fusion_orbit_sets_bruteforce(instances)
+    }
+    return passed, calls["sweeps"], calls["comparisons"]
+
+
+def test_shared_image_comparison_is_made_once_per_sweep(monkeypatch):
+    passed, sweeps, comparisons = _prop48_on_shared_sweeps(monkeypatch)
+    assert passed == dict.fromkeys(_SHARED_AT_13, True)
+    assert sweeps == comparisons == 2
+
+
+def test_a_planted_geometry_fault_fails_every_action_of_its_group(monkeypatch):
+    """The closed form's orbit map scaling y by u in place of 1/u fails
+    prop48 on every action whose (p, U) it serves; each group still
+    compares its image sets once."""
+    planted = _planted_fusion("_closed_form_geometry", "ui * y", "u * y")
+    monkeypatch.setattr(fusion, "_closed_form_geometry", planted)
+    passed, sweeps, comparisons = _prop48_on_shared_sweeps(monkeypatch)
+    assert passed == dict.fromkeys(_SHARED_AT_13, False)
+    assert sweeps == comparisons == 2
+
+
+def test_a_planted_stabilizer_fault_fails_only_its_own_action(monkeypatch):
+    """A doubled stabilizer order in the last run of (12, 13, 4) alone
+    fails that action's row check; the other actions of its group read
+    the same images object and point sets and pass."""
+    real = fusion.fusion_orbits_closed_form
+
+    def planted(params, i0):
+        closed = real(params, i0)
+        if (params.n, i0) != (12, 4):
+            return closed
+        *kept, (x, ys, size, order, gens) = closed.runs
+        return FusionOrbitSet((*kept, (x, ys, size, 2 * order, gens)), closed.p, closed.images)
+
+    monkeypatch.setattr(fusion, "fusion_orbits_closed_form", planted)
+    passed, sweeps, comparisons = _prop48_on_shared_sweeps(monkeypatch)
+    assert passed == {**dict.fromkeys(_SHARED_AT_13, True), (12, 4): False}
+    assert sweeps == comparisons == 2
+
+
+def test_a_planted_wrong_subgroup_misses_the_geometry_cache_and_fails(monkeypatch):
+    """U built from w^(i0+1) is another unit set, so the closed form
+    gets that set's own geometry, not the cached one of the right U, and
+    prop48 fails."""
+    params = DihedralParams.standard(12, 13)
+    brute = fusion_orbits_bruteforce(params, 1)
+    fusion._closed_form_geometry.cache_clear()
+    assert check_orbit_closed_form(params, 1, brute).passed
+    planted = _planted_fusion("fusion_orbits_closed_form", "pow(w, i0, p)", "pow(w, i0 + 1, p)")
+    monkeypatch.setattr(fusion, "fusion_orbits_closed_form", planted)
+    assert not check_orbit_closed_form(params, 1, brute).passed
+    info = fusion._closed_form_geometry.cache_info()
+    assert (info.hits, info.misses) == (0, 2)
+    monkeypatch.undo()
+    assert check_orbit_closed_form(params, 1, brute).passed
+    assert fusion._closed_form_geometry.cache_info().hits == 1
 
 
 def test_verify_orbit_families_build_no_orbit_objects(capsys, monkeypatch):
