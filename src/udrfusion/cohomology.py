@@ -28,6 +28,12 @@ module, solved as a linear system over F_p in the values on the four
 generators and ranked by the package's one elimination routine,
 `ffield._gauss_jordan`.  It reads `irr2_rep`'s matrices and shares
 nothing with the fixed-point path beyond the definition of theta_i.
+What does not read the action theta_i0 is built once per (params, j)
+(`_cocycle_module`): the reduced rows of the six relators without it,
+and the expansion of each conjugation relator up to its action-free head
+g x g^-1.  A call resumes those expansions with the tails read off
+theta_i0, as the product rule of Fox's free derivatives allows, and ranks
+only the 16 new rows against the memoized ones (`_rank_over`).
 """
 
 from __future__ import annotations
@@ -373,10 +379,22 @@ def _mul4(p: int, x: tuple, y: tuple) -> tuple[int, ...]:
     return tuple(product)
 
 
-def _conjugation_operator(mat: FpMatrix, inv: FpMatrix) -> tuple[int, ...]:
-    """X -> mat . X . inv on 2x2 matrices, in the basis E11, E12, E21, E22:
-    row-major vectorization turns it into mat (x) inv^T."""
-    return tuple(v for row in mat.kron(inv.transpose()).data for v in row)
+def _conjugation_operators(p: int, mat: FpMatrix) -> tuple[tuple, tuple]:
+    """X -> M X M^-1 and its inverse X -> M^-1 X M on 2x2 matrices, in
+    the basis E11, E12, E21, E22, read off the four entries of the
+    invertible 2x2 matrix M: row-major vectorization turns them into
+    M (x) (M^-1)^T and M^-1 (x) M^T, whose entry (2i + k, 2j + l) is
+    A[i][j] . B[l][k] for A (x) B^T."""
+    (m00, m01), (m10, m11) = mat.data
+    det_inv = pow(m00 * m11 - m01 * m10, -1, p)
+    inv = ((m11 * det_inv % p, -m01 * det_inv % p), (-m10 * det_inv % p, m00 * det_inv % p))
+
+    def kron_transpose(a, b) -> tuple[int, ...]:
+        return tuple(
+            a[i][j] * b[l][k] % p for i in (0, 1) for k in (0, 1) for j in (0, 1) for l in (0, 1)
+        )
+
+    return kron_transpose(mat.data, inv), kron_transpose(inv, mat.data)
 
 
 def _module_relators(n: int, p: int) -> list[list[tuple[str, int]]]:
@@ -392,33 +410,51 @@ def _module_relators(n: int, p: int) -> list[list[tuple[str, int]]]:
     ]
 
 
-def _conjugation_relators(action_rep: Rep2) -> list[list[tuple[str, int]]]:
-    """g x g^-1 = theta_i0(g) x for g in {r, s} and x in {a, b}, the
-    exponents read off the columns of the theta_i0 matrix."""
-    relators = []
-    for gsym, mat in (("r", action_rep.mat_r), ("s", action_rep.mat_s)):
-        for col, xsym in enumerate(("a", "b")):
-            ca, cb = mat.data[0][col], mat.data[1][col]
-            relators.append([(gsym, 1), (xsym, 1), (gsym, -1), ("b", -cb), ("a", -ca)])
-    return relators
+# the conjugation relators g x g^-1 (theta_i0(g) x)^-1, one per group
+# generator g and plane generator x, split into the head g x g^-1, which
+# does not involve the action, and the tail read off theta_i0
+_CONJUGATION_HEADS = tuple(
+    ((gsym, 1), (xsym, 1), (gsym, -1)) for gsym in ("r", "s") for xsym in ("a", "b")
+)
 
 
-def _relator_rows(
-    p: int, rel: list[tuple[str, int]], operator: dict[str, tuple], operator_inv: dict[str, tuple]
-) -> list[tuple[int, ...]]:
-    """The 4 rows, in the 16 unknowns (the values of a, b, r and s in
-    turn), of the condition that the cocycle expansion of the relator rel
-    vanishes: the sum over generators g of coeff[g] . f(g) = 0.
+def _conjugation_tails(action_rep: Rep2) -> list[list[tuple[str, int]]]:
+    """The tail b^-cb a^-ca of each relator of _CONJUGATION_HEADS, in its
+    order, with (ca, cb) the column of x in the theta_i0 matrix of g."""
+    tails = []
+    for mat in (action_rep.mat_r, action_rep.mat_s):
+        for col in (0, 1):
+            tails.append([("b", -mat.data[1][col]), ("a", -mat.data[0][col])])
+    return tails
 
-    The letter g^e contributes prefix, prefix.g, ..., prefix.g^(e-1) to
-    coeff[g] for e >= 0, and -prefix.g^-1, ..., -prefix.g^e for e < 0,
-    where prefix is the product of the operators of the letters before
-    it.  When g acts as the identity all |e| terms equal prefix, so the
+
+# the expansion of the empty word: every coefficient zero, prefix 1
+_EMPTY_EXPANSION = (dict.fromkeys(_GEN_ORDER, (0,) * 16), _IDENTITY16)
+
+
+def _expand(
+    p: int,
+    letters,
+    operator: dict[str, tuple],
+    operator_inv: dict[str, tuple],
+    state: tuple = _EMPTY_EXPANSION,
+) -> tuple[dict, tuple]:
+    """The cocycle expansion of a word, resumed after the letters whose
+    expansion is state: (coeff, prefix), with the value of the cocycle
+    on the word being the sum over generators g of coeff[g] . f(g), and
+    prefix the product of the operators of the letters read.  By the
+    product rule of Fox's free derivatives, the expansion of u v is that
+    of u plus prefix(u) times that of v, so a word resumes from the state
+    of any of its prefixes; state is not changed.
+
+    The letter g^e adds prefix, prefix.g, ..., prefix.g^(e-1) to
+    coeff[g] for e >= 0, and -prefix.g^-1, ..., -prefix.g^e for e < 0.
+    When g acts as the identity all |e| terms equal prefix, so the
     letter adds e . prefix and leaves prefix as it is.
     """
-    coeff = dict.fromkeys(_GEN_ORDER, (0,) * 16)
-    prefix = _IDENTITY16
-    for sym, e in rel:
+    coeff, prefix = state
+    coeff = dict(coeff)
+    for sym, e in letters:
         op, acc = operator[sym], coeff[sym]
         if op == _IDENTITY16:
             acc = [c + e * v for c, v in zip(acc, prefix)]
@@ -431,8 +467,46 @@ def _relator_rows(
                 prefix = _mul4(p, prefix, operator_inv[sym])
                 acc = [c - v for c, v in zip(acc, prefix)]
         coeff[sym] = acc
-    a, b, r, s = ([v % p for v in coeff[sym]] for sym in _GEN_ORDER)
-    return [tuple(a[k : k + 4] + b[k : k + 4] + r[k : k + 4] + s[k : k + 4]) for k in (0, 4, 8, 12)]
+    return coeff, prefix
+
+
+def _coefficient_rows(p: int, coeff: dict) -> list[tuple[int, ...]]:
+    """The 4 rows, in the 16 unknowns (the values of a, b, r and s in
+    turn), of the condition sum over g of coeff[g] . f(g) = 0."""
+    flat = [v % p for sym in _GEN_ORDER for v in coeff[sym]]
+    return [
+        tuple(flat[k : k + 4] + flat[k + 16 : k + 20] + flat[k + 32 : k + 36] + flat[k + 48 : k + 52])
+        for k in (0, 4, 8, 12)
+    ]
+
+
+def _relator_rows(
+    p: int, rel: list[tuple[str, int]], operator: dict[str, tuple], operator_inv: dict[str, tuple]
+) -> list[tuple[int, ...]]:
+    """The 4 rows of the condition that the cocycle expansion of the
+    relator rel vanishes, expanded from the empty word."""
+    return _coefficient_rows(p, _expand(p, rel, operator, operator_inv)[0])
+
+
+def _rank_over(p: int, basis, pivots, rows) -> int:
+    """rank(basis stacked over rows) - rank(basis), for basis the nonzero
+    rows of a reduced row echelon form whose row t has its pivot in
+    column pivots[t].  Each of rows is reduced against basis, so that it
+    is zero in every pivot column; a combination of such rows that lies
+    in the span of basis is zero in the pivot columns and hence zero, so
+    the rank gained is the rank of the reduced rows.  _gauss_jordan ranks
+    them on the columns where one of them is nonzero: dropping zero rows
+    and columns keeps the rank."""
+    reduced = []
+    for row in rows:
+        for col, brow in zip(pivots, basis):
+            f = row[col]
+            if f:
+                row = [(v - f * w) % p for v, w in zip(row, brow)]
+        if any(row):
+            reduced.append(row)
+    support = [col for col in zip(*reduced) if any(col)]
+    return ffield._gauss_jordan(p, list(zip(*support)), len(support))[1]
 
 
 def _invariant_dim(p: int, operator: dict[str, tuple]) -> int:
@@ -447,26 +521,32 @@ def _invariant_dim(p: int, operator: dict[str, tuple]) -> int:
 
 @lru_cache(maxsize=ORACLE_MODULE_CACHE_SIZE)
 def _cocycle_module(params: DihedralParams, j: int) -> tuple:
-    """The half of the cocycle system that depends on (params, j) alone:
-    the operator of each generator on the 2x2 matrix module M of theta_j
-    (a and b act as the identity) and their inverses, the nonzero rows of
+    """The half of the cocycle system that depends on (params, j) alone,
+    as (operator, operator_inv, basis, pivots, heads, m_fixed): the
+    operator of each generator on the 2x2 matrix module M of theta_j (a
+    and b act as the identity) and their inverses; the nonzero rows of
     the reduced row echelon form of the six relators that do not involve
-    the action, and dim M^G."""
+    the action, and the pivot column of each; the expansion state of each
+    head of _CONJUGATION_HEADS, from which a call resumes with its tail;
+    and dim M^G."""
     p = params.p
     module_rep = dihedral.irr2_rep(params, j)
     operator = {"a": _IDENTITY16, "b": _IDENTITY16}
     operator_inv = dict(operator)
     for sym, mat in (("r", module_rep.mat_r), ("s", module_rep.mat_s)):
-        inv = mat.inverse()
-        operator[sym] = _conjugation_operator(mat, inv)
-        operator_inv[sym] = _conjugation_operator(inv, mat)
+        operator[sym], operator_inv[sym] = _conjugation_operators(p, mat)
+    # a^p, b^p and [a, b] expand to zero rows, which change no rank
     rows = [
         row
         for rel in _module_relators(params.n, p)
         for row in _relator_rows(p, rel, operator, operator_inv)
+        if any(row)
     ]
     reduced, rank, _ = ffield._gauss_jordan(p, rows, 16)
-    return operator, operator_inv, reduced[:rank], _invariant_dim(p, operator)
+    basis = tuple(tuple(row) for row in reduced[:rank])
+    pivots = tuple(next(c for c, v in enumerate(row) if v) for row in basis)
+    heads = tuple(_expand(p, head, operator, operator_inv) for head in _CONJUGATION_HEADS)
+    return operator, operator_inv, basis, pivots, heads, _invariant_dim(p, operator)
 
 
 def d1_oracle_cocycles(params: DihedralParams, i0: int, j: int) -> int:
@@ -474,28 +554,32 @@ def d1_oracle_cocycles(params: DihedralParams, i0: int, j: int) -> int:
 
     Generators: a, b for the two plane coordinates, r, s for the group.
     Relators: a^p, b^p, [a, b], r^n, s^2, (s r)^2, and one conjugation
-    relator per (group generator, plane generator) pair whose exponents
-    are read off the columns of the theta_i0 matrix.  A cocycle is
-    determined by its four generator values in the 2x2 matrix module M
-    (16 unknowns); each relator contributes the linear condition that
-    its cocycle expansion vanishes.  Then
+    relator g x g^-1 b^-cb a^-ca per (group generator g, plane generator
+    x) pair, with (ca, cb) the column of x in the theta_i0 matrix of g.
+    A cocycle is determined by its four generator values in the 2x2
+    matrix module M (16 unknowns); each relator contributes the linear
+    condition that its cocycle expansion vanishes.  Then
 
         d1 = dim Z1 - (dim M - dim M^G).
 
-    The reduced rows of the first six relators and dim M^G depend on
-    (params, j) alone and come from the memo _cocycle_module; only the
-    four conjugation relators are expanded per call, and the system's
-    rank is that of their rows stacked under the memoized ones.
+    Everything that does not read i0 comes from the memo
+    _cocycle_module on (params, j): the reduced rows of the first six
+    relators with their pivot columns, dim M^G, and the expansion of each
+    conjugation relator's head g x g^-1.  A call resumes each head's
+    expansion with its two tail letters, and the system's rank is the
+    memoized rank plus the rank that its 16 rows add to those rows
+    (_rank_over).
     """
     n, p = params.n, params.p
     if 2 * n * p * p > H1_ORACLE_GROUP_ORDER_LIMIT:
         raise LimitExceeded(
             f"group order {2 * n * p * p} exceeds oracle limit {H1_ORACLE_GROUP_ORDER_LIMIT}"
         )
-    operator, operator_inv, module_rows, m_fixed = _cocycle_module(params, j)
+    operator, operator_inv, basis, pivots, heads, m_fixed = _cocycle_module(params, j)
     rows = [
         row
-        for rel in _conjugation_relators(dihedral.irr2_rep(params, i0))
-        for row in _relator_rows(p, rel, operator, operator_inv)
+        for state, tail in zip(heads, _conjugation_tails(dihedral.irr2_rep(params, i0)))
+        for row in _coefficient_rows(p, _expand(p, tail, operator, operator_inv, state)[0])
     ]
-    return 16 - ffield._gauss_jordan(p, module_rows + rows, 16)[1] - (4 - m_fixed)
+    rank = len(basis) + _rank_over(p, basis, pivots, rows)
+    return 16 - rank - (4 - m_fixed)

@@ -12,6 +12,7 @@ of ring classes determines that orbit structure.
 from __future__ import annotations
 
 from math import gcd
+from operator import eq, itemgetter, mul
 
 from . import cohomology, dihedral, ffield, fusion
 from .dihedral import DihedralParams
@@ -174,12 +175,24 @@ def check_center_constraint(params: DihedralParams, i0: int) -> VerificationRepo
     return VerificationReport(name, (params.n, params.p, i0), ok, witness)
 
 
-def _image_sets_match(images, p: int, reps: list, point_sets) -> bool:
-    """Whether the orbit map images takes the code of each representative
-    of reps to the point set of its row in point_sets."""
-    return all(
-        frozenset(images(x * p + y)) == points for (x, y), points in zip(reps, point_sets)
+def _image_sets_match(images, p: int, runs, point_sets) -> bool:
+    """Whether point_sets holds one point set per row of runs, with the
+    row's size as its length, and the orbit map images takes the code of
+    each row's representative to that point set."""
+    codes = [x * p + y for x, ys, _, _, _ in runs for y in ys]
+    sizes = [size for _, ys, size, _, _ in runs for _ in ys]
+    return list(map(len, point_sets)) == sizes and all(
+        map(eq, map(frozenset, map(images, codes)), point_sets)
     )
+
+
+# the (x, ys, size) of a run: the key of an image comparison
+_RUN_POINTS = itemgetter(0, 1, 2)
+
+
+def _rows(runs) -> list:
+    """The rows of runs as (x, y, size, stabilizer order), one per orbit."""
+    return [(x, y, size, order) for x, ys, size, order, _ in runs for y in ys]
 
 
 def check_orbit_closed_form(
@@ -188,42 +201,43 @@ def check_orbit_closed_form(
     """The closed-form orbit rows equal the rows of the brute-force sweep
     brute of the same action, row by row: the same number of rows, and in
     each the same representative, size and stabilizer order, with
-    size * stabilizer order = 2n and the closed form's image set of the
-    representative equal to the sweep's point set of that row.  Since the
-    sweep's representatives are least in their orbits, so are the closed
-    form's.  The point sets are compared as the orbit sets hold them, as
-    sets of point codes.
+    size * stabilizer order = 2n, the sweep's point set of that row of
+    that size and the closed form's image set of the representative
+    equal to it.  Since the sweep's representatives are least in their
+    orbits, so are the closed form's.  The point sets are compared as the
+    orbit sets hold them, as sets of point codes.
 
-    The rows are checked per action.  The image sets are compared once
+    The rows are compared from the runs: column by column (x, ys, size,
+    stabilizer order, by C-level passes) where both sets group them into
+    the same runs, and else orbit by orbit, so a closed form that groups
+    the same rows into other runs passes.
+
+    The rows are checked per action.  The point sets are compared once
     per pair of orbit map and point sets: the actions of one (p, U) share
     the closed form's images object, those of one sweep its
     SweepPointSets, and the point sets keep each comparison with the
-    representatives it read.  An action whose pair and representatives
-    are those of a comparison made reuses its result, which is the one
-    its own comparison would compute, whatever the closed form does."""
+    (x, ys, size) of each run that it read.  An action whose pair and
+    runs are those of a comparison made reuses its result, which is the
+    one its own comparison would compute, whatever the closed form does."""
     closed = fusion.fusion_orbits_closed_form(params, i0)
-    two_n, p = 2 * params.n, brute.p
+    p, runs = brute.p, brute.runs
     sweep_sets = brute.point_sets
     if sweep_sets is None:
-        sweep_sets = [frozenset(brute.images(x * p + y)) for (x, y), *_ in brute.iter_rows()]
-    # both row sequences are expanded as they are compared, and not kept
-    ok = brute.orbit_count == closed.orbit_count == len(sweep_sets) and all(
-        rep == closed_rep
-        and size == closed_size == len(points)
-        and stab == closed_stab
-        and size * stab == two_n
-        for (rep, size, stab, _), (closed_rep, closed_size, closed_stab, _), points in zip(
-            brute.iter_rows(), closed.iter_rows(), sweep_sets
-        )
-    )
+        sweep_sets = [frozenset(brute.images(x * p + y)) for x, ys, _, _, _ in runs for y in ys]
+    # the runs as columns x, ys, size, stabilizer order and generators
+    columns = list(zip(*runs))
+    sizes, orders = columns[2:4] or ((), ())
+    ok = (
+        columns[:4] == list(zip(*closed.runs))[:4] or _rows(runs) == _rows(closed.runs)
+    ) and set(map(mul, sizes, orders)) <= {2 * params.n}
     if ok:
-        reps, images = brute.representatives, closed.images
+        key, images = tuple(map(_RUN_POINTS, runs)), closed.images
         memo = sweep_sets.compared if isinstance(sweep_sets, fusion.SweepPointSets) else {}
         # keyed by identity, an equal but distinct map being compared anew;
         # the entry holds its map, so no other object takes its id
         made = memo.get(id(images))
-        if made is None or made[1] != reps:
-            made = images, reps, _image_sets_match(images, p, reps, sweep_sets)
+        if made is None or made[1] != key:
+            made = images, key, _image_sets_match(images, p, runs, sweep_sets)
             memo[id(images)] = made
         ok = made[2]
     return VerificationReport(

@@ -148,19 +148,22 @@ def _gauss_jordan(p: int, rows, ncols: int) -> tuple[list, int, int]:
     r = 0
     d = 1
     for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c]), None)
-        if piv is None:
+        for piv in range(r, nrows):
+            if m[piv][c]:
+                break
+        else:
             continue
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
             d = -d
-        d = d * m[r][c] % p
-        inv = pow(m[r][c], -1, p)
-        m[r] = [inv * v % p for v in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [(v - f * w) % p for v, w in zip(m[i], m[r])]
+        lead = m[r][c]
+        d = d * lead % p
+        inv = pow(lead, -1, p)
+        pivot_row = m[r] = [inv * v % p for v in m[r]]
+        for i, row in enumerate(m):
+            f = row[c]
+            if f and i != r:
+                m[i] = [(v - f * w) % p for v, w in zip(row, pivot_row)]
         r += 1
         if r == nrows:
             break

@@ -23,8 +23,9 @@ depends on p and U alone: _closed_form_geometry memoizes it on
 and the actions that share a sweep share its SweepPointSets.  prop48
 (deformation.check_orbit_closed_form) checks every action's rows but
 compares the image sets once per such pair of objects, keeping the
-result on the point sets with the representatives it read; an action
-with the same pair and representatives would compute that very result.
+result on the point sets with the representatives and sizes it read; an
+action with the same pair, representatives and sizes would compute that
+very result.
 The memo dies with the sweep: no module-level cache holds a sweep.
 
 Both routes return their orbits as runs (FusionOrbitSet), each run as
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from functools import lru_cache
-from itertools import compress, groupby
+from itertools import chain, groupby
 from math import gcd
 from operator import itemgetter
 
@@ -66,11 +67,12 @@ def act(params: DihedralParams, i0: int, g: GroupElement, v: NPoint) -> NPoint:
 class SweepPointSets(tuple):
     """A sweep's point sets, one frozenset of codes per orbit in row
     order, with compared, the memo of deformation.check_orbit_closed_form
-    on them: it maps the id of an orbit map to the map, the
-    representatives it was applied to and whether it took each to the
-    point set of its row.  Every orbit set read from the sweep holds this
-    one object, so the memo lives and dies with the sweep, and no
-    module-level cache holds one."""
+    on them: it maps the id of an orbit map to the map, the (x, ys, size)
+    of each run it was applied to and whether it took each
+    representative to the point set of its row, of the row's size.
+    Every orbit set read from the sweep holds this one object, so the
+    memo lives and dies with the sweep, and no module-level cache holds
+    one."""
 
     def __init__(self, point_sets) -> None:
         self.compared = {}
@@ -105,6 +107,7 @@ def _sweep_orbits(p: int, matrices) -> tuple:
     point_sets = []
     row = -1
     pos = 0
+    key = None
     while pos >= 0:
         x, y = divmod(pos, p)
         if x != row:
@@ -112,23 +115,29 @@ def _sweep_orbits(p: int, matrices) -> tuple:
             row = x
             shifted = [(a * x, b, c * x, d) for a, b, c, d in swept]
         image_list = [((ax + b * y) % p) * p + (cx + d * y) % p for ax, b, cx, d in shifted]
-        orbit = frozenset(image_list)
-        if min(orbit) != pos:
+        if min(image_list) != pos:
             raise ValueError(f"the table does not map {(x, y)} to the least point of its orbit")
-        for v in orbit:
+        # marked from the list, which is quicker to walk than the set
+        for v in image_list:
             seen[v] = 1
-        if len(orbit) == len(image_list):
-            # the images are distinct, so exactly one matrix fixes pos
-            fixing = (image_list.index(pos),)
+        orbit = frozenset(image_list)
+        size = len(orbit)
+        # the positions of pos in image_list, found by index; when the
+        # images are distinct, pos is at exactly one
+        at = image_list.index(pos)
+        fixing = (at,)
+        if size < len(image_list):
+            for _ in range(image_list.count(pos) - 1):
+                at = image_list.index(pos, at + 1)
+                fixing += (at,)
+        if (x, size, fixing) == key:
+            ys.append(y)
         else:
-            fixing = tuple(compress(range(len(image_list)), [image == pos for image in image_list]))
-        if runs and runs[-1][:3] == (x, len(orbit), fixing):
-            runs[-1][3].append(y)
-        else:
-            runs.append((x, len(orbit), fixing, [y]))
+            key, ys = (x, size, fixing), [y]
+            runs.append((key, ys))
         point_sets.append(orbit)
         pos = seen.find(0, pos + 1)
-    runs = tuple((x, tuple(ys), size, fixing) for x, size, fixing, ys in runs)
+    runs = tuple((x, tuple(ys), size, fixing) for (x, size, fixing), ys in runs)
     return swept, runs, images, SweepPointSets(point_sets)
 
 
@@ -144,13 +153,17 @@ def _read_sweep(p: int, sweep: tuple, elements, matrices) -> FusionOrbitSet:
     if set(swept) != set(matrices):
         raise ValueError("the table does not hold the matrices the sweep applied")
     position = {mat: i for i, mat in enumerate(swept)}
-    at = [position[mat] for mat in matrices]
+    # owners[i]: the table positions of the elements acting as swept[i]
+    owners = [[] for _ in swept]
+    for t, mat in enumerate(matrices):
+        owners[position[mat]].append(t)
     stabilizers: dict[tuple, tuple] = {}
     read = []
     for x, ys, size, fixing in runs:
         stab = stabilizers.get(fixing)
         if stab is None:
-            stab = stabilizers[fixing] = tuple(compress(elements, [i in fixing for i in at]))
+            table_order = sorted(chain.from_iterable(map(owners.__getitem__, fixing)))
+            stab = stabilizers[fixing] = tuple(map(elements.__getitem__, table_order))
         read.append((x, ys, size, len(stab), stab))
     return FusionOrbitSet(tuple(read), p, images, point_sets)
 
@@ -224,6 +237,21 @@ def fusion_orbits_bruteforce(params: DihedralParams, i0: int) -> FusionOrbitSet:
 # default `verify`, so that run never evicts; kept small, since an entry
 # holds a list of p coset minima.
 GEOMETRY_CACHE_SIZE = 32
+# Bound of the closed form's stabilizer cache, above the 17 (n, k) of a
+# default `verify`; an entry holds k + 3 group elements.
+STABILIZER_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=STABILIZER_CACHE_SIZE)
+def _closed_form_stabilizers(n: int, k: int) -> tuple:
+    """(whole, big, small): the generators of the stabilizers that the
+    closed form names for k = n/gcd(i0, n), those of the whole group
+    (r, s), of <r^k> (r^k,) and, for each j0 < k, of <r^k, s r^j0>.
+    Nothing here reads p or i0 beyond k, so the actions of one (n, k)
+    share the entry, at every prime."""
+    r_k = GroupElement.rotation(n, k)
+    small = tuple((r_k, GroupElement.reflection(n, j0)) for j0 in range(k))
+    return (GroupElement.rotation(n), GroupElement.reflection(n)), (r_k,), small
 
 
 @lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
@@ -238,10 +266,9 @@ def _closed_form_geometry(p: int, units: frozenset) -> tuple:
     pairs = [(u, pow(u, -1, p)) for u in sorted(units)]
 
     def images(v: int) -> list:
+        # (x, y) and its transpose (y, x), each under (s, t) -> (u s, t/u)
         x, y = divmod(v, p)
-        return [(u * x % p) * p + ui * y % p for u, ui in pairs] + [
-            (u * y % p) * p + ui * x % p for u, ui in pairs
-        ]
+        return [(u * s % p) * p + ui * t % p for s, t in ((x, y), (y, x)) for u, ui in pairs]
 
     return cmin, minima, images
 
@@ -260,9 +287,10 @@ def fusion_orbits_closed_form(params: DihedralParams, i0: int) -> FusionOrbitSet
         U and the orbit has size k with stabilizer <r^k, s r^j0>;
         otherwise it has size 2k with stabilizer <r^k>.
     The coset minima and the orbit map depend on p and U alone and come
-    from _closed_form_geometry; the exponents j0, the stabilizers and the
-    runs are built per action.  Raises LimitExceeded before enumerating
-    when the census counts more than ORBIT_LIMIT orbits.
+    from _closed_form_geometry, the stabilizer generators on n and k
+    alone and come from _closed_form_stabilizers; the exponents j0 and
+    the runs are built per action.  Raises LimitExceeded before
+    enumerating when the census counts more than ORBIT_LIMIT orbits.
     """
     n, p, w = params.n, params.p, params.omega
     dihedral.irr2_position(n, i0)
@@ -275,14 +303,9 @@ def fusion_orbits_closed_form(params: DihedralParams, i0: int) -> FusionOrbitSet
     unit_powers = [pow(wi, t, p) for t in range(k)]
     exponent_of = {u: t for t, u in enumerate(unit_powers)}
     cmin, minima, images = _closed_form_geometry(p, frozenset(unit_powers))
+    whole_gens, big_gens, small_gens = _closed_form_stabilizers(n, k)
 
-    r_k = GroupElement.rotation(n, k)
-    big_gens = (r_k,)
-    small_gens = [(r_k, GroupElement.reflection(n, j0)) for j0 in range(k)]
-    runs = [
-        (0, (0,), 1, 2 * n, (GroupElement.rotation(n), GroupElement.reflection(n))),
-        (0, minima, 2 * k, g0, big_gens),
-    ]
+    runs = [(0, (0,), 1, 2 * n, whole_gens), (0, minima, 2 * k, g0, big_gens)]
     # each size-k orbit is a run of its own (its stabilizer names its j0);
     # the size-2k orbits between two of them make one run
     for m in minima:
@@ -293,13 +316,13 @@ def fusion_orbits_closed_form(params: DihedralParams, i0: int) -> FusionOrbitSet
             c = cmin[y]
             if c == m:
                 if stretch:
-                    runs.append((m, stretch, 2 * k, g0, big_gens))
+                    runs.append((m, tuple(stretch), 2 * k, g0, big_gens))
                     stretch = []
                 runs.append((m, (y,), k, 2 * g0, small_gens[exponent_of[y * m_inv % p]]))
             elif c > m:
                 stretch.append(y)
         if stretch:
-            runs.append((m, stretch, 2 * k, g0, big_gens))
+            runs.append((m, tuple(stretch), 2 * k, g0, big_gens))
     return FusionOrbitSet(tuple(runs), p, images)
 
 

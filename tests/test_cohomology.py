@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 
 from udrfusion import cohomology
 from udrfusion.cohomology import (
+    _CONJUGATION_HEADS,
     H1_ORACLE_GROUP_ORDER_LIMIT,
     CohomologyDims,
     GModule,
     _MonomialModule,
     _cocycle_module,
-    _conjugation_relators,
+    _conjugation_tails,
     _module_relators,
     _relator_rows,
     adjoint_decomposition_check,
@@ -45,7 +46,7 @@ from udrfusion.dihedral import (
     t_map,
     t_preimage,
 )
-from udrfusion.ffield import FpMatrix, LimitExceeded, find_primes
+from udrfusion.ffield import FpMatrix, LimitExceeded, _gauss_jordan, find_primes
 
 
 def test_gmodule_validates_relations():
@@ -346,6 +347,12 @@ def _as_fp_matrix(p, flat):
     return FpMatrix(p, [flat[start : start + 4] for start in (0, 4, 8, 12)])
 
 
+def _conjugation_relators(action_rep):
+    """g x g^-1 = theta_i0(g) x for g in {r, s} and x in {a, b}: each
+    head of _CONJUGATION_HEADS followed by its tail."""
+    return [[*head, *tail] for head, tail in zip(_CONJUGATION_HEADS, _conjugation_tails(action_rep))]
+
+
 def _presentation(params, i0, j):
     """The presentation behind d1_oracle_cocycles: the flat operator of
     each generator on the 2x2 matrix module M of theta_j (a and b act as
@@ -353,7 +360,7 @@ def _presentation(params, i0, j):
     of (generator, exponent) letters.  The oracle expands only the last
     four per call; expanded whole, this is the reference it is tested
     against."""
-    operator, operator_inv, _, _ = _cocycle_module(params, j)
+    operator, operator_inv, *_ = _cocycle_module(params, j)
     relators = _module_relators(params.n, params.p) + _conjugation_relators(irr2_rep(params, i0))
     return dict(operator), dict(operator_inv), relators
 
@@ -431,6 +438,42 @@ def test_unrolled_mul4_is_the_textbook_product(case):
         for k in range(4)
     )
     assert cohomology._mul4(p, x, y) == textbook
+
+
+
+@st.composite
+def _stacked_system(draw):
+    """(p, basis, pivots, rows): the reduced rows of a random system with
+    the pivot column of each, and rows to stack under them, each a random
+    combination of the basis rows plus either nothing or a random row, so
+    that the rows meet the pivot columns and often lie in the span."""
+    p = draw(st.sampled_from((3, 5, 7, 1000003)))
+    ncols = draw(st.integers(1, 8))
+    row = st.lists(st.integers(0, p - 1), min_size=ncols, max_size=ncols)
+    reduced, rank, _ = _gauss_jordan(p, draw(st.lists(row, max_size=6)), ncols)
+    basis = [tuple(r) for r in reduced[:rank]]
+    pivots = [next(c for c, v in enumerate(r) if v) for r in basis]
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        coeffs = draw(st.lists(st.integers(0, p - 1), min_size=rank, max_size=rank))
+        noise = draw(st.one_of(st.just([0] * ncols), row))
+        rows.append(tuple(
+            (sum(c * b[k] for c, b in zip(coeffs, basis)) + noise[k]) % p for k in range(ncols)
+        ))
+    return p, ncols, basis, pivots, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_stacked_system())
+def test_rank_over_is_the_rank_the_stacked_rows_add(case):
+    """_rank_over against _gauss_jordan of the basis and the rows stacked.
+    In the oracle's own system the two never share a column (the module
+    rows read only f(r) and f(s), the conjugation rows only f(a) and
+    f(b)), so a helper that skipped the reduction against the basis would
+    pass every oracle test; these rows meet the pivot columns."""
+    p, ncols, basis, pivots, rows = case
+    stacked = _gauss_jordan(p, basis + rows, ncols)[1]
+    assert cohomology._rank_over(p, basis, pivots, rows) == stacked - len(basis)
 
 
 def _full_expansion_d1(params, i0, j):
@@ -640,7 +683,10 @@ def _cross_references():
     helpers = {
         obj.__name__ for obj in reached if getattr(obj, "__module__", None) == cohomology.__name__
     }
-    assert {"_cocycle_module", "_relator_rows", "_mul4", "_invariant_dim"} <= helpers
+    assert {
+        "_cocycle_module", "_relator_rows", "_mul4", "_invariant_dim", "_expand",
+        "_coefficient_rows", "_rank_over", "_conjugation_operators", "_conjugation_tails",
+    } <= helpers
     _, route_names = _reached(_route_roots())
     assert {"_irr2_monomials", "tensor_fixed_point_dims"} <= route_names
     return oracle_names & _ROUTE_NAMES, route_names & helpers
@@ -702,5 +748,5 @@ def test_every_cache_is_bounded():
                 bounded.add(attr)
     assert {
         "dims", "_dims_row", "irr2_rep", "_irr2_monomials", "_cocycle_module",
-        "_closed_form_geometry",
+        "_closed_form_geometry", "_closed_form_stabilizers",
     } <= bounded

@@ -299,10 +299,10 @@ def test_shared_image_comparison_is_made_once_per_sweep(monkeypatch):
 
 
 def test_a_planted_geometry_fault_fails_every_action_of_its_group(monkeypatch):
-    """The closed form's orbit map scaling y by u in place of 1/u fails
-    prop48 on every action whose (p, U) it serves; each group still
-    compares its image sets once."""
-    planted = _planted_fusion("_closed_form_geometry", "ui * y", "u * y")
+    """The closed form's orbit map scaling the second coordinate by u in
+    place of 1/u fails prop48 on every action whose (p, U) it serves;
+    each group still compares its image sets once."""
+    planted = _planted_fusion("_closed_form_geometry", "ui * t", "u * t")
     monkeypatch.setattr(fusion, "_closed_form_geometry", planted)
     passed, sweeps, comparisons = _prop48_on_shared_sweeps(monkeypatch)
     assert passed == dict.fromkeys(_SHARED_AT_13, False)
@@ -344,6 +344,79 @@ def test_a_planted_wrong_subgroup_misses_the_geometry_cache_and_fails(monkeypatc
     monkeypatch.undo()
     assert check_orbit_closed_form(params, 1, brute).passed
     assert fusion._closed_form_geometry.cache_info().hits == 1
+
+
+
+def _split_run(runs, images, p):
+    """The first run of two or more orbits split after its first."""
+    at = next(t for t, run in enumerate(runs) if len(run[1]) > 1)
+    x, ys, *rest = runs[at]
+    return [*runs[:at], (x, ys[:1], *rest), (x, ys[1:], *rest), *runs[at + 1 :]], images
+
+
+def _other_representative(runs, images, p):
+    """A one-orbit run of size > 1 given another point of its orbit."""
+    at = next(t for t, run in enumerate(runs) if len(run[1]) == 1 and run[2] > 1)
+    x, (y,), *rest = runs[at]
+    other = divmod(max(images(x * p + y)), p)
+    assert other != (x, y)
+    return [*runs[:at], (other[0], (other[1],), *rest), *runs[at + 1 :]], images
+
+
+def _other_size(runs, images, p):
+    """The last run's size halved and its stabilizer order doubled, so
+    that size * stabilizer order is still 2n."""
+    *kept, (x, ys, size, order, gens) = runs
+    return [*kept, (x, ys, size // 2, 2 * order, gens)], images
+
+
+def _other_order(runs, images, p):
+    *kept, (x, ys, size, order, gens) = runs
+    return [*kept, (x, ys, size, 2 * order, gens)], images
+
+
+def _other_image_set(runs, images, p):
+    """The orbit map dropping the largest image of the last representative."""
+    x, ys, *_ = runs[-1]
+    code = x * p + ys[-1]
+
+    def planted(v):
+        found = images(v)
+        return [w for w in found if w != max(found)] if v == code else found
+
+    return runs, planted
+
+
+@pytest.mark.parametrize("n, p, i0", [(5, 11, 2), (6, 13, 1), (8, 17, 2)])
+@pytest.mark.parametrize(
+    "edit, passes",
+    [
+        (_split_run, True),
+        (_other_representative, False),
+        (_other_size, False),
+        (_other_order, False),
+        (_other_image_set, False),
+    ],
+    ids=["split_run", "representative", "size", "stabilizer_order", "image_set"],
+)
+def test_prop48_compares_the_closed_form_row_by_row(monkeypatch, n, p, i0, edit, passes):
+    """prop48 compares the runs column by column when both sets group
+    their rows alike and row by row otherwise: a closed form that splits
+    one run into two with the same rows passes, and one changed
+    representative, size, stabilizer order or image set fails."""
+    params = DihedralParams.standard(n, p)
+    brute = fusion_orbits_bruteforce(params, i0)
+    assert check_orbit_closed_form(params, i0, brute).passed
+    real = fusion.fusion_orbits_closed_form
+
+    def planted(params, i0):
+        closed = real(params, i0)
+        runs, images = edit(list(closed.runs), closed.images, closed.p)
+        return FusionOrbitSet(tuple(runs), closed.p, images)
+
+    monkeypatch.setattr(fusion, "fusion_orbits_closed_form", planted)
+    assert planted(params, i0).runs != brute.runs or edit is _other_image_set
+    assert check_orbit_closed_form(params, i0, brute).passed is passes
 
 
 def test_verify_orbit_families_build_no_orbit_objects(capsys, monkeypatch):
