@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
 from functools import cached_property
-from operator import itemgetter
 
 from .records import FrozenRecord, Record
 
@@ -94,16 +93,14 @@ class FusionOrbitSet(FrozenRecord):
     def __init__(
         self, runs: tuple, p: int, images: OrbitMap, point_sets: tuple | None = None
     ) -> None:
-        # checked by C-level passes; the loop names the first bad run
-        if not (set(map(len, runs)) <= {5} and all(map(itemgetter(1), runs))):
-            for run in runs:
-                if len(run) != 5:
-                    raise ValueError(
-                        "a run is (x, ys, size, stabilizer_order, stabilizer_gens), "
-                        f"got {len(run)} fields"
-                    )
-                if not run[1]:
-                    raise ValueError("every run needs at least one representative")
+        for run in runs:
+            if len(run) != 5:
+                raise ValueError(
+                    "a run is (x, ys, size, stabilizer_order, stabilizer_gens), "
+                    f"got {len(run)} fields"
+                )
+            if not run[1]:
+                raise ValueError("every run needs at least one representative")
         object.__setattr__(self, "runs", runs)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "images", images)

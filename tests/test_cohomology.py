@@ -350,7 +350,8 @@ def _as_fp_matrix(p, flat):
 def _conjugation_relators(action_rep):
     """g x g^-1 = theta_i0(g) x for g in {r, s} and x in {a, b}: each
     head of _CONJUGATION_HEADS followed by its tail."""
-    return [[*head, *tail] for head, tail in zip(_CONJUGATION_HEADS, _conjugation_tails(action_rep))]
+    tails = _conjugation_tails(action_rep)
+    return [[*head, *tail] for head, tail in zip(_CONJUGATION_HEADS, tails)]
 
 
 def _presentation(params, i0, j):
@@ -440,13 +441,13 @@ def test_unrolled_mul4_is_the_textbook_product(case):
     assert cohomology._mul4(p, x, y) == textbook
 
 
-
 @st.composite
 def _stacked_system(draw):
-    """(p, basis, pivots, rows): the reduced rows of a random system with
-    the pivot column of each, and rows to stack under them, each a random
-    combination of the basis rows plus either nothing or a random row, so
-    that the rows meet the pivot columns and often lie in the span."""
+    """(p, ncols, basis, pivots, rows): the reduced rows of a random system
+    of ncols columns with the pivot column of each, and rows to stack
+    under them, each a random combination of the basis rows plus either
+    nothing or a random row, so that the rows meet the pivot columns and
+    often lie in the span."""
     p = draw(st.sampled_from((3, 5, 7, 1000003)))
     ncols = draw(st.integers(1, 8))
     row = st.lists(st.integers(0, p - 1), min_size=ncols, max_size=ncols)

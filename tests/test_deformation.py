@@ -346,7 +346,6 @@ def test_a_planted_wrong_subgroup_misses_the_geometry_cache_and_fails(monkeypatc
     assert fusion._closed_form_geometry.cache_info().hits == 1
 
 
-
 def _split_run(runs, images, p):
     """The first run of two or more orbits split after its first."""
     at = next(t for t, run in enumerate(runs) if len(run[1]) > 1)
