@@ -33,7 +33,7 @@ What does not read the action theta_i0 is built once per (params, j)
 and the expansion of each conjugation relator up to its action-free head
 g x g^-1.  A call resumes those expansions with the tails read off
 theta_i0, as the product rule of Fox's free derivatives allows, and ranks
-only the 16 new rows against the memoized ones (`_rank_over`).
+the memoized rows stacked over its 16 new ones in one elimination.
 """
 
 from __future__ import annotations
@@ -488,27 +488,6 @@ def _relator_rows(
     return _coefficient_rows(p, _expand(p, rel, operator, operator_inv)[0])
 
 
-def _rank_over(p: int, basis, pivots, rows) -> int:
-    """rank(basis stacked over rows) - rank(basis), for basis the nonzero
-    rows of a reduced row echelon form whose row t has its pivot in
-    column pivots[t].  Each of rows is reduced against basis, so that it
-    is zero in every pivot column; a combination of such rows that lies
-    in the span of basis is zero in the pivot columns and hence zero, so
-    the rank gained is the rank of the reduced rows.  _gauss_jordan ranks
-    them on the columns where one of them is nonzero: dropping zero rows
-    and columns keeps the rank."""
-    reduced = []
-    for row in rows:
-        for col, brow in zip(pivots, basis):
-            f = row[col]
-            if f:
-                row = [(v - f * w) % p for v, w in zip(row, brow)]
-        if any(row):
-            reduced.append(row)
-    support = [col for col in zip(*reduced) if any(col)]
-    return ffield._gauss_jordan(p, list(zip(*support)), len(support))[1]
-
-
 def _invariant_dim(p: int, operator: dict[str, tuple]) -> int:
     """dim M^G: the common kernel of R - 1 and S - 1."""
     rows = [
@@ -522,13 +501,12 @@ def _invariant_dim(p: int, operator: dict[str, tuple]) -> int:
 @lru_cache(maxsize=ORACLE_MODULE_CACHE_SIZE)
 def _cocycle_module(params: DihedralParams, j: int) -> tuple:
     """The half of the cocycle system that depends on (params, j) alone,
-    as (operator, operator_inv, basis, pivots, heads, m_fixed): the
-    operator of each generator on the 2x2 matrix module M of theta_j (a
-    and b act as the identity) and their inverses; the nonzero rows of
-    the reduced row echelon form of the six relators that do not involve
-    the action, and the pivot column of each; the expansion state of each
-    head of _CONJUGATION_HEADS, from which a call resumes with its tail;
-    and dim M^G."""
+    as (operator, operator_inv, basis, heads, m_fixed): the operator of
+    each generator on the 2x2 matrix module M of theta_j (a and b act as
+    the identity) and their inverses; the nonzero rows of the reduced row
+    echelon form of the six relators that do not involve the action, each
+    with lead 1; the expansion state of each head of _CONJUGATION_HEADS,
+    from which a call resumes with its tail; and dim M^G."""
     p = params.p
     module_rep = dihedral.irr2_rep(params, j)
     operator = {"a": _IDENTITY16, "b": _IDENTITY16}
@@ -544,9 +522,8 @@ def _cocycle_module(params: DihedralParams, j: int) -> tuple:
     ]
     reduced, rank, _ = ffield._gauss_jordan(p, rows, 16)
     basis = tuple(tuple(row) for row in reduced[:rank])
-    pivots = tuple(next(c for c, v in enumerate(row) if v) for row in basis)
     heads = tuple(_expand(p, head, operator, operator_inv) for head in _CONJUGATION_HEADS)
-    return operator, operator_inv, basis, pivots, heads, _invariant_dim(p, operator)
+    return operator, operator_inv, basis, heads, _invariant_dim(p, operator)
 
 
 def d1_oracle_cocycles(params: DihedralParams, i0: int, j: int) -> int:
@@ -564,22 +541,21 @@ def d1_oracle_cocycles(params: DihedralParams, i0: int, j: int) -> int:
 
     Everything that does not read i0 comes from the memo
     _cocycle_module on (params, j): the reduced rows of the first six
-    relators with their pivot columns, dim M^G, and the expansion of each
-    conjugation relator's head g x g^-1.  A call resumes each head's
-    expansion with its two tail letters, and the system's rank is the
-    memoized rank plus the rank that its 16 rows add to those rows
-    (_rank_over).
+    relators, dim M^G, and the expansion of each conjugation relator's
+    head g x g^-1.  A call resumes each head's expansion with its two
+    tail letters, and the system's rank is that of the memoized rows
+    stacked over its 16 rows, by ffield._gauss_jordan.
     """
     n, p = params.n, params.p
     if 2 * n * p * p > H1_ORACLE_GROUP_ORDER_LIMIT:
         raise LimitExceeded(
             f"group order {2 * n * p * p} exceeds oracle limit {H1_ORACLE_GROUP_ORDER_LIMIT}"
         )
-    operator, operator_inv, basis, pivots, heads, m_fixed = _cocycle_module(params, j)
+    operator, operator_inv, basis, heads, m_fixed = _cocycle_module(params, j)
     rows = [
         row
         for state, tail in zip(heads, _conjugation_tails(dihedral.irr2_rep(params, i0)))
         for row in _coefficient_rows(p, _expand(p, tail, operator, operator_inv, state)[0])
     ]
-    rank = len(basis) + _rank_over(p, basis, pivots, rows)
+    rank = ffield._gauss_jordan(p, [*basis, *rows], 16)[1]
     return 16 - rank - (4 - m_fixed)

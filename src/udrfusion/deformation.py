@@ -190,11 +190,6 @@ def _image_sets_match(images, p: int, runs, point_sets) -> bool:
 _RUN_POINTS = itemgetter(0, 1, 2)
 
 
-def _rows(runs) -> list:
-    """The rows of runs as (x, y, size, stabilizer order), one per orbit."""
-    return [(x, y, size, order) for x, ys, size, order, _ in runs for y in ys]
-
-
 def check_orbit_closed_form(
     params: DihedralParams, i0: int, brute: FusionOrbitSet
 ) -> VerificationReport:
@@ -205,12 +200,13 @@ def check_orbit_closed_form(
     that size and the closed form's image set of the representative
     equal to it.  Since the sweep's representatives are least in their
     orbits, so are the closed form's.  The point sets are compared as the
-    orbit sets hold them, as sets of point codes.
+    orbit sets hold them, as sets of point codes.  brute must be read
+    from a sweep, holding its fusion.SweepPointSets; else ValueError.
 
     The rows are compared from the runs: column by column (x, ys, size,
     stabilizer order, by C-level passes) where both sets group them into
-    the same runs, and else orbit by orbit, so a closed form that groups
-    the same rows into other runs passes.
+    the same runs, and else row by row from iter_rows, so a closed form
+    that groups the same rows into other runs passes.
 
     The rows are checked per action.  The point sets are compared once
     per pair of orbit map and point sets: the actions of one (p, U) share
@@ -219,26 +215,26 @@ def check_orbit_closed_form(
     (x, ys, size) of each run that it read.  An action whose pair and
     runs are those of a comparison made reuses its result, which is the
     one its own comparison would compute, whatever the closed form does."""
+    sweep_sets = brute.point_sets
+    if not isinstance(sweep_sets, fusion.SweepPointSets):
+        raise ValueError("brute must be read from a sweep, with its SweepPointSets")
     closed = fusion.fusion_orbits_closed_form(params, i0)
     p, runs = brute.p, brute.runs
-    sweep_sets = brute.point_sets
-    if sweep_sets is None:
-        sweep_sets = [frozenset(brute.images(x * p + y)) for x, ys, _, _, _ in runs for y in ys]
     # the runs as columns x, ys, size, stabilizer order and generators
     columns = list(zip(*runs))
     sizes, orders = columns[2:4] or ((), ())
     ok = (
-        columns[:4] == list(zip(*closed.runs))[:4] or _rows(runs) == _rows(closed.runs)
+        columns[:4] == list(zip(*closed.runs))[:4]
+        or [row[:3] for row in brute.iter_rows()] == [row[:3] for row in closed.iter_rows()]
     ) and set(map(mul, sizes, orders)) <= {2 * params.n}
     if ok:
         key, images = tuple(map(_RUN_POINTS, runs)), closed.images
-        memo = sweep_sets.compared if isinstance(sweep_sets, fusion.SweepPointSets) else {}
         # keyed by identity, an equal but distinct map being compared anew;
         # the entry holds its map, so no other object takes its id
-        made = memo.get(id(images))
+        made = sweep_sets.compared.get(id(images))
         if made is None or made[1] != key:
             made = images, key, _image_sets_match(images, p, runs, sweep_sets)
-            memo[id(images)] = made
+            sweep_sets.compared[id(images)] = made
         ok = made[2]
     return VerificationReport(
         "orbit_closed_form_matches_bruteforce", (params.n, params.p, i0), ok

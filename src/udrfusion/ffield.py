@@ -136,12 +136,14 @@ def primitive_root_of_unity(p: int, n: int) -> int:
 
 
 def _gauss_jordan(p: int, rows, ncols: int) -> tuple[list, int, int]:
-    """Bring a copy of rows (sequences of residues mod p) to reduced row
-    echelon form in its first ncols columns.
+    """Bring a copy of rows (sequences of residues in [0, p)) to reduced
+    row echelon form in its first ncols columns; a pivot row whose lead
+    is already 1, as a reduced row is, is not normalised again.
 
     Returns the reduced rows, the number of pivots and the product of the
-    pivots times the sign of the row swaps; for a square matrix with a
-    pivot in every column that product is the determinant.
+    pivots times the sign of the row swaps, all residues in [0, p); for a
+    square matrix with a pivot in every column that product is the
+    determinant.
     """
     m = [list(row) for row in rows]
     nrows = len(m)
@@ -158,8 +160,10 @@ def _gauss_jordan(p: int, rows, ncols: int) -> tuple[list, int, int]:
             d = -d
         lead = m[r][c]
         d = d * lead % p
-        inv = pow(lead, -1, p)
-        pivot_row = m[r] = [inv * v % p for v in m[r]]
+        if lead != 1:
+            inv = pow(lead, -1, p)
+            m[r] = [inv * v % p for v in m[r]]
+        pivot_row = m[r]
         for i, row in enumerate(m):
             f = row[c]
             if f and i != r:

@@ -46,7 +46,7 @@ from udrfusion.dihedral import (
     t_map,
     t_preimage,
 )
-from udrfusion.ffield import FpMatrix, LimitExceeded, _gauss_jordan, find_primes
+from udrfusion.ffield import FpMatrix, LimitExceeded, find_primes
 
 
 def test_gmodule_validates_relations():
@@ -441,42 +441,6 @@ def test_unrolled_mul4_is_the_textbook_product(case):
     assert cohomology._mul4(p, x, y) == textbook
 
 
-@st.composite
-def _stacked_system(draw):
-    """(p, ncols, basis, pivots, rows): the reduced rows of a random system
-    of ncols columns with the pivot column of each, and rows to stack
-    under them, each a random combination of the basis rows plus either
-    nothing or a random row, so that the rows meet the pivot columns and
-    often lie in the span."""
-    p = draw(st.sampled_from((3, 5, 7, 1000003)))
-    ncols = draw(st.integers(1, 8))
-    row = st.lists(st.integers(0, p - 1), min_size=ncols, max_size=ncols)
-    reduced, rank, _ = _gauss_jordan(p, draw(st.lists(row, max_size=6)), ncols)
-    basis = [tuple(r) for r in reduced[:rank]]
-    pivots = [next(c for c, v in enumerate(r) if v) for r in basis]
-    rows = []
-    for _ in range(draw(st.integers(0, 6))):
-        coeffs = draw(st.lists(st.integers(0, p - 1), min_size=rank, max_size=rank))
-        noise = draw(st.one_of(st.just([0] * ncols), row))
-        rows.append(tuple(
-            (sum(c * b[k] for c, b in zip(coeffs, basis)) + noise[k]) % p for k in range(ncols)
-        ))
-    return p, ncols, basis, pivots, rows
-
-
-@settings(max_examples=300, deadline=None)
-@given(_stacked_system())
-def test_rank_over_is_the_rank_the_stacked_rows_add(case):
-    """_rank_over against _gauss_jordan of the basis and the rows stacked.
-    In the oracle's own system the two never share a column (the module
-    rows read only f(r) and f(s), the conjugation rows only f(a) and
-    f(b)), so a helper that skipped the reduction against the basis would
-    pass every oracle test; these rows meet the pivot columns."""
-    p, ncols, basis, pivots, rows = case
-    stacked = _gauss_jordan(p, basis + rows, ncols)[1]
-    assert cohomology._rank_over(p, basis, pivots, rows) == stacked - len(basis)
-
-
 def _full_expansion_d1(params, i0, j):
     """d1 from all ten relators of _presentation, expanded afresh and
     ranked as one system."""
@@ -686,7 +650,7 @@ def _cross_references():
     }
     assert {
         "_cocycle_module", "_relator_rows", "_mul4", "_invariant_dim", "_expand",
-        "_coefficient_rows", "_rank_over", "_conjugation_operators", "_conjugation_tails",
+        "_coefficient_rows", "_conjugation_operators", "_conjugation_tails",
     } <= helpers
     _, route_names = _reached(_route_roots())
     assert {"_irr2_monomials", "tensor_fixed_point_dims"} <= route_names

@@ -25,7 +25,12 @@ from udrfusion.deformation import (
     udr_signature,
 )
 from udrfusion.dihedral import DihedralParams, GroupElement, omega_set
-from udrfusion.fusion import FusionOrbitSet, fusion_orbits_bruteforce, fusion_orbits_closed_form
+from udrfusion.fusion import (
+    FusionOrbitSet,
+    SweepPointSets,
+    fusion_orbits_bruteforce,
+    fusion_orbits_closed_form,
+)
 
 
 def test_udr_class_frozen():
@@ -157,13 +162,16 @@ def test_orbit_closed_form_check_compares_row_by_row(n, i0):
     rows[pos] = (other_point, size, stabilizer_order, gens)
     non_least = FusionOrbitSet.from_rows(tuple(rows), brute.p, brute.images, brute.point_sets)
     point_sets[pos], point_sets[pos + 1] = point_sets[pos + 1], point_sets[pos]
-    swapped = FusionOrbitSet.from_rows(brute.rows, brute.p, brute.images, tuple(point_sets))
+    swapped = FusionOrbitSet.from_rows(
+        brute.rows, brute.p, brute.images, SweepPointSets(point_sets)
+    )
     assert non_least.partition() == swapped.partition() == brute.partition()
     assert not check_orbit_closed_form(params, i0, non_least).passed
     assert not check_orbit_closed_form(params, i0, swapped).passed
-    # without point sets the sweep's rows are expanded through its images
+    # only a set read from a sweep, with its point sets, is checked
     unswept = FusionOrbitSet.from_rows(brute.rows, brute.p, brute.images)
-    assert check_orbit_closed_form(params, i0, unswept).passed
+    with pytest.raises(ValueError):
+        check_orbit_closed_form(params, i0, unswept)
     # the census reads orbit sizes only
     assert check_orbit_census(params, i0, non_least).passed
     assert check_orbit_census(params, i0, swapped).passed

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from udrfusion.ffield import (
     FpMatrix,
     LimitExceeded,
+    _gauss_jordan,
     find_prime,
     find_primes,
     is_odd_prime,
@@ -328,6 +329,31 @@ def test_det_is_leibniz_expansion(m):
 def test_det_is_multiplicative(pair):
     a, b = pair
     assert (a * b).det() == a.det() * b.det() % a.p
+
+
+@st.composite
+def _basis_over_rows(draw):
+    """(p, ncols, stacked): the nonzero reduced rows of random rows, each
+    with lead 1, stacked over random residue rows."""
+    p = draw(st.sampled_from((3, 5, 7, 1000003)))
+    ncols = draw(st.integers(min_value=1, max_value=8))
+    row = st.lists(st.integers(min_value=0, max_value=p - 1), min_size=ncols, max_size=ncols)
+    reduced, rank, _ = _gauss_jordan(p, draw(st.lists(row, max_size=6)), ncols)
+    return p, ncols, reduced[:rank] + draw(st.lists(row, max_size=6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_basis_over_rows())
+def test_gauss_jordan_ranks_a_reduced_basis_stacked_over_rows(case):
+    """The call shape of the cocycle oracle: the basis rows keep their
+    lead 1 unnormalised, and the rank is that of the same rows reversed,
+    where the random rows are reduced first."""
+    p, ncols, stacked = case
+    m, rank, d = _gauss_jordan(p, stacked, ncols)
+    reversed_m, reversed_rank, reversed_d = _gauss_jordan(p, stacked[::-1], ncols)
+    assert rank == reversed_rank
+    entries = [v for row in m + reversed_m for v in row] + [d, reversed_d]
+    assert all(0 <= v < p for v in entries)
 
 
 @given(_square_matrix())
