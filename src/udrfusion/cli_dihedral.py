@@ -23,7 +23,7 @@ def analyze_dihedral(args) -> tuple:
     dihedral on the parsed arguments, for cli to write."""
     if args.n > ANALYZE_RANK_LIMIT:
         raise LimitExceeded(f"--n {args.n} is above the rank limit {ANALYZE_RANK_LIMIT}")
-    # the census has at least p orbits: refuse such p before trial division
+    # the census has at least p orbits: refuse such p before any work
     if args.p is not None and args.p > ORBIT_LIMIT:
         raise LimitExceeded(f"--p {args.p} gives at least p orbits, limit is {ORBIT_LIMIT}")
     params = DihedralParams.standard(args.n, args.p)

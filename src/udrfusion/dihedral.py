@@ -55,7 +55,7 @@ class DihedralParams(FrozenRecord):
         if self.p % self.n != 1:
             raise ValueError(f"{self.p} is not 1 mod {self.n}")
         object.__setattr__(self, "omega", self.omega % self.p)
-        if ffield.multiplicative_order(self.omega, self.p) != self.n:
+        if not ffield.has_order(self.omega, self.n, self.p):
             raise ValueError(f"{self.omega} does not have order {self.n} mod {self.p}")
 
     @classmethod

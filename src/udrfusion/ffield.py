@@ -15,6 +15,8 @@ from operator import mul
 from .records import LimitExceeded
 
 PRIME_SEARCH_CEILING = 10**6
+# primitive_root_of_unity takes the least of the phi(n) roots, so O(n)
+ROOT_ORDER_CEILING = 10**5
 
 
 def is_prime(m: int) -> bool:
@@ -86,28 +88,37 @@ def find_primes(n: int, count: int) -> list[int]:
     return out
 
 
-def _sorted_divisors(m: int) -> list[int]:
-    small, large = [], []
-    f = 1
-    while f * f <= m:
+def _prime_divisors(m: int) -> list[int]:
+    """The primes dividing m >= 1, in increasing order.  Trial division
+    stops at PRIME_SEARCH_CEILING; is_prime must pass what is left."""
+    primes, f = [], 2
+    while f * f <= m and f < PRIME_SEARCH_CEILING:
         if m % f == 0:
-            small.append(f)
-            if f * f != m:
-                large.append(m // f)
-        f += 1
-    return small + large[::-1]
+            primes.append(f)
+            while m % f == 0:
+                m //= f
+        f += 1 if f == 2 else 2
+    if f * f <= m and not is_prime(m):
+        raise LimitExceeded(f"{m} has no prime factor below {PRIME_SEARCH_CEILING}")
+    return primes + [m] if m > 1 else primes
+
+
+def has_order(a: int, n: int, p: int) -> bool:
+    """Whether a has multiplicative order exactly n >= 1 mod p: a^n = 1,
+    and a^(n/q) != 1 for each prime q dividing n."""
+    return pow(a, n, p) == 1 and all(pow(a, n // q, p) != 1 for q in _prime_divisors(n))
 
 
 def multiplicative_order(a: int, p: int) -> int:
     if not is_odd_prime(p):
         raise ValueError(f"{p} is not an odd prime")
-    a %= p
-    if a == 0:
+    if a % p == 0:
         raise ValueError("zero has no multiplicative order")
-    for d in _sorted_divisors(p - 1):
-        if pow(a, d, p) == 1:
-            return d
-    raise AssertionError("unreachable: order divides p - 1")
+    order = p - 1
+    for q in _prime_divisors(order):
+        while order % q == 0 and pow(a, order // q, p) == 1:
+            order //= q
+    return order
 
 
 def primitive_root_of_unity(p: int, n: int) -> int:
@@ -124,13 +135,13 @@ def primitive_root_of_unity(p: int, n: int) -> int:
         raise ValueError(f"{n} does not divide p - 1 = {p - 1}")
     if n == 1:
         return 1
+    if n > ROOT_ORDER_CEILING:
+        raise LimitExceeded(f"root order {n} is above the limit {ROOT_ORDER_CEILING}")
     # the elements of order n are the powers h^j, gcd(j, n) = 1, of any
-    # one of them, and some a^((p-1)/n) is one of them.  h^n = 1, so h has
-    # order n exactly when no h^(n/q), q a prime divisor of n, is 1
-    cofactors = [n // q for q in _sorted_divisors(n)[1:] if is_prime(q)]
+    # one of them, and some a^((p-1)/n) is one of them
     for a in range(2, p):
         h = pow(a, (p - 1) // n, p)
-        if all(pow(h, c, p) != 1 for c in cofactors):
+        if has_order(h, n, p):
             return min(pow(h, j, p) for j in range(1, n) if gcd(j, n) == 1)
     raise AssertionError("unreachable: F_p* is cyclic of order p - 1")
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator
 from functools import cached_property
 
-from .records import FrozenRecord, Record
+from .records import FrozenRecord, LimitExceeded, Record
 
 NPoint = tuple[int, int]
 
@@ -197,7 +197,10 @@ class FusionNumbers(Record):
 def coset_minima(p: int, subgroup) -> list[int]:
     """cmin with cmin[y] the least element of the coset y * subgroup of
     F_p^* for 0 < y < p, and cmin[0] = 0.  Linear in p: every coset is
-    written once, from its least element."""
+    written once, from its least element.  Raises LimitExceeded for p
+    above ORBIT_LIMIT, which each caller's orbit count refuses first."""
+    if p > ORBIT_LIMIT:
+        raise LimitExceeded(f"coset table of {p} entries, limit is {ORBIT_LIMIT}")
     cmin = [0] * p
     for y in range(1, p):
         if not cmin[y]:

@@ -14,6 +14,7 @@ from udrfusion.ffield import (
     _gauss_jordan,
     find_prime,
     find_primes,
+    has_order,
     is_odd_prime,
     is_prime,
     multiplicative_order,
@@ -105,6 +106,33 @@ def test_multiplicative_order():
         multiplicative_order(0, 7)
     with pytest.raises(ValueError):
         multiplicative_order(2, 9)
+
+
+def _orders_by_multiplication(p: int) -> list[int]:
+    """orders[a], the multiplicative order of a mod p for 0 < a < p,
+    found by multiplying by a until 1 comes back; orders[0] = 0."""
+    orders = [0] * p
+    for a in range(1, p):
+        x, k = a, 1
+        while x != 1:
+            x, k = x * a % p, k + 1
+        orders[a] = k
+    return orders
+
+
+def test_order_routines_match_repeated_multiplication():
+    """Every cell (p, a, n) with p an odd prime below 300, 0 <= a < p and
+    n dividing p - 1: has_order(a, n, p) is whether a has order n, and
+    multiplicative_order(a, p) is that order."""
+    wrong = []
+    for p in range(3, 300):
+        if any(p % f == 0 for f in range(2, p)):
+            continue
+        orders = _orders_by_multiplication(p)
+        divisors = [n for n in range(1, p) if (p - 1) % n == 0]
+        wrong += [(p, a) for a in range(1, p) if multiplicative_order(a, p) != orders[a]]
+        wrong += [(p, a, n) for a in range(p) for n in divisors if has_order(a, n, p) != (orders[a] == n)]
+    assert wrong == []
 
 
 def test_primitive_root_of_unity_frozen():
