@@ -216,7 +216,7 @@ def check_orbit_closed_form(
     runs are those of a comparison made reuses its result, which is the
     one its own comparison would compute, whatever the closed form does."""
     sweep_sets = brute.point_sets
-    if not isinstance(sweep_sets, fusion.SweepPointSets):
+    if sweep_sets is None:
         raise ValueError("brute must be read from a sweep, with its SweepPointSets")
     closed = fusion.fusion_orbits_closed_form(params, i0)
     p, runs = brute.p, brute.runs

@@ -63,7 +63,7 @@ class DihedralParams(FrozenRecord):
         """Smallest valid prime (unless given) and smallest primitive root."""
         if p is None:
             p = ffield.find_prime(n, 3)
-        return cls(n, p, ffield.primitive_root_of_unity(p, n))
+        return _standard(cls, n, p)
 
     def irr2_indices(self) -> range:
         return irr2_indices(self.n)
@@ -113,16 +113,39 @@ class GroupElement(FrozenRecord):
         return f"GroupElement(n={self.n}, {self.word()!r})"
 
 
+# each above what a default `verify` uses: 38 params, 10 and 9 ranks
+PARAMS_CACHE_SIZE = 256
+ELEMENTS_CACHE_SIZE = 64
+CENTER_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=PARAMS_CACHE_SIZE)
+def _standard(cls: type, n: int, p: int) -> DihedralParams:
+    return cls(n, p, ffield.primitive_root_of_unity(p, n))
+
+
+@lru_cache(maxsize=ELEMENTS_CACHE_SIZE)
+def _group_elements(n: int) -> tuple[GroupElement, ...]:
+    return tuple(GroupElement(n, a, b) for b in (0, 1) for a in range(n))
+
+
+@lru_cache(maxsize=CENTER_CACHE_SIZE)
+def _center(n: int) -> tuple[GroupElement, ...]:
+    r = GroupElement.rotation(n)
+    s = GroupElement.reflection(n)
+    return tuple(g for g in _group_elements(n) if g * r == r * g and g * s == s * g)
+
+
 def group_elements(n: int) -> list[GroupElement]:
-    """All 2n elements, rotations first, in a fixed deterministic order."""
-    return [GroupElement(n, a, b) for b in (0, 1) for a in range(n)]
+    """All 2n elements, rotations first, in a fixed deterministic order;
+    a new list on each call, of elements built once per rank."""
+    return list(_group_elements(n))
 
 
 def center(n: int) -> list[GroupElement]:
-    """Center computed honestly by scanning for commuting elements."""
-    r = GroupElement.rotation(n)
-    s = GroupElement.reflection(n)
-    return [g for g in group_elements(n) if g * r == r * g and g * s == s * g]
+    """Center computed honestly by scanning for commuting elements, once
+    per rank; a new list on each call."""
+    return list(_center(n))
 
 
 class RepLabel(FrozenRecord):

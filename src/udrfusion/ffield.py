@@ -9,7 +9,7 @@ private Gauss-Jordan routine, _gauss_jordan.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 from .records import LimitExceeded
@@ -70,18 +70,30 @@ def find_prime(n: int, lower_bound: int = 3) -> int:
         raise ValueError("need n >= 3")
     if lower_bound < 3:
         raise ValueError("need lower_bound >= 3")
-    p = lower_bound
+    # the odd p = 1 (mod n) are the p > 1 with p = 1 (mod step): start at
+    # the first at or above lower_bound
+    step = lcm(n, 2)
+    p = lower_bound + (1 - lower_bound) % step
     while p <= PRIME_SEARCH_CEILING:
-        if p % n == 1 and p % 2 == 1 and is_prime(p):
+        if is_prime(p):
             return p
-        p += 1
+        p += step
     raise LimitExceeded(
         f"no odd prime p = 1 (mod {n}) with {lower_bound} <= p <= {PRIME_SEARCH_CEILING}"
     )
 
 
 def find_primes(n: int, count: int) -> list[int]:
-    """The count smallest odd primes congruent to 1 mod n."""
+    """The count smallest odd primes congruent to 1 mod n.  Refused at
+    once when fewer than count candidates lie below PRIME_SEARCH_CEILING."""
+    if n < 3:
+        raise ValueError("need n >= 3")
+    candidates = (PRIME_SEARCH_CEILING - 1) // lcm(n, 2)
+    if count > candidates:
+        raise LimitExceeded(
+            f"{count} primes p = 1 (mod {n}) asked for, but only {candidates} odd "
+            f"p = 1 (mod {n}) lie in 3 <= p <= {PRIME_SEARCH_CEILING}"
+        )
     out: list[int] = []
     while len(out) < count:
         out.append(find_prime(n, out[-1] + 1 if out else 3))

@@ -53,6 +53,7 @@ from .orbits import (
     FusionOrbit,
     FusionOrbitSet,
     NPoint,
+    SweepPointSets,
     fusion_numbers,
 )
 
@@ -62,20 +63,6 @@ BRUTE_FORCE_POINT_LIMIT = 10**6
 def act(params: DihedralParams, i0: int, g: GroupElement, v: NPoint) -> NPoint:
     """Image of the point v under g through theta_i0."""
     return dihedral.irr2_rep(params, i0).matrix(g).apply(v)
-
-
-class SweepPointSets(tuple):
-    """A sweep's point sets, one frozenset of codes per orbit in row
-    order, with compared, the memo of deformation.check_orbit_closed_form
-    on them: it maps the id of an orbit map to the map, the (x, ys, size)
-    of each run it was applied to and whether it took each
-    representative to the point set of its row, of the row's size.
-    Every orbit set read from the sweep holds this one object, so the
-    memo lives and dies with the sweep, and no module-level cache holds
-    one."""
-
-    def __init__(self, point_sets) -> None:
-        self.compared = {}
 
 
 def _sweep_orbits(p: int, matrices) -> tuple:

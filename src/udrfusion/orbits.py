@@ -68,6 +68,20 @@ class FusionOrbit(FrozenRecord):
         return points
 
 
+class SweepPointSets(tuple):
+    """A sweep's point sets, one frozenset of codes per orbit in row
+    order, with compared, the memo of deformation.check_orbit_closed_form
+    on them: it maps the id of an orbit map to the map, the (x, ys, size)
+    of each run it was applied to and whether it took each
+    representative to the point set of its row, of the row's size.
+    Every orbit set read from the sweep holds this one object, so the
+    memo lives and dies with the sweep, and no module-level cache holds
+    one."""
+
+    def __init__(self, point_sets) -> None:
+        self.compared = {}
+
+
 class FusionOrbitSet(FrozenRecord):
     """A full orbit partition of F_p x F_p, sorted by representative.
 
@@ -82,8 +96,8 @@ class FusionOrbitSet(FrozenRecord):
     point set on its own first access.  images is the action shared by
     every orbit of the set, on codes x*p + y: it maps the code of a point
     to the codes of its images, and every orbit's elements are read from
-    it.  point_sets, when given, holds the point set of each orbit in row
-    order as a frozenset of codes, as a sweep keeps them; only
+    it.  point_sets, when given, is the SweepPointSets of the sweep the
+    set was read from, and anything else raises ValueError; only
     deformation.check_orbit_closed_form reads them.
     repr, == and hash read rows and p; images and point_sets are left out.
     """
@@ -91,8 +105,12 @@ class FusionOrbitSet(FrozenRecord):
     _fields = ("rows", "p")
 
     def __init__(
-        self, runs: tuple, p: int, images: OrbitMap, point_sets: tuple | None = None
+        self, runs: tuple, p: int, images: OrbitMap, point_sets: SweepPointSets | None = None
     ) -> None:
+        if point_sets is not None and not isinstance(point_sets, SweepPointSets):
+            raise ValueError(
+                f"point_sets must be a sweep's SweepPointSets, got {type(point_sets).__name__}"
+            )
         for run in runs:
             if len(run) != 5:
                 raise ValueError(
@@ -108,7 +126,7 @@ class FusionOrbitSet(FrozenRecord):
 
     @classmethod
     def from_rows(
-        cls, rows, p: int, images: OrbitMap, point_sets: tuple | None = None
+        cls, rows, p: int, images: OrbitMap, point_sets: SweepPointSets | None = None
     ) -> "FusionOrbitSet":
         """The orbit set of rows, one run per row."""
         return cls(tuple((x, (y,), *rest) for (x, y), *rest in rows), p, images, point_sets)

@@ -54,14 +54,19 @@ class Record:
 class FrozenRecord(Record):
     __slots__ = ()
 
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # read once per class; _init looks __post_init__ up on the instance,
+        # so a method patched onto the class after this still runs
+        cls._has_post_init = hasattr(cls, "__post_init__")
+
     def _init(self, *values) -> None:
         """Store values under _fields, in order, then run __post_init__
         if the class has one; ValueError if the counts differ."""
         for name, value in zip(self._fields, values, strict=True):
             object.__setattr__(self, name, value)
-        post_init = getattr(self, "__post_init__", None)
-        if post_init is not None:
-            post_init()
+        if self._has_post_init:
+            self.__post_init__()
 
     def __hash__(self) -> int:
         return hash(self._values(self))

@@ -9,7 +9,7 @@ import signal
 
 import pytest
 
-from udrfusion import ffield, orbits
+from udrfusion import dihedral, ffield, orbits
 from udrfusion.abelian import AbelianParams, CharacterPair, abelian_orbits
 from udrfusion.dihedral import DihedralParams
 from udrfusion.ffield import (
@@ -49,6 +49,7 @@ PROBES = {
     "find_prime(P - 1)": lambda: find_prime(P - 1),
     "find_prime(3, P)": lambda: find_prime(3, P),
     "find_primes(ceiling + 1, 2)": lambda: find_primes(PRIME_SEARCH_CEILING + 1, 2),
+    "find_primes(3, 10**9)": lambda: find_primes(3, 10**9),
     "multiplicative_order(2, P)": lambda: multiplicative_order(2, P),
     "multiplicative_order(2, smooth P)": lambda: multiplicative_order(2, SMOOTH_P),
     "has_order(W, P - 1, P)": lambda: has_order(W, P - 1, P),
@@ -110,6 +111,8 @@ def test_entry_points_return_or_refuse_within_a_second(monkeypatch):
         raise AssertionError("multiplicative_order called")
 
     monkeypatch.setattr(ffield, "multiplicative_order", no_order_search)
+    # built anew, not read from the probes' memo
+    dihedral._standard.cache_clear()
     assert DihedralParams(12, P, W).omega == W
     assert DihedralParams.standard(12, P).omega == primitive_root_of_unity(P, 12)
     with pytest.raises(ValueError, match=r"^0 does not have order 12 mod "):

@@ -36,7 +36,7 @@ from udrfusion.cohomology import CohomologyDims
 from udrfusion.dihedral import DihedralParams
 from udrfusion.ffield import LimitExceeded, find_primes
 from udrfusion.fusion import FusionOrbit
-from udrfusion.records import VerificationReport
+from udrfusion.records import FrozenRecord, VerificationReport
 
 REFERENCES_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
 
@@ -502,6 +502,36 @@ def test_verify_sweeps_each_orbit_instance_once(capsys, monkeypatch):
         _table_key(*instance) for instance in instances
     }
     assert set(sweeps.values()) == {1}
+
+
+def test_default_verify_builds_each_group_object_once(monkeypatch):
+    """The record constructions of a default verify from cleared caches,
+    per class: the params of each (n, p), the 2n elements and the centre
+    of each rank are built once.  Mutating a list that group_elements or
+    center returns leaves the next call's list unchanged."""
+    for module, name, *_ in _readme_cache_table():
+        getattr(importlib.import_module(f"udrfusion.{module}"), name).cache_clear()
+    built = Counter()
+    real = FrozenRecord._init
+
+    def counting(self, *values):
+        built[type(self).__name__] += 1
+        real(self, *values)
+
+    monkeypatch.setattr(FrozenRecord, "_init", counting)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify"]) == 0
+    assert built == {
+        "CohomologyDims": 120, "DihedralParams": 38, "GroupElement": 976, "Rep2": 60,
+        "RepLabel": 508, "VerificationReport": 399,
+    }
+    for build in (dihedral.group_elements, dihedral.center):
+        fresh = build(6)
+        mutated = build(6)
+        assert mutated is not fresh
+        mutated.append(mutated.pop(0))
+        mutated.append(dihedral.GroupElement(5, 1))
+        assert build(6) == fresh
 
 
 def _table(n, p, i0):

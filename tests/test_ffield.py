@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from udrfusion.ffield import (
+    PRIME_SEARCH_CEILING,
     FpMatrix,
     LimitExceeded,
     _gauss_jordan,
@@ -81,6 +82,46 @@ def test_find_prime_lower_bound():
     assert find_primes(5, 3) == [11, 31, 41]
     for p in find_primes(12, 3):
         assert p % 12 == 1 and is_odd_prime(p)
+
+
+def _find_prime_by_ones(n, lower_bound):
+    """The step-by-1 search: the least odd prime p = 1 (mod n) in
+    lower_bound <= p <= PRIME_SEARCH_CEILING, or None."""
+    for p in range(lower_bound, PRIME_SEARCH_CEILING + 1):
+        if p % n == 1 and p % 2 == 1 and is_prime(p):
+            return p
+    return None
+
+
+@pytest.mark.parametrize("n", range(3, 61))
+def test_find_prime_steps_to_the_primes_of_the_search_by_ones(n):
+    # at and next to a candidate, between candidates, and near the ceiling,
+    # where some n have no prime left
+    bounds = [3, 4, n + 1, n + 2, 2 * n + 1, 2 * n + 2, 1000, 65_537, PRIME_SEARCH_CEILING - 600]
+    for lower_bound in bounds:
+        expected = _find_prime_by_ones(n, lower_bound)
+        if expected is None:
+            with pytest.raises(LimitExceeded):
+                find_prime(n, lower_bound)
+        else:
+            assert find_prime(n, lower_bound) == expected, lower_bound
+            assert find_prime(n, expected) == expected
+    first = _find_prime_by_ones(n, 3)
+    assert find_primes(n, 3) == [
+        first,
+        second := _find_prime_by_ones(n, first + 1),
+        _find_prime_by_ones(n, second + 1),
+    ]
+
+
+def test_find_primes_refuses_more_primes_than_candidates():
+    # 166,666 odd p = 1 (mod 3) lie in 3 <= p <= 10^6, fewer primes still
+    with pytest.raises(LimitExceeded, match=r"^166667 primes p = 1 \(mod 3\) asked for"):
+        find_primes(3, 166_667)
+    with pytest.raises(LimitExceeded):
+        find_primes(PRIME_SEARCH_CEILING, 1)
+    with pytest.raises(ValueError):
+        find_primes(2, 1)
 
 
 def test_find_prime_rejects_bad_arguments():

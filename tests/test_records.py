@@ -38,7 +38,10 @@ from udrfusion import (
     UdrClass,
     UdrSignature,
     VerificationReport,
+    fusion,
+    orbits,
 )
+from udrfusion.orbits import SweepPointSets
 
 
 def _images(v):
@@ -53,6 +56,8 @@ _E3 = GroupElement(3, 0)
 _ORBIT_ROWS = (((0, 0), 1, 2, ()), ((0, 1), 2, 1, (_E3,)))
 # the same two orbits as runs (x, ys, size, stabilizer order, generators)
 _ORBIT_RUNS = ((0, (0,), 1, 2, ()), (0, (1,), 2, 1, (_E3,)))
+# the point codes x*p + y of its two orbits at p = 3
+_POINT_SETS = SweepPointSets((frozenset({0}), frozenset({1, 2})))
 _D3 = DihedralParams(3, 7, 2)
 _A23 = AbelianParams((2, 3), 7)
 _ROT, _REF = FpMatrix(7, ((2, 0), (0, 4))), FpMatrix(7, ((0, 1), (1, 0)))
@@ -82,7 +87,7 @@ RECORDS = [
     ),
     (
         FusionOrbitSet,
-        (_ORBIT_RUNS, 3, _images, ({(0, 0)}, {(0, 1), (0, 2)})),
+        (_ORBIT_RUNS, 3, _images, _POINT_SETS),
         (_ORBIT_RUNS[:1], 3, _images),
         (_ORBIT_ROWS, 3),
         "FusionOrbitSet(rows=(((0, 0), 1, 2, ()), ((0, 1), 2, 1, (GroupElement(n=3, 'e'),))), p=3)",
@@ -203,7 +208,7 @@ def test_excluded_fields_stay_out_of_repr_and_equality():
     orbit = FusionOrbit((0, 1), 2, 1, (), _images)
     assert orbit == FusionOrbit((0, 1), 2, 1, (), _other_images)
     assert hash(orbit) == hash(FusionOrbit((0, 1), 2, 1, (), _other_images))
-    whole = FusionOrbitSet(_ORBIT_RUNS, 3, _images, ({(0, 0)}, {(0, 1), (0, 2)}))
+    whole = FusionOrbitSet(_ORBIT_RUNS, 3, _images, _POINT_SETS)
     bare = FusionOrbitSet(_ORBIT_RUNS, 3, _other_images)
     assert whole == bare and hash(whole) == hash(bare) and repr(whole) == repr(bare)
     assert "images" not in repr(orbit) and "point_sets" not in repr(whole)
@@ -222,6 +227,16 @@ def test_hash_is_the_dataclass_hash_or_none(cls, args, changed, values, text):
 def test_dihedral_params_key_a_cache():
     assert hash(DihedralParams(5, 11, 3)) == hash((5, 11, 3))
     assert len({DihedralParams(5, 11, 3), DihedralParams(5, 11, 14), DihedralParams(5, 11, 4)}) == 2
+
+
+def test_orbit_set_point_sets_are_a_sweeps_or_none():
+    assert FusionOrbitSet(_ORBIT_RUNS, 3, _images, _POINT_SETS).point_sets is _POINT_SETS
+    assert fusion.SweepPointSets is orbits.SweepPointSets
+    plain = tuple(_POINT_SETS)
+    with pytest.raises(ValueError, match="SweepPointSets, got tuple"):
+        FusionOrbitSet(_ORBIT_RUNS, 3, _images, plain)
+    with pytest.raises(ValueError, match="SweepPointSets, got tuple"):
+        FusionOrbitSet.from_rows(_ORBIT_ROWS, 3, _images, plain)
 
 
 @pytest.mark.parametrize("cls, args, changed, values, text", RECORDS, ids=_IDS)
