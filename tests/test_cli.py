@@ -529,8 +529,7 @@ def test_default_verify_builds_each_group_object_once(monkeypatch):
         fresh = build(6)
         mutated = build(6)
         assert mutated is not fresh
-        mutated.append(mutated.pop(0))
-        mutated.append(dihedral.GroupElement(5, 1))
+        mutated.clear()
         assert build(6) == fresh
 
 

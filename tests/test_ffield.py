@@ -107,11 +107,8 @@ def test_find_prime_steps_to_the_primes_of_the_search_by_ones(n):
             assert find_prime(n, lower_bound) == expected, lower_bound
             assert find_prime(n, expected) == expected
     first = _find_prime_by_ones(n, 3)
-    assert find_primes(n, 3) == [
-        first,
-        second := _find_prime_by_ones(n, first + 1),
-        _find_prime_by_ones(n, second + 1),
-    ]
+    second = _find_prime_by_ones(n, first + 1)
+    assert find_primes(n, 3) == [first, second, _find_prime_by_ones(n, second + 1)]
 
 
 def test_find_primes_refuses_more_primes_than_candidates():
