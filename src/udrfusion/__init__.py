@@ -14,6 +14,12 @@ exceptions and type aliases.  So a name rebound in its module (a test's
 patch, a tracer's wrapper) is the one every caller calls.  The one
 exception is fusion, which re-exports orbits' fusion_numbers as its own,
 because the benchmark's tracer wraps it there.
+
+Names that moved out of a module still read there, bound nowhere but
+in their new module: a PEP 562 __getattr__ over a constant table loads
+fpmatrix for ffield.FpMatrix, dense for cohomology's module route and
+abelian_catalog for abelian's sweep catalog, on first access only.  The
+table below names each name's defining module.
 """
 
 import importlib
@@ -23,12 +29,12 @@ __version__ = "0.1.0"
 # submodule -> the names the package exports from it
 _MODULE_EXPORTS = {
     "ffield": (
-        "FpMatrix",
         "find_prime",
         "find_primes",
         "multiplicative_order",
         "primitive_root_of_unity",
     ),
+    "fpmatrix": ("FpMatrix",),
     "dihedral": (
         "DihedralParams",
         "GroupElement",
@@ -63,15 +69,17 @@ _MODULE_EXPORTS = {
         "VerificationReport",
     ),
     "cohomology": (
+        "cohomologically_maximal_set",
+        "d1_oracle_cocycles",
+        "dims",
+        "dims_row",
+    ),
+    "dense": (
         "GModule",
         "adjoint_decomposition_check",
         "adjoint_module",
-        "cohomologically_maximal_set",
         "contragredient",
-        "d1_oracle_cocycles",
         "det_module",
-        "dims",
-        "dims_row",
         "fixed_point_dim",
         "rep_module",
         "sign_module",
@@ -100,8 +108,10 @@ _MODULE_EXPORTS = {
         "abelian_fixed_count",
         "abelian_fixed_count_bruteforce",
         "abelian_orbits",
-        "abelian_orbits_bruteforce",
         "abelian_udr",
+    ),
+    "abelian_catalog": (
+        "abelian_orbits_bruteforce",
         "find_underdetermined_pair",
     ),
 }
@@ -109,8 +119,9 @@ _MODULE_EXPORTS = {
 _EXPORTS = {name: module for module, names in _MODULE_EXPORTS.items() for name in names}
 
 _SUBMODULES = frozenset((
-    "abelian", "cli", "cli_dihedral", "cli_report", "cli_verify", "cohomology", "deformation",
-    "dihedral", "ffield", "fusion", "orbits", "records",
+    "abelian", "abelian_catalog", "cli", "cli_dihedral", "cli_report", "cli_verify",
+    "cohomology", "deformation", "dense", "dihedral", "ffield", "fpmatrix", "fusion", "orbits",
+    "records",
 ))
 
 __all__ = list(_EXPORTS)

@@ -12,7 +12,11 @@ coset minima of three subgroups of F_p^* (the projections A and B of the
 image H of the group in F_p^* x F_p^*, and the kernel K of the first
 projection), in time and memory linear in p plus the number of orbits.
 The brute-force sweep abelian_orbits_bruteforce and the per-value fixed
-count abelian_fixed_count_bruteforce are its independent oracles.
+count abelian_fixed_count_bruteforce are its independent oracles.  The
+sweep and the catalog search built on it (all_character_pairs,
+find_underdetermined_pair), which no command calls, are defined in
+abelian_catalog and still read here: the first read loads that module
+(PEP 562), so analyze abelian never compiles them.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from collections import Counter
 from math import gcd, lcm, prod
 
 from . import ffield, orbits
-from .ffield import FpMatrix, LimitExceeded
+from .ffield import LimitExceeded
 from .orbits import ORBIT_LIMIT, FusionOrbitSet
 from .records import CohomologyDims, FrozenRecord, UdrClass
 
@@ -162,7 +166,7 @@ def abelian_fixed_count(pair: CharacterPair) -> int:
     return pair.params.p ** pair.trivial_count()
 
 
-def _check_sweep_size(params: AbelianParams) -> None:
+def check_sweep_size(params: AbelianParams) -> None:
     """Refuse a brute force over the order * p^2 (element, point) pairs of
     the plane past ABELIAN_BRUTE_FORCE_LIMIT."""
     size = params.order * params.p**2
@@ -181,7 +185,7 @@ def abelian_fixed_count_bruteforce(pair: CharacterPair) -> int:
     """
     params = pair.params
     p = params.p
-    _check_sweep_size(params)
+    check_sweep_size(params)
     values = [(pair.value1(g), pair.value2(g)) for g in params.elements()]
     full = (1 << len(values)) - 1
 
@@ -206,20 +210,21 @@ def abelian_dims(pair: CharacterPair) -> CohomologyDims:
 
 def abelian_dims_projector(pair: CharacterPair) -> CohomologyDims:
     """The same dimensions from averaging idempotents over the group:
-    d1 from the contragredient of the diagonal action, the d2 increment
-    from its determinant character."""
+    d1 is the rank of the average of the contragredient of the diagonal
+    action, a diagonal 2x2 operator, and the d2 increment that of the
+    average of its determinant character, a 1x1 operator, both ranked by
+    ffield.gauss_jordan."""
     params = pair.params
     p = params.p
     inv_order = pow(params.order % p, -1, p)
-    acc2 = FpMatrix.zeros(p, 2, 2)
-    acc1 = FpMatrix.zeros(p, 1, 1)
+    sum1 = sum2 = sum_det = 0
     for g in params.elements():
         v1 = pow(pair.value1(g), -1, p)
         v2 = pow(pair.value2(g), -1, p)
-        acc2 = acc2 + FpMatrix.diagonal(p, (v1, v2))
-        acc1 = acc1 + FpMatrix(p, ((v1 * v2 % p,),))
-    d1 = (inv_order * acc2).rank()
-    return CohomologyDims(d1, d1 + (inv_order * acc1).rank())
+        sum1, sum2, sum_det = sum1 + v1, sum2 + v2, sum_det + v1 * v2
+    plane = [(sum1 * inv_order % p, 0), (0, sum2 * inv_order % p)]
+    d1 = ffield.gauss_jordan(p, plane, 2)[1]
+    return CohomologyDims(d1, d1 + ffield.gauss_jordan(p, [(sum_det * inv_order % p,)], 1)[1])
 
 
 def abelian_udr(pair: CharacterPair) -> UdrClass:
@@ -277,53 +282,14 @@ def abelian_orbits(pair: CharacterPair) -> FusionOrbitSet:
     return FusionOrbitSet(tuple(runs), p, orbits.diagonal_images(p, image))
 
 
-def abelian_orbits_bruteforce(pair: CharacterPair) -> FusionOrbitSet:
-    """Orbit partition of the plane by sweeping every point; the oracle
-    for abelian_orbits.  It loads fusion, the sweep's module, when called."""
-    from . import fusion
-
-    params = pair.params
-    _check_sweep_size(params)
-    elements = list(params.elements())
-    matrices = [(pair.value1(g), 0, 0, pair.value2(g)) for g in elements]
-    ((_, orbit_set),) = fusion.orbit_sets_bruteforce([(pair, params.p, elements, matrices)])
-    return orbit_set
+# the names defined in abelian_catalog that still read here; __getattr__
+# loads that module on the first read and binds nothing in this one
+_MOVED_NAMES = ("abelian_orbits_bruteforce", "all_character_pairs", "find_underdetermined_pair")
 
 
-def all_character_pairs(params: AbelianParams):
-    """Every character pair, in deterministic exponent order."""
-    ranges = [range(m) for m in params.cyclic_orders]
-    for e1 in itertools.product(*ranges):
-        for e2 in itertools.product(*ranges):
-            yield CharacterPair.from_exponents(params, e1, e2)
+def __getattr__(name: str):
+    if name in _MOVED_NAMES:
+        from . import abelian_catalog
 
-
-def find_underdetermined_pair(params: AbelianParams):
-    """Search for two character pairs with identical fusion numbers,
-    dimensions and ring class whose orbit partitions still differ.
-
-    Returns the first such (pair, pair) in search order, or None.  The
-    existence of one shows the summary invariants cannot reconstruct
-    the orbit structure.  It sweeps the plane once for each of the
-    order^2 pairs, so it refuses groups whose sweeps together pass
-    ABELIAN_BRUTE_FORCE_LIMIT before the first one.
-    """
-    sweep = params.order * params.p**2
-    if params.order**2 * sweep > ABELIAN_BRUTE_FORCE_LIMIT:
-        raise LimitExceeded(
-            f"{params.order**2} sweeps of size {sweep} exceed {ABELIAN_BRUTE_FORCE_LIMIT} in total"
-        )
-    catalog = []
-    for pair in all_character_pairs(params):
-        orbit_set = abelian_orbits_bruteforce(pair)
-        summary = (
-            tuple(orbit_set.size_census().items()),
-            abelian_dims(pair),
-            abelian_udr(pair),
-        )
-        catalog.append((pair, summary, orbit_set.partition()))
-    for a_pos, (pair1, sum1, part1) in enumerate(catalog):
-        for pair2, sum2, part2 in catalog[a_pos + 1 :]:
-            if sum1 == sum2 and part1 != part2:
-                return pair1, pair2
-    return None
+        return getattr(abelian_catalog, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

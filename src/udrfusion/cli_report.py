@@ -19,8 +19,10 @@ CSV_TAGS = {cls.label: cls.value for cls in UdrClass}
 
 
 def parse_int_list(text: str, flag: str) -> list[int]:
+    """The integers of text, comma-separated; an empty item is refused
+    with the rest, so that "2,,3" is not read as "2,3"."""
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [int(tok) for tok in text.split(",")]
     except ValueError:
         raise ValueError(f"{flag} must be a comma-separated integer list, got {text!r}")
 

@@ -21,12 +21,14 @@ once, as a join on weight, and `dims` reads one entry of that row.
 The dense `GModule` route on `irr2_rep`'s matrices, whose fixed-point
 dimension is the rank of the averaging idempotent, is kept as an
 independent oracle for the tests and computes nothing on the `dims` path.
+It is defined in `dense` and its names still read here: the first read
+loads that module (PEP 562), so no command compiles it.
 
 A second, independent route recomputes d1 from scratch: 1-cocycles of
 the finitely presented semidirect product with values in the 2x2 matrix
 module, solved as a linear system over F_p in the values on the four
 generators and ranked by the package's one elimination routine,
-`ffield._gauss_jordan`.  It reads `irr2_rep`'s matrices and shares
+`ffield.gauss_jordan`.  It reads `irr2_rep`'s matrices and shares
 nothing with the fixed-point path beyond the definition of theta_i.
 What does not read the action theta_i0 is built once per (params, j)
 (`_cocycle_module`): the reduced rows of the six relators without it,
@@ -41,112 +43,12 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import dihedral, ffield
-from .dihedral import DihedralParams, Rep2, RepLabel
-from .ffield import FpMatrix, LimitExceeded
-from .records import CohomologyDims, FrozenRecord
+from .dihedral import DihedralParams, Rep2
+from .ffield import LimitExceeded
+from .fpmatrix import FpMatrix
+from .records import CohomologyDims
 
 H1_ORACLE_GROUP_ORDER_LIMIT = 10**4
-
-
-class GModule(FrozenRecord):
-    """A module over the dihedral group of order 2n, given by the action
-    of the two generators.  Construction checks the defining relations."""
-
-    __slots__ = _fields = ("n", "p", "dim", "mat_r", "mat_s")
-
-    def __init__(self, n: int, p: int, dim: int, mat_r: FpMatrix, mat_s: FpMatrix) -> None:
-        self._init(n, p, dim, mat_r, mat_s)
-
-    def __post_init__(self) -> None:
-        ident = FpMatrix.identity(self.p, self.dim)
-        if self.mat_r.rows != self.dim or self.mat_s.rows != self.dim:
-            raise ValueError("generator matrix has wrong dimension")
-        if self.mat_r ** self.n != ident:
-            raise ValueError("rotation matrix does not have order dividing n")
-        if self.mat_s ** 2 != ident:
-            raise ValueError("reflection matrix does not square to 1")
-        if self.mat_s * self.mat_r * self.mat_s != self.mat_r.inverse():
-            raise ValueError("generator matrices do not satisfy the dihedral relation")
-
-    # a group element s^flip r^rot acts as mat_s^flip mat_r^rot, as in a Rep2
-    matrix = Rep2.matrix
-    trace = Rep2.trace
-
-
-def rep_module(rep: Rep2) -> GModule:
-    return GModule(rep.params.n, rep.params.p, 2, rep.mat_r, rep.mat_s)
-
-
-def trivial_module(params: DihedralParams, dim: int = 1) -> GModule:
-    ident = FpMatrix.identity(params.p, dim)
-    return GModule(params.n, params.p, dim, ident, ident)
-
-
-def sign_module(params: DihedralParams) -> GModule:
-    one = FpMatrix(params.p, ((1,),))
-    return GModule(params.n, params.p, 1, one, FpMatrix(params.p, ((-1,),)))
-
-
-def module_for_label(params: DihedralParams, label: RepLabel) -> GModule:
-    if label.kind == "irr2":
-        return rep_module(dihedral.irr2_rep(params, label.index))
-    if label.kind == "ind":
-        return rep_module(dihedral.induced_rep(params, label.index))
-    if label.kind == "triv":
-        return trivial_module(params)
-    if label.kind == "sign":
-        return sign_module(params)
-    raise ValueError(f"unknown label kind {label.kind!r}")
-
-
-def contragredient(m: GModule) -> GModule:
-    """Dual module: each generator acts by transpose inverse."""
-    return GModule(
-        m.n,
-        m.p,
-        m.dim,
-        m.mat_r.inverse().transpose(),
-        m.mat_s.inverse().transpose(),
-    )
-
-
-def tensor(a: GModule, b: GModule) -> GModule:
-    if a.n != b.n or a.p != b.p:
-        raise ValueError("modules over different groups or fields")
-    return GModule(a.n, a.p, a.dim * b.dim, a.mat_r.kron(b.mat_r), a.mat_s.kron(b.mat_s))
-
-
-def det_module(m: GModule) -> GModule:
-    """One-dimensional module through the determinant of the action."""
-    return GModule(
-        m.n,
-        m.p,
-        1,
-        FpMatrix(m.p, ((m.mat_r.det(),),)),
-        FpMatrix(m.p, ((m.mat_s.det(),),)),
-    )
-
-
-def adjoint_module(m: GModule) -> GModule:
-    """V* (x) V, the conjugation action on Hom(V, V)."""
-    return tensor(contragredient(m), m)
-
-
-def fixed_point_dim(m: GModule) -> int:
-    """Dimension of the invariants, as the rank of the averaging idempotent.
-
-    The group sum factors as (1 + S) . sum_a R^a, which is the same 2n
-    matrices added in a cheaper order.
-    """
-    p = m.p
-    acc = FpMatrix.zeros(p, m.dim, m.dim)
-    cur = FpMatrix.identity(p, m.dim)
-    for _ in range(m.n):
-        acc = acc + cur
-        cur = cur * m.mat_r
-    total = acc + m.mat_s * acc
-    proj = pow(2 * m.n % p, -1, p) * total
-    return proj.rank()
 
 
 class _MonomialModule:
@@ -310,45 +212,6 @@ def dims(params: DihedralParams, i0: int, j: int) -> CohomologyDims:
     return CohomologyDims(*dims_row(params, i0)[at])
 
 
-def adjoint_decomposition_check(params: DihedralParams, i: int) -> bool:
-    """Confirm V* (x) V splits as trivial + sign + induced-square.
-
-    Checks the character identity on all 2n elements and the three
-    explicit stable spans: the identity matrix (trivial), diag(1, -1)
-    (sign), and the pair of off-diagonal elementary matrices which the
-    rotation scales by w^(2i) and w^(-2i) and the reflection swaps.
-    """
-    rep = dihedral.irr2_rep(params, i)
-    adj = adjoint_module(rep_module(rep))
-    triv = trivial_module(params)
-    sgn = sign_module(params)
-    tmod = module_for_label(params, dihedral.t_map(params, i))
-    p = params.p
-
-    for g in dihedral.group_elements(params.n):
-        if adj.trace(g) != (triv.trace(g) + sgn.trace(g) + tmod.trace(g)) % p:
-            return False
-
-    mr, ms = rep.mat_r, rep.mat_s
-    mr_inv, ms_inv = mr.inverse(), ms.inverse()
-    ident = FpMatrix.identity(p, 2)
-    diag = FpMatrix.diagonal(p, (1, -1))
-    upper = FpMatrix(p, ((0, 1), (0, 0)))
-    lower = FpMatrix(p, ((0, 0), (1, 0)))
-    w2 = pow(params.omega, 2 * i, p)
-    w2_inv = pow(w2, -1, p)
-    return (
-        mr * ident * mr_inv == ident
-        and ms * ident * ms_inv == ident
-        and mr * diag * mr_inv == diag
-        and ms * diag * ms_inv == -diag
-        and mr * upper * mr_inv == w2 * upper
-        and mr * lower * mr_inv == w2_inv * lower
-        and ms * upper * ms_inv == lower
-        and ms * lower * ms_inv == upper
-    )
-
-
 def cohomologically_maximal_set(params: DihedralParams, i0: int) -> frozenset[int]:
     """Indices j whose d2 attains the maximum over all 2-dim irreducibles."""
     table = {j: d2 for j, (_, d2) in zip(params.irr2_indices(), dims_row(params, i0))}
@@ -495,7 +358,7 @@ def _invariant_dim(p: int, operator: dict[str, tuple]) -> int:
         for op in (operator["r"], operator["s"])
         for i in range(4)
     ]
-    return 4 - ffield._gauss_jordan(p, rows, 4)[1]
+    return 4 - ffield.gauss_jordan(p, rows, 4)[1]
 
 
 @lru_cache(maxsize=ORACLE_MODULE_CACHE_SIZE)
@@ -520,7 +383,7 @@ def _cocycle_module(params: DihedralParams, j: int) -> tuple:
         for row in _relator_rows(p, rel, operator, operator_inv)
         if any(row)
     ]
-    reduced, rank, _ = ffield._gauss_jordan(p, rows, 16)
+    reduced, rank, _ = ffield.gauss_jordan(p, rows, 16)
     basis = tuple(tuple(row) for row in reduced[:rank])
     heads = tuple(_expand(p, head, operator, operator_inv) for head in _CONJUGATION_HEADS)
     return operator, operator_inv, basis, heads, _invariant_dim(p, operator)
@@ -544,7 +407,7 @@ def d1_oracle_cocycles(params: DihedralParams, i0: int, j: int) -> int:
     relators, dim M^G, and the expansion of each conjugation relator's
     head g x g^-1.  A call resumes each head's expansion with its two
     tail letters, and the system's rank is that of the memoized rows
-    stacked over its 16 rows, by ffield._gauss_jordan.
+    stacked over its 16 rows, by ffield.gauss_jordan.
     """
     n, p = params.n, params.p
     if 2 * n * p * p > H1_ORACLE_GROUP_ORDER_LIMIT:
@@ -557,5 +420,21 @@ def d1_oracle_cocycles(params: DihedralParams, i0: int, j: int) -> int:
         for state, tail in zip(heads, _conjugation_tails(dihedral.irr2_rep(params, i0)))
         for row in _coefficient_rows(p, _expand(p, tail, operator, operator_inv, state)[0])
     ]
-    rank = ffield._gauss_jordan(p, [*basis, *rows], 16)[1]
+    rank = ffield.gauss_jordan(p, [*basis, *rows], 16)[1]
     return 16 - rank - (4 - m_fixed)
+
+
+# the names defined in dense that still read here; __getattr__ loads that
+# module on the first read and binds nothing in this one
+_MOVED_NAMES = (
+    "GModule", "rep_module", "trivial_module", "sign_module", "module_for_label", "contragredient",
+    "tensor", "det_module", "adjoint_module", "fixed_point_dim", "adjoint_decomposition_check",
+)
+
+
+def __getattr__(name: str):
+    if name in _MOVED_NAMES:
+        from . import dense
+
+        return getattr(dense, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

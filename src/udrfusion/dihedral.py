@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import gcd
 
 from . import ffield
-from .ffield import FpMatrix
+from .fpmatrix import FpMatrix
 from .records import FrozenRecord
 
 

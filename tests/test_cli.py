@@ -271,6 +271,22 @@ def test_cli_abelian_prime_search_ceiling(capsys):
     assert err.startswith("error: no odd prime")
 
 
+@pytest.mark.parametrize("flag, text", [
+    ("--orders", "2,,3"),
+    ("--orders", ""),
+    ("--theta1", "1,1,"),
+    ("--theta1", ",1,1"),
+    ("--theta2", "1, ,2"),
+])
+def test_cli_abelian_refuses_an_empty_list_item(capsys, flag, text):
+    # an empty item is refused, not dropped: "2,,3" is not "2,3"
+    argv = {"--orders": "2,3", "--theta1": "1,1", "--theta2": "1,2", flag: text}
+    rc, out, err = _run(capsys, ["analyze", "abelian", "--p", "7",
+                                 *(tok for item in argv.items() for tok in item)])
+    assert rc == 2 and out == ""
+    assert err == f"error: {flag} must be a comma-separated integer list, got {text!r}\n"
+
+
 def test_cli_abelian_group_order_ceiling(capsys):
     # 2^22 elements: refused before any element is enumerated
     twos, ones = ",".join(["2"] * 22), ",".join(["1"] * 22)

@@ -12,9 +12,9 @@ from udrfusion.ffield import (
     PRIME_SEARCH_CEILING,
     FpMatrix,
     LimitExceeded,
-    _gauss_jordan,
     find_prime,
     find_primes,
+    gauss_jordan,
     has_order,
     is_odd_prime,
     is_prime,
@@ -404,7 +404,7 @@ def _basis_over_rows(draw):
     p = draw(st.sampled_from((3, 5, 7, 1000003)))
     ncols = draw(st.integers(min_value=1, max_value=8))
     row = st.lists(st.integers(min_value=0, max_value=p - 1), min_size=ncols, max_size=ncols)
-    reduced, rank, _ = _gauss_jordan(p, draw(st.lists(row, max_size=6)), ncols)
+    reduced, rank, _ = gauss_jordan(p, draw(st.lists(row, max_size=6)), ncols)
     return p, ncols, reduced[:rank] + draw(st.lists(row, max_size=6))
 
 
@@ -415,8 +415,8 @@ def test_gauss_jordan_ranks_a_reduced_basis_stacked_over_rows(case):
     lead 1 unnormalised, and the rank is that of the same rows reversed,
     where the random rows are reduced first."""
     p, ncols, stacked = case
-    m, rank, d = _gauss_jordan(p, stacked, ncols)
-    reversed_m, reversed_rank, reversed_d = _gauss_jordan(p, stacked[::-1], ncols)
+    m, rank, d = gauss_jordan(p, stacked, ncols)
+    reversed_m, reversed_rank, reversed_d = gauss_jordan(p, stacked[::-1], ncols)
     assert rank == reversed_rank
     entries = [v for row in m + reversed_m for v in row] + [d, reversed_d]
     assert all(0 <= v < p for v in entries)

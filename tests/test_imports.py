@@ -37,11 +37,12 @@ def _modules_loaded_by(call: str) -> tuple[str, set[str]]:
     return result, set(loaded.split())
 
 
-def _after(call: str, expression: str) -> tuple[str, str]:
+def _after(call: str, expression: str, src: Path | None = None) -> tuple[str, str]:
     """The values of the expression call, in which udrfusion is imported,
     and then of expression, evaluated in a fresh interpreter that holds
-    in before the modules it had loaded before the import.  What call
-    writes to stdout is discarded."""
+    in before the modules it had loaded before the import.  The package
+    is imported from the directory src, by default the one under test.
+    What call writes to stdout is discarded."""
     code = (
         "import contextlib, io, sys\n"
         "before = set(sys.modules)\n"
@@ -51,8 +52,8 @@ def _after(call: str, expression: str) -> tuple[str, str]:
         "print(result)\n"
         f"print({expression})\n"
     )
-    src = str(Path(udrfusion.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    src = src or Path(udrfusion.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -64,10 +65,11 @@ def _after(call: str, expression: str) -> tuple[str, str]:
     return result, value
 
 
-def _loaded_by(call: str) -> tuple[str, set[str]]:
-    """The value of call and the package modules loaded to evaluate it."""
-    result, loaded = _modules_loaded_by(call)
-    return result, {name for name in loaded if name.startswith("udrfusion")}
+def _loaded_by(call: str, src: Path | None = None) -> tuple[str, set[str]]:
+    """The value of call and the package modules loaded to evaluate it,
+    with the package imported from src as _after does."""
+    result, loaded = _after(call, "' '.join(sorted(set(sys.modules) - before))", src)
+    return result, {name for name in loaded.split() if name.startswith("udrfusion")}
 
 
 def test_build_parser_loads_no_route_module():
@@ -95,7 +97,95 @@ def test_abelian_sweep_oracle_loads_fusion_and_dihedral():
     )
     assert result == "21"
     assert loaded == {"udrfusion", "udrfusion.ffield", "udrfusion.records", "udrfusion.orbits",
-                      "udrfusion.abelian", "udrfusion.fusion", "udrfusion.dihedral"}
+                      "udrfusion.abelian", "udrfusion.abelian_catalog", "udrfusion.fusion",
+                      "udrfusion.dihedral", "udrfusion.fpmatrix"}
+
+
+# the modules that hold what moved out of ffield, cohomology and abelian:
+# the matrix class, the dense module route and the abelian sweep catalog
+MOVED_TO = {"ffield": "fpmatrix", "cohomology": "dense", "abelian": "abelian_catalog"}
+HOOKED_NAMES = {
+    "ffield": ("FpMatrix",),
+    "cohomology": (
+        "GModule", "rep_module", "trivial_module", "sign_module", "module_for_label",
+        "contragredient", "tensor", "det_module", "adjoint_module", "fixed_point_dim",
+        "adjoint_decomposition_check",
+    ),
+    "abelian": ("abelian_orbits_bruteforce", "all_character_pairs", "find_underdetermined_pair"),
+}
+
+
+def _moved_modules_loaded_by_analyze_abelian(src: Path | None = None) -> set[str]:
+    result, loaded = _loaded_by(f"udrfusion.cli.main({ABELIAN_ARGV!r})", src)
+    assert result == "0"
+    return loaded & {f"udrfusion.{module}" for module in MOVED_TO.values()}
+
+
+def test_analyze_abelian_loads_none_of_the_moved_modules():
+    assert _moved_modules_loaded_by_analyze_abelian() == set()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify"],
+    ["scan", "dihedral", "--n-min", "3", "--n-max", "6"],
+    ["analyze", "dihedral", "--n", "5", "--i0", "1"],
+])
+def test_dihedral_commands_load_neither_the_dense_route_nor_the_catalog(argv):
+    result, loaded = _loaded_by(f"udrfusion.cli.main({argv!r})")
+    assert result == "0"
+    assert loaded & {"udrfusion.dense", "udrfusion.abelian_catalog"} == set()
+    # the representation matrices are FpMatrix objects
+    assert "udrfusion.fpmatrix" in loaded
+
+
+def test_each_hooked_name_is_its_defining_modules_object():
+    for module, names in HOOKED_NAMES.items():
+        home = importlib.import_module(f"udrfusion.{module}")
+        defining = importlib.import_module(f"udrfusion.{MOVED_TO[module]}")
+        assert home._MOVED_NAMES == names
+        for name in names:
+            assert getattr(home, name) is getattr(defining, name), (module, name)
+        with pytest.raises(AttributeError, match=f"udrfusion.{module}' has no attribute 'nothing'"):
+            home.nothing
+        with pytest.raises(ImportError):
+            exec(f"from udrfusion.{module} import nothing", {})
+
+
+def test_a_hook_binds_nothing_in_the_module_it_serves():
+    # in a fresh interpreter: a test's monkeypatch on the old home binds
+    # the name there when it is undone
+    count, bound = _after(
+        f"len([getattr(getattr(udrfusion, m), n) for m, ns in {HOOKED_NAMES!r}.items() "
+        f"for n in ns])",
+        f"[n for m, ns in {HOOKED_NAMES!r}.items() for n in ns if n in vars(getattr(udrfusion, m))]",
+    )
+    assert (count, bound) == ("15", "[]")
+
+
+def test_a_hooked_module_reads_a_patch_on_the_defining_module(monkeypatch):
+    from udrfusion import abelian, abelian_catalog
+
+    def stand_in(*args):
+        raise AssertionError("not called")
+
+    monkeypatch.setattr(abelian_catalog, "find_underdetermined_pair", stand_in)
+    assert abelian.find_underdetermined_pair is stand_in
+
+
+def test_a_planted_eager_import_of_fpmatrix_is_caught(tmp_path):
+    """The load check of analyze abelian sees a top-level import of
+    fpmatrix in ffield, planted in a copy of the package."""
+    package = Path(udrfusion.__file__).resolve().parent
+    copy = tmp_path / "udrfusion"
+    copy.mkdir()
+    for path in package.glob("*.py"):
+        (copy / path.name).write_text(path.read_text())
+    ffield_py = copy / "ffield.py"
+    top = "from .records import LimitExceeded\n"
+    assert top in ffield_py.read_text()
+    ffield_py.write_text(ffield_py.read_text().replace(
+        top, top + "from .fpmatrix import FpMatrix\n", 1))
+    assert _moved_modules_loaded_by_analyze_abelian(tmp_path) == {"udrfusion.fpmatrix"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -187,7 +277,8 @@ def test_importing_the_package_loads_no_submodule():
 
 
 # every name the package exported when it imported each module eagerly,
-# with the module that defines it
+# with the module that defined it then: a name that has moved since
+# still reads there, through that module's PEP 562 hook
 EXPORTS = {
     "ffield": (
         "FpMatrix", "find_prime", "find_primes", "multiplicative_order",

@@ -9,8 +9,11 @@ Only fusion re-exports one function of orbits by name.
 
 An import inside a function means one thing, load this module late: only
 cli's command dispatch, cli_report's abelian body and JSON writer and
-the abelian sweep oracle have one, and each package import there is of
-a module, `from . import X`.  At load, cli imports only the standard
+the PEP 562 hooks of ffield, cohomology and abelian have one, and each
+package import there is of a module, `from . import X`.  A hook is a
+module-level __getattr__ over a constant table of names, whose one
+import is the module those names moved to, and the module does not
+import that one at load.  At load, cli imports only the standard
 library, the package's __version__ and records.
 
 A frozen record stores its fields and runs its checks one way, through
@@ -64,7 +67,7 @@ def _private_definitions_and_uses() -> tuple[dict[str, list[str]], dict[str, set
 
 def test_every_private_definition_is_used_by_the_package():
     defined, used = _private_definitions_and_uses()
-    assert "_gauss_jordan" in defined and "_MonomialModule" in defined
+    assert "_prime_divisors" in defined and "_MonomialModule" in defined
     unused = sorted(
         name
         for name, keys in defined.items()
@@ -73,9 +76,9 @@ def test_every_private_definition_is_used_by_the_package():
     assert unused == []
 
 
-# the one private function a package module may take from another: the
-# cocycle oracle eliminates with ffield's routine
-CROSS_MODULE_ALLOWED = {("cohomology", "ffield", "_gauss_jordan")}
+# the private functions a package module may take from another: none, as
+# what several modules call (ffield.gauss_jordan) is public
+CROSS_MODULE_ALLOWED: set[tuple[str, str, str]] = set()
 
 
 def _cross_module_private_uses(sources: dict[str, str]) -> set[tuple[str, str, str]]:
@@ -230,13 +233,15 @@ def test_a_patch_on_a_functions_home_reaches_a_caller_in_another_module(
 
 # the functions that may import inside their body, by module: an import
 # there loads a module late, the command bodies from cli's dispatch,
-# abelian from cli_report's abelian body, json from the two JSON writers,
-# and fusion from the abelian sweep oracle
+# abelian from cli_report's abelian body and json from the two JSON writers
 LATE_LOADS = {
     "cli": {"_cmd_verify", "_cmd_analyze", "_cmd_scan"},
     "cli_report": {"analyze_abelian", "report_pieces"},
-    "abelian": {"abelian_orbits_bruteforce"},
 }
+
+# the PEP 562 hooks: module -> the module its __getattr__ loads on the
+# first read of a name that moved there
+LATE_HOOKS = {"ffield": "fpmatrix", "cohomology": "dense", "abelian": "abelian_catalog"}
 
 
 def _imports_inside_functions(sources: dict[str, str]):
@@ -261,22 +266,95 @@ def _imports_inside_functions(sources: dict[str, str]):
 
 def _late_import_faults(imports) -> set[tuple[str, str, str]]:
     """(module, function, import) for each of imports, as
-    _imports_inside_functions gives them, that is outside LATE_LOADS or
-    takes names from a package module, `from .other import name`; the
-    import is given as its source text."""
-    return {
-        (module, function, ast.unparse(statement))
-        for module, function, statement in imports
-        if function not in LATE_LOADS.get(module, ())
-        or (isinstance(statement, ast.ImportFrom) and statement.level and statement.module)
-    }
+    _imports_inside_functions gives them, that is outside LATE_LOADS,
+    takes names from a package module, `from .other import name`, or,
+    in a __getattr__ of LATE_HOOKS, imports anything but the hook's
+    module; the import is given as its source text."""
+    faults = set()
+    for module, function, statement in imports:
+        text = ast.unparse(statement)
+        if function == "__getattr__" and module in LATE_HOOKS:
+            allowed = text == f"from . import {LATE_HOOKS[module]}"
+        else:
+            allowed = function in LATE_LOADS.get(module, ()) and not (
+                isinstance(statement, ast.ImportFrom) and statement.level and statement.module
+            )
+        if not allowed:
+            faults.add((module, function, text))
+    return faults
+
+
+def _hook_faults(sources: dict[str, str]) -> set[tuple[str, str]]:
+    """(module, fault) for each __getattr__ of a module of sources that
+    holds an import and is not a hook: one defined at the module's top
+    level, holding one import statement, that tests `name in TABLE` for
+    a TABLE the module assigns once, at top level, to a tuple of strings,
+    and that binds nothing (no global statement, no globals() or setattr
+    call).  A hook's module that imports the hooked module at load, as
+    `from . import X` or `from .X import name`, is a fault too."""
+    faults = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        tables = {}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                target = node.targets[0]
+                if isinstance(target, ast.Name):
+                    value = node.value
+                    constant = isinstance(value, ast.Tuple) and all(
+                        isinstance(elt, ast.Constant) and isinstance(elt.value, str)
+                        for elt in value.elts
+                    )
+                    # a name assigned twice is no constant table
+                    tables[target.id] = constant and target.id not in tables
+        top_level = {id(node) for node in tree.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef) or node.name != "__getattr__":
+                continue
+            inner = list(ast.walk(node))
+            imports = [sub for sub in inner if isinstance(sub, (ast.Import, ast.ImportFrom))]
+            if not imports:
+                continue
+            if id(node) not in top_level:
+                faults.add((module, "not at module level"))
+            if len(imports) != 1:
+                faults.add((module, f"{len(imports)} imports"))
+            tested = {
+                sub.comparators[0].id
+                for sub in inner
+                if isinstance(sub, ast.Compare)
+                and isinstance(sub.ops[0], ast.In)
+                and isinstance(sub.comparators[0], ast.Name)
+            }
+            if not any(tables.get(name) for name in tested):
+                faults.add((module, "no constant names table"))
+            if any(
+                isinstance(sub, (ast.Global, ast.Nonlocal))
+                or isinstance(sub, ast.Call)
+                and isinstance(sub.func, ast.Name)
+                and sub.func.id in ("globals", "setattr")
+                for sub in inner
+            ):
+                faults.add((module, "binds a name"))
+        hooked = LATE_HOOKS.get(module)
+        for node in tree.body:
+            if hooked and isinstance(node, ast.ImportFrom) and node.level == 1 and (
+                node.module == hooked
+                or node.module is None and hooked in {alias.name for alias in node.names}
+            ):
+                faults.add((module, ast.unparse(node)))
+    return faults
 
 
 def test_only_late_loads_import_inside_a_function():
-    imports = list(_imports_inside_functions(_package_sources()))
+    sources = _package_sources()
+    imports = list(_imports_inside_functions(sources))
     assert _late_import_faults(imports) == set()
+    assert _hook_faults(sources) == set()
     holders = {(module, function) for module, function, _ in imports}
-    assert holders == {(module, f) for module, functions in LATE_LOADS.items() for f in functions}
+    assert holders == {
+        (module, f) for module, functions in LATE_LOADS.items() for f in functions
+    } | {(module, "__getattr__") for module in LATE_HOOKS}
 
 
 def test_a_planted_import_of_names_inside_a_function_is_caught():
@@ -300,6 +378,60 @@ def test_a_planted_import_of_names_inside_a_function_is_caught():
     assert _late_import_faults(_imports_inside_functions({"cli": cli})) == {
         ("cli", "_cmd_verify", "from .cli_verify import families")
     }
+
+
+def test_a_planted_fault_in_a_hook_is_caught():
+    sources = _package_sources()
+    hook = "        from . import fpmatrix\n"
+    assert hook in sources["ffield"]
+
+    def planted(module, source):
+        return {**sources, module: source}
+
+    # a by-name import in the hook, and a second module loaded there
+    by_name = planted(
+        "ffield", sources["ffield"].replace(hook, "        from .fpmatrix import FpMatrix\n")
+    )
+    assert _late_import_faults(_imports_inside_functions(by_name)) == {
+        ("ffield", "__getattr__", "from .fpmatrix import FpMatrix")
+    }
+    second = planted(
+        "ffield", sources["ffield"].replace(hook, hook + "        from . import dense\n")
+    )
+    assert _late_import_faults(_imports_inside_functions(second)) == {
+        ("ffield", "__getattr__", "from . import dense")
+    }
+    assert _hook_faults(second) == {("ffield", "2 imports")}
+    # an eager import of the hooked module, by module or by name
+    for eager in ("from . import fpmatrix\n", "from .fpmatrix import FpMatrix\n"):
+        top = "from .records import LimitExceeded\n"
+        assert _hook_faults(planted("ffield", sources["ffield"].replace(top, top + eager))) == {
+            ("ffield", eager.strip())
+        }
+    # a hook over no constant table, or one that binds what it loads
+    assert _hook_faults(planted("ffield", sources["ffield"].replace(
+        "if name in _MOVED_NAMES:", "if name.startswith('Fp'):"))) == {
+        ("ffield", "no constant names table")
+    }
+    assert _hook_faults(planted("ffield", sources["ffield"].replace(
+        '_MOVED_NAMES = ("FpMatrix",)', '_MOVED_NAMES = ["FpMatrix"]'))) == {
+        ("ffield", "no constant names table")
+    }
+    assert _hook_faults(planted("ffield", sources["ffield"].replace(
+        "        return getattr(fpmatrix, name)",
+        "        globals()[name] = getattr(fpmatrix, name)\n        return globals()[name]"))) == {
+        ("ffield", "binds a name")
+    }
+    # a hook in a module outside LATE_HOOKS, or not at module level
+    stray = "\n\ndef __getattr__(name):\n    from . import dense\n\n    return getattr(dense, name)\n"
+    assert _late_import_faults(_imports_inside_functions({"fusion": stray})) == {
+        ("fusion", "__getattr__", "from . import dense")
+    }
+    nested = "\n\nclass Lazy:\n    def __getattr__(self, name):\n        from . import dense\n\n" \
+        "        return getattr(dense, name)\n"
+    assert ("cohomology", "not at module level") in _hook_faults(
+        planted("cohomology", sources["cohomology"] + nested)
+    )
 
 
 def _cli_load_faults(source: str) -> set[str]:
