@@ -13,16 +13,15 @@ from .ffield import LimitExceeded
 from .fusion import ORBIT_LIMIT
 from .records import VerificationReport
 
-# analyze dihedral refuses a rank above this: its checks are O(n^2), and
-# the slowest ranks near it (odd n) take about 2 s on a 2-core Intel Xeon
-ANALYZE_RANK_LIMIT = 2500
-
 
 def analyze_dihedral(args) -> tuple:
     """The params, k, orbit set, rows and checks of the report of analyze
     dihedral on the parsed arguments, for cli to write."""
-    if args.n > ANALYZE_RANK_LIMIT:
-        raise LimitExceeded(f"--n {args.n} is above the rank limit {ANALYZE_RANK_LIMIT}")
+    # the checks are O(n^2): the slowest ranks near the limit (odd n) take
+    # about 2 s on a 2-core Intel Xeon.  DihedralParams refuses a larger n
+    # too, but standard() searches for the prime first
+    if args.n > dihedral.RANK_LIMIT:
+        raise LimitExceeded(f"--n {args.n} is above the rank limit {dihedral.RANK_LIMIT}")
     # the census has at least p orbits: refuse such p before any work
     if args.p is not None and args.p > ORBIT_LIMIT:
         raise LimitExceeded(f"--p {args.p} gives at least p orbits, limit is {ORBIT_LIMIT}")

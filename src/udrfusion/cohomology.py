@@ -18,11 +18,11 @@ the swap, no matrix), exact for any multiplicity as p is odd and prime
 to n.  `dims_row` counts them for one action against every theta_j at
 once, as a join on weight, and `dims` reads one entry of that row.
 
-The dense `GModule` route on `irr2_rep`'s matrices, whose fixed-point
-dimension is the rank of the averaging idempotent, is kept as an
-independent oracle for the tests and computes nothing on the `dims` path.
-It is defined in `dense` and its names still read here: the first read
-loads that module (PEP 562), so no command compiles it.
+The dense `GModule` route on `irr2_rep`'s matrices, wrapped as
+`FpMatrix`, whose fixed-point dimension is the rank of the averaging
+idempotent, is an independent oracle for the tests and computes nothing
+on the `dims` path.  Defined in `dense`, its names still read here:
+the first read loads that module (PEP 562), so no command compiles it.
 
 A second, independent route recomputes d1 from scratch: 1-cocycles of
 the finitely presented semidirect product with values in the 2x2 matrix
@@ -45,7 +45,6 @@ from functools import lru_cache
 from . import dihedral, ffield
 from .dihedral import DihedralParams, Rep2
 from .ffield import LimitExceeded
-from .fpmatrix import FpMatrix
 from .records import CohomologyDims
 
 H1_ORACLE_GROUP_ORDER_LIMIT = 10**4
@@ -242,13 +241,13 @@ def _mul4(p: int, x: tuple, y: tuple) -> tuple[int, ...]:
     return tuple(product)
 
 
-def _conjugation_operators(p: int, mat: FpMatrix) -> tuple[tuple, tuple]:
+def _conjugation_operators(p: int, mat: tuple) -> tuple[tuple, tuple]:
     """X -> M X M^-1 and its inverse X -> M^-1 X M on 2x2 matrices, in
     the basis E11, E12, E21, E22, read off the four entries of the
     invertible 2x2 matrix M: row-major vectorization turns them into
     M (x) (M^-1)^T and M^-1 (x) M^T, whose entry (2i + k, 2j + l) is
     A[i][j] . B[l][k] for A (x) B^T."""
-    (m00, m01), (m10, m11) = mat.data
+    (m00, m01), (m10, m11) = mat
     det_inv = pow(m00 * m11 - m01 * m10, -1, p)
     inv = ((m11 * det_inv % p, -m01 * det_inv % p), (-m10 * det_inv % p, m00 * det_inv % p))
 
@@ -257,7 +256,7 @@ def _conjugation_operators(p: int, mat: FpMatrix) -> tuple[tuple, tuple]:
             a[i][j] * b[l][k] % p for i in (0, 1) for k in (0, 1) for j in (0, 1) for l in (0, 1)
         )
 
-    return kron_transpose(mat.data, inv), kron_transpose(inv, mat.data)
+    return kron_transpose(mat, inv), kron_transpose(inv, mat)
 
 
 def _module_relators(n: int, p: int) -> list[list[tuple[str, int]]]:
@@ -284,11 +283,8 @@ _CONJUGATION_HEADS = tuple(
 def _conjugation_tails(action_rep: Rep2) -> list[list[tuple[str, int]]]:
     """The tail b^-cb a^-ca of each relator of _CONJUGATION_HEADS, in its
     order, with (ca, cb) the column of x in the theta_i0 matrix of g."""
-    tails = []
-    for mat in (action_rep.mat_r, action_rep.mat_s):
-        for col in (0, 1):
-            tails.append([("b", -mat.data[1][col]), ("a", -mat.data[0][col])])
-    return tails
+    return [[("b", -cb), ("a", -ca)]
+            for mat in (action_rep.mat_r, action_rep.mat_s) for ca, cb in zip(*mat)]
 
 
 # the expansion of the empty word: every coefficient zero, prefix 1

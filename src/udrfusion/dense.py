@@ -11,7 +11,7 @@ first read loads this module (PEP 562).
 from __future__ import annotations
 
 from . import dihedral
-from .dihedral import DihedralParams, Rep2, RepLabel
+from .dihedral import DihedralParams, GroupElement, Rep2, RepLabel
 from .fpmatrix import FpMatrix
 from .records import FrozenRecord
 
@@ -37,12 +37,17 @@ class GModule(FrozenRecord):
             raise ValueError("generator matrices do not satisfy the dihedral relation")
 
     # a group element s^flip r^rot acts as mat_s^flip mat_r^rot, as in a Rep2
-    matrix = Rep2.matrix
-    trace = Rep2.trace
+    def matrix(self, g: GroupElement) -> FpMatrix:
+        m = self.mat_r ** g.rot
+        return self.mat_s * m if g.flip else m
+
+    def trace(self, g: GroupElement) -> int:
+        return self.matrix(g).trace()
 
 
 def rep_module(rep: Rep2) -> GModule:
-    return GModule(rep.params.n, rep.params.p, 2, rep.mat_r, rep.mat_s)
+    p = rep.params.p
+    return GModule(rep.params.n, p, 2, FpMatrix(p, rep.mat_r), FpMatrix(p, rep.mat_s))
 
 
 def trivial_module(params: DihedralParams, dim: int = 1) -> GModule:
@@ -136,7 +141,7 @@ def adjoint_decomposition_check(params: DihedralParams, i: int) -> bool:
         if adj.trace(g) != (triv.trace(g) + sgn.trace(g) + tmod.trace(g)) % p:
             return False
 
-    mr, ms = rep.mat_r, rep.mat_s
+    mr, ms = FpMatrix(p, rep.mat_r), FpMatrix(p, rep.mat_s)
     mr_inv, ms_inv = mr.inverse(), ms.inverse()
     ident = FpMatrix.identity(p, 2)
     diag = FpMatrix.diagonal(p, (1, -1))

@@ -16,8 +16,9 @@ from functools import lru_cache
 from math import gcd
 
 from . import ffield
-from .fpmatrix import FpMatrix
 from .records import FrozenRecord
+
+RANK_LIMIT = 2500  # the largest rank DihedralParams admits; analyze_dihedral says why
 
 
 def irr2_indices(n: int) -> range:
@@ -50,6 +51,8 @@ class DihedralParams(FrozenRecord):
     def __post_init__(self) -> None:
         if self.n < 3:
             raise ValueError("need n >= 3")
+        if self.n > RANK_LIMIT:
+            raise ffield.LimitExceeded(f"rank {self.n} is above the rank limit {RANK_LIMIT}")
         if not ffield.is_odd_prime(self.p):
             raise ValueError(f"{self.p} is not an odd prime")
         if self.p % self.n != 1:
@@ -176,32 +179,45 @@ class RepLabel(FrozenRecord):
         return "chi1"
 
 
+_IDENTITY2 = ((1, 0), (0, 1))
+
+
+def _mul2(p: int, x: tuple, y: tuple) -> tuple:
+    """The product x . y of two 2x2 matrices mod p."""
+    ((a, b), (c, d)), ((e, f), (g, h)) = x, y
+    return ((a * e + b * g) % p, (a * f + b * h) % p), ((c * e + d * g) % p, (c * f + d * h) % p)
+
+
+def _matrix2(p: int, rows) -> tuple:
+    (a, b), (c, d) = rows  # ValueError unless rows is 2x2
+    return (int(a) % p, int(b) % p), (int(c) % p, int(d) % p)
+
+
 class Rep2(FrozenRecord):
-    """A two-dimensional representation given by its generator matrices."""
+    """A two-dimensional representation by its generator matrices, 2x2 tuples mod p."""
 
     __slots__ = _fields = ("params", "label", "mat_r", "mat_s")
 
-    def __init__(
-        self, params: DihedralParams, label: RepLabel, mat_r: FpMatrix, mat_s: FpMatrix
-    ) -> None:
-        self._init(params, label, mat_r, mat_s)
+    def __init__(self, params: DihedralParams, label: RepLabel, mat_r, mat_s) -> None:
+        self._init(params, label, _matrix2(params.p, mat_r), _matrix2(params.p, mat_s))
 
-    def matrix(self, g: GroupElement) -> FpMatrix:
-        m = self.mat_r ** g.rot
-        if g.flip:
-            m = self.mat_s * m
-        return m
+    def matrix(self, g: GroupElement) -> tuple:
+        p, m, base, e = self.params.p, _IDENTITY2, self.mat_r, g.rot
+        while e:  # mat_r^rot by repeated squaring
+            if e & 1:
+                m = _mul2(p, m, base)
+            base = _mul2(p, base, base)
+            e >>= 1
+        return _mul2(p, self.mat_s, m) if g.flip else m
 
     def trace(self, g: GroupElement) -> int:
-        return self.matrix(g).trace()
+        (a, _), (_, d) = self.matrix(g)
+        return (a + d) % self.params.p
 
 
-def _induced_matrices(params: DihedralParams, m: int) -> tuple[FpMatrix, FpMatrix]:
-    p = params.p
-    wm = pow(params.omega, m % params.n, p)
-    mat_r = FpMatrix.diagonal(p, (wm, pow(wm, -1, p)))
-    mat_s = FpMatrix(p, ((0, 1), (1, 0)))
-    return mat_r, mat_s
+def _induced_matrices(params: DihedralParams, m: int) -> tuple[tuple, tuple]:
+    wm = pow(params.omega, m % params.n, params.p)
+    return ((wm, 0), (0, pow(wm, -1, params.p))), ((0, 1), (1, 0))
 
 
 # above the 60 distinct representations a default `verify` builds
@@ -282,11 +298,9 @@ def kernel_invariant(params: DihedralParams, i: int) -> tuple[int, tuple[GroupEl
 def rep_kernel_scan(params: DihedralParams, i: int) -> tuple[GroupElement, ...]:
     """Kernel found by testing theta_i(g) = 1 on all 2n elements."""
     rep = irr2_rep(params, i)
-    ident = FpMatrix.identity(params.p, 2)
-    return tuple(g for g in group_elements(params.n) if rep.matrix(g) == ident)
+    return tuple(g for g in group_elements(params.n) if rep.matrix(g) == _IDENTITY2)
 
 
 def center_acts_trivially(params: DihedralParams, i0: int) -> bool:
     rep = irr2_rep(params, i0)
-    ident = FpMatrix.identity(params.p, 2)
-    return all(rep.matrix(z) == ident for z in center(params.n))
+    return all(rep.matrix(z) == _IDENTITY2 for z in center(params.n))

@@ -4,8 +4,7 @@ Scalars are canonical integer residues in [0, p) for an odd prime p.
 gauss_jordan is the package's one elimination routine: the cocycle
 oracle, the abelian projector and the matrices of fpmatrix all rank
 with it.  FpMatrix is defined in fpmatrix and still reads here: the
-first read loads that module (PEP 562), so a command that builds no
-matrix never compiles it.
+first read loads that module (PEP 562), so no command compiles it.
 """
 
 from __future__ import annotations

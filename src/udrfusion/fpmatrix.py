@@ -3,9 +3,8 @@
 A matrix carries its modulus and reduces every entry on construction, so
 its linear algebra is exact.  Rank, nullity, inverse and determinant
 are thin wrappers around ffield.gauss_jordan, the package's one
-elimination routine.  The representation matrices of dihedral and the
-dense module oracle are built from this class; the abelian route never
-loads it.
+elimination routine.  The dense module oracle and the tests wrap
+dihedral's 2x2 tuples in this class; no command loads it.
 """
 
 from __future__ import annotations

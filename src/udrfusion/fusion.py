@@ -62,7 +62,8 @@ BRUTE_FORCE_POINT_LIMIT = 10**6
 
 def act(params: DihedralParams, i0: int, g: GroupElement, v: NPoint) -> NPoint:
     """Image of the point v under g through theta_i0."""
-    return dihedral.irr2_rep(params, i0).matrix(g).apply(v)
+    x, y = v
+    return tuple((a * x + b * y) % params.p for a, b in dihedral.irr2_rep(params, i0).matrix(g))
 
 
 def _sweep_orbits(p: int, matrices) -> tuple:
@@ -160,8 +161,8 @@ def _theta_table(params: DihedralParams, i0: int) -> list:
     with g acting through theta_i0 as the matrix [[a, b], [c, d]]."""
     p = params.p
     rep = dihedral.irr2_rep(params, i0)
-    (r00, r01), (r10, r11) = rep.mat_r.data
-    (s00, s01), (s10, s11) = rep.mat_s.data
+    (r00, r01), (r10, r11) = rep.mat_r
+    (s00, s01), (s10, s11) = rep.mat_s
     # g = s^flip r^rot acts as mat_s^flip mat_r^rot: a running product of
     # the generator matrices, rotations first as group_elements lists them
     powers = [(1, 0, 0, 1)]

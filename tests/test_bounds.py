@@ -1,7 +1,8 @@
 """Every construction and orbit entry point is bounded in p and n: at the
-largest primes is_prime decides, at n = p - 1 and at n just above each
-ceiling, a call returns or raises LimitExceeded or ValueError within a
-second.  The inputs are fixed."""
+largest primes is_prime decides, at n = p - 1, at the largest rank
+DihedralParams admits and at n just above each ceiling, a call returns
+or raises LimitExceeded or ValueError within a second.  The inputs are
+fixed."""
 
 from __future__ import annotations
 
@@ -11,7 +12,14 @@ import pytest
 
 from udrfusion import dihedral, ffield, orbits
 from udrfusion.abelian import AbelianParams, CharacterPair, abelian_orbits
-from udrfusion.dihedral import DihedralParams
+from udrfusion.dihedral import (
+    RANK_LIMIT,
+    DihedralParams,
+    center_acts_trivially,
+    irr2_reps,
+    omega_set,
+    rep_kernel_scan,
+)
 from udrfusion.ffield import (
     PRIME_SEARCH_CEILING,
     ROOT_ORDER_CEILING,
@@ -41,6 +49,13 @@ ROOT_N = ROOT_ORDER_CEILING + 1
 ROOT_P = 2 * ROOT_N + 1
 # a few times ORBIT_LIMIT: the coset table would take tens of MB
 COSET_P = 4_000_037
+# a prime = 1 mod the rank just above RANK_LIMIT, and a root of that order
+ABOVE_RANK_P = 5003
+ABOVE_RANK_ROOT = 3
+
+
+def _at_rank_limit() -> DihedralParams:
+    return DihedralParams.standard(RANK_LIMIT)
 
 
 PROBES = {
@@ -64,6 +79,13 @@ PROBES = {
     "DihedralParams.standard(12, P)": lambda: DihedralParams.standard(12, P),
     "DihedralParams.standard(P - 1, P)": lambda: DihedralParams.standard(P - 1, P),
     "DihedralParams.standard(ceiling + 1, p)": lambda: DihedralParams.standard(ROOT_N, ROOT_P),
+    "DihedralParams(rank limit + 1, ...)": lambda: DihedralParams(
+        RANK_LIMIT + 1, ABOVE_RANK_P, ABOVE_RANK_ROOT
+    ),
+    "center_acts_trivially at the rank limit": lambda: center_acts_trivially(_at_rank_limit(), 1),
+    "rep_kernel_scan at the rank limit": lambda: rep_kernel_scan(_at_rank_limit(), 1),
+    "omega_set at the rank limit": lambda: omega_set(_at_rank_limit()),
+    "irr2_reps at the rank limit": lambda: irr2_reps(_at_rank_limit()),
     "AbelianParams.standard((P - 1,), P)": lambda: AbelianParams.standard((P - 1,), P),
     "AbelianParams.standard((ceiling + 1,))": lambda: AbelianParams.standard((ROOT_N,)),
     "CharacterPair.from_exponents at P - 1": lambda: CharacterPair.from_exponents(

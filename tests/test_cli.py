@@ -369,7 +369,7 @@ def test_analyze_dihedral_refuses_a_rank_above_the_limit(capsys):
         [sys.executable, "-m", "udrfusion", "analyze", "dihedral", "--n", "100000", "--i0", "2"],
         capture_output=True, text=True, timeout=20,
     )
-    limit = cli_dihedral.ANALYZE_RANK_LIMIT
+    limit = dihedral.RANK_LIMIT
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == f"error: --n 100000 is above the rank limit {limit}\n"
     rc, out, err = _run(capsys, ["analyze", "dihedral", "--n", str(limit + 1), "--i0", "1"])

@@ -61,7 +61,7 @@ def test_gmodule_validates_relations():
     rep = irr2_rep(params, 1)
     ident = FpMatrix.identity(params.p, 2)
     with pytest.raises(ValueError):
-        GModule(4, params.p, 2, rep.mat_r, ident)  # breaks s r s = r^-1
+        GModule(4, params.p, 2, FpMatrix(params.p, rep.mat_r), ident)  # breaks s r s = r^-1
 
 
 def test_module_and_rep_evaluate_group_elements_alike():
@@ -70,7 +70,7 @@ def test_module_and_rep_evaluate_group_elements_alike():
         for rep in irr2_reps(params) + [induced_rep(params, 0)]:
             module = rep_module(rep)
             for g in group_elements(n):
-                assert module.matrix(g) == rep.matrix(g)
+                assert module.matrix(g) == FpMatrix(params.p, rep.matrix(g))
                 assert module.trace(g) == rep.trace(g)
 
 
@@ -397,6 +397,7 @@ def test_oracle_expansion_matches_letter_by_letter_reference():
                     operator, operator_inv, relators = _presentation(params, i0, j)
                     rep = irr2_rep(params, j)
                     for sym, mat in (("r", rep.mat_r), ("s", rep.mat_s)):
+                        mat = FpMatrix(p, mat)
                         dense = _as_fp_matrix(p, operator[sym])
                         assert _as_fp_matrix(p, operator_inv[sym]) == dense.inverse()
                         # column c is the image of the c-th of E11, E12, E21, E22

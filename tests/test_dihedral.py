@@ -4,8 +4,10 @@ import pytest
 
 from udrfusion import cohomology, fusion
 from udrfusion.dihedral import (
+    RANK_LIMIT,
     DihedralParams,
     GroupElement,
+    Rep2,
     RepLabel,
     center,
     center_acts_trivially,
@@ -21,7 +23,7 @@ from udrfusion.dihedral import (
     t_map,
     t_preimage,
 )
-from udrfusion.ffield import FpMatrix
+from udrfusion.ffield import FpMatrix, LimitExceeded
 
 
 def test_irr2_indices():
@@ -55,6 +57,13 @@ def test_params_validation():
         DihedralParams(5, 7, 2)  # 7 is not 1 mod 5
     with pytest.raises(ValueError):
         DihedralParams(5, 11, 2)  # order 10, not 5
+    # the rank ceiling, refused before any arithmetic: 5003 = 1 mod 2501,
+    # and 3 has order 2501 mod 5003
+    assert DihedralParams.standard(RANK_LIMIT).n == RANK_LIMIT == 2500
+    with pytest.raises(LimitExceeded, match="^rank 2501 is above the rank limit 2500$"):
+        DihedralParams(RANK_LIMIT + 1, 5003, 3)
+    with pytest.raises(LimitExceeded):
+        DihedralParams.standard(10**5)
 
 
 def test_group_element_basics():
@@ -113,11 +122,14 @@ def test_center():
 
 def test_rep_matrices_frozen():
     rep = irr2_rep(DihedralParams.standard(3), 1)
-    assert rep.mat_r.data == ((2, 0), (0, 4))
-    assert rep.mat_s.data == ((0, 1), (1, 0))
+    assert rep.mat_r == ((2, 0), (0, 4))
+    assert rep.mat_s == ((0, 1), (1, 0))
     params = DihedralParams.standard(5)
-    assert irr2_rep(params, 1).mat_r.data == ((3, 0), (0, 4))
-    assert irr2_rep(params, 2).mat_r.data == ((9, 0), (0, 5))
+    assert irr2_rep(params, 1).mat_r == ((3, 0), (0, 4))
+    assert irr2_rep(params, 2).mat_r == ((9, 0), (0, 5))
+    # entries are stored reduced mod p, as residues
+    made = Rep2(params, RepLabel.irr2(1), [[14, 0], [0, -7]], ((0, 12), (1.0, 0)))
+    assert (made.mat_r, made.mat_s) == (((3, 0), (0, 4)), ((0, 1), (1, 0)))
 
 
 def test_rep_index_validation():
@@ -126,6 +138,14 @@ def test_rep_index_validation():
         irr2_rep(params, 0)
     with pytest.raises(ValueError):
         irr2_rep(params, 3)
+    # a generator matrix that is empty, ragged or not 2x2
+    swap = ((0, 1), (1, 0))
+    for bad in ((), ((),), ((1, 0), (0,)), ((1, 0, 0), (0, 1, 0)), ((1, 0), (0, 1), (0, 0)),
+                ((1,),)):
+        with pytest.raises(ValueError):
+            Rep2(params, RepLabel.irr2(1), bad, swap)
+        with pytest.raises(ValueError):
+            Rep2(params, RepLabel.irr2(1), swap, bad)
 
 
 def test_rep_is_homomorphism():
@@ -134,7 +154,8 @@ def test_rep_is_homomorphism():
         for rep in irr2_reps(params):
             for g in group_elements(n):
                 for h in group_elements(n):
-                    assert rep.matrix(g * h) == rep.matrix(g) * rep.matrix(h)
+                    product = FpMatrix(params.p, rep.matrix(g)) * FpMatrix(params.p, rep.matrix(h))
+                    assert rep.matrix(g * h) == product.data
 
 
 def test_rep_satisfies_relations():
@@ -142,9 +163,10 @@ def test_rep_satisfies_relations():
         params = DihedralParams.standard(n)
         ident = FpMatrix.identity(params.p, 2)
         for rep in irr2_reps(params):
-            assert rep.mat_r ** n == ident
-            assert rep.mat_s ** 2 == ident
-            assert rep.mat_s * rep.mat_r * rep.mat_s == rep.mat_r.inverse()
+            mat_r, mat_s = FpMatrix(params.p, rep.mat_r), FpMatrix(params.p, rep.mat_s)
+            assert mat_r ** n == ident
+            assert mat_s ** 2 == ident
+            assert mat_s * mat_r * mat_s == mat_r.inverse()
 
 
 def test_rep_traces():
@@ -164,10 +186,11 @@ def test_induced_rep_reducible_case():
     params = DihedralParams.standard(4)
     rep = induced_rep(params, 2)
     p = params.p
-    assert rep.mat_r.data == ((p - 1, 0), (0, p - 1))
-    assert rep.mat_r.apply((1, 1)) == (p - 1, p - 1)
-    assert rep.mat_s.apply((1, 1)) == (1, 1)
-    assert rep.mat_s.apply((1, p - 1)) == (p - 1, 1)
+    mat_r, mat_s = FpMatrix(p, rep.mat_r), FpMatrix(p, rep.mat_s)
+    assert rep.mat_r == ((p - 1, 0), (0, p - 1))
+    assert mat_r.apply((1, 1)) == (p - 1, p - 1)
+    assert mat_s.apply((1, 1)) == (1, 1)
+    assert mat_s.apply((1, p - 1)) == (p - 1, 1)
 
 
 def test_t_map_frozen():

@@ -123,10 +123,11 @@ def test_closed_form_orbit_count_is_burnside_count():
     checked = 0
     for params, i0 in _dihedral_grid():
         rep = irr2_rep(params, i0)
+        mat_r, mat_s = FpMatrix(params.p, rep.mat_r), FpMatrix(params.p, rep.mat_s)
         rotations = [FpMatrix.identity(params.p, 2)]
         for _ in range(params.n - 1):
-            rotations.append(rotations[-1] * rep.mat_r)
-        matrices = rotations + [rep.mat_s * m for m in rotations]
+            rotations.append(rotations[-1] * mat_r)
+        matrices = rotations + [mat_s * m for m in rotations]
         orbits = fusion_orbits_closed_form(params, i0).orbits
         assert len(orbits) == burnside_count(params.p, matrices), (params, i0)
         checked += 1
@@ -212,7 +213,7 @@ def test_bruteforce_table_is_the_representation_matrices(monkeypatch):
                 fusion_orbits_bruteforce(params, i0)
                 rep = irr2_rep(params, i0)
                 expected = [
-                    tuple(x for row in rep.matrix(g).data for x in row) for g in group_elements(n)
+                    tuple(x for row in rep.matrix(g) for x in row) for g in group_elements(n)
                 ]
                 assert tables.pop() == expected
 

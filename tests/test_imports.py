@@ -98,7 +98,7 @@ def test_abelian_sweep_oracle_loads_fusion_and_dihedral():
     assert result == "21"
     assert loaded == {"udrfusion", "udrfusion.ffield", "udrfusion.records", "udrfusion.orbits",
                       "udrfusion.abelian", "udrfusion.abelian_catalog", "udrfusion.fusion",
-                      "udrfusion.dihedral", "udrfusion.fpmatrix"}
+                      "udrfusion.dihedral"}
 
 
 # the modules that hold what moved out of ffield, cohomology and abelian:
@@ -115,14 +115,14 @@ HOOKED_NAMES = {
 }
 
 
-def _moved_modules_loaded_by_analyze_abelian(src: Path | None = None) -> set[str]:
-    result, loaded = _loaded_by(f"udrfusion.cli.main({ABELIAN_ARGV!r})", src)
+def _moved_modules_loaded_by(argv: list[str], src: Path | None = None) -> set[str]:
+    result, loaded = _loaded_by(f"udrfusion.cli.main({argv!r})", src)
     assert result == "0"
     return loaded & {f"udrfusion.{module}" for module in MOVED_TO.values()}
 
 
 def test_analyze_abelian_loads_none_of_the_moved_modules():
-    assert _moved_modules_loaded_by_analyze_abelian() == set()
+    assert _moved_modules_loaded_by(ABELIAN_ARGV) == set()
 
 
 @pytest.mark.parametrize("argv", [
@@ -131,11 +131,8 @@ def test_analyze_abelian_loads_none_of_the_moved_modules():
     ["analyze", "dihedral", "--n", "5", "--i0", "1"],
 ])
 def test_dihedral_commands_load_neither_the_dense_route_nor_the_catalog(argv):
-    result, loaded = _loaded_by(f"udrfusion.cli.main({argv!r})")
-    assert result == "0"
-    assert loaded & {"udrfusion.dense", "udrfusion.abelian_catalog"} == set()
-    # the representation matrices are FpMatrix objects
-    assert "udrfusion.fpmatrix" in loaded
+    # nor the matrix class: the representation matrices are 2x2 tuples
+    assert _moved_modules_loaded_by(argv) == set()
 
 
 def test_each_hooked_name_is_its_defining_modules_object():
@@ -174,18 +171,22 @@ def test_a_hooked_module_reads_a_patch_on_the_defining_module(monkeypatch):
 
 def test_a_planted_eager_import_of_fpmatrix_is_caught(tmp_path):
     """The load check of analyze abelian sees a top-level import of
-    fpmatrix in ffield, planted in a copy of the package."""
+    fpmatrix in ffield, and that of verify one in dihedral, each planted
+    in its own copy of the package."""
     package = Path(udrfusion.__file__).resolve().parent
-    copy = tmp_path / "udrfusion"
-    copy.mkdir()
-    for path in package.glob("*.py"):
-        (copy / path.name).write_text(path.read_text())
-    ffield_py = copy / "ffield.py"
-    top = "from .records import LimitExceeded\n"
-    assert top in ffield_py.read_text()
-    ffield_py.write_text(ffield_py.read_text().replace(
-        top, top + "from .fpmatrix import FpMatrix\n", 1))
-    assert _moved_modules_loaded_by_analyze_abelian(tmp_path) == {"udrfusion.fpmatrix"}
+    for module, top, argv in (
+        ("ffield", "from .records import LimitExceeded\n", ABELIAN_ARGV),
+        ("dihedral", "from .records import FrozenRecord\n", ["verify"]),
+    ):
+        copy = tmp_path / module / "udrfusion"
+        copy.mkdir(parents=True)
+        for path in package.glob("*.py"):
+            (copy / path.name).write_text(path.read_text())
+        planted = copy / f"{module}.py"
+        assert top in planted.read_text()
+        planted.write_text(
+            planted.read_text().replace(top, top + "from .fpmatrix import FpMatrix\n", 1))
+        assert _moved_modules_loaded_by(argv, tmp_path / module) == {"udrfusion.fpmatrix"}
 
 
 @pytest.mark.parametrize("argv", [

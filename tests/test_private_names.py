@@ -16,6 +16,10 @@ import is the module those names moved to, and the module does not
 import that one at load.  At load, cli imports only the standard
 library, the package's __version__ and records.
 
+No test patches a hooked name on the module it moved from: callers read
+it from the module that defines it, so such a patch reaches none of
+them, and it shadows the hook for the rest of the session.
+
 A frozen record stores its fields and runs its checks one way, through
 FrozenRecord._init: no other FrozenRecord subclass's __init__ calls
 __post_init__ or stores a field itself.  FusionOrbitSet, which takes
@@ -432,6 +436,90 @@ def test_a_planted_fault_in_a_hook_is_caught():
     assert ("cohomology", "not at module level") in _hook_faults(
         planted("cohomology", sources["cohomology"] + nested)
     )
+
+
+def _moved_name_patches(sources: dict[str, str]) -> set[tuple[str, str, str]]:
+    """(test file, module, name) for every monkeypatch.setattr in a test
+    file of sources (file -> source) of a name of the _MOVED_NAMES table
+    of a module of LATE_HOOKS on that module.  The target is read as a
+    "udrfusion.module.name" string, or as the module, named as imported
+    from udrfusion or as udrfusion.module, and the name as a string; a
+    target held in a variable is not read."""
+    moved = {
+        module: importlib.import_module(f"udrfusion.{module}")._MOVED_NAMES
+        for module in LATE_HOOKS
+    }
+    found = set()
+    for file, source in sources.items():
+        tree = ast.parse(source)
+        # local name -> package module, for `from udrfusion import m [as x]`
+        aliases = {
+            alias.asname or alias.name: alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "udrfusion"
+            for alias in node.names
+        }
+        for node in ast.walk(tree):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "setattr"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "monkeypatch"
+                and node.args
+            ):
+                continue
+            target, *rest = node.args
+            if isinstance(target, ast.Constant) and isinstance(target.value, str):
+                module, _, name = target.value.removeprefix("udrfusion.").rpartition(".")
+            elif rest and isinstance(rest[0], ast.Constant):
+                name = rest[0].value
+                if isinstance(target, ast.Name):
+                    module = aliases.get(target.id)
+                elif isinstance(target, ast.Attribute) and ast.unparse(target.value) == "udrfusion":
+                    module = target.attr
+                else:
+                    continue
+            else:
+                continue
+            if name in moved.get(module, ()):
+                found.add((file, module, name))
+    return found
+
+
+def test_no_test_patches_a_moved_name_on_the_module_it_moved_from():
+    """Callers read a moved name from its defining module, so a patch on
+    the hooked module reaches none of them, and, bound there, it shadows
+    the hook for the rest of the session."""
+    tests = {path.name: path.read_text() for path in sorted(Path(__file__).parent.glob("*.py"))}
+    assert "test_imports.py" in tests
+    assert _moved_name_patches(tests) == set()
+
+
+def test_a_planted_patch_of_a_moved_name_is_caught():
+    planted = (
+        "import udrfusion\n"
+        "from udrfusion import cohomology as coh, ffield\n\n\n"
+        "def test_planted(monkeypatch):\n"
+        "    from udrfusion import abelian, fpmatrix\n\n"
+        "    monkeypatch.setattr(ffield, 'FpMatrix', None)\n"
+        "    monkeypatch.setattr(coh, 'GModule', None)\n"
+        "    monkeypatch.setattr(abelian, 'all_character_pairs', None)\n"
+        "    monkeypatch.setattr(udrfusion.abelian, 'abelian_orbits_bruteforce', None)\n"
+        "    monkeypatch.setattr('udrfusion.cohomology.tensor', None)\n"
+        # a name that lives in its module, and a moved name on its new home
+        "    monkeypatch.setattr(ffield, 'is_prime', None)\n"
+        "    monkeypatch.setattr(coh, 'dims', None)\n"
+        "    monkeypatch.setattr(fpmatrix, 'FpMatrix', None)\n"
+        "    monkeypatch.setattr('udrfusion.dense.tensor', None)\n"
+    )
+    assert _moved_name_patches({"test_planted.py": planted}) == {
+        ("test_planted.py", "ffield", "FpMatrix"),
+        ("test_planted.py", "cohomology", "GModule"),
+        ("test_planted.py", "abelian", "all_character_pairs"),
+        ("test_planted.py", "abelian", "abelian_orbits_bruteforce"),
+        ("test_planted.py", "cohomology", "tensor"),
+    }
 
 
 def _cli_load_faults(source: str) -> set[str]:

@@ -60,7 +60,9 @@ _ORBIT_RUNS = ((0, (0,), 1, 2, ()), (0, (1,), 2, 1, (_E3,)))
 _POINT_SETS = SweepPointSets((frozenset({0}), frozenset({1, 2})))
 _D3 = DihedralParams(3, 7, 2)
 _A23 = AbelianParams((2, 3), 7)
-_ROT, _REF = FpMatrix(7, ((2, 0), (0, 4))), FpMatrix(7, ((0, 1), (1, 0)))
+# Rep2 stores its matrices as 2x2 tuples of residues, reduced mod p
+_ROT, _REF = ((9, 0), (0, -3)), [[0, 8], [1, 0]]
+_ROT_REDUCED, _REF_REDUCED = ((2, 0), (0, 4)), ((0, 1), (1, 0))
 _ONE, _MINUS = FpMatrix(7, ((1,),)), FpMatrix(7, ((6,),))
 
 # class, constructor arguments, the same with one compared field changed,
@@ -73,9 +75,9 @@ RECORDS = [
         Rep2,
         (_D3, RepLabel("irr2", 1), _ROT, _REF),
         (_D3, RepLabel("ind", 1), _ROT, _REF),
-        (_D3, RepLabel("irr2", 1), _ROT, _REF),
+        (_D3, RepLabel("irr2", 1), _ROT_REDUCED, _REF_REDUCED),
         "Rep2(params=DihedralParams(n=3, p=7, omega=2), label=RepLabel(kind='irr2', index=1), "
-        "mat_r=FpMatrix(p=7, [[2, 0], [0, 4]]), mat_s=FpMatrix(p=7, [[0, 1], [1, 0]]))",
+        "mat_r=((2, 0), (0, 4)), mat_s=((0, 1), (1, 0)))",
     ),
     (
         FusionOrbit,
@@ -304,7 +306,8 @@ WITHOUT_POST_INIT = (RepLabel, Rep2, GroupElement, CohomologyDims, VerificationR
 
 def test_init_stores_the_fields_in_order():
     """Records without checks, whose stored values nothing normalises
-    after _init (GroupElement reduces rot and flip before it)."""
+    after _init (GroupElement reduces rot and flip before it, and Rep2
+    its matrices)."""
     cases = [
         (cls, args, values) for cls, args, _, values, _ in RECORDS if cls in WITHOUT_POST_INIT
     ]
