@@ -199,7 +199,3 @@ def main(argv=None) -> int:
             stdout_to_devnull()
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

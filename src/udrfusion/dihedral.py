@@ -36,6 +36,11 @@ def irr2_position(n: int, i: int) -> int:
     return i - indices.start
 
 
+def _check_rank(n: int) -> None:
+    if n > RANK_LIMIT:
+        raise ffield.LimitExceeded(f"rank {n} is above the rank limit {RANK_LIMIT}")
+
+
 class DihedralParams(FrozenRecord):
     """A dihedral group of order 2n together with a splitting prime field.
 
@@ -51,8 +56,7 @@ class DihedralParams(FrozenRecord):
     def __post_init__(self) -> None:
         if self.n < 3:
             raise ValueError("need n >= 3")
-        if self.n > RANK_LIMIT:
-            raise ffield.LimitExceeded(f"rank {self.n} is above the rank limit {RANK_LIMIT}")
+        _check_rank(self.n)
         if not ffield.is_odd_prime(self.p):
             raise ValueError(f"{self.p} is not an odd prime")
         if self.p % self.n != 1:
@@ -64,6 +68,7 @@ class DihedralParams(FrozenRecord):
     @classmethod
     def standard(cls, n: int, p: int | None = None) -> "DihedralParams":
         """Smallest valid prime (unless given) and smallest primitive root."""
+        _check_rank(n)  # before the prime and the O(n) root search
         if p is None:
             p = ffield.find_prime(n, 3)
         return _standard(cls, n, p)

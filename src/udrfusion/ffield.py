@@ -84,7 +84,8 @@ def find_prime(n: int, lower_bound: int = 3) -> int:
 
 def find_primes(n: int, count: int) -> list[int]:
     """The count smallest odd primes congruent to 1 mod n.  Refused at
-    once when fewer than count candidates lie below PRIME_SEARCH_CEILING."""
+    once when fewer than count candidates lie below PRIME_SEARCH_CEILING,
+    and when the search finds fewer than count primes there."""
     if n < 3:
         raise ValueError("need n >= 3")
     candidates = (PRIME_SEARCH_CEILING - 1) // lcm(n, 2)
@@ -95,7 +96,13 @@ def find_primes(n: int, count: int) -> list[int]:
         )
     out: list[int] = []
     while len(out) < count:
-        out.append(find_prime(n, out[-1] + 1 if out else 3))
+        try:
+            out.append(find_prime(n, out[-1] + 1 if out else 3))
+        except LimitExceeded:
+            raise LimitExceeded(
+                f"{count} primes p = 1 (mod {n}) asked for, but only {len(out)} such "
+                f"primes lie in 3 <= p <= {PRIME_SEARCH_CEILING}"
+            ) from None
     return out
 
 

@@ -82,6 +82,7 @@ PROBES = {
     "DihedralParams(rank limit + 1, ...)": lambda: DihedralParams(
         RANK_LIMIT + 1, ABOVE_RANK_P, ABOVE_RANK_ROOT
     ),
+    "DihedralParams.standard(10**5)": lambda: DihedralParams.standard(10**5),
     "center_acts_trivially at the rank limit": lambda: center_acts_trivially(_at_rank_limit(), 1),
     "rep_kernel_scan at the rank limit": lambda: rep_kernel_scan(_at_rank_limit(), 1),
     "omega_set at the rank limit": lambda: omega_set(_at_rank_limit()),

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import hashlib
 import importlib
 import io
@@ -493,6 +494,56 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["params"]["n"] == 3
+
+
+_ENTRY_ARGV = [
+    (["analyze", "dihedral", "--n", "3", "--i0", "1"], 0),
+    (["verify", "--n-max", "2"], 1),
+    (["analyze", "dihedral", "--n", "3"], 2),
+]
+
+
+def test_main_leaves_the_collector_as_it_found_it(capsys):
+    before = (gc.isenabled(), gc.get_freeze_count())
+    for argv, code in _ENTRY_ARGV:
+        assert main(argv) == code
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+    capsys.readouterr()
+
+
+# runs the package as `python -m udrfusion` does, and reports on stderr's
+# last line the exit code and whether the collector was left frozen
+_RUN_AS_MAIN = textwrap.dedent("""\
+    import gc, runpy, sys
+    try:
+        runpy.run_module("udrfusion", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        print(exc.code, gc.get_freeze_count() > 0, file=sys.stderr)
+""")
+
+
+@pytest.mark.parametrize("argv, code", _ENTRY_ARGV, ids=["ok", "failed", "invalid"])
+def test_process_entry_passes_the_exit_code_and_freezes_at_exit(argv, code):
+    proc = subprocess.run([sys.executable, "-c", _RUN_AS_MAIN, *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr.splitlines()[-1] == f"{code} True"
+    direct = subprocess.run([sys.executable, "-m", "udrfusion", *argv],
+                            capture_output=True, text=True, timeout=60)
+    assert direct.returncode == code
+    assert (direct.stdout, direct.stderr) == (
+        proc.stdout, proc.stderr.rpartition(f"{code} True\n")[0]
+    )
+
+
+def test_console_script_names_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts == {"udrfusion": "udrfusion.__main__:run"}
+    # importing the entry module, as the console script's wrapper does, runs nothing
+    module_name, _, attr = scripts["udrfusion"].partition(":")
+    assert callable(getattr(importlib.import_module(module_name), attr))
 
 
 def test_verify_sweeps_each_orbit_instance_once(capsys, monkeypatch):

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from udrfusion import cohomology, fusion
+from udrfusion import cohomology, ffield, fusion
 from udrfusion.dihedral import (
     RANK_LIMIT,
     DihedralParams,
@@ -64,6 +64,17 @@ def test_params_validation():
         DihedralParams(RANK_LIMIT + 1, 5003, 3)
     with pytest.raises(LimitExceeded):
         DihedralParams.standard(10**5)
+
+
+def test_params_standard_refuses_the_rank_before_searching(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("searched above the rank limit")
+
+    monkeypatch.setattr(ffield, "find_prime", no_search)
+    monkeypatch.setattr(ffield, "primitive_root_of_unity", no_search)
+    for n, p in ((RANK_LIMIT + 1, None), (RANK_LIMIT + 1, 5003), (10**5, None)):
+        with pytest.raises(LimitExceeded, match=f"^rank {n} is above the rank limit 2500$"):
+            DihedralParams.standard(n, p)
 
 
 def test_group_element_basics():

@@ -117,6 +117,12 @@ def test_find_primes_refuses_more_primes_than_candidates():
         find_primes(3, 166_667)
     with pytest.raises(LimitExceeded):
         find_primes(PRIME_SEARCH_CEILING, 1)
+    # 399 odd p = 1 (mod 2500) lie below 10^6, but only 79 of them are prime
+    with pytest.raises(LimitExceeded, match=(
+        r"^100 primes p = 1 \(mod 2500\) asked for, but only 79 such primes lie in "
+        r"3 <= p <= 1000000$"
+    )):
+        find_primes(2500, 100)
     with pytest.raises(ValueError):
         find_primes(2, 1)
 
