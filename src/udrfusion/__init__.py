@@ -11,15 +11,13 @@ A function is bound once, in the module that defines it: other modules
 import the module (`from . import dihedral`) and call
 `dihedral.irr2_rep(...)`, and import by name only classes, constants,
 exceptions and type aliases.  So a name rebound in its module (a test's
-patch, a tracer's wrapper) is the one every caller calls.  The one
-exception is fusion, which re-exports orbits' fusion_numbers as its own,
-because the benchmark's tracer wraps it there.
+patch, a tracer's wrapper) is the one every caller calls.
 
 Names that moved out of a module still read there, bound nowhere but
 in their new module: a PEP 562 __getattr__ over a constant table loads
-fpmatrix for ffield.FpMatrix, dense for cohomology's module route and
-abelian_catalog for abelian's sweep catalog, on first access only.  The
-table below names each name's defining module.
+fpmatrix for ffield.FpMatrix and dense for cohomology's module route,
+on first access only.  Those are the package's two hooks.  The table
+below names each name's defining module.
 """
 
 import importlib
@@ -51,13 +49,13 @@ _MODULE_EXPORTS = {
         "t_preimage",
     ),
     "orbits": (
-        "FusionNumbers",
         "FusionOrbit",
         "FusionOrbitSet",
-        "fusion_numbers",
     ),
     "fusion": (
+        "FusionNumbers",
         "act",
+        "fusion_numbers",
         "fusion_orbits_bruteforce",
         "fusion_orbits_closed_form",
         "same_fusion",
@@ -108,10 +106,8 @@ _MODULE_EXPORTS = {
         "abelian_fixed_count",
         "abelian_fixed_count_bruteforce",
         "abelian_orbits",
-        "abelian_udr",
-    ),
-    "abelian_catalog": (
         "abelian_orbits_bruteforce",
+        "abelian_udr",
         "find_underdetermined_pair",
     ),
 }
@@ -119,7 +115,7 @@ _MODULE_EXPORTS = {
 _EXPORTS = {name: module for module, names in _MODULE_EXPORTS.items() for name in names}
 
 _SUBMODULES = frozenset((
-    "abelian", "abelian_catalog", "cli", "cli_dihedral", "cli_report", "cli_verify",
+    "abelian", "cli", "cli_dihedral", "cli_report", "cli_verify",
     "cohomology", "deformation", "dense", "dihedral", "ffield", "fpmatrix", "fusion", "orbits",
     "records",
 ))

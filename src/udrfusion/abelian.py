@@ -11,12 +11,11 @@ abelian_orbits enumerates the least orbit representatives directly from
 coset minima of three subgroups of F_p^* (the projections A and B of the
 image H of the group in F_p^* x F_p^*, and the kernel K of the first
 projection), in time and memory linear in p plus the number of orbits.
-The brute-force sweep abelian_orbits_bruteforce and the per-value fixed
-count abelian_fixed_count_bruteforce are its independent oracles.  The
-sweep and the catalog search built on it (all_character_pairs,
-find_underdetermined_pair), which no command calls, are defined in
-abelian_catalog and still read here: the first read loads that module
-(PEP 562), so analyze abelian never compiles them.
+Its oracle, the brute-force sweep abelian_orbits_bruteforce, loads
+fusion, and so dihedral, when first called, so analyze abelian, which
+does not call it, loads neither.  find_underdetermined_pair, which no
+command calls, sweeps every character pair of a group (all_character_pairs)
+for two whose summaries agree while their orbit partitions differ.
 """
 
 from __future__ import annotations
@@ -200,6 +199,19 @@ def abelian_fixed_count_bruteforce(pair: CharacterPair) -> int:
     )
 
 
+def abelian_orbits_bruteforce(pair: CharacterPair) -> FusionOrbitSet:
+    """Orbit partition of the plane by sweeping every point, with fusion's
+    sweep; the oracle for abelian_orbits."""
+    from . import fusion
+
+    params = pair.params
+    check_sweep_size(params)
+    elements = list(params.elements())
+    matrices = [(pair.value1(g), 0, 0, pair.value2(g)) for g in elements]
+    ((_, orbit_set),) = fusion.orbit_sets_bruteforce([(pair, params.p, elements, matrices)])
+    return orbit_set
+
+
 def abelian_dims(pair: CharacterPair) -> CohomologyDims:
     """d1 counts the trivial characters; d2 adds one exactly when the
     characters are mutually inverse.  Independent of the coefficient
@@ -282,14 +294,36 @@ def abelian_orbits(pair: CharacterPair) -> FusionOrbitSet:
     return FusionOrbitSet(tuple(runs), p, orbits.diagonal_images(p, image))
 
 
-# the names defined in abelian_catalog that still read here; __getattr__
-# loads that module on the first read and binds nothing in this one
-_MOVED_NAMES = ("abelian_orbits_bruteforce", "all_character_pairs", "find_underdetermined_pair")
+def all_character_pairs(params: AbelianParams):
+    """Every character pair, in deterministic exponent order."""
+    ranges = [range(m) for m in params.cyclic_orders]
+    for e1 in itertools.product(*ranges):
+        for e2 in itertools.product(*ranges):
+            yield CharacterPair.from_exponents(params, e1, e2)
 
 
-def __getattr__(name: str):
-    if name in _MOVED_NAMES:
-        from . import abelian_catalog
+def find_underdetermined_pair(params: AbelianParams):
+    """Search for two character pairs with identical fusion numbers,
+    dimensions and ring class whose orbit partitions still differ.
 
-        return getattr(abelian_catalog, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    Returns the first such (pair, pair) in search order, or None.  The
+    existence of one shows the summary invariants cannot reconstruct
+    the orbit structure.  It sweeps the plane once for each of the
+    order^2 pairs, so it refuses groups whose sweeps together pass
+    ABELIAN_BRUTE_FORCE_LIMIT before the first one.
+    """
+    sweep = params.order * params.p**2
+    if params.order**2 * sweep > ABELIAN_BRUTE_FORCE_LIMIT:
+        raise LimitExceeded(
+            f"{params.order**2} sweeps of size {sweep} exceed {ABELIAN_BRUTE_FORCE_LIMIT} in total"
+        )
+    catalog = []
+    for pair in all_character_pairs(params):
+        orbit_set = abelian_orbits_bruteforce(pair)
+        summary = (tuple(orbit_set.size_census().items()), abelian_dims(pair), abelian_udr(pair))
+        catalog.append((pair, summary, orbit_set.partition()))
+    for a_pos, (pair1, sum1, part1) in enumerate(catalog):
+        for pair2, sum2, part2 in catalog[a_pos + 1 :]:
+            if sum1 == sum2 and part1 != part2:
+                return pair1, pair2
+    return None

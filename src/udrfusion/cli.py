@@ -199,3 +199,8 @@ def main(argv=None) -> int:
             stdout_to_devnull()
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+if __name__ == "__main__":
+    print("error: run the CLI as `python -m udrfusion`, not as a module of it", file=sys.stderr)
+    sys.exit(2)

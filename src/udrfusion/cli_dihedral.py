@@ -18,8 +18,8 @@ def analyze_dihedral(args) -> tuple:
     """The params, k, orbit set, rows and checks of the report of analyze
     dihedral on the parsed arguments, for cli to write."""
     # the checks are O(n^2): the slowest ranks near the limit (odd n) take
-    # about 2 s on a 2-core Intel Xeon.  DihedralParams refuses a larger n
-    # too, but standard() searches for the prime first
+    # about 2 s on a 2-core Intel Xeon.  DihedralParams.standard refuses a
+    # larger n too, before it searches for the prime; this message names --n
     if args.n > dihedral.RANK_LIMIT:
         raise LimitExceeded(f"--n {args.n} is above the rank limit {dihedral.RANK_LIMIT}")
     # the census has at least p orbits: refuse such p before any work

@@ -7,6 +7,10 @@ checks below mechanically confirm, instance by instance, that kernel
 sets of the cohomologically distinguished representations detect the
 orbit structure of the plane, and delimit exactly when the whole table
 of ring classes determines that orbit structure.
+
+check_orbit_closed_form, the one reader of a sweep's point sets,
+refuses an orbit set that does not hold a fusion.SweepPointSets, a class
+that orbits, which the abelian half loads too, cannot name.
 """
 
 from __future__ import annotations
@@ -201,7 +205,8 @@ def check_orbit_closed_form(
     equal to it.  Since the sweep's representatives are least in their
     orbits, so are the closed form's.  The point sets are compared as the
     orbit sets hold them, as sets of point codes.  brute must be read
-    from a sweep, holding its fusion.SweepPointSets; else ValueError.
+    from a sweep, holding its fusion.SweepPointSets as point_sets: None,
+    a plain tuple of the same sets or anything else raises ValueError.
 
     The rows are compared from the runs: column by column (x, ys, size,
     stabilizer order, by C-level passes) where both sets group them into
@@ -216,8 +221,9 @@ def check_orbit_closed_form(
     runs are those of a comparison made reuses its result, which is the
     one its own comparison would compute, whatever the closed form does."""
     sweep_sets = brute.point_sets
-    if sweep_sets is None:
-        raise ValueError("brute must be read from a sweep, with its SweepPointSets")
+    if not isinstance(sweep_sets, fusion.SweepPointSets):
+        name = type(sweep_sets).__name__
+        raise ValueError(f"brute must be read from a sweep, with its SweepPointSets, got {name}")
     closed = fusion.fusion_orbits_closed_form(params, i0)
     p, runs = brute.p, brute.runs
     # the runs as columns x, ys, size, stabilizer order and generators
@@ -229,13 +235,12 @@ def check_orbit_closed_form(
     ) and set(map(mul, sizes, orders)) <= {2 * params.n}
     if ok:
         key, images = tuple(map(_RUN_POINTS, runs)), closed.images
-        # keyed by identity, an equal but distinct map being compared anew;
-        # the entry holds its map, so no other object takes its id
-        made = sweep_sets.compared.get(id(images))
-        if made is None or made[1] != key:
-            made = images, key, _image_sets_match(images, p, runs, sweep_sets)
-            sweep_sets.compared[id(images)] = made
-        ok = made[2]
+        # keyed by the map, by identity: an equal but distinct map is compared anew
+        made = sweep_sets.compared.get(images)
+        if made is None or made[0] != key:
+            made = key, _image_sets_match(images, p, runs, sweep_sets)
+            sweep_sets.compared[images] = made
+        ok = made[1]
     return VerificationReport(
         "orbit_closed_form_matches_bruteforce", (params.n, params.p, i0), ok
     )

@@ -30,10 +30,11 @@ The memo dies with the sweep: no module-level cache holds a sweep.
 
 Both routes return their orbits as runs (FusionOrbitSet), each run as
 long as its neighbours allow.  The orbit-set records live in orbits,
-which the abelian route imports without this module; they are bound here
-too, as fusion.FusionOrbitSet and so on.  So is orbits' fusion_numbers,
-the package's only function bound outside the module that defines it,
-kept because the benchmark's tracer wraps it here.
+which the abelian route imports without this module; the classes are
+bound here too, as fusion.FusionOrbitSet and fusion.FusionOrbit.  What
+the abelian route does not read is defined here: the sweep's point sets
+(SweepPointSets) and the census of orbit sizes (FusionNumbers,
+fusion_numbers), with its closed form for a dihedral action.
 """
 
 from __future__ import annotations
@@ -47,17 +48,57 @@ from operator import itemgetter
 from . import dihedral, orbits
 from .dihedral import DihedralParams, GroupElement
 from .ffield import LimitExceeded
-from .orbits import (
-    ORBIT_LIMIT,
-    FusionNumbers,
-    FusionOrbit,
-    FusionOrbitSet,
-    NPoint,
-    SweepPointSets,
-    fusion_numbers,
-)
+from .orbits import ORBIT_LIMIT, FusionOrbit, FusionOrbitSet, NPoint
+from .records import Record
 
 BRUTE_FORCE_POINT_LIMIT = 10**6
+
+
+class SweepPointSets(tuple):
+    """A sweep's point sets, one frozenset of codes per orbit in row
+    order, with compared, the memo of deformation.check_orbit_closed_form
+    on them: it maps an orbit map to the (x, ys, size) of each run it was
+    applied to and whether it took each representative to the point set
+    of its row, of the row's size.  Every orbit set read from the sweep
+    holds this one object, so the memo lives and dies with the sweep, and
+    no module-level cache holds one."""
+
+    def __init__(self, point_sets) -> None:
+        self.compared = {}
+
+
+class FusionNumbers(Record):
+    """Census size -> number of orbits of that size."""
+
+    __slots__ = _fields = ("counts",)
+
+    def __init__(self, counts: dict) -> None:
+        self.counts = counts
+
+    @classmethod
+    def from_orbits(cls, orbit_set: FusionOrbitSet) -> "FusionNumbers":
+        return cls(orbit_set.size_census())
+
+    @classmethod
+    def dihedral_closed_form(cls, p: int, k: int) -> "FusionNumbers":
+        """Expected census for a dihedral action with k = n/gcd(i0, n):
+        one fixed point, p - 1 orbits of size k, and (p-1)(p+1-k)/(2k)
+        orbits of size 2k."""
+        num = (p - 1) * (p + 1 - k)
+        if num % (2 * k) != 0:
+            raise ValueError(f"census formula not integral for p={p}, k={k}")
+        counts = {1: 1, k: p - 1}
+        big = num // (2 * k)
+        if big:
+            counts[2 * k] = counts.get(2 * k, 0) + big
+        return cls(dict(sorted(counts.items())))
+
+    def total_points(self) -> int:
+        return sum(size * cnt for size, cnt in self.counts.items())
+
+
+def fusion_numbers(orbit_set: FusionOrbitSet) -> FusionNumbers:
+    return FusionNumbers.from_orbits(orbit_set)
 
 
 def act(params: DihedralParams, i0: int, g: GroupElement, v: NPoint) -> NPoint:

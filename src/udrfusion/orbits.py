@@ -2,12 +2,13 @@
 
 A FusionOrbitSet is a full orbit partition of the plane F_p x F_p,
 stored as runs of orbits that share one x, one size and one stabilizer;
-FusionOrbit is one orbit of it and FusionNumbers its census of orbit
-sizes.  coset_minima and diagonal_images are the pieces that the direct
-routes (fusion_orbits_closed_form, abelian.abelian_orbits) build their
-sets from.  This module builds no group table and sweeps nothing: the
-dihedral routes and the brute-force sweep live in fusion, the abelian
-ones in abelian, so the abelian route loads neither fusion nor dihedral.
+FusionOrbit is one orbit of it.  coset_minima and diagonal_images are
+the pieces that the direct routes (fusion_orbits_closed_form,
+abelian.abelian_orbits) build their sets from.  This module builds no
+group table, sweeps nothing and counts no census: the dihedral routes,
+the brute-force sweep, its point sets and the fusion numbers live in
+fusion, the abelian routes in abelian, so the abelian route loads
+neither fusion nor dihedral.
 
 Inside the orbit layer a point (x, y) is the integer code x*p + y, which
 sorts as (x, y) does, so the least point of an orbit is still its min.
@@ -23,7 +24,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator
 from functools import cached_property
 
-from .records import FrozenRecord, LimitExceeded, Record
+from .records import FrozenRecord, LimitExceeded
 
 NPoint = tuple[int, int]
 
@@ -68,20 +69,6 @@ class FusionOrbit(FrozenRecord):
         return points
 
 
-class SweepPointSets(tuple):
-    """A sweep's point sets, one frozenset of codes per orbit in row
-    order, with compared, the memo of deformation.check_orbit_closed_form
-    on them: it maps the id of an orbit map to the map, the (x, ys, size)
-    of each run it was applied to and whether it took each
-    representative to the point set of its row, of the row's size.
-    Every orbit set read from the sweep holds this one object, so the
-    memo lives and dies with the sweep, and no module-level cache holds
-    one."""
-
-    def __init__(self, point_sets) -> None:
-        self.compared = {}
-
-
 class FusionOrbitSet(FrozenRecord):
     """A full orbit partition of F_p x F_p, sorted by representative.
 
@@ -96,21 +83,16 @@ class FusionOrbitSet(FrozenRecord):
     point set on its own first access.  images is the action shared by
     every orbit of the set, on codes x*p + y: it maps the code of a point
     to the codes of its images, and every orbit's elements are read from
-    it.  point_sets, when given, is the SweepPointSets of the sweep the
-    set was read from, and anything else raises ValueError; only
-    deformation.check_orbit_closed_form reads them.
+    it.  point_sets is the fusion.SweepPointSets of the sweep the set was
+    read from, or None.  Its one reader, deformation.check_orbit_closed_form,
+    refuses anything else; this module cannot name that class without
+    loading the dihedral half.
     repr, == and hash read rows and p; images and point_sets are left out.
     """
 
     _fields = ("rows", "p")
 
-    def __init__(
-        self, runs: tuple, p: int, images: OrbitMap, point_sets: SweepPointSets | None = None
-    ) -> None:
-        if point_sets is not None and not isinstance(point_sets, SweepPointSets):
-            raise ValueError(
-                f"point_sets must be a sweep's SweepPointSets, got {type(point_sets).__name__}"
-            )
+    def __init__(self, runs: tuple, p: int, images: OrbitMap, point_sets=None) -> None:
         for run in runs:
             if len(run) != 5:
                 raise ValueError(
@@ -125,9 +107,7 @@ class FusionOrbitSet(FrozenRecord):
         object.__setattr__(self, "point_sets", point_sets)
 
     @classmethod
-    def from_rows(
-        cls, rows, p: int, images: OrbitMap, point_sets: SweepPointSets | None = None
-    ) -> "FusionOrbitSet":
+    def from_rows(cls, rows, p: int, images: OrbitMap, point_sets=None) -> "FusionOrbitSet":
         """The orbit set of rows, one run per row."""
         return cls(tuple((x, (y,), *rest) for (x, y), *rest in rows), p, images, point_sets)
 
@@ -182,36 +162,6 @@ class FusionOrbitSet(FrozenRecord):
         return dict(sorted(census.items()))
 
 
-class FusionNumbers(Record):
-    """Census size -> number of orbits of that size."""
-
-    __slots__ = _fields = ("counts",)
-
-    def __init__(self, counts: dict) -> None:
-        self.counts = counts
-
-    @classmethod
-    def from_orbits(cls, orbit_set: FusionOrbitSet) -> "FusionNumbers":
-        return cls(orbit_set.size_census())
-
-    @classmethod
-    def dihedral_closed_form(cls, p: int, k: int) -> "FusionNumbers":
-        """Expected census for a dihedral action with k = n/gcd(i0, n):
-        one fixed point, p - 1 orbits of size k, and (p-1)(p+1-k)/(2k)
-        orbits of size 2k."""
-        num = (p - 1) * (p + 1 - k)
-        if num % (2 * k) != 0:
-            raise ValueError(f"census formula not integral for p={p}, k={k}")
-        counts = {1: 1, k: p - 1}
-        big = num // (2 * k)
-        if big:
-            counts[2 * k] = counts.get(2 * k, 0) + big
-        return cls(dict(sorted(counts.items())))
-
-    def total_points(self) -> int:
-        return sum(size * cnt for size, cnt in self.counts.items())
-
-
 def coset_minima(p: int, subgroup) -> list[int]:
     """cmin with cmin[y] the least element of the coset y * subgroup of
     F_p^* for 0 < y < p, and cmin[0] = 0.  Linear in p: every coset is
@@ -237,6 +187,3 @@ def diagonal_images(p: int, scalars) -> OrbitMap:
 
     return images
 
-
-def fusion_numbers(orbit_set: FusionOrbitSet) -> FusionNumbers:
-    return FusionNumbers.from_orbits(orbit_set)

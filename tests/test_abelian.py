@@ -4,7 +4,7 @@ from time import perf_counter
 
 import pytest
 
-from udrfusion import abelian_catalog, ffield
+from udrfusion import abelian, ffield
 from udrfusion.abelian import (
     ABELIAN_GROUP_ORDER_LIMIT,
     AbelianParams,
@@ -277,7 +277,7 @@ def test_underdetermined_pair_refuses_past_the_sweep_ceiling(monkeypatch):
     def no_sweep(pair):
         raise AssertionError("swept past the ceiling")
 
-    monkeypatch.setattr(abelian_catalog, "abelian_orbits_bruteforce", no_sweep)
+    monkeypatch.setattr(abelian, "abelian_orbits_bruteforce", no_sweep)
     start = perf_counter()
     with pytest.raises(LimitExceeded, match="16384 sweeps of size 1152 exceed 1000000"):
         find_underdetermined_pair(AbelianParams((2,) * 7, 3))

@@ -536,6 +536,13 @@ def test_process_entry_passes_the_exit_code_and_freezes_at_exit(argv, code):
     )
 
 
+def test_running_cli_as_a_module_names_the_process_entry():
+    proc = subprocess.run([sys.executable, "-m", "udrfusion.cli", "verify"],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.count("\n") == 1 and "python -m udrfusion`" in proc.stderr
+
+
 def test_console_script_names_the_process_entry():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"

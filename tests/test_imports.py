@@ -42,7 +42,9 @@ def _after(call: str, expression: str, src: Path | None = None) -> tuple[str, st
     and then of expression, evaluated in a fresh interpreter that holds
     in before the modules it had loaded before the import.  The package
     is imported from the directory src, by default the one under test.
-    What call writes to stdout is discarded."""
+    What call writes to stdout is discarded.  The interpreter starts with
+    -S, without site's imports, which would fall in before anyway: the
+    package imports nothing outside the standard library."""
     code = (
         "import contextlib, io, sys\n"
         "before = set(sys.modules)\n"
@@ -55,7 +57,7 @@ def _after(call: str, expression: str, src: Path | None = None) -> tuple[str, st
     src = src or Path(udrfusion.__file__).resolve().parents[1]
     path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-S", "-c", code],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
@@ -97,13 +99,12 @@ def test_abelian_sweep_oracle_loads_fusion_and_dihedral():
     )
     assert result == "21"
     assert loaded == {"udrfusion", "udrfusion.ffield", "udrfusion.records", "udrfusion.orbits",
-                      "udrfusion.abelian", "udrfusion.abelian_catalog", "udrfusion.fusion",
-                      "udrfusion.dihedral"}
+                      "udrfusion.abelian", "udrfusion.fusion", "udrfusion.dihedral"}
 
 
-# the modules that hold what moved out of ffield, cohomology and abelian:
-# the matrix class, the dense module route and the abelian sweep catalog
-MOVED_TO = {"ffield": "fpmatrix", "cohomology": "dense", "abelian": "abelian_catalog"}
+# the modules that hold what moved out of ffield and cohomology: the
+# matrix class and the dense module route
+MOVED_TO = {"ffield": "fpmatrix", "cohomology": "dense"}
 HOOKED_NAMES = {
     "ffield": ("FpMatrix",),
     "cohomology": (
@@ -111,7 +112,6 @@ HOOKED_NAMES = {
         "contragredient", "tensor", "det_module", "adjoint_module", "fixed_point_dim",
         "adjoint_decomposition_check",
     ),
-    "abelian": ("abelian_orbits_bruteforce", "all_character_pairs", "find_underdetermined_pair"),
 }
 
 
@@ -131,7 +131,9 @@ def test_analyze_abelian_loads_none_of_the_moved_modules():
     ["analyze", "dihedral", "--n", "5", "--i0", "1"],
 ])
 def test_dihedral_commands_load_neither_the_dense_route_nor_the_catalog(argv):
-    # nor the matrix class: the representation matrices are 2x2 tuples
+    # nor the matrix class: the representation matrices are 2x2 tuples;
+    # the abelian sweep catalog is in abelian, which
+    # test_dihedral_commands_load_no_abelian keeps out
     assert _moved_modules_loaded_by(argv) == set()
 
 
@@ -156,17 +158,17 @@ def test_a_hook_binds_nothing_in_the_module_it_serves():
         f"for n in ns])",
         f"[n for m, ns in {HOOKED_NAMES!r}.items() for n in ns if n in vars(getattr(udrfusion, m))]",
     )
-    assert (count, bound) == ("15", "[]")
+    assert (count, bound) == ("12", "[]")
 
 
 def test_a_hooked_module_reads_a_patch_on_the_defining_module(monkeypatch):
-    from udrfusion import abelian, abelian_catalog
+    from udrfusion import dense
 
     def stand_in(*args):
         raise AssertionError("not called")
 
-    monkeypatch.setattr(abelian_catalog, "find_underdetermined_pair", stand_in)
-    assert abelian.find_underdetermined_pair is stand_in
+    monkeypatch.setattr(dense, "fixed_point_dim", stand_in)
+    assert cohomology.fixed_point_dim is stand_in
 
 
 def test_a_planted_eager_import_of_fpmatrix_is_caught(tmp_path):
@@ -218,14 +220,16 @@ def test_each_command_loads_only_its_own_body(argv, body):
 
 
 def _dihedral_only_names() -> set[str]:
-    """Every function defined in fusion (its routes act through theta_i0
-    or sweep) or in a dihedral command module: none of them is called by
-    analyze abelian or build_parser."""
+    """Every function or class defined in fusion (its routes act through
+    theta_i0 or sweep, and its census counts their orbits) or in a
+    dihedral command module: none of them is used by analyze abelian or
+    build_parser."""
     return {
         name
         for module in (fusion, cli_dihedral, cli_verify)
         for name, value in vars(module).items()
-        if inspect.isfunction(value) and value.__module__ == module.__name__
+        if (inspect.isfunction(value) or inspect.isclass(value))
+        and value.__module__ == module.__name__
     }
 
 
@@ -233,9 +237,9 @@ def test_the_dihedral_only_names_cover_the_moved_bodies():
     names = _dihedral_only_names()
     assert {"fusion_orbits_closed_form", "_sweep_orbits", "_theta_table", "orbit_sets_bruteforce",
             "analyze_dihedral", "scan_rows", "families", "_orbit_reports",
-            "_thm42", "_oracle_h1"} <= names
+            "_thm42", "_oracle_h1", "FusionNumbers", "fusion_numbers", "SweepPointSets"} <= names
     # the orbit-set records fusion binds are not its own
-    assert {"fusion_numbers", "coset_minima", "diagonal_images"}.isdisjoint(names)
+    assert {"FusionOrbitSet", "FusionOrbit", "coset_minima", "diagonal_images"}.isdisjoint(names)
 
 
 @pytest.mark.parametrize("call", [
@@ -279,7 +283,8 @@ def test_importing_the_package_loads_no_submodule():
 
 # every name the package exported when it imported each module eagerly,
 # with the module that defined it then: a name that has moved since
-# still reads there, through that module's PEP 562 hook
+# still reads there, through that module's PEP 562 hook, or is defined
+# there again
 EXPORTS = {
     "ffield": (
         "FpMatrix", "find_prime", "find_primes", "multiplicative_order",

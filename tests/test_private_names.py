@@ -5,15 +5,14 @@ in the tests that use it.
 
 A function is bound once, in the module that defines it: other modules
 call it through that module, so a patch there reaches every caller.
-Only fusion re-exports one function of orbits by name.
 
 An import inside a function means one thing, load this module late: only
-cli's command dispatch, cli_report's abelian body and JSON writer and
-the PEP 562 hooks of ffield, cohomology and abelian have one, and each
-package import there is of a module, `from . import X`.  A hook is a
-module-level __getattr__ over a constant table of names, whose one
-import is the module those names moved to, and the module does not
-import that one at load.  At load, cli imports only the standard
+cli's command dispatch, cli_report's abelian body and JSON writer,
+abelian's sweep oracle and the PEP 562 hooks of ffield and cohomology
+have one, and each package import there is of a module,
+`from . import X`.  A hook is a module-level __getattr__ over a constant
+table of names, whose one import is the module those names moved to,
+and the module does not import that one at load.  At load, cli imports only the standard
 library, the package's __version__ and records.
 
 No test patches a hooked name on the module it moved from: callers read
@@ -143,9 +142,8 @@ def test_a_planted_cross_module_private_use_is_caught():
 
 
 # the by-name bindings of another module's function that a package module
-# may make: fusion re-exports this one of orbits as its own, because the
-# benchmark's tracer wraps it there
-BY_NAME_ALLOWED = {("fusion", "orbits", "fusion_numbers")}
+# may make: none
+BY_NAME_ALLOWED: set[tuple[str, str, str]] = set()
 
 
 def _by_name_function_bindings(sources: dict[str, str]) -> set[tuple[str, str, str]]:
@@ -189,9 +187,12 @@ def test_a_planted_by_name_binding_is_caught():
         ("deformation", "cohomology", "dims"),
         ("dihedral", "ffield", "is_prime"),
     }
-    # a function fusion re-exports is caught when imported from there
-    sources["deformation"] += "from .fusion import fusion_numbers\n"
-    assert ("deformation", "fusion", "fusion_numbers") in _by_name_function_bindings(sources)
+    # a function bound by name is caught, and so is one imported from there
+    sources["fusion"] += "\nfrom .orbits import coset_minima\n"
+    sources["deformation"] += "from .fusion import coset_minima\n"
+    assert {("fusion", "orbits", "coset_minima"), ("deformation", "fusion", "coset_minima")} <= (
+        _by_name_function_bindings(sources)
+    )
 
 
 # (home module, function, calling module, a call that reaches the
@@ -237,15 +238,17 @@ def test_a_patch_on_a_functions_home_reaches_a_caller_in_another_module(
 
 # the functions that may import inside their body, by module: an import
 # there loads a module late, the command bodies from cli's dispatch,
-# abelian from cli_report's abelian body and json from the two JSON writers
+# abelian from cli_report's abelian body, json from the two JSON writers
+# and fusion, the sweep's module, from abelian's sweep oracle
 LATE_LOADS = {
     "cli": {"_cmd_verify", "_cmd_analyze", "_cmd_scan"},
     "cli_report": {"analyze_abelian", "report_pieces"},
+    "abelian": {"abelian_orbits_bruteforce"},
 }
 
 # the PEP 562 hooks: module -> the module its __getattr__ loads on the
 # first read of a name that moved there
-LATE_HOOKS = {"ffield": "fpmatrix", "cohomology": "dense", "abelian": "abelian_catalog"}
+LATE_HOOKS = {"ffield": "fpmatrix", "cohomology": "dense"}
 
 
 def _imports_inside_functions(sources: dict[str, str]):
@@ -504,11 +507,12 @@ def test_a_planted_patch_of_a_moved_name_is_caught():
         "    from udrfusion import abelian, fpmatrix\n\n"
         "    monkeypatch.setattr(ffield, 'FpMatrix', None)\n"
         "    monkeypatch.setattr(coh, 'GModule', None)\n"
+        "    monkeypatch.setattr(udrfusion.cohomology, 'fixed_point_dim', None)\n"
+        "    monkeypatch.setattr('udrfusion.cohomology.tensor', None)\n"
+        # names that live in their module, and a moved name on its new home
+        "    monkeypatch.setattr(ffield, 'is_prime', None)\n"
         "    monkeypatch.setattr(abelian, 'all_character_pairs', None)\n"
         "    monkeypatch.setattr(udrfusion.abelian, 'abelian_orbits_bruteforce', None)\n"
-        "    monkeypatch.setattr('udrfusion.cohomology.tensor', None)\n"
-        # a name that lives in its module, and a moved name on its new home
-        "    monkeypatch.setattr(ffield, 'is_prime', None)\n"
         "    monkeypatch.setattr(coh, 'dims', None)\n"
         "    monkeypatch.setattr(fpmatrix, 'FpMatrix', None)\n"
         "    monkeypatch.setattr('udrfusion.dense.tensor', None)\n"
@@ -516,8 +520,7 @@ def test_a_planted_patch_of_a_moved_name_is_caught():
     assert _moved_name_patches({"test_planted.py": planted}) == {
         ("test_planted.py", "ffield", "FpMatrix"),
         ("test_planted.py", "cohomology", "GModule"),
-        ("test_planted.py", "abelian", "all_character_pairs"),
-        ("test_planted.py", "abelian", "abelian_orbits_bruteforce"),
+        ("test_planted.py", "cohomology", "fixed_point_dim"),
         ("test_planted.py", "cohomology", "tensor"),
     }
 

@@ -38,10 +38,10 @@ from udrfusion import (
     UdrClass,
     UdrSignature,
     VerificationReport,
+    deformation,
     fusion,
-    orbits,
 )
-from udrfusion.orbits import SweepPointSets
+from udrfusion.fusion import SweepPointSets
 
 
 def _images(v):
@@ -232,13 +232,19 @@ def test_dihedral_params_key_a_cache():
 
 
 def test_orbit_set_point_sets_are_a_sweeps_or_none():
+    """An orbit set keeps the point_sets it is given; their one reader,
+    check_orbit_closed_form, refuses all but a sweep's SweepPointSets:
+    None, and a plain tuple of the same frozensets."""
     assert FusionOrbitSet(_ORBIT_RUNS, 3, _images, _POINT_SETS).point_sets is _POINT_SETS
-    assert fusion.SweepPointSets is orbits.SweepPointSets
-    plain = tuple(_POINT_SETS)
-    with pytest.raises(ValueError, match="SweepPointSets, got tuple"):
-        FusionOrbitSet(_ORBIT_RUNS, 3, _images, plain)
-    with pytest.raises(ValueError, match="SweepPointSets, got tuple"):
-        FusionOrbitSet.from_rows(_ORBIT_ROWS, 3, _images, plain)
+    params = DihedralParams.standard(3)
+    brute = fusion.fusion_orbits_bruteforce(params, 1)
+    assert type(brute.point_sets) is SweepPointSets
+    assert deformation.check_orbit_closed_form(params, 1, brute).passed
+    for point_sets, name in ((None, "NoneType"), (tuple(brute.point_sets), "tuple")):
+        unswept = FusionOrbitSet.from_rows(brute.rows, brute.p, brute.images, point_sets)
+        assert unswept.point_sets is point_sets
+        with pytest.raises(ValueError, match=f"SweepPointSets, got {name}$"):
+            deformation.check_orbit_closed_form(params, 1, unswept)
 
 
 @pytest.mark.parametrize("cls, args, changed, values, text", RECORDS, ids=_IDS)
